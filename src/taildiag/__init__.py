@@ -69,10 +69,7 @@ from .windows import (
     LatencyWindow,
     SchedWindow,
     WindowSpec,
-    aggregate_latency_window,
-    aggregate_sched_window,
     build_joined_windows,
-    join_windows,
     make_windows,
     run_duration,
     split_phases,

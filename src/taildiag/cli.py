@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 from . import canon, report, stats, synthgen
@@ -77,35 +77,6 @@ def load_run(cfg: CampaignConfig, rc: RunConfig) -> Run:
     meta = replace(meta, nominal_duration_s=nominal)
     return consolidate_run(latency, snapshots, meta,
                            sched_offset_s=rc.sched_offset_s)
-
-
-@dataclass(frozen=True)
-class RunReport:
-    """Bundle produced by run_report: in-memory summaries plus the
-    output files, which exist once the call returns."""
-    summary: stats.LatencySummary
-    sched_summary: report.SchedSummary | None
-    windows_path: Path
-    flags_path: Path
-
-
-def run_report(cfg: CampaignConfig, out_dir: Path, run_id: str) -> RunReport:
-    """One-call pipeline for a single run: latency and scheduler
-    summaries in memory, windowed table and flag timeline on disk.
-    The emitted files are identical to those of the windows and flags
-    subcommands."""
-    run = load_run(cfg, cfg.run(run_id))
-    rtts = [s.rtt_ms for s in run.latency]
-    summary = stats.summary_stats(rtts, outlier_threshold_ms=cfg.outlier_ms)
-    joined = build_joined_windows(run, cfg.window)
-    windows_path = out_dir / f"{run_id}_windows.csv"
-    canon.atomic_write_text(windows_path, report.windows_table(joined))
-    flags_path = out_dir / f"{run_id}_flags.csv"
-    canon.atomic_write_text(
-        flags_path, report.flags_table(evaluate_flags(joined, cfg.policy)))
-    return RunReport(summary=summary,
-                     sched_summary=report.scheduler_summary(run.scheduler),
-                     windows_path=windows_path, flags_path=flags_path)
 
 
 def cmd_ingest(cfg: CampaignConfig, out_dir: Path, run_ids: list[str]) -> int:

@@ -295,15 +295,3 @@ def consolidate_run(latency: Sequence[LatencySample],
         sched = tuple(sorted(dominant, key=lambda s: s.t_s))
     return Run(meta=meta, latency=lat, scheduler=sched)
 
-
-def describe_run(run: Run) -> dict:
-    """Small attachable digest: counts and time spans per layer."""
-    lat_span = run.latency[-1].t_s - run.latency[0].t_s if run.latency else 0.0
-    sched_span = run.scheduler[-1].t_s - run.scheduler[0].t_s if run.scheduler else 0.0
-    return {
-        "run_id": run.meta.run_id,
-        "lat_n": len(run.latency),
-        "sched_n": len(run.scheduler),
-        "lat_span_s": lat_span,
-        "sched_span_s": sched_span,
-    }

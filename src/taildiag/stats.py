@@ -47,6 +47,25 @@ class KsResult:
     p_value: float
 
 
+def segment_percentiles(sorted_values: np.ndarray, starts: np.ndarray,
+                        counts: np.ndarray, q: float) -> np.ndarray:
+    """Percentile at q of every segment sorted_values[start:start + count].
+
+    Each segment must be sorted ascending and non-empty. The rank is
+    h = (count - 1) * q within the segment; the result interpolates
+    linearly between the order statistics at floor(h) and floor(h) + 1,
+    and is the segment maximum when floor(h) is the last position.
+    """
+    h = (counts - 1) * q
+    lo = np.floor(h)
+    frac = h - lo
+    last = counts - 1
+    lo = np.minimum(lo.astype(np.intp), last)
+    below = sorted_values[starts + lo]
+    above = sorted_values[starts + np.minimum(lo + 1, last)]
+    return np.where(lo >= last, below, below + frac * (above - below))
+
+
 def percentile(values: Sequence[float], q: float) -> float:
     """Linear-interpolation percentile of `values` at quantile q in [0, 1]."""
     if not 0.0 <= q <= 1.0:
@@ -54,13 +73,8 @@ def percentile(values: Sequence[float], q: float) -> float:
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise EmptySequenceError("percentile of an empty sequence")
-    s = np.sort(arr)
-    h = (s.size - 1) * q
-    lo = math.floor(h)
-    if lo >= s.size - 1:
-        return float(s[-1])
-    frac = h - lo
-    return float(s[lo] + frac * (s[lo + 1] - s[lo]))
+    return float(segment_percentiles(np.sort(arr), np.zeros(1, dtype=np.intp),
+                                     np.array([arr.size]), q)[0])
 
 
 def exceedance_prob(values: Sequence[float], threshold: float) -> float:
@@ -134,17 +148,11 @@ def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> KsResult:
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     # 1-based ranks; ties get the mean of the rank positions they span.
-    order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
-    ranks = np.empty(values.size, dtype=float)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(values, return_inverse=True,
+                                   return_counts=True, equal_nan=False)
+    last = np.cumsum(counts) - 1
+    first = last - counts + 1
+    return ((first + last) / 2.0 + 1.0)[inverse]
 
 
 def spearman_rho(x: Sequence[float], y: Sequence[float]) -> float | None:

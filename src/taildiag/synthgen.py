@@ -303,9 +303,6 @@ class GeneratedRun:
     run: Run
     truth: GroundTruth
     manifest_path: Path
-    latency_path: Path
-    scheduler_path: Path
-    truth_path: Path
 
 
 def gen_run(preset: RunPreset) -> tuple[Run, GroundTruth]:
@@ -399,11 +396,8 @@ def gen_campaign(presets: Sequence[RunPreset],
             "nominal_duration_s": meta.nominal_duration_s,
             "ping_interval_s": meta.ping_interval_s, **names,
         })
-        generated.append(GeneratedRun(
-            run=run, truth=truth, manifest_path=manifest_path,
-            latency_path=out / names["latency_file"],
-            scheduler_path=out / names["scheduler_file"],
-            truth_path=out / names["truth_file"]))
+        generated.append(GeneratedRun(run=run, truth=truth,
+                                      manifest_path=manifest_path))
     canon.atomic_write_text(
         out / "campaign.manifest",
         "".join(f"{g.manifest_path.name}\n" for g in generated))

@@ -1,8 +1,10 @@
 """Overlapping fixed-width windows over a run and per-window aggregates.
 
 Window membership is half-open [start, end) so boundary samples are
-never double counted across tiled windows. Windows with too few member
-samples aggregate to None (insufficient data is a value, not an error).
+never double counted across tiled windows. Both layers are aggregated
+column-wise over the whole grid at once; a window with too few samples
+on either side is left out of the join (insufficient data is not an
+error).
 """
 
 from __future__ import annotations
@@ -10,13 +12,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
 from . import stats
 from .errors import InvalidSpecError, RunTooShortError, SplitOutOfRangeError
-from .ingest import LatencySample, Run, SchedulerSnapshot
+from .ingest import Run
 
 log = logging.getLogger(__name__)
 
@@ -81,99 +82,83 @@ def make_windows(run_duration_s: float, spec: WindowSpec) -> list[tuple[float, f
             for k in range(count)]
 
 
-def _member_slice(times: np.ndarray, start: float, end: float) -> slice:
-    lo = int(np.searchsorted(times, start, side="left"))
-    hi = int(np.searchsorted(times, end, side="left"))
-    return slice(lo, hi)
+def _column(records, name: str) -> np.ndarray:
+    # Absent optional fields become NaN.
+    return np.array([np.nan if v is None else v
+                     for v in (getattr(r, name) for r in records)], dtype=float)
 
 
-def _lat_aggregate(members: Sequence[LatencySample], start: float, end: float,
-                   spec: WindowSpec) -> LatencyWindow | None:
-    if len(members) < spec.min_latency_samples:
-        return None
-    rtts = [s.rtt_ms for s in members]
-    return LatencyWindow(
-        start_s=start, end_s=end, n=len(members),
-        p95_ms=stats.percentile(rtts, 0.95),
-        median_ms=stats.percentile(rtts, 0.5),
-        exceed_100ms=stats.exceedance_prob(rtts, stats.EXCEED_FAST_MS))
+def _time_sorted(records, *names: str) -> tuple[np.ndarray, ...]:
+    """t_s and the named value columns, in stable time order."""
+    t = np.array([r.t_s for r in records], dtype=float)
+    order = np.argsort(t, kind="stable")
+    return (t[order],) + tuple(_column(records, n)[order] for n in names)
 
 
-def _sched_aggregate(members: Sequence[SchedulerSnapshot], start: float, end: float,
-                     spec: WindowSpec) -> SchedWindow | None:
-    if len(members) < spec.min_sched_samples:
-        return None
-    blers = [s.dl_bler for s in members]
-    mcs = [s.dl_mcs for s in members if s.dl_mcs is not None]
-    snr = [s.snr_db for s in members if s.snr_db is not None]
-    return SchedWindow(
-        start_s=start, end_s=end, n=len(members),
-        bler_mean=float(np.mean(blers)),
-        bler_p95=stats.percentile(blers, 0.95),
-        mcs_median=stats.percentile(mcs, 0.5) if mcs else None,
-        snr_median_db=stats.percentile(snr, 0.5) if snr else None)
+def _segments(lo: np.ndarray, n: np.ndarray,
+              values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Members values[lo[k]:lo[k] + n[k]] of every window k, each
+    segment sorted ascending (NaN last), and the segment offsets."""
+    starts = np.cumsum(n) - n
+    seg = np.repeat(np.arange(n.size), n)
+    members = values[np.arange(seg.size) - starts[seg] + lo[seg]]
+    return members[np.lexsort((members, seg))], starts
 
 
-def aggregate_latency_window(samples: Sequence[LatencySample],
-                             window: tuple[float, float],
-                             spec: WindowSpec) -> LatencyWindow | None:
-    """Aggregate of samples with t_s in [start, end); None if fewer than
-    spec.min_latency_samples fall inside. `samples` must be time-sorted."""
-    start, end = window
-    times = np.array([s.t_s for s in samples], dtype=float)
-    return _lat_aggregate(samples[_member_slice(times, start, end)],
-                          start, end, spec)
-
-
-def aggregate_sched_window(snapshots: Sequence[SchedulerSnapshot],
-                           window: tuple[float, float],
-                           spec: WindowSpec) -> SchedWindow | None:
-    """Scheduler-side aggregate over [start, end); mcs/snr medians are
-    taken over the snapshots where the field is present, None if it is
-    absent everywhere in the window."""
-    start, end = window
-    times = np.array([s.t_s for s in snapshots], dtype=float)
-    return _sched_aggregate(snapshots[_member_slice(times, start, end)],
-                            start, end, spec)
-
-
-def build_latency_windows(samples: Sequence[LatencySample],
-                          run_duration_s: float,
-                          spec: WindowSpec) -> list[LatencyWindow]:
-    grid = make_windows(run_duration_s, spec)
-    ordered = sorted(samples, key=lambda s: s.t_s)
-    times = np.array([s.t_s for s in ordered], dtype=float)
-    out = [_lat_aggregate(ordered[_member_slice(times, start, end)],
-                          start, end, spec) for start, end in grid]
-    return [w for w in out if w is not None]
-
-
-def build_sched_windows(snapshots: Sequence[SchedulerSnapshot],
-                        run_duration_s: float,
-                        spec: WindowSpec) -> list[SchedWindow]:
-    grid = make_windows(run_duration_s, spec)
-    ordered = sorted(snapshots, key=lambda s: s.t_s)
-    times = np.array([s.t_s for s in ordered], dtype=float)
-    out = [_sched_aggregate(ordered[_member_slice(times, start, end)],
-                            start, end, spec) for start, end in grid]
-    return [w for w in out if w is not None]
-
-
-def join_windows(latency_windows: Sequence[LatencyWindow],
-                 sched_windows: Sequence[SchedWindow]) -> list[JoinedWindow]:
-    """Inner join on start_s; both sides come from the same grid, so
-    equality is exact. Windows missing on either side are dropped."""
-    by_start = {w.start_s: w for w in sched_windows}
-    joined = [JoinedWindow(start_s=lw.start_s, latency=lw, sched=by_start[lw.start_s])
-              for lw in latency_windows if lw.start_s in by_start]
-    return sorted(joined, key=lambda j: j.start_s)
+def _medians(lo: np.ndarray, n: np.ndarray, values: np.ndarray) -> list[float | None]:
+    """Per-window median over the present (non-NaN) values; None where
+    a window has none."""
+    ordered, starts = _segments(lo, n, values)
+    present = np.concatenate(([0], np.cumsum(~np.isnan(ordered))))
+    k = present[starts + n] - present[starts]
+    med = stats.segment_percentiles(ordered, starts, np.maximum(k, 1), 0.5)
+    return [m if c else None for m, c in zip(med.tolist(), k.tolist())]
 
 
 def build_joined_windows(run: Run, spec: WindowSpec) -> list[JoinedWindow]:
-    duration = run_duration(run)
-    lat = build_latency_windows(run.latency, duration, spec)
-    sched = build_sched_windows(run.scheduler, duration, spec)
-    return join_windows(lat, sched)
+    """Aggregate both layers over every grid window and keep the windows
+    with at least spec.min_latency_samples latency samples and
+    spec.min_sched_samples scheduler snapshots, in start order.
+
+    Scheduler mcs/snr medians are taken over the snapshots where the
+    field is present, None if it is absent everywhere in the window.
+    """
+    grid = make_windows(run_duration(run), spec)
+    bounds = np.array(grid, dtype=float).reshape(-1, 2)
+    lat_t, rtt = _time_sorted(run.latency, "rtt_ms")
+    sched_t, bler, mcs, snr = _time_sorted(run.scheduler, "dl_bler", "dl_mcs", "snr_db")
+    lat_lo, lat_hi = (np.searchsorted(lat_t, bounds[:, i]) for i in (0, 1))
+    sched_lo, sched_hi = (np.searchsorted(sched_t, bounds[:, i]) for i in (0, 1))
+    keep = np.flatnonzero((lat_hi - lat_lo >= spec.min_latency_samples)
+                          & (sched_hi - sched_lo >= spec.min_sched_samples))
+    lat_lo, lat_hi = lat_lo[keep], lat_hi[keep]
+    sched_lo, sched_hi = sched_lo[keep], sched_hi[keep]
+    lat_n, sched_n = lat_hi - lat_lo, sched_hi - sched_lo
+
+    rtt_sorted, lat_starts = _segments(lat_lo, lat_n, rtt)
+    bler_sorted, sched_starts = _segments(sched_lo, sched_n, bler)
+    over = np.concatenate(([0], np.cumsum(rtt > stats.EXCEED_FAST_MS)))
+    exceed = (over[lat_hi] - over[lat_lo]) / lat_n
+    columns = zip(
+        keep.tolist(), lat_n.tolist(),
+        stats.segment_percentiles(rtt_sorted, lat_starts, lat_n, 0.95).tolist(),
+        stats.segment_percentiles(rtt_sorted, lat_starts, lat_n, 0.5).tolist(),
+        exceed.tolist(), sched_n.tolist(),
+        # np.mean per slice, not a prefix sum: keeps its pairwise-summed bits
+        [float(np.mean(bler[lo:hi])) for lo, hi in zip(sched_lo, sched_hi)],
+        stats.segment_percentiles(bler_sorted, sched_starts, sched_n, 0.95).tolist(),
+        _medians(sched_lo, sched_n, mcs), _medians(sched_lo, sched_n, snr))
+    joined = []
+    for k, ln, p95, med, exc, sn, bmean, bp95, mcs_med, snr_med in columns:
+        start, end = grid[k]
+        joined.append(JoinedWindow(
+            start_s=start,
+            latency=LatencyWindow(start_s=start, end_s=end, n=ln, p95_ms=p95,
+                                  median_ms=med, exceed_100ms=exc),
+            sched=SchedWindow(start_s=start, end_s=end, n=sn, bler_mean=bmean,
+                              bler_p95=bp95, mcs_median=mcs_med,
+                              snr_median_db=snr_med)))
+    return joined
 
 
 def run_duration(run: Run) -> float:

@@ -31,6 +31,7 @@ import pytest
 from taildiag import canon, flags, report, stats, synthgen, windows
 from taildiag.cli import main
 from taildiag.flags import DegradationFlag, FlagPolicy
+from taildiag.ingest import LatencySample, Run, RunMetadata, SchedulerSnapshot
 from taildiag.windows import WindowSpec
 
 from oracles import ks_d_ref, percentile_ref, spearman_ref, window_members_ref
@@ -139,20 +140,29 @@ def test_criterion_06_window_count_closed_form_and_conservation():
                 assert len(grid) == expected, (dur, width, stride)
                 checked += 1
 
+    # Membership is checked on the latency side of the join; a snapshot
+    # every 0.5 s keeps every grid window on the scheduler side.
     rng = np.random.default_rng(6)
+    meta = RunMetadata(run_id="c6", ue_type="modem", distance_m=1.0,
+                       packet_size_b=30, scenario="baseline",
+                       nominal_duration_s=100.0)
+    dense_sched = tuple(SchedulerSnapshot(t_s=k * 0.5, rnti=1, dl_bler=0.0)
+                        for k in range(200))
     for width, stride in ((10.0, 5.0), (7.5, 2.5), (30.0, 30.0)):
         spec = WindowSpec(width, stride, 1, 1)
         n = int(rng.integers(1, 1001))
         times = np.sort(rng.uniform(0.0, 100.0, n))
         samples = [
-            windows.LatencySample(t_s=float(t), seq=i,
-                                  rtt_ms=float(rng.uniform(1, 500)))
+            LatencySample(t_s=float(t), seq=i, rtt_ms=float(rng.uniform(1, 500)))
             for i, t in enumerate(times)]
+        joined = windows.build_joined_windows(
+            Run(meta=meta, latency=tuple(samples), scheduler=dense_sched), spec)
+        by_start = {j.start_s: j.latency for j in joined}
         total_got = total_ref = 0
         for start, end in windows.make_windows(100.0, spec):
             members = [samples[i] for i in
                        window_members_ref([s.t_s for s in samples], start, end)]
-            got = windows.aggregate_latency_window(samples, (start, end), spec)
+            got = by_start.get(start)
             if not members:
                 assert got is None
                 continue

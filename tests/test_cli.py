@@ -6,7 +6,7 @@ import logging
 import pytest
 
 from taildiag import canon, report
-from taildiag.cli import main, run_report
+from taildiag.cli import main
 from taildiag.config import load_config
 from taildiag.errors import InvalidSpecError
 from taildiag.flags import CouplingReport
@@ -296,17 +296,6 @@ def test_phases(campaign, tmp_path, capsys):
                  "--output-dir", str(tmp_path), "coupled",
                  "--split-s", "900"]) == 1  # beyond the 600 s run
     assert "error:" in capsys.readouterr().err
-
-
-def test_run_report_bundles_pipeline(campaign, tmp_path):
-    rep = run_report(load_config(_cfg(campaign)), tmp_path, "coupled")
-    assert rep.summary.n == 3000
-    assert rep.sched_summary is not None and rep.sched_summary.n == 600
-    assert rep.windows_path.exists() and rep.flags_path.exists()
-    assert main(["windows", "--config", _cfg(campaign),
-                 "--output-dir", str(tmp_path / "cli"), "coupled"]) == 0
-    assert rep.windows_path.read_bytes() == \
-        (tmp_path / "cli" / "coupled_windows.csv").read_bytes()
 
 
 # ------------------------------------------------------------- CLI: ingest

@@ -15,7 +15,6 @@ from taildiag.ingest import (
     RunMetadata,
     SchedulerSnapshot,
     consolidate_run,
-    describe_run,
     parse_fullstats,
     parse_ping_log,
     select_dominant_rnti,
@@ -270,7 +269,6 @@ def test_consolidate_latency_only():
     run = consolidate_run(lat, [], meta())
     assert run.scheduler == ()
     assert [s.seq for s in run.latency] == [0, 1]
-    assert describe_run(run)["lat_n"] == 2
 
 
 def test_consolidate_sorts_and_filters_dominant():

@@ -1,8 +1,9 @@
 import math
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from taildiag import stats
@@ -62,6 +63,17 @@ def test_percentile_monotone_and_bounded(values):
 def test_percentile_matches_reference(values, q):
     assert stats.percentile(values, q) == pytest.approx(
         percentile_ref(values, q), abs=1e-9)
+
+
+@given(st.lists(st.lists(finite_floats, min_size=1, max_size=20), min_size=1, max_size=8),
+       st.floats(min_value=0.0, max_value=1.0))
+def test_segment_percentiles_match_reference_per_segment(segments, q):
+    counts = np.array([len(seg) for seg in segments])
+    starts = np.cumsum(counts) - counts
+    flat = np.concatenate([np.sort(seg) for seg in segments])
+    got = stats.segment_percentiles(flat, starts, counts, q)
+    for value, seg in zip(got.tolist(), segments):
+        assert value == pytest.approx(percentile_ref(seg, q), abs=1e-9)
 
 
 # ---------------------------------------------------------------- exceedance
@@ -226,9 +238,17 @@ def test_spearman_matches_reference_random_ties(xs):
 
 
 @given(st.lists(finite_floats, min_size=2, max_size=30, unique=True))
+@example(xs=[1e6, 999999.9999999999])
 @settings(max_examples=60)
 def test_spearman_invariant_under_increasing_transform(xs):
     ys = list(reversed(sorted(xs)))
+    tx = [math.atan(v / 1e6) for v in xs]
+    if len(set(tx)) == 1:
+        # In float64, atan can map distinct inputs to one value; a
+        # constant side has no rank variance, so rho is undefined.
+        assert stats.spearman_rho(tx, ys) is None
+        return
+    assume(len(set(tx)) == len(tx))
     base = stats.spearman_rho(xs, ys)
-    transformed = stats.spearman_rho([math.atan(v / 1e6) for v in xs], ys)
+    transformed = stats.spearman_rho(tx, ys)
     assert base == pytest.approx(transformed, abs=1e-9)

@@ -1,5 +1,12 @@
-"""Window grid, per-window aggregation, join and phase-split tests."""
+"""Window grid, per-window aggregation, join and phase-split tests.
 
+Per-window aggregates are checked through build_joined_windows: a
+latency-side test pairs its samples with a dense scheduler trace, and a
+scheduler-side test pairs its snapshots with a dense latency trace, so
+the join keeps every window the side under test fills.
+"""
+
+import hashlib
 import math
 
 import pytest
@@ -12,21 +19,17 @@ from oracles import (
     window_members_ref,
     window_starts_ref,
 )
-from taildiag import stats
+from taildiag import report, synthgen
 from taildiag.errors import (
     InvalidSpecError,
     RunTooShortError,
     SplitOutOfRangeError,
 )
+from taildiag.flags import FlagPolicy, evaluate_flags
 from taildiag.ingest import LatencySample, Run, RunMetadata, SchedulerSnapshot
 from taildiag.windows import (
     WindowSpec,
-    aggregate_latency_window,
-    aggregate_sched_window,
     build_joined_windows,
-    build_latency_windows,
-    build_sched_windows,
-    join_windows,
     make_windows,
     run_duration,
     split_phases,
@@ -46,6 +49,28 @@ def run_of(samples, snapshots, duration=60.0):
                     packet_size_b=30, scenario="baseline",
                     nominal_duration_s=duration)
     return Run(meta=m, latency=tuple(samples), scheduler=tuple(snapshots))
+
+
+def dense_sched(duration=60.0):
+    """One snapshot every 0.5 s: every grid window has scheduler data."""
+    return [snap(k * 0.5) for k in range(int(duration * 2))]
+
+
+def dense_lat(duration=60.0):
+    """One sample every 0.2 s: every grid window has >= 5 latency samples."""
+    return [lat(k * 0.2, seq=k) for k in range(int(duration * 5))]
+
+
+def latency_windows(samples, spec, duration=60.0):
+    """Latency aggregates by window start, scheduler side held dense."""
+    joined = build_joined_windows(run_of(samples, dense_sched(duration), duration), spec)
+    return {j.start_s: j.latency for j in joined}
+
+
+def sched_windows(snapshots, spec, duration=60.0):
+    """Scheduler aggregates by window start, latency side held dense."""
+    joined = build_joined_windows(run_of(dense_lat(duration), snapshots, duration), spec)
+    return {j.start_s: j.sched for j in joined}
 
 
 # ------------------------------------------------------------------- spec
@@ -100,59 +125,64 @@ def test_grid_closed_form_matches_enumeration(duration, width, stride):
 
 def test_latency_window_uniform():
     samples = [lat(t * 0.2, 8.0, seq=t) for t in range(50)]
-    w = aggregate_latency_window(samples, (0.0, 10.0), WindowSpec())
+    w = latency_windows(samples, WindowSpec())[0.0]
     assert (w.n, w.p95_ms, w.exceed_100ms) == (50, 8.0, 0.0)
     assert w.median_ms == 8.0
 
 
 def test_latency_window_insufficient():
     samples = [lat(float(t), seq=t) for t in range(4)]
-    assert aggregate_latency_window(samples, (0.0, 10.0), WindowSpec()) is None
+    assert 0.0 not in latency_windows(samples, WindowSpec())
 
 
 def test_latency_window_single_outlier_p95():
     rtts = [10.0] * 49 + [500.0]
     samples = [lat(t * 0.2, rtts[t], seq=t) for t in range(50)]
-    w = aggregate_latency_window(samples, (0.0, 10.0), WindowSpec())
+    w = latency_windows(samples, WindowSpec())[0.0]
     assert w.p95_ms == pytest.approx(percentile_ref(rtts, 0.95), abs=1e-12)
     assert w.exceed_100ms == pytest.approx(1 / 50)
 
 
 def test_latency_window_membership_half_open():
     samples = [lat(0.0, 1.0, seq=0), lat(9.999, 2.0, seq=1), lat(10.0, 3.0, seq=2)]
-    spec = WindowSpec(min_latency_samples=1)
-    w = aggregate_latency_window(samples, (0.0, 10.0), spec)
-    assert w.n == 2  # the sample at exactly t=10 belongs to the next window
-    w2 = aggregate_latency_window(samples, (10.0, 20.0), spec)
-    assert w2.n == 1
+    by_start = latency_windows(samples, WindowSpec(min_latency_samples=1))
+    assert by_start[0.0].n == 2  # the sample at exactly t=10 belongs to the next window
+    assert by_start[10.0].n == 1
+
+
+def test_latency_window_exceedance_is_strict():
+    rtts = [100.0] * 40 + [100.5] * 10
+    samples = [lat(t * 0.2, rtts[t], seq=t) for t in range(50)]
+    w = latency_windows(samples, WindowSpec())[0.0]
+    assert w.exceed_100ms == pytest.approx(exceedance_ref(rtts, 100.0), abs=1e-12)
 
 
 def test_sched_window_all_zero():
     snaps = [snap(float(t)) for t in range(10)]
-    w = aggregate_sched_window(snaps, (0.0, 10.0), WindowSpec())
+    w = sched_windows(snaps, WindowSpec())[0.0]
     assert (w.bler_mean, w.bler_p95) == (0.0, 0.0)
 
 
 def test_sched_window_mean_brute_force():
     snaps = [snap(0.0, 0.0), snap(1.0, 0.1), snap(2.0, 0.5)]
-    w = aggregate_sched_window(snaps, (0.0, 10.0), WindowSpec())
+    w = sched_windows(snaps, WindowSpec())[0.0]
     assert w.bler_mean == pytest.approx(0.2, abs=1e-12)
     assert w.n == 3
 
 
 def test_sched_window_absent_fields():
     snaps = [snap(0.0), snap(1.0)]
-    w = aggregate_sched_window(snaps, (0.0, 10.0), WindowSpec())
+    w = sched_windows(snaps, WindowSpec())[0.0]
     assert w.mcs_median is None and w.snr_median_db is None
     snaps = [snap(0.0, mcs=9, snr=30.0), snap(1.0), snap(2.0, mcs=11, snr=32.0)]
-    w = aggregate_sched_window(snaps, (0.0, 10.0), WindowSpec())
+    w = sched_windows(snaps, WindowSpec())[0.0]
     assert w.mcs_median == 10.0  # median over the two present values
     assert w.snr_median_db == 31.0
 
 
 def test_sched_window_insufficient():
     spec = WindowSpec(min_sched_samples=2)
-    assert aggregate_sched_window([snap(0.0)], (0.0, 10.0), spec) is None
+    assert 0.0 not in sched_windows([snap(0.0)], spec)
 
 
 @settings(max_examples=50)
@@ -162,9 +192,10 @@ def test_window_aggregates_match_stats_on_members(points):
     spec = WindowSpec(min_latency_samples=1)
     samples = sorted((lat(t, r, seq=i) for i, (t, r) in enumerate(points)),
                      key=lambda s: s.t_s)
+    by_start = latency_windows(samples, spec)
     for start, end in make_windows(60.0, spec):
         members = window_members_ref([s.t_s for s in samples], start, end)
-        w = aggregate_latency_window(samples, (start, end), spec)
+        w = by_start.get(start)
         if not members:
             assert w is None
             continue
@@ -189,10 +220,8 @@ def test_membership_conservation(duration, width, stride, times):
     samples = sorted((lat(t, 5.0, seq=i) for i, t in enumerate(times)),
                      key=lambda s: s.t_s)
     grid = make_windows(float(duration), spec)
-    total_members = 0
-    for start, end in grid:
-        w = aggregate_latency_window(samples, (start, end), spec)
-        total_members += w.n if w else 0
+    by_start = latency_windows(samples, spec, float(duration))
+    total_members = sum(by_start[start].n for start, _ in grid if start in by_start)
     multiplicity = sum(
         len(window_members_ref([t], start, end))
         for t in times for start, end in grid)
@@ -209,20 +238,17 @@ def test_membership_conservation(duration, width, stride, times):
 # ------------------------------------------------------------------- join
 
 def test_join_disjoint_coverage_empty():
-    lats = build_latency_windows(
-        [lat(t * 0.2, seq=t) for t in range(50)], 60.0, WindowSpec())
-    scheds = build_sched_windows(
-        [snap(40.0 + t) for t in range(10)], 60.0, WindowSpec())
-    assert all(w.start_s < 10.0 for w in lats)
-    assert join_windows(lats, scheds) == []
+    samples = [lat(t * 0.2, seq=t) for t in range(50)]
+    scheds = [snap(40.0 + t) for t in range(10)]
+    lat_starts = latency_windows(samples, WindowSpec())
+    assert lat_starts and all(start < 10.0 for start in lat_starts)
+    assert build_joined_windows(run_of(samples, scheds), WindowSpec()) == []
 
 
 def test_join_identical_grids_full_length():
     samples = [lat(t * 0.2, seq=t) for t in range(300)]
     snaps = [snap(float(t)) for t in range(60)]
-    lats = build_latency_windows(samples, 60.0, WindowSpec())
-    scheds = build_sched_windows(snaps, 60.0, WindowSpec())
-    joined = join_windows(lats, scheds)
+    joined = build_joined_windows(run_of(samples, snaps), WindowSpec())
     assert len(joined) == len(make_windows(60.0, WindowSpec())) == 11
     for j in joined:
         assert j.start_s == j.latency.start_s == j.sched.start_s
@@ -231,11 +257,9 @@ def test_join_identical_grids_full_length():
 def test_join_starts_subset_of_inputs():
     samples = [lat(t * 0.2, seq=t) for t in range(150)]  # covers 0..30 s
     snaps = [snap(float(t)) for t in range(20, 60)]      # covers 20..60 s
-    lats = build_latency_windows(samples, 60.0, WindowSpec())
-    scheds = build_sched_windows(snaps, 60.0, WindowSpec())
-    joined = join_windows(lats, scheds)
-    lat_starts = {w.start_s for w in lats}
-    sched_starts = {w.start_s for w in scheds}
+    joined = build_joined_windows(run_of(samples, snaps), WindowSpec())
+    lat_starts = set(latency_windows(samples, WindowSpec()))
+    sched_starts = set(sched_windows(snaps, WindowSpec()))
     assert joined and all(
         j.start_s in lat_starts and j.start_s in sched_starts for j in joined)
     assert [j.start_s for j in joined] == sorted(j.start_s for j in joined)
@@ -246,6 +270,45 @@ def test_build_joined_windows_on_run():
     snaps = [snap(float(t)) for t in range(60)]
     joined = build_joined_windows(run_of(samples, snaps), WindowSpec())
     assert len(joined) == 11
+
+
+def test_build_joined_windows_sorts_each_layer_by_time():
+    samples = [lat(t * 0.2, float(t % 37), seq=t) for t in range(300)]
+    snaps = [snap(t * 0.5, bler=(t % 7) / 10, mcs=t % 29) for t in range(120)]
+    ordered = build_joined_windows(run_of(samples, snaps), WindowSpec())
+    shuffled = build_joined_windows(
+        run_of(samples[1::2] + samples[::2], snaps[::-1]), WindowSpec())
+    assert shuffled == ordered
+
+
+# The windows and flags tables of the four default-seed paperlike runs
+# under the default WindowSpec and FlagPolicy, as SHA-256 of the text.
+PAPERLIKE_TABLE_DIGESTS = {
+    "baseline": (
+        "45d9bcc372d47cf00437c2b30183515137dac318b49d720449877669710ea815",
+        "d4b94ec27c047ba4964a0ce0397ce52d7bd460a1437cab76adadea33d43d377e"),
+    "baseline_modem": (
+        "d590caae128d433ee602a4397c7125103dd280a5a425312bad27ffb5529bb831",
+        "18fb0f0c0cbd1a2064bd9daf5c8022c73dce57817578f6be6f0a844dd3ad2d15"),
+    "dynamic_people": (
+        "fa298ce6031fe2806e48d94ba35d0d86030c1d2f1edfce028b32f0d2814d6be4",
+        "eca7dfb43fc9e43aa2064deeca30a25033c71e855aabbea83fba037c1c3686ff"),
+    "static_1h": (
+        "12e752f0cb481fec035c8f630fad00337b64c30a990c9ae5cb7862e0dcbcfeef",
+        "c961e7a24e6bb150f33a4352908c8a6d3cbdb5ead0daee2287625c3f42ca95fa"),
+}
+
+
+def test_paperlike_tables_match_golden_digests():
+    def sha(text):
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    for preset in synthgen.paperlike_presets():
+        run, _ = synthgen.gen_run(preset)
+        joined = build_joined_windows(run, WindowSpec())
+        flags = evaluate_flags(joined, FlagPolicy())
+        assert (sha(report.windows_table(joined)), sha(report.flags_table(flags))) \
+            == PAPERLIKE_TABLE_DIGESTS[preset.run_id], preset.run_id
 
 
 # ------------------------------------------------------------------ split
