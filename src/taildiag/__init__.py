@@ -13,7 +13,9 @@ from .errors import (
     EmptyTraceError,
     InvalidSpecError,
     LengthMismatchError,
+    MalformedRecordError,
     MissingColumnError,
+    NonFiniteError,
     RunTooShortError,
     SplitOutOfRangeError,
     TooFewPointsError,
@@ -32,9 +34,11 @@ from .flags import (
 )
 from .ingest import (
     LatencySample,
+    LatencyTrace,
     Run,
     RunMetadata,
     SchedulerSnapshot,
+    SchedulerTrace,
     consolidate_run,
     parse_fullstats,
     parse_ping_log,

@@ -9,17 +9,41 @@ All files are UTF-8 with LF line endings and are written atomically
 
 from __future__ import annotations
 
+import io
+import math
 import os
+import re
 import tempfile
+from itertools import islice
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .errors import EmptyTraceError, MissingColumnError
-from .ingest import LatencySample, RunMetadata, SchedulerSnapshot
+import numpy as np
 
-LATENCY_HEADER = "t_s,seq,rtt_ms"
-SCHED_HEADER = "t_s,rnti,dl_bler,ul_bler,dl_mcs,ul_mcs,snr_db,rsrp_dbm,dl_retx,dl_total"
+from .errors import (
+    EmptyTraceError,
+    MalformedRecordError,
+    MissingColumnError,
+    ToolkitError,
+)
+from .ingest import (
+    LatencyTrace,
+    RunMetadata,
+    SchedulerTrace,
+    first_faults,
+    not_integer,
+    scheduler_faults,
+)
+
+LATENCY_HEADER = ",".join(LatencyTrace.names())
+SCHED_HEADER = ",".join(SchedulerTrace.names())
 TRUTH_HEADER = "kind,t_s"
+
+# Characters of a canonical numeric table; any other (say the letters
+# of "nan" or "inf", or a hex prefix) sends the read down the careful
+# path, which names the malformed line.
+_NUMERIC_TEXT = {ord(c): None for c in "0123456789eE.+-, \t\r\n"}
+_NUMBER = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 
 # Manifest keys serialized for every run, in emission order.
 _MANIFEST_META_KEYS = ("run_id", "ue_type", "distance_m", "packet_size_b",
@@ -44,69 +68,122 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 
 def _num(x: float | int | None) -> str:
-    return "" if x is None else repr(x) if isinstance(x, float) else str(x)
+    return "" if x is None else repr(x)
 
 
-def write_latency_csv(path: str | Path, samples: Iterable[LatencySample]) -> None:
-    lines = [LATENCY_HEADER]
-    lines.extend(f"{s.t_s!r},{s.seq},{s.rtt_ms!r}" for s in samples)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def _write_table(path: str | Path, header: str, trace) -> None:
+    columns = [map(_num if None in values else repr, values)
+               for values in map(trace.values, trace.names())]
+    atomic_write_text(path, "\n".join([header, *map(",".join, zip(*columns))]) + "\n")
 
 
-def read_latency_csv(path: str | Path) -> list[LatencySample]:
+def _fill_empty(text: str) -> str:
+    # Empty cells become "nan", which loadtxt reads as NaN. Only for
+    # text already checked to hold no letter but e/E, so every NaN in
+    # the table comes from an empty cell.
+    text = text.replace(",,", ",nan,").replace(",,", ",nan,")
+    text = text.replace(",\n", ",nan\n").replace(",\r", ",nan\r").replace("\n,", "\nnan,")
+    if text.startswith(","):
+        text = "nan" + text
+    return text + "nan" if text.endswith(",") else text
+
+
+def _loadtxt(text: str) -> np.ndarray:
+    return np.loadtxt(io.StringIO(text), delimiter=",", dtype=float,
+                      comments=None, ndmin=2)
+
+
+def _read_slowly(path: str | Path, body: str, names: list[str],
+                 optional: bool) -> np.ndarray:
+    """The table of a body the fast read refused: raises at its first
+    malformed line, else reads its non-blank lines (the fast read also
+    refuses whitespace-only lines and blanks around cells)."""
+    kept = []
+    for line_no, line in enumerate(body.split("\n"), start=2):
+        if not line.strip():
+            continue
+        cells = [c.strip() for c in line.split(",")]
+        if len(cells) != len(names):
+            raise MalformedRecordError(
+                path, line_no, f"expected {len(names)} fields, got {len(cells)}")
+        for name, cell in zip(names, cells):
+            if not (_NUMBER.fullmatch(cell) or (optional and not cell)):
+                raise MalformedRecordError(path, line_no,
+                                           f"{name} is not a number: {cell!r}")
+        kept.append(",".join(cells))
+    text = "\n".join(kept)
+    try:
+        return _loadtxt(_fill_empty(text) if optional else text)
+    except ValueError as exc:
+        raise ToolkitError(f"{path}: {exc}") from None
+
+
+def _read_table(path: str | Path, header: str,
+                optional: bool) -> tuple[np.ndarray, str]:
+    """Data rows of a canonical numeric CSV as a float64 table, and the
+    text below the header. Blank lines are skipped and '#' is not a
+    comment. With `optional`, an empty cell reads as NaN; otherwise it
+    is malformed, as is a wrong field count or a cell that is not a
+    decimal number."""
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != LATENCY_HEADER:
+        first = fh.readline().strip()
+        if first != header:
             raise MissingColumnError(
-                f"{path}: expected header {LATENCY_HEADER!r}, got {header!r}")
-        samples = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            t_s, seq, rtt = line.split(",")
-            samples.append(LatencySample(t_s=float(t_s), seq=int(seq), rtt_ms=float(rtt)))
-    if not samples:
-        raise EmptyTraceError(f"{path}: no latency rows")
-    return samples
+                f"{path}: expected header {header!r}, got {first!r}")
+        body = fh.read()
+    if not body.strip():
+        raise EmptyTraceError(f"{path}: no data rows")
+    names = header.split(",")
+    table = None
+    if not body.translate(_NUMERIC_TEXT):
+        try:
+            table = _loadtxt(_fill_empty(body) if optional else body)
+        except ValueError:
+            pass
+    if table is None or table.shape[1] != len(names):
+        table = _read_slowly(path, body, names, optional)
+    return table, body
 
 
-def write_scheduler_csv(path: str | Path, snapshots: Iterable[SchedulerSnapshot]) -> None:
-    lines = [SCHED_HEADER]
-    for s in snapshots:
-        lines.append(",".join([
-            repr(s.t_s), str(s.rnti), repr(s.dl_bler), _num(s.ul_bler),
-            _num(s.dl_mcs), _num(s.ul_mcs), _num(s.snr_db), _num(s.rsrp_dbm),
-            _num(s.dl_retx), _num(s.dl_total),
-        ]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def _raise_first(path: str | Path, body: str, faults: dict[int, str]) -> None:
+    """Raise MalformedRecordError at the first faulty data row, if any."""
+    if not faults:
+        return
+    row = min(faults)
+    lines = (n for n, line in enumerate(body.split("\n"), start=2) if line.strip())
+    raise MalformedRecordError(path, next(islice(lines, row, None)), faults[row])
 
 
-def read_scheduler_csv(path: str | Path) -> list[SchedulerSnapshot]:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != SCHED_HEADER:
-            raise MissingColumnError(
-                f"{path}: expected header {SCHED_HEADER!r}, got {header!r}")
-        snapshots = []
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            c = line.split(",")
-            snapshots.append(SchedulerSnapshot(
-                t_s=float(c[0]), rnti=int(c[1]), dl_bler=float(c[2]),
-                ul_bler=float(c[3]) if c[3] else None,
-                dl_mcs=int(c[4]) if c[4] else None,
-                ul_mcs=int(c[5]) if c[5] else None,
-                snr_db=float(c[6]) if c[6] else None,
-                rsrp_dbm=float(c[7]) if c[7] else None,
-                dl_retx=int(c[8]) if c[8] else None,
-                dl_total=int(c[9]) if c[9] else None,
-            ))
-    if not snapshots:
-        raise EmptyTraceError(f"{path}: no scheduler rows")
-    return snapshots
+def write_latency_csv(path: str | Path, samples: LatencyTrace) -> None:
+    _write_table(path, LATENCY_HEADER, samples)
+
+
+def read_latency_csv(path: str | Path) -> LatencyTrace:
+    """Latency rows in file order. A row with a non-finite t_s, a seq
+    that is not an integer or an rtt_ms that is not finite and > 0
+    raises MalformedRecordError with its line."""
+    table, body = _read_table(path, LATENCY_HEADER, optional=False)
+    t, seq, rtt = table.T.copy()
+    _raise_first(path, body, first_faults([
+        ("t_s not finite", ~np.isfinite(t)),
+        ("seq not an integer", not_integer(seq)),
+        ("rtt_ms not finite and > 0", ~(np.isfinite(rtt) & (rtt > 0.0))),
+    ]))
+    return LatencyTrace(t, seq, rtt)
+
+
+def write_scheduler_csv(path: str | Path, snapshots: SchedulerTrace) -> None:
+    _write_table(path, SCHED_HEADER, snapshots)
+
+
+def read_scheduler_csv(path: str | Path) -> SchedulerTrace:
+    """Scheduler rows in file order, empty optional cells NaN. A row
+    outside the value domains the raw fullstats parser enforces
+    (ingest.scheduler_faults) raises MalformedRecordError with its line."""
+    table, body = _read_table(path, SCHED_HEADER, optional=True)
+    columns = dict(zip(SchedulerTrace.names(), table.T.copy()))
+    _raise_first(path, body, scheduler_faults(columns))
+    return SchedulerTrace(**columns)
 
 
 def write_truth_csv(path: str | Path, stall_times_s: Iterable[float],
@@ -119,25 +196,23 @@ def write_truth_csv(path: str | Path, stall_times_s: Iterable[float],
 
 def read_truth_csv(path: str | Path) -> tuple[list[float], list[float]]:
     """Returns (stall times, excursion times), each sorted ascending."""
-    stalls: list[float] = []
-    excursions: list[float] = []
+    times: dict[str, list[float]] = {"stall": [], "excursion": []}
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != TRUTH_HEADER:
             raise MissingColumnError(
                 f"{path}: expected header {TRUTH_HEADER!r}, got {header!r}")
-        for line in fh:
+        for line_no, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            kind, t = line.split(",")
-            if kind == "stall":
-                stalls.append(float(t))
-            elif kind == "excursion":
-                excursions.append(float(t))
-            else:
-                raise ValueError(f"{path}: unknown truth kind {kind!r}")
-    return sorted(stalls), sorted(excursions)
+            kind, _, t = line.partition(",")
+            if kind not in times:
+                raise MalformedRecordError(path, line_no, f"unknown truth kind {kind!r}")
+            if not _NUMBER.fullmatch(t) or not math.isfinite(float(t)):
+                raise MalformedRecordError(path, line_no, f"t_s is not a finite number: {t!r}")
+            times[kind].append(float(t))
+    return sorted(times["stall"]), sorted(times["excursion"])
 
 
 def write_manifest(path: str | Path, meta: RunMetadata,

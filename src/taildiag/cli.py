@@ -61,7 +61,7 @@ def load_run(cfg: CampaignConfig, rc: RunConfig) -> Run:
         raise InvalidSpecError(
             f"run {rc.run_id!r} names no latency source "
             "(latency_file or ping_log)")
-    snapshots = []
+    snapshots = None
     if rc.scheduler_file:
         snapshots = canon.read_scheduler_csv(rc.scheduler_file)
     elif rc.fullstats:
@@ -71,9 +71,9 @@ def load_run(cfg: CampaignConfig, rc: RunConfig) -> Run:
                 fh, cmap, meta, stats_period_s=rc.stats_period_s).snapshots
     nominal = rc.nominal_duration_s
     if nominal is None:
-        nominal = max(s.t_s for s in latency) + rc.ping_interval_s
-        if snapshots:
-            nominal = max(nominal, max(s.t_s for s in snapshots) + rc.stats_period_s)
+        nominal = float(latency.t_s.max()) + rc.ping_interval_s
+        if snapshots is not None:
+            nominal = max(nominal, float(snapshots.t_s.max()) + rc.stats_period_s)
     meta = replace(meta, nominal_duration_s=nominal)
     return consolidate_run(latency, snapshots, meta,
                            sched_offset_s=rc.sched_offset_s)
@@ -93,7 +93,7 @@ def cmd_ingest(cfg: CampaignConfig, out_dir: Path, run_ids: list[str]) -> int:
         run = load_run(cfg, rc)
         files = {"latency_file": f"{rc.run_id}_latency.csv"}
         canon.write_latency_csv(out_dir / files["latency_file"], run.latency)
-        if run.scheduler:
+        if len(run.scheduler):
             files["scheduler_file"] = f"{rc.run_id}_sched.csv"
             canon.write_scheduler_csv(out_dir / files["scheduler_file"],
                                       run.scheduler)
@@ -106,7 +106,7 @@ def cmd_ingest(cfg: CampaignConfig, out_dir: Path, run_ids: list[str]) -> int:
 
 def cmd_summarize(cfg: CampaignConfig, out_dir: Path, run_id: str) -> int:
     run = load_run(cfg, cfg.run(run_id))
-    rtts = [s.rtt_ms for s in run.latency]
+    rtts = run.latency.rtt_ms
     summary = stats.summary_stats(rtts, outlier_threshold_ms=cfg.outlier_ms)
     exceed_cols = [(t, stats.exceedance_prob(rtts, t))
                    for t in cfg.exceed_thresholds_ms]
@@ -125,8 +125,7 @@ def cmd_compare(cfg: CampaignConfig, out_dir: Path,
     if a.meta.packet_size_b != b.meta.packet_size_b:
         log.warning("packet sizes differ: %s has %d B, %s has %d B",
                     run_a, a.meta.packet_size_b, run_b, b.meta.packet_size_b)
-    rtts_a = [s.rtt_ms for s in a.latency]
-    rtts_b = [s.rtt_ms for s in b.latency]
+    rtts_a, rtts_b = a.latency.rtt_ms, b.latency.rtt_ms
     ks = stats.ks_two_sample(rtts_a, rtts_b)
     text = report.compare_table(a.meta.packet_size_b, ks,
                                 stats.percentile(rtts_a, 0.95),

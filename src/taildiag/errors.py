@@ -13,6 +13,20 @@ class MissingColumnError(ToolkitError):
     """A mapped column is absent from the input header."""
 
 
+class MalformedRecordError(ToolkitError):
+    """A record of a canonical file breaks its format or a value
+    domain; names the file and the 1-based line."""
+
+    def __init__(self, path, line: int, reason: str):
+        super().__init__(f"{path}:{line}: {reason}")
+        self.path = str(path)
+        self.line = line
+
+
+class NonFiniteError(ToolkitError):
+    """A statistic was requested on input holding NaN or an infinity."""
+
+
 class EmptySequenceError(ToolkitError):
     """A statistic was requested on an empty sequence."""
 

@@ -93,16 +93,15 @@ def compare_phases(run: Run, split_s: float | None = None,
     first, second = split_phases(run, split_s, labels=labels)
     rows = []
     for phase in (first, second):
-        if not phase.latency:
+        if not len(phase.latency):
             raise EmptyPhaseError(
                 f"phase {phase.meta.phase!r} has no latency samples")
-        rtts = [s.rtt_ms for s in phase.latency]
-        blers = [s.dl_bler for s in phase.scheduler]
+        rtts, blers = phase.latency.rtt_ms, phase.scheduler.dl_bler
         rows.append(PhaseComparison(
             phase_label=phase.meta.phase,
             lat_p95_ms=stats.percentile(rtts, 0.95),
             exceed_100ms=stats.exceedance_prob(rtts, exceed_threshold_ms),
-            bler_p95=stats.percentile(blers, 0.95) if blers else None))
+            bler_p95=stats.percentile(blers, 0.95) if blers.size else None))
     return rows[0], rows[1]
 
 

@@ -16,9 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from . import stats
 from .flags import CouplingReport, DegradationFlag, PhaseComparison
-from .ingest import RunMetadata, SchedulerSnapshot
+from .ingest import RunMetadata, SchedulerTrace
 from .stats import KsResult, LatencySummary
 from .windows import JoinedWindow
 
@@ -63,18 +65,18 @@ class SchedSummary:
     snr_median_db: float | None
 
 
-def scheduler_summary(snapshots: Sequence[SchedulerSnapshot]) -> SchedSummary | None:
-    if not snapshots:
+def scheduler_summary(snapshots: SchedulerTrace) -> SchedSummary | None:
+    if not len(snapshots):
         return None
-    blers = [s.dl_bler for s in snapshots]
-    mcs = [s.dl_mcs for s in snapshots if s.dl_mcs is not None]
-    snr = [s.snr_db for s in snapshots if s.snr_db is not None]
+    blers = snapshots.dl_bler
+    mcs = snapshots.dl_mcs[~np.isnan(snapshots.dl_mcs)]
+    snr = snapshots.snr_db[~np.isnan(snapshots.snr_db)]
     return SchedSummary(
         n=len(snapshots),
         bler_median=stats.percentile(blers, 0.5),
         bler_p95=stats.percentile(blers, 0.95),
-        mcs_median=stats.percentile(mcs, 0.5) if mcs else None,
-        snr_median_db=stats.percentile(snr, 0.5) if snr else None)
+        mcs_median=stats.percentile(mcs, 0.5) if mcs.size else None,
+        snr_median_db=stats.percentile(snr, 0.5) if snr.size else None)
 
 
 def summary_table(meta: RunMetadata, summary: LatencySummary,

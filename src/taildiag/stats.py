@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     EmptySequenceError,
     LengthMismatchError,
+    NonFiniteError,
     TooFewPointsError,
 )
 
@@ -66,31 +67,36 @@ def segment_percentiles(sorted_values: np.ndarray, starts: np.ndarray,
     return np.where(lo >= last, below, below + frac * (above - below))
 
 
+def _finite(values: Sequence[float], what: str) -> np.ndarray:
+    """`values` as a float64 array; NonFiniteError if one is NaN or
+    infinite, EmptySequenceError if there are none."""
+    arr = np.asarray(values, dtype=float)
+    if arr.size == 0:
+        raise EmptySequenceError(f"{what} of an empty sequence")
+    if not np.isfinite(arr).all():
+        raise NonFiniteError(f"{what} of a sequence holding NaN or an infinity")
+    return arr
+
+
 def percentile(values: Sequence[float], q: float) -> float:
     """Linear-interpolation percentile of `values` at quantile q in [0, 1]."""
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quantile must be in [0, 1], got {q}")
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise EmptySequenceError("percentile of an empty sequence")
+    arr = _finite(values, "percentile")
     return float(segment_percentiles(np.sort(arr), np.zeros(1, dtype=np.intp),
                                      np.array([arr.size]), q)[0])
 
 
 def exceedance_prob(values: Sequence[float], threshold: float) -> float:
     """Fraction of samples strictly above `threshold`."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise EmptySequenceError("exceedance of an empty sequence")
+    arr = _finite(values, "exceedance")
     return int(np.count_nonzero(arr > threshold)) / int(arr.size)
 
 
 def summary_stats(values: Sequence[float],
                   outlier_threshold_ms: float = DEFAULT_OUTLIER_MS) -> LatencySummary:
     """Latency digest of one run: median, p95, mean, exceedances, outlier rate."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise EmptySequenceError("summary of an empty sequence")
+    arr = _finite(values, "summary")
     return LatencySummary(
         n=int(arr.size),
         median_ms=percentile(arr, 0.5),
@@ -134,10 +140,8 @@ def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> KsResult:
     The statistic is the largest ECDF gap over all sample points of the
     pooled data; the p-value comes from `ks_pvalue`.
     """
-    xa = np.sort(np.asarray(a, dtype=float))
-    xb = np.sort(np.asarray(b, dtype=float))
-    if xa.size == 0 or xb.size == 0:
-        raise EmptySequenceError("KS test needs two non-empty samples")
+    xa = np.sort(_finite(a, "KS test"))
+    xb = np.sort(_finite(b, "KS test"))
     pooled = np.concatenate([xa, xb])
     cdf_a = np.searchsorted(xa, pooled, side="right") / xa.size
     cdf_b = np.searchsorted(xb, pooled, side="right") / xb.size

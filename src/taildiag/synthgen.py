@@ -39,10 +39,10 @@ import numpy as np
 from . import canon
 from .errors import InvalidSpecError
 from .ingest import (
-    LatencySample,
+    LatencyTrace,
     Run,
     RunMetadata,
-    SchedulerSnapshot,
+    SchedulerTrace,
     SCENARIO_BASELINE,
     SCENARIO_DYNAMIC_PEOPLE,
     SCENARIO_STATIC_LONG,
@@ -192,7 +192,7 @@ def _stall_events(spec: ScenarioSpec) -> list[_StallEvent]:
     return events
 
 
-def gen_latency_trace(spec: ScenarioSpec) -> tuple[list[LatencySample], GroundTruth]:
+def gen_latency_trace(spec: ScenarioSpec) -> tuple[LatencyTrace, GroundTruth]:
     """Ping samples at the configured cadence plus stall ground truth."""
     n = _grid_count(spec.duration_s, spec.ping_interval_s)
     if n == 0:
@@ -210,14 +210,12 @@ def gen_latency_trace(spec: ScenarioSpec) -> tuple[list[LatencySample], GroundTr
         np.maximum(elevation[ev.index:hi], mags, out=elevation[ev.index:hi])
         truth.stall_times_s.add(ev.start_s + ev.duration_s / 2.0)
 
-    rtt = base + elevation
-    samples = [LatencySample(t_s=i * spec.ping_interval_s, seq=i, rtt_ms=float(rtt[i]))
-               for i in range(n)]
-    return samples, truth
+    seq = np.arange(n)
+    return LatencyTrace(seq * spec.ping_interval_s, seq, base + elevation), truth
 
 
 def gen_sched_trace(spec: ScenarioSpec, truth: GroundTruth, *,
-                    mcs_init: int = 9, k_recover: int = 3) -> list[SchedulerSnapshot]:
+                    mcs_init: int = 9, k_recover: int = 3) -> SchedulerTrace:
     """Scheduler snapshots coupled to the latency trace through `truth`.
 
     Must be called with the GroundTruth from gen_latency_trace on the
@@ -281,11 +279,10 @@ def gen_sched_trace(spec: ScenarioSpec, truth: GroundTruth, *,
            - _SNR_DIP_DB * active)
     retx = np.rint(bler * _DL_TOTAL).astype(int)
 
-    return [SchedulerSnapshot(
-        t_s=float(times[k]), rnti=spec.rnti, dl_bler=float(bler[k]),
-        ul_bler=float(bler[k]), dl_mcs=int(mcs[k]), ul_mcs=int(mcs[k]),
-        snr_db=float(snr[k]), rsrp_dbm=float(snr[k]) - 110.0,
-        dl_retx=int(retx[k]), dl_total=_DL_TOTAL) for k in range(n)]
+    return SchedulerTrace(
+        t_s=times, rnti=np.full(n, spec.rnti), dl_bler=bler, ul_bler=bler,
+        dl_mcs=mcs, ul_mcs=mcs, snr_db=snr, rsrp_dbm=snr - 110.0,
+        dl_retx=retx, dl_total=np.full(n, _DL_TOTAL))
 
 
 # --------------------------------------------------------------- campaigns

@@ -82,27 +82,30 @@ def make_windows(run_duration_s: float, spec: WindowSpec) -> list[tuple[float, f
             for k in range(count)]
 
 
-def _column(records, name: str) -> np.ndarray:
-    # Absent optional fields become NaN.
-    return np.array([np.nan if v is None else v
-                     for v in (getattr(r, name) for r in records)], dtype=float)
-
-
-def _time_sorted(records, *names: str) -> tuple[np.ndarray, ...]:
-    """t_s and the named value columns, in stable time order."""
-    t = np.array([r.t_s for r in records], dtype=float)
-    order = np.argsort(t, kind="stable")
-    return (t[order],) + tuple(_column(records, n)[order] for n in names)
-
-
 def _segments(lo: np.ndarray, n: np.ndarray,
               values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Members values[lo[k]:lo[k] + n[k]] of every window k, each
     segment sorted ascending (NaN last), and the segment offsets."""
     starts = np.cumsum(n) - n
     seg = np.repeat(np.arange(n.size), n)
-    members = values[np.arange(seg.size) - starts[seg] + lo[seg]]
-    return members[np.lexsort((members, seg))], starts
+    # Sort (window, rank of value) keys, the rank from one stable argsort
+    # of the column: each segment comes out ascending, ties in time order.
+    order = np.argsort(values, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    key = np.sort(seg * order.size + rank[np.arange(seg.size) - starts[seg] + lo[seg]])
+    return values[order[key - seg * order.size]], starts
+
+
+def _means(lo: np.ndarray, n: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """np.mean of every slice values[lo[k]:lo[k] + n[k]], as one 2-D
+    np.mean per slice length. Its per-row pairwise sum keeps the bits
+    of np.mean on each slice, which a prefix sum or reduceat does not."""
+    out = np.empty(n.size)
+    for length in np.unique(n).tolist():
+        k = np.flatnonzero(n == length)
+        out[k] = np.mean(values[lo[k, None] + np.arange(length)], axis=1)
+    return out
 
 
 def _medians(lo: np.ndarray, n: np.ndarray, values: np.ndarray) -> list[float | None]:
@@ -122,11 +125,13 @@ def build_joined_windows(run: Run, spec: WindowSpec) -> list[JoinedWindow]:
 
     Scheduler mcs/snr medians are taken over the snapshots where the
     field is present, None if it is absent everywhere in the window.
+    Reads the run's time-sorted columns as they are.
     """
     grid = make_windows(run_duration(run), spec)
     bounds = np.array(grid, dtype=float).reshape(-1, 2)
-    lat_t, rtt = _time_sorted(run.latency, "rtt_ms")
-    sched_t, bler, mcs, snr = _time_sorted(run.scheduler, "dl_bler", "dl_mcs", "snr_db")
+    lat_t, rtt = run.latency.t_s, run.latency.rtt_ms
+    sched = run.scheduler
+    sched_t, bler, mcs, snr = sched.t_s, sched.dl_bler, sched.dl_mcs, sched.snr_db
     lat_lo, lat_hi = (np.searchsorted(lat_t, bounds[:, i]) for i in (0, 1))
     sched_lo, sched_hi = (np.searchsorted(sched_t, bounds[:, i]) for i in (0, 1))
     keep = np.flatnonzero((lat_hi - lat_lo >= spec.min_latency_samples)
@@ -144,8 +149,7 @@ def build_joined_windows(run: Run, spec: WindowSpec) -> list[JoinedWindow]:
         stats.segment_percentiles(rtt_sorted, lat_starts, lat_n, 0.95).tolist(),
         stats.segment_percentiles(rtt_sorted, lat_starts, lat_n, 0.5).tolist(),
         exceed.tolist(), sched_n.tolist(),
-        # np.mean per slice, not a prefix sum: keeps its pairwise-summed bits
-        [float(np.mean(bler[lo:hi])) for lo, hi in zip(sched_lo, sched_hi)],
+        _means(sched_lo, sched_n, bler).tolist(),
         stats.segment_percentiles(bler_sorted, sched_starts, sched_n, 0.95).tolist(),
         _medians(sched_lo, sched_n, mcs), _medians(sched_lo, sched_n, snr))
     joined = []
@@ -165,10 +169,9 @@ def run_duration(run: Run) -> float:
     """Effective duration: the nominal duration or the last observed
     sample time, whichever is later."""
     last = run.meta.nominal_duration_s
-    if run.latency:
-        last = max(last, run.latency[-1].t_s)
-    if run.scheduler:
-        last = max(last, run.scheduler[-1].t_s)
+    for trace in (run.latency, run.scheduler):
+        if len(trace):
+            last = max(last, float(trace.t_s[-1]))
     return last
 
 
@@ -181,12 +184,12 @@ def split_phases(run: Run, split_s: float | None = None,
     if not 0.0 < split_s < run_duration(run):
         raise SplitOutOfRangeError(
             f"split at {split_s}s outside (0, {run_duration(run)}s)")
-    lat_a = tuple(s for s in run.latency if s.t_s < split_s)
-    lat_b = tuple(s for s in run.latency if s.t_s >= split_s)
-    sched_a = tuple(s for s in run.scheduler if s.t_s < split_s)
-    sched_b = tuple(s for s in run.scheduler if s.t_s >= split_s)
+    lat_k = int(np.searchsorted(run.latency.t_s, split_s))
+    sched_k = int(np.searchsorted(run.scheduler.t_s, split_s))
+    lat_a, lat_b = run.latency[:lat_k], run.latency[lat_k:]
+    sched_a, sched_b = run.scheduler[:sched_k], run.scheduler[sched_k:]
     for label, lat in ((labels[0], lat_a), (labels[1], lat_b)):
-        if not lat:
+        if not len(lat):
             log.warning("phase %r of run %s has no latency samples",
                         label, run.meta.run_id)
     meta_a = replace(run.meta, phase=labels[0])

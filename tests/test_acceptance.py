@@ -31,10 +31,11 @@ import pytest
 from taildiag import canon, flags, report, stats, synthgen, windows
 from taildiag.cli import main
 from taildiag.flags import DegradationFlag, FlagPolicy
-from taildiag.ingest import LatencySample, Run, RunMetadata, SchedulerSnapshot
+from taildiag.ingest import LatencySample, RunMetadata, SchedulerSnapshot
 from taildiag.windows import WindowSpec
 
 from oracles import ks_d_ref, percentile_ref, spearman_ref, window_members_ref
+from runs import make_run
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -156,7 +157,7 @@ def test_criterion_06_window_count_closed_form_and_conservation():
             LatencySample(t_s=float(t), seq=i, rtt_ms=float(rng.uniform(1, 500)))
             for i, t in enumerate(times)]
         joined = windows.build_joined_windows(
-            Run(meta=meta, latency=tuple(samples), scheduler=dense_sched), spec)
+            make_run(meta, samples, dense_sched), spec)
         by_start = {j.start_s: j.latency for j in joined}
         total_got = total_ref = 0
         for start, end in windows.make_windows(100.0, spec):

@@ -12,6 +12,8 @@ from taildiag.errors import InvalidSpecError
 from taildiag.flags import CouplingReport
 from taildiag.ingest import LatencySample
 
+from runs import latency_trace
+
 # ------------------------------------------------------------- formatting
 
 def test_fmt_ms():
@@ -252,9 +254,9 @@ def test_windows_empty_join(campaign, tmp_path, capsys):
 
 def test_windows_run_too_short(campaign, tmp_path, capsys):
     lat_path = tmp_path / "tiny.csv"
-    canon.write_latency_csv(lat_path, [
+    canon.write_latency_csv(lat_path, latency_trace([
         LatencySample(t_s=0.0, seq=0, rtt_ms=9.0),
-        LatencySample(t_s=0.2, seq=1, rtt_ms=9.1)])
+        LatencySample(t_s=0.2, seq=1, rtt_ms=9.1)]))
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps({
         "runs": [{"run_id": "tiny", "latency_file": str(lat_path)}],
@@ -386,3 +388,23 @@ def test_run_without_sources(tmp_path, capsys):
         "runs": [{"run_id": "void"}], "output_dir": str(tmp_path)}))
     assert main(["summarize", "--config", str(cfg_path), "void"]) == 1
     assert "no latency source" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad_row, reason", [
+    ("0.4,2", "expected 3 fields, got 2"),          # a short row
+    ("0.4,2,nan", "rtt_ms is not a number: 'nan'"),  # a NaN RTT
+])
+def test_malformed_canonical_row_exits_1_naming_file_and_line(
+        tmp_path, capsys, bad_row, reason):
+    lat = tmp_path / "bad_latency.csv"
+    lat.write_text("t_s,seq,rtt_ms\n0.0,0,9.0\n0.2,1,9.1\n" + bad_row + "\n")
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({
+        "runs": [{"run_id": "bad", "latency_file": str(lat)}],
+        "output_dir": str(tmp_path),
+    }))
+    assert main(["summarize", "--config", str(cfg_path), "bad"]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {lat}:4: {reason}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "bad_summary.csv").exists()

@@ -22,7 +22,8 @@ from taildiag.flags import (
     evaluate_flags,
     flag_rate,
 )
-from taildiag.ingest import LatencySample, Run, RunMetadata, SchedulerSnapshot
+from runs import make_run
+from taildiag.ingest import LatencySample, RunMetadata, SchedulerSnapshot
 from taildiag.windows import JoinedWindow, LatencyWindow, SchedWindow
 
 
@@ -39,7 +40,7 @@ def run_of(samples, snapshots, duration=60.0):
     m = RunMetadata(run_id="f", ue_type="smartphone", distance_m=6.0,
                     packet_size_b=30, scenario="dynamic_people",
                     nominal_duration_s=duration)
-    return Run(meta=m, latency=tuple(samples), scheduler=tuple(snapshots))
+    return make_run(m, samples, snapshots)
 
 
 # ----------------------------------------------------------------- policy

@@ -1,24 +1,33 @@
 """Parser, dominant-RNTI, consolidation and canonical-format tests."""
 
+import math
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from taildiag import canon, ingest
+from taildiag import canon, ingest, synthgen
 from taildiag.errors import (
     EmptyTraceError,
     InvalidSpecError,
+    MalformedRecordError,
     MissingColumnError,
+    ToolkitError,
 )
 from taildiag.ingest import (
     LatencySample,
+    LatencyTrace,
     RunMetadata,
     SchedulerSnapshot,
+    SchedulerTrace,
     consolidate_run,
     parse_fullstats,
     parse_ping_log,
     select_dominant_rnti,
 )
+
+from runs import latency_trace, sched_trace
 
 
 def meta(**kw):
@@ -132,6 +141,35 @@ def test_ping_30min_trace_with_55_losses():
     assert ts == sorted(ts)
 
 
+def test_ping_seq_wraps_at_16_bits_without_epochs():
+    # 70,000 replies at 0.2 s: icmp_seq wraps from 65535 to 0 once
+    lines = [f"64 bytes from h: icmp_seq={i % 65536} ttl=64 time=9.1 ms"
+             for i in range(70_000)]
+    res = parse_ping_log(lines, meta())
+    t = res.samples.t_s
+    assert np.unique(t).size == 70_000
+    assert t.max() == 69_999 * 0.2
+    assert np.all(np.diff(t) > 0)
+    # the seq column keeps the printed value
+    assert res.samples.seq.max() == 65535 and res.samples.seq[-1] == 70_000 - 65536 - 1
+
+
+def test_ping_seq_unwrap_tolerates_dups_and_reordering_across_the_wrap():
+    printed = [65533, 65534, 0, 65535, 1, 1, 2, 65535, 3]   # swap, DUPs
+    lines = [f"64 bytes from h: icmp_seq={s} ttl=64 time=9.1 ms" for s in printed]
+    res = parse_ping_log(lines, meta(ping_interval_s=1.0))
+    counts = [65533, 65534, 65536, 65535, 65537, 65537, 65538, 65535, 65539]
+    assert sorted(zip(res.samples.t_s.tolist(), res.samples.seq.tolist())) == \
+        sorted((float(c), s) for c, s in zip(counts, printed))
+
+
+def test_ping_seq_unwrap_keeps_times_nonnegative():
+    # a reply from before the first one crosses the wrap backwards
+    lines = [f"64 bytes from h: icmp_seq={s} ttl=64 time=9.1 ms" for s in (0, 1, 65535)]
+    res = parse_ping_log(lines, meta(ping_interval_s=1.0))
+    assert res.samples.t_s.tolist() == [65535.0, 65536.0, 65537.0]
+
+
 @given(st.lists(st.tuples(st.integers(0, 10_000),
                           st.floats(0.01, 5000.0)), min_size=1, max_size=60))
 def test_ping_conservation_property(pairs):
@@ -224,7 +262,7 @@ def test_fullstats_hex_rnti_and_optional_fields():
 
 def test_dominant_single_instance():
     snaps = [SchedulerSnapshot(t_s=float(i), rnti=17, dl_bler=0.0) for i in range(4)]
-    assert select_dominant_rnti(snaps) == (17, snaps)
+    assert select_dominant_rnti(sched_trace(snaps)) == (17, sched_trace(snaps))
 
 
 def test_dominant_by_count_brute_force():
@@ -234,7 +272,7 @@ def test_dominant_by_count_brute_force():
     for s in snaps:
         counts[s.rnti] = counts.get(s.rnti, 0) + 1
     expect = max(sorted(counts), key=lambda r: counts[r])
-    rnti, filtered = select_dominant_rnti(snaps)
+    rnti, filtered = select_dominant_rnti(sched_trace(snaps))
     assert rnti == expect == 17
     assert len(filtered) == 100 and all(s.rnti == 17 for s in filtered)
 
@@ -242,20 +280,20 @@ def test_dominant_by_count_brute_force():
 def test_dominant_tie_breaks_to_smallest():
     snaps = ([SchedulerSnapshot(t_s=float(i), rnti=9, dl_bler=0.0) for i in range(10)]
              + [SchedulerSnapshot(t_s=float(i), rnti=5, dl_bler=0.0) for i in range(10)])
-    rnti, _ = select_dominant_rnti(snaps)
+    rnti, _ = select_dominant_rnti(sched_trace(snaps))
     assert rnti == 5
 
 
 def test_dominant_empty_raises():
     with pytest.raises(EmptyTraceError):
-        select_dominant_rnti([])
+        select_dominant_rnti(sched_trace([]))
 
 
 @given(st.lists(st.integers(0, 5), min_size=1, max_size=50))
 def test_dominant_count_is_maximal(rntis):
     snaps = [SchedulerSnapshot(t_s=float(i), rnti=r, dl_bler=0.0)
              for i, r in enumerate(rntis)]
-    rnti, filtered = select_dominant_rnti(snaps)
+    rnti, filtered = select_dominant_rnti(sched_trace(snaps))
     for other in set(rntis):
         assert len(filtered) >= sum(1 for r in rntis if r == other)
     assert all(s.rnti == rnti for s in filtered)
@@ -266,8 +304,8 @@ def test_dominant_count_is_maximal(rntis):
 def test_consolidate_latency_only():
     lat = [LatencySample(t_s=0.2, seq=1, rtt_ms=9.0),
            LatencySample(t_s=0.0, seq=0, rtt_ms=8.0)]
-    run = consolidate_run(lat, [], meta())
-    assert run.scheduler == ()
+    run = consolidate_run(latency_trace(lat), None, meta())
+    assert len(run.scheduler) == 0
     assert [s.seq for s in run.latency] == [0, 1]
 
 
@@ -276,7 +314,7 @@ def test_consolidate_sorts_and_filters_dominant():
     sched = [SchedulerSnapshot(t_s=2.0, rnti=17, dl_bler=0.0),
              SchedulerSnapshot(t_s=0.0, rnti=17, dl_bler=0.1),
              SchedulerSnapshot(t_s=1.0, rnti=99, dl_bler=0.9)]
-    run = consolidate_run(lat, sched, meta())
+    run = consolidate_run(latency_trace(lat), sched_trace(sched), meta())
     assert len(run.latency) == len(lat)
     assert [s.t_s for s in run.scheduler] == [0.0, 2.0]
     assert all(s.rnti == 17 for s in run.scheduler)
@@ -286,7 +324,8 @@ def test_consolidate_offset_drops_negative_times():
     lat = [LatencySample(t_s=0.0, seq=0, rtt_ms=8.0)]
     sched = [SchedulerSnapshot(t_s=0.0, rnti=17, dl_bler=0.0),
              SchedulerSnapshot(t_s=5.0, rnti=17, dl_bler=0.1)]
-    run = consolidate_run(lat, sched, meta(), sched_offset_s=-2.0)
+    run = consolidate_run(latency_trace(lat), sched_trace(sched), meta(),
+                          sched_offset_s=-2.0)
     assert [s.t_s for s in run.scheduler] == [3.0]
 
 
@@ -320,8 +359,8 @@ def _snapshot_strategy():
 @given(st.lists(_sample_strategy(), min_size=1, max_size=40))
 def test_latency_csv_round_trip(tmp_path_factory, samples):
     path = tmp_path_factory.mktemp("lat") / "latency.csv"
-    canon.write_latency_csv(path, samples)
-    assert canon.read_latency_csv(path) == samples
+    canon.write_latency_csv(path, latency_trace(samples))
+    assert list(canon.read_latency_csv(path)) == samples
     first = path.read_bytes()
     canon.write_latency_csv(path, canon.read_latency_csv(path))
     assert path.read_bytes() == first
@@ -331,8 +370,8 @@ def test_latency_csv_round_trip(tmp_path_factory, samples):
 @given(st.lists(_snapshot_strategy(), min_size=1, max_size=40))
 def test_scheduler_csv_round_trip(tmp_path_factory, snapshots):
     path = tmp_path_factory.mktemp("sched") / "sched.csv"
-    canon.write_scheduler_csv(path, snapshots)
-    assert canon.read_scheduler_csv(path) == snapshots
+    canon.write_scheduler_csv(path, sched_trace(snapshots))
+    assert list(canon.read_scheduler_csv(path)) == snapshots
     first = path.read_bytes()
     canon.write_scheduler_csv(path, canon.read_scheduler_csv(path))
     assert path.read_bytes() == first
@@ -341,8 +380,9 @@ def test_scheduler_csv_round_trip(tmp_path_factory, snapshots):
 def test_csv_headers_are_canonical(tmp_path):
     lat = tmp_path / "l.csv"
     sched = tmp_path / "s.csv"
-    canon.write_latency_csv(lat, [LatencySample(t_s=0.0, seq=0, rtt_ms=1.0)])
-    canon.write_scheduler_csv(sched, [SchedulerSnapshot(t_s=0.0, rnti=1, dl_bler=0.0)])
+    canon.write_latency_csv(lat, latency_trace([LatencySample(t_s=0.0, seq=0, rtt_ms=1.0)]))
+    canon.write_scheduler_csv(
+        sched, sched_trace([SchedulerSnapshot(t_s=0.0, rnti=1, dl_bler=0.0)]))
     assert lat.read_text().splitlines()[0] == "t_s,seq,rtt_ms"
     assert sched.read_text().splitlines()[0] == (
         "t_s,rnti,dl_bler,ul_bler,dl_mcs,ul_mcs,snr_db,rsrp_dbm,dl_retx,dl_total")
@@ -392,5 +432,172 @@ def test_ingested_run_survives_canonical_round_trip(tmp_path):
     sched_path = tmp_path / "sched.csv"
     canon.write_latency_csv(lat_path, run.latency)
     canon.write_scheduler_csv(sched_path, run.scheduler)
-    assert tuple(canon.read_latency_csv(lat_path)) == run.latency
-    assert tuple(canon.read_scheduler_csv(sched_path)) == run.scheduler
+    assert canon.read_latency_csv(lat_path) == run.latency
+    assert canon.read_scheduler_csv(sched_path) == run.scheduler
+
+
+# --------------------------------------------------- canonical-file faults
+
+LAT_HEAD = canon.LATENCY_HEADER + "\n"
+SCHED_HEAD = canon.SCHED_HEADER + "\n"
+
+
+def _file(tmp_path, text):
+    path = tmp_path / "table.csv"
+    path.write_text(text)
+    return path
+
+
+def test_canonical_readers_skip_blank_lines(tmp_path):
+    path = _file(tmp_path, LAT_HEAD + "\n0.0,0,9.0\n\n   \n0.2,1,9.5\n\n")
+    assert list(canon.read_latency_csv(path)) == [
+        LatencySample(0.0, 0, 9.0), LatencySample(0.2, 1, 9.5)]
+    path = _file(tmp_path, SCHED_HEAD + "0.0,17,0.05,,,,,,,\n\n1.0,17,0.1,,9,,,,,\n")
+    assert list(canon.read_scheduler_csv(path)) == [
+        SchedulerSnapshot(0.0, 17, 0.05), SchedulerSnapshot(1.0, 17, 0.1, dl_mcs=9)]
+
+
+@pytest.mark.parametrize("rows, line, reason", [
+    ("0.0,0,9.0\n0.2,1\n", 3, "expected 3 fields, got 2"),
+    ("0.0,0,9.0\n0.2,1,9.0,7\n", 3, "expected 3 fields, got 4"),
+    ("0.0,0,9.0\n0.2,1,fast\n", 3, "rtt_ms is not a number: 'fast'"),
+    ("0.0,0,9.0\n0.2,1,\n", 3, "rtt_ms is not a number: ''"),
+    ("0.0,0,9.0\n0.2,1.5,9.0\n", 3, "seq not an integer"),
+    ("0.0,0,nan\n", 2, "rtt_ms is not a number: 'nan'"),
+    ("0.0,0,9.0\n0.2,1,0.0\n", 3, "rtt_ms not finite and > 0"),
+    ("0.0,0,9.0\n0.2,1,-3.0\n", 3, "rtt_ms not finite and > 0"),
+    ("0.0,0,9.0\n0.2,1,1e999\n", 3, "rtt_ms not finite and > 0"),
+    ("0.0,0,9.0\n1e999,1,9.0\n", 3, "t_s not finite"),
+    ("0.0,0,9.0\n-inf,1,9.0\n", 3, "t_s is not a number: '-inf'"),
+    ("0.0,0,9.0\n#0.2,1,9.0\n", 3, "t_s is not a number: '#0.2'"),  # '#' is no comment
+    ("0.0,0,9.0\n\n\n0.2,1\n", 5, "expected 3 fields, got 2"),
+    ("0.0,0,9.0\n\n  \n0.6,3,0\n", 5, "rtt_ms not finite and > 0"),
+])
+def test_latency_reader_names_file_and_line(tmp_path, rows, line, reason):
+    path = _file(tmp_path, LAT_HEAD + rows)
+    with pytest.raises(MalformedRecordError) as exc:
+        canon.read_latency_csv(path)
+    assert (exc.value.path, exc.value.line) == (str(path), line)
+    assert str(exc.value) == f"{path}:{line}: {reason}"
+    assert isinstance(exc.value, ToolkitError)
+
+
+@pytest.mark.parametrize("row, reason", [
+    ("0.0,17,0.05", "expected 10 fields, got 3"),
+    (",17,0.05,,,,,,,", "t_s missing or not finite"),
+    ("0.0,,0.05,,,,,,,", "rnti missing or not an integer"),
+    ("0.0,17.5,0.05,,,,,,,", "rnti missing or not an integer"),
+    ("0.0,0x11,0.05,,,,,,,", "rnti is not a number: '0x11'"),
+    ("0.0,-3,0.05,,,,,,,", "rnti < 0"),
+    ("0.0,17,,,,,,,,", "dl_bler missing or outside [0, 1]"),
+    ("0.0,17,1.5,,,,,,,", "dl_bler missing or outside [0, 1]"),
+    ("0.0,17,0.05,1.2,,,,,,", "ul_bler outside [0, 1]"),
+    ("0.0,17,0.05,,9.5,,,,,", "dl_mcs not an integer"),
+    ("0.0,17,0.05,,31,,,,,", "dl_mcs outside [0, 28]"),
+    ("0.0,17,0.05,,,-1,,,,", "ul_mcs outside [0, 28]"),
+    ("0.0,17,0.05,,,,nan,,,", "snr_db is not a number: 'nan'"),
+    ("0.0,17,0.05,,,,1e999,,,", "snr_db not finite"),
+    ("0.0,17,0.05,,,,,-1e999,,", "rsrp_dbm not finite"),
+    ("0.0,17,0.05,,,,,,-1,", "dl_retx < 0"),
+    ("0.0,17,0.05,,,,,,,-50", "dl_total < 0"),
+    ("0.0,17,0.05,,,,,,60,50", "dl_retx > dl_total"),
+])
+def test_scheduler_reader_applies_the_fullstats_domains(tmp_path, row, reason):
+    path = _file(tmp_path, SCHED_HEAD + "0.0,17,0.05,0.05,9,9,30.0,-80.0,2,50\n\n" + row + "\n")
+    with pytest.raises(MalformedRecordError) as exc:
+        canon.read_scheduler_csv(path)
+    assert str(exc.value) == f"{path}:4: {reason}"
+
+
+def test_fullstats_parser_skips_what_the_canonical_reader_rejects():
+    cmap = dict(CMAP, snr_db="snr", dl_mcs="mcs")
+    res = parse_fullstats(["rnti,dl_bler,snr,mcs", "17,0.1,30.0,9", "17,0.1,nan,9",
+                           "17,0.1,inf,9", "17,0.1,30.0,9.5", "17,nan,30.0,9"],
+                          cmap, meta())
+    assert len(res.snapshots) == 1 and res.skipped_rows == 4
+
+
+def test_truth_reader_names_file_and_line(tmp_path):
+    path = _file(tmp_path, "kind,t_s\nstall,1.0\n\nspike,2.0\n")
+    with pytest.raises(MalformedRecordError) as exc:
+        canon.read_truth_csv(path)
+    assert str(exc.value) == f"{path}:4: unknown truth kind 'spike'"
+    path = _file(tmp_path, "kind,t_s\nstall,nan\n")
+    with pytest.raises(MalformedRecordError):
+        canon.read_truth_csv(path)
+
+
+def test_empty_canonical_tables_raise(tmp_path):
+    for header, read in ((LAT_HEAD, canon.read_latency_csv),
+                         (SCHED_HEAD, canon.read_scheduler_csv)):
+        with pytest.raises(EmptyTraceError):
+            read(_file(tmp_path, header + "\n  \n"))
+
+
+# ------------------------------------------------------- traces as columns
+
+def test_trace_rows_hold_builtin_values():
+    run, _ = synthgen.gen_run(synthgen.coupled_presets()[0])
+    for trace, row_type, types in (
+            (run.latency, LatencySample, (float, int, float)),
+            (run.scheduler, SchedulerSnapshot, (float, int) + (float,) * 2
+             + (int,) * 2 + (float,) * 2 + (int,) * 2)):
+        rows = list(trace)
+        assert len(rows) == len(trace) > 0
+        assert rows[-1] == trace[-1] and rows[0] == trace[0]
+        for row in rows:
+            assert type(row) is row_type
+            assert tuple(type(v) for v in row) == types
+    snap = sched_trace([SchedulerSnapshot(0.0, 3, 0.5, dl_mcs=7)])[0]
+    assert snap.dl_mcs == 7 and type(snap.dl_mcs) is int
+    assert snap.ul_bler is None and snap.dl_total is None
+    with pytest.raises(IndexError):
+        run.latency[len(run.latency)]
+
+
+def test_trace_slices_and_masks_are_traces():
+    trace = latency_trace([LatencySample(float(i), i, 9.0 + i) for i in range(5)])
+    assert trace[1:3] == latency_trace([LatencySample(1.0, 1, 10.0),
+                                        LatencySample(2.0, 2, 11.0)])
+    assert trace[trace.seq % 2 == 0].seq.tolist() == [0, 2, 4]
+    with pytest.raises(InvalidSpecError):
+        LatencyTrace([0.0], [0, 1], [9.0])
+    with pytest.raises(ValueError):     # columns are read-only
+        trace.t_s[0] = 7.0
+
+
+def _columns_strategy():
+    """Scheduler columns with absent fields, integer columns, -0.0,
+    tied times and several RNTIs."""
+    opt_float = st.none() | st.sampled_from([-0.0, 0.0, 1.5]) | st.floats(
+        -200.0, 200.0, allow_nan=False)
+    row = st.tuples(
+        st.sampled_from([-0.0, 0.0, 0.2, 0.2, 5.0]) | st.floats(-1e6, 1e6, allow_nan=False),
+        st.sampled_from([0, 17, 0x4601]),
+        st.sampled_from([-0.0, 0.0, 1.0]) | st.floats(0.0, 1.0),
+        st.none() | st.floats(0.0, 1.0), st.none() | st.integers(0, 28),
+        st.none() | st.integers(0, 28), opt_float, opt_float,
+        st.none() | st.integers(0, 1000), st.none() | st.integers(1000, 2**40))
+    return st.lists(row, min_size=1, max_size=30)
+
+
+@settings(max_examples=40)
+@given(_columns_strategy())
+@example([(-0.0, 0, -0.0, None, None, None, -0.0, None, None, None),
+          (-0.0, 17, 1.0, 0.5, 0, 28, 0.0, -0.0, 0, 2**40)])
+def test_columns_write_read_write_is_byte_identical(tmp_path_factory, rows):
+    d = tmp_path_factory.mktemp("rt")
+    cols = list(zip(*rows))
+    sched = SchedulerTrace(*cols)
+    lat = LatencyTrace(cols[0], cols[1], [abs(v) + 0.5 for v in cols[2]])
+    for trace, write, read in ((lat, canon.write_latency_csv, canon.read_latency_csv),
+                               (sched, canon.write_scheduler_csv, canon.read_scheduler_csv)):
+        first, second = d / "first.csv", d / "second.csv"
+        write(first, trace)
+        back = read(first)
+        write(second, back)
+        assert second.read_bytes() == first.read_bytes()
+        assert back == trace
+        # -0.0 survives: the written cells, not just the values, agree
+        assert [math.copysign(1.0, v) for v in back.t_s] == \
+            [math.copysign(1.0, v) for v in trace.t_s]

@@ -10,7 +10,9 @@ from taildiag import stats
 from taildiag.errors import (
     EmptySequenceError,
     LengthMismatchError,
+    NonFiniteError,
     TooFewPointsError,
+    ToolkitError,
 )
 
 from oracles import exceedance_ref, ks_d_ref, percentile_ref, spearman_ref
@@ -177,6 +179,20 @@ def test_ks_same_distribution_converges():
     a = [rng.choice([5.0, 8.0, 9.0, 11.0, 14.0]) for _ in range(10_000)]
     b = [rng.choice([5.0, 8.0, 9.0, 11.0, 14.0]) for _ in range(10_000)]
     assert stats.ks_two_sample(a, b).d_stat < 0.05
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_statistics_reject_non_finite_input(bad):
+    values = [10.0, 12.0, bad, 9.0]
+    calls = (lambda: stats.percentile(values, 0.5),
+             lambda: stats.exceedance_prob(values, 100.0),
+             lambda: stats.summary_stats(values),
+             lambda: stats.ks_two_sample(values, [1.0, 2.0]),
+             lambda: stats.ks_two_sample([1.0, 2.0], values))
+    for call in calls:
+        with pytest.raises(NonFiniteError):
+            call()
+    assert issubclass(NonFiniteError, ToolkitError)
 
 
 def test_ks_pvalue_underflows_for_separated_large_samples():

@@ -314,8 +314,8 @@ def test_campaign_files_and_round_trip(tmp_path):
     [g] = gen_campaign([RunPreset("demo", spec)], tmp_path)
     meta, files = canon.read_manifest(g.manifest_path)
     assert meta == g.run.meta
-    assert tuple(canon.read_latency_csv(files["latency_file"])) == g.run.latency
-    assert tuple(canon.read_scheduler_csv(files["scheduler_file"])) == g.run.scheduler
+    assert canon.read_latency_csv(files["latency_file"]) == g.run.latency
+    assert canon.read_scheduler_csv(files["scheduler_file"]) == g.run.scheduler
     stalls, excursions = canon.read_truth_csv(files["truth_file"])
     assert stalls == sorted(g.truth.stall_times_s)
     assert excursions == sorted(g.truth.excursion_times_s)

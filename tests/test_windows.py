@@ -7,8 +7,13 @@ the join keeps every window the side under test fills.
 """
 
 import hashlib
+import json
 import math
+import runpy
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,14 +24,14 @@ from oracles import (
     window_members_ref,
     window_starts_ref,
 )
-from taildiag import report, synthgen
+from taildiag import synthgen
 from taildiag.errors import (
     InvalidSpecError,
     RunTooShortError,
     SplitOutOfRangeError,
 )
-from taildiag.flags import FlagPolicy, evaluate_flags
-from taildiag.ingest import LatencySample, Run, RunMetadata, SchedulerSnapshot
+from runs import make_run
+from taildiag.ingest import LatencySample, RunMetadata, SchedulerSnapshot
 from taildiag.windows import (
     WindowSpec,
     build_joined_windows,
@@ -48,7 +53,7 @@ def run_of(samples, snapshots, duration=60.0):
     m = RunMetadata(run_id="w", ue_type="smartphone", distance_m=6.0,
                     packet_size_b=30, scenario="baseline",
                     nominal_duration_s=duration)
-    return Run(meta=m, latency=tuple(samples), scheduler=tuple(snapshots))
+    return make_run(m, samples, snapshots)
 
 
 def dense_sched(duration=60.0):
@@ -170,6 +175,21 @@ def test_sched_window_mean_brute_force():
     assert w.n == 3
 
 
+@settings(max_examples=40)
+@given(st.lists(st.tuples(st.floats(0.0, 59.999),
+                          st.floats(0.0, 1.0) | st.sampled_from([1e-9, 0.3, 1.0])),
+                min_size=1, max_size=400))
+def test_sched_window_mean_is_np_mean_of_members(points):
+    # bit for bit: np.mean pairwise-sums a slice, so summation order matters
+    points = sorted(points, key=lambda p: p[0])
+    by_start = sched_windows([snap(t, b) for t, b in points], WindowSpec())
+    times = [t for t, _ in points]
+    for start, end in make_windows(60.0, WindowSpec()):
+        members = [points[i][1] for i in window_members_ref(times, start, end)]
+        if members:
+            assert by_start[start].bler_mean == float(np.mean(members))
+
+
 def test_sched_window_absent_fields():
     snaps = [snap(0.0), snap(1.0)]
     w = sched_windows(snaps, WindowSpec())[0.0]
@@ -281,34 +301,22 @@ def test_build_joined_windows_sorts_each_layer_by_time():
     assert shuffled == ordered
 
 
-# The windows and flags tables of the four default-seed paperlike runs
-# under the default WindowSpec and FlagPolicy, as SHA-256 of the text.
-PAPERLIKE_TABLE_DIGESTS = {
-    "baseline": (
-        "45d9bcc372d47cf00437c2b30183515137dac318b49d720449877669710ea815",
-        "d4b94ec27c047ba4964a0ce0397ce52d7bd460a1437cab76adadea33d43d377e"),
-    "baseline_modem": (
-        "d590caae128d433ee602a4397c7125103dd280a5a425312bad27ffb5529bb831",
-        "18fb0f0c0cbd1a2064bd9daf5c8022c73dce57817578f6be6f0a844dd3ad2d15"),
-    "dynamic_people": (
-        "fa298ce6031fe2806e48d94ba35d0d86030c1d2f1edfce028b32f0d2814d6be4",
-        "eca7dfb43fc9e43aa2064deeca30a25033c71e855aabbea83fba037c1c3686ff"),
-    "static_1h": (
-        "12e752f0cb481fec035c8f630fad00337b64c30a990c9ae5cb7862e0dcbcfeef",
-        "c961e7a24e6bb150f33a4352908c8a6d3cbdb5ead0daee2287625c3f42ca95fa"),
-}
+# SHA-256 of every file scripts/run_paperlike.py writes at the default
+# seed, as the benchmark recorded them; read here, never rewritten.
+DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_paperlike.py"
 
 
-def test_paperlike_tables_match_golden_digests():
-    def sha(text):
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-    for preset in synthgen.paperlike_presets():
-        run, _ = synthgen.gen_run(preset)
-        joined = build_joined_windows(run, WindowSpec())
-        flags = evaluate_flags(joined, FlagPolicy())
-        assert (sha(report.windows_table(joined)), sha(report.flags_table(flags))) \
-            == PAPERLIKE_TABLE_DIGESTS[preset.run_id], preset.run_id
+def test_paperlike_tables_match_golden_digests(tmp_path, monkeypatch, capsys):
+    expected = json.loads(DIGESTS.read_text(encoding="utf-8"))[
+        "paperlike"][str(synthgen.DEFAULT_SEED)]
+    monkeypatch.setattr(sys, "argv", [str(SCRIPT), "--output-dir", str(tmp_path)])
+    runpy.run_path(str(SCRIPT), run_name="__main__")
+    capsys.readouterr()
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir()}
+    assert len(expected) == 32
+    assert written == expected
 
 
 # ------------------------------------------------------------------ split
