@@ -71,10 +71,13 @@ def _num(x: float | int | None) -> str:
     return "" if x is None else repr(x)
 
 
-def _write_table(path: str | Path, header: str, trace) -> None:
+def table_text(table) -> str:
+    """A columnar table (a trace or the window table) as CSV text: its
+    field names as the header, then one line per row, floats in repr
+    form and an absent value as an empty cell."""
     columns = [map(_num if None in values else repr, values)
-               for values in map(trace.values, trace.names())]
-    atomic_write_text(path, "\n".join([header, *map(",".join, zip(*columns))]) + "\n")
+               for values in map(table.values, table.names())]
+    return "\n".join([",".join(table.names()), *map(",".join, zip(*columns))]) + "\n"
 
 
 def _fill_empty(text: str) -> str:
@@ -155,7 +158,7 @@ def _raise_first(path: str | Path, body: str, faults: dict[int, str]) -> None:
 
 
 def write_latency_csv(path: str | Path, samples: LatencyTrace) -> None:
-    _write_table(path, LATENCY_HEADER, samples)
+    atomic_write_text(path, table_text(samples))
 
 
 def read_latency_csv(path: str | Path) -> LatencyTrace:
@@ -173,7 +176,7 @@ def read_latency_csv(path: str | Path) -> LatencyTrace:
 
 
 def write_scheduler_csv(path: str | Path, snapshots: SchedulerTrace) -> None:
-    _write_table(path, SCHED_HEADER, snapshots)
+    atomic_write_text(path, table_text(snapshots))
 
 
 def read_scheduler_csv(path: str | Path) -> SchedulerTrace:

@@ -27,31 +27,16 @@ from .flags import (
     evaluate_flags,
     flag_rate,
 )
-from .ingest import (
-    Run,
-    RunMetadata,
-    consolidate_run,
-    parse_fullstats,
-    parse_ping_log,
-)
+from .ingest import Run, consolidate_run, parse_fullstats, parse_ping_log
 from .windows import build_joined_windows
 
 log = logging.getLogger(__name__)
 
 
-def _provisional_meta(rc: RunConfig) -> RunMetadata:
-    # parser-facing metadata; the duration is fixed up after parsing
-    return RunMetadata(
-        run_id=rc.run_id, ue_type=rc.ue_type, distance_m=rc.distance_m,
-        packet_size_b=rc.packet_size_b, scenario=rc.scenario,
-        nominal_duration_s=rc.nominal_duration_s or 1.0,
-        ping_interval_s=rc.ping_interval_s)
-
-
 def load_run(cfg: CampaignConfig, rc: RunConfig) -> Run:
     """Materialize one run: canonical files win over raw logs; the
     nominal duration, when not configured, is taken from the data."""
-    meta = _provisional_meta(rc)
+    meta = rc.metadata()
     if rc.latency_file:
         latency = canon.read_latency_csv(rc.latency_file)
     elif rc.ping_log:

@@ -19,7 +19,8 @@ Every section is optional except runs (and even that may be an empty
 list). Relative paths are resolved against the directory containing
 the config file, so a generated campaign directory is self-contained.
 Unknown keys are rejected rather than ignored; a typo in a threshold
-name must not silently fall back to a default.
+name must not silently fall back to a default. So is a value of the
+wrong type: every number must be finite and of its declared type.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ import json
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import InvalidSpecError
+from .errors import InvalidSpecError, check_fields, check_value
 from .flags import FlagPolicy
+from .ingest import RunMetadata
 from .windows import WindowSpec
 
 DEFAULT_COLUMN_MAP = {"rnti": "rnti", "dl_bler": "dl_bler"}
@@ -60,6 +62,24 @@ class RunConfig:
     fullstats: str | None = None
     column_map: dict | None = None
 
+    def __post_init__(self):
+        check_fields(self)
+        if self.stats_period_s <= 0:
+            raise InvalidSpecError(
+                f"stats_period_s must be > 0, got {self.stats_period_s}")
+        self.metadata()     # the metadata fields obey RunMetadata's rules
+
+    def metadata(self) -> RunMetadata:
+        """The run's metadata as the parsers see it; without a configured
+        nominal duration it reads 1 s until load_run takes one from the
+        data."""
+        return RunMetadata(
+            run_id=self.run_id, ue_type=self.ue_type, distance_m=self.distance_m,
+            packet_size_b=self.packet_size_b, scenario=self.scenario,
+            nominal_duration_s=(1.0 if self.nominal_duration_s is None
+                                else self.nominal_duration_s),
+            ping_interval_s=self.ping_interval_s)
+
 
 @dataclass(frozen=True)
 class CampaignConfig:
@@ -72,10 +92,15 @@ class CampaignConfig:
     output_dir: str = "."
 
     def __post_init__(self):
+        check_fields(self)
         ids = [r.run_id for r in self.runs]
         if len(set(ids)) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
             raise InvalidSpecError(f"duplicate run_ids in config: {dupes}")
+        if not self.exceed_thresholds_ms:
+            raise InvalidSpecError("exceed_ms must list at least one threshold")
+        for t in self.exceed_thresholds_ms:
+            check_value("exceed_ms", t, "float")
         if any(t <= 0 for t in self.exceed_thresholds_ms) or self.outlier_ms <= 0:
             raise InvalidSpecError("thresholds must be positive")
 
@@ -87,14 +112,16 @@ class CampaignConfig:
         raise InvalidSpecError(f"unknown run_id {run_id!r}; config has {known}")
 
 
-def _build(cls, raw: dict, where: str):
+def _build(cls, raw, where: str):
+    if not isinstance(raw, dict):
+        raise InvalidSpecError(f"{where} must be an object, got {raw!r}")
     known = {f.name for f in fields(cls)}
     unknown = set(raw) - known
     if unknown:
         raise InvalidSpecError(f"unknown keys in {where}: {sorted(unknown)}")
     try:
         return cls(**raw)
-    except TypeError as exc:
+    except (TypeError, InvalidSpecError) as exc:
         raise InvalidSpecError(f"bad {where}: {exc}") from None
 
 
@@ -112,31 +139,40 @@ def load_config(path: str | Path) -> CampaignConfig:
         raise InvalidSpecError(f"{path}: unknown top-level keys {sorted(unknown)}")
 
     base = path.parent
+    entries = raw.get("runs", [])
+    if not isinstance(entries, list):
+        raise InvalidSpecError(f"{path}: runs must be a list of run objects")
     runs = []
-    for entry in raw.get("runs", []):
-        entry = dict(entry)
-        for key in _PATH_KEYS:
-            if entry.get(key) and not Path(entry[key]).is_absolute():
-                entry[key] = str(base / entry[key])
-        runs.append(_build(RunConfig, entry, f"run entry {entry.get('run_id')!r}"))
+    for i, entry in enumerate(entries):
+        if isinstance(entry, dict):
+            entry = dict(entry)
+            for key in _PATH_KEYS:
+                value = entry.get(key)
+                if value and isinstance(value, str) and not Path(value).is_absolute():
+                    entry[key] = str(base / value)
+        runs.append(_build(RunConfig, entry, f"runs[{i}]"))
 
-    thresholds = dict(raw.get("thresholds", {}))
+    thresholds = raw.get("thresholds", {})
+    if not isinstance(thresholds, dict):
+        raise InvalidSpecError(f"{path}: thresholds must be an object")
     unknown = set(thresholds) - {"exceed_ms", "outlier_ms"}
     if unknown:
         raise InvalidSpecError(f"{path}: unknown threshold keys {sorted(unknown)}")
-    exceed = tuple(float(x) for x in thresholds.get("exceed_ms", DEFAULT_EXCEED_MS))
-    outlier = float(thresholds.get("outlier_ms", DEFAULT_OUTLIER_MS))
+    exceed = thresholds.get("exceed_ms", DEFAULT_EXCEED_MS)
+    if not isinstance(exceed, (list, tuple)):
+        raise InvalidSpecError(
+            f"{path}: exceed_ms must be a list of numbers, got {exceed!r}")
 
     out_dir = raw.get("output_dir", ".")
-    if not Path(out_dir).is_absolute():
+    if isinstance(out_dir, str) and not Path(out_dir).is_absolute():
         out_dir = str(base / out_dir)
 
     return CampaignConfig(
         runs=tuple(runs),
         window=_build(WindowSpec, raw.get("window", {}), "window section"),
         policy=_build(FlagPolicy, raw.get("policy", {}), "policy section"),
-        exceed_thresholds_ms=exceed,
-        outlier_ms=outlier,
+        exceed_thresholds_ms=tuple(exceed),
+        outlier_ms=thresholds.get("outlier_ms", DEFAULT_OUTLIER_MS),
         column_map=raw.get("column_map"),
         output_dir=out_dir,
     )

@@ -1,4 +1,9 @@
-"""Shared exception types for the diagnostics toolkit."""
+"""Shared exception types for the diagnostics toolkit, and the
+declared-type check every spec runs on its fields."""
+
+import math
+import numbers
+from dataclasses import fields
 
 
 class ToolkitError(ValueError):
@@ -54,3 +59,39 @@ class EmptyPhaseError(ToolkitError):
 class InvalidSpecError(ToolkitError):
     """A scenario, window, policy, or config declaration violates its
     constraints."""
+
+
+# Declared field types a value is checked against: the type it must
+# have (a float field takes an int too) and the words of the error.
+_DECLARED = {
+    "float": (numbers.Real, "a finite number"),
+    "int": (numbers.Integral, "an integer"),
+    "str": (str, "a string"),
+    "dict": (dict, "an object"),
+}
+
+
+def check_value(name: str, value, declared: str) -> None:
+    """Raise InvalidSpecError naming `name` unless `value` has the
+    declared type ("float", "int", "str" or "dict"). A bool is no
+    number, and a number must be finite."""
+    kind, words = _DECLARED[declared]
+    ok = isinstance(value, kind) and not isinstance(value, bool)
+    if ok and declared in ("float", "int"):
+        try:
+            ok = math.isfinite(value)
+        except OverflowError:   # an int too large for a float
+            ok = False
+    if not ok:
+        raise InvalidSpecError(f"{name} must be {words}, got {value!r}")
+
+
+def check_fields(spec) -> None:
+    """check_value on every field of the dataclass instance `spec`
+    declared as one of those types, or as one of them `| None` while
+    it holds a value. Other fields are left to the spec's own checks."""
+    for f in fields(spec):
+        declared, _, optional = f.type.partition(" | ")
+        value = getattr(spec, f.name)
+        if declared in _DECLARED and not (optional == "None" and value is None):
+            check_value(f.name, value, declared)

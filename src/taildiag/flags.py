@@ -10,10 +10,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from . import stats
-from .errors import EmptyPhaseError, EmptySequenceError, InvalidSpecError
+from .errors import (
+    EmptyPhaseError,
+    EmptySequenceError,
+    InvalidSpecError,
+    check_fields,
+)
 from .ingest import Run
-from .windows import JoinedWindow, split_phases
+from .windows import WindowTable, split_phases
 
 COMBINE_AND = "AND"
 COMBINE_OR = "OR"
@@ -26,6 +33,7 @@ class FlagPolicy:
     combine: str = COMBINE_AND
 
     def __post_init__(self):
+        check_fields(self)
         if self.lat_p95_threshold_ms <= 0:
             raise InvalidSpecError("latency threshold must be positive")
         if not 0.0 < self.bler_mean_threshold < 1.0:
@@ -59,23 +67,18 @@ class CouplingReport:
     n_windows: int
 
 
-def evaluate_flag(w: JoinedWindow, policy: FlagPolicy) -> DegradationFlag:
-    """Evidence uses strict > on window p95 latency and mean BLER."""
-    lat_evidence = w.latency.p95_ms > policy.lat_p95_threshold_ms
-    sched_evidence = w.sched.bler_mean > policy.bler_mean_threshold
-    if policy.combine == COMBINE_AND:
-        raised = lat_evidence and sched_evidence
-    else:
-        raised = lat_evidence or sched_evidence
-    return DegradationFlag(
-        start_s=w.start_s, raised=raised,
-        lat_evidence=lat_evidence, sched_evidence=sched_evidence,
-        lat_p95_ms=w.latency.p95_ms, bler_mean=w.sched.bler_mean)
-
-
-def evaluate_flags(joined: Sequence[JoinedWindow],
+def evaluate_flags(windows: WindowTable,
                    policy: FlagPolicy) -> list[DegradationFlag]:
-    return [evaluate_flag(w, policy) for w in joined]
+    """One flag per window. Evidence uses strict > on window p95
+    latency and mean BLER."""
+    if not len(windows):
+        return []
+    lat = windows.lat_p95_ms > policy.lat_p95_threshold_ms
+    sched = windows.bler_mean > policy.bler_mean_threshold
+    raised = lat & sched if policy.combine == COMBINE_AND else lat | sched
+    return list(map(DegradationFlag, windows.start_s.tolist(), raised.tolist(),
+                    lat.tolist(), sched.tolist(), windows.lat_p95_ms.tolist(),
+                    windows.bler_mean.tolist()))
 
 
 def flag_rate(flags: Sequence[DegradationFlag]) -> float:
@@ -85,14 +88,12 @@ def flag_rate(flags: Sequence[DegradationFlag]) -> float:
 
 
 def compare_phases(run: Run, split_s: float | None = None,
-                   labels: tuple[str, str] = ("LOS", "People"),
                    exceed_threshold_ms: float = 100.0,
                    ) -> tuple[PhaseComparison, PhaseComparison]:
     """Latency tail and raw-snapshot BLER p95 for the two phases of a
     run split at split_s (default: half the nominal duration)."""
-    first, second = split_phases(run, split_s, labels=labels)
     rows = []
-    for phase in (first, second):
+    for phase in split_phases(run, split_s):
         if not len(phase.latency):
             raise EmptyPhaseError(
                 f"phase {phase.meta.phase!r} has no latency samples")
@@ -105,20 +106,18 @@ def compare_phases(run: Run, split_s: float | None = None,
     return rows[0], rows[1]
 
 
-def coupling_report(joined: Sequence[JoinedWindow]) -> CouplingReport:
+def coupling_report(windows: WindowTable) -> CouplingReport:
     """Spearman rho of window latency p95 against window BLER mean and
     against window MCS median. A rho is None (reported "N/A") when the
     indicator is constant, absent in some window, or there are fewer
     than two windows to rank."""
-    if not joined:
+    n = len(windows)
+    if not n:
         raise EmptySequenceError("coupling report over zero windows")
-    n = len(joined)
     if n < 2:
         return CouplingReport(rho_bler=None, rho_mcs=None, n_windows=n)
-    p95 = [w.latency.p95_ms for w in joined]
-    bler = [w.sched.bler_mean for w in joined]
-    mcs = [w.sched.mcs_median for w in joined]
-    rho_bler = stats.spearman_rho(p95, bler)
-    rho_mcs = (stats.spearman_rho(p95, mcs)
-               if all(m is not None for m in mcs) else None)
+    p95 = windows.lat_p95_ms
+    rho_bler = stats.spearman_rho(p95, windows.bler_mean)
+    rho_mcs = (None if np.isnan(windows.mcs_median).any()
+               else stats.spearman_rho(p95, windows.mcs_median))
     return CouplingReport(rho_bler=rho_bler, rho_mcs=rho_mcs, n_windows=n)

@@ -21,7 +21,12 @@ from typing import ClassVar, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import EmptyTraceError, InvalidSpecError, MissingColumnError
+from .errors import (
+    EmptyTraceError,
+    InvalidSpecError,
+    MissingColumnError,
+    check_fields,
+)
 
 log = logging.getLogger(__name__)
 
@@ -47,6 +52,7 @@ class RunMetadata:
     phase: str | None = None
 
     def __post_init__(self):
+        check_fields(self)
         if not self.run_id:
             raise InvalidSpecError("run_id must be non-empty")
         if not self.ue_type or not self.scenario:
@@ -89,12 +95,13 @@ class _Trace:
     """Equal-length float64 numpy columns, one per field of the row type
     ROW and in its order, NaN where an optional field is absent. The
     fields named in INTEGRAL hold integers. Columns are read-only views,
-    so the time order a Run relies on cannot change underneath it.
+    so an order a holder relies on (the time order of a Run's traces)
+    cannot change underneath it.
 
-    As a sequence a trace yields ROW records with built-in Python
+    As a sequence a table yields ROW records with built-in Python
     values (None for an absent field): len, iteration and integer
     indexing give rows, while slices, boolean masks and index arrays
-    give traces.
+    give tables of the same type.
     """
 
     ROW: ClassVar[type]
@@ -132,7 +139,7 @@ class _Trace:
         return vals
 
     def __len__(self) -> int:
-        return len(self.t_s)
+        return len(getattr(self, self.names()[0]))
 
     def __iter__(self):
         return map(self.ROW._make, zip(*map(self.values, self.names())))
@@ -352,13 +359,14 @@ def _int_cell(cell: str) -> float:
 
 
 def parse_fullstats(lines: Iterable[str], column_map: Mapping[str, str],
-                    meta: RunMetadata, *, stats_period_s: float = 1.0,
-                    rebase_time: bool = True) -> FullstatsParseResult:
+                    meta: RunMetadata, *,
+                    stats_period_s: float = 1.0) -> FullstatsParseResult:
     """Parse a delimited fullstats table into scheduler snapshots.
 
     column_map maps canonical field names (FULLSTATS_FIELDS) to header
     names in the incoming file. Without a mapped t_s column, row index
-    times stats_period_s is used as the snapshot time. Rows with values
+    times stats_period_s is used as the snapshot time; a mapped t_s is
+    rebased so the earliest kept snapshot lies at 0. Rows with values
     outside the documented domains are skipped and counted.
     """
     for name in _REQUIRED_FIELDS:
@@ -410,7 +418,7 @@ def parse_fullstats(lines: Iterable[str], column_map: Mapping[str, str],
         raise EmptyTraceError("no usable fullstats rows parsed")
 
     snaps = SchedulerTrace(**{name: col[keep] for name, col in cols.items()})
-    if "t_s" in column_map and rebase_time:
+    if "t_s" in column_map:
         snaps = replace(snaps, t_s=snaps.t_s - snaps.t_s.min())
     return FullstatsParseResult(
         snapshots=snaps[np.lexsort((snaps.rnti, snaps.t_s))],

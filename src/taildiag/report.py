@@ -18,14 +18,13 @@ from typing import Sequence
 
 import numpy as np
 
-from . import stats
+from . import canon, stats
 from .flags import CouplingReport, DegradationFlag, PhaseComparison
 from .ingest import RunMetadata, SchedulerTrace
 from .stats import KsResult, LatencySummary
-from .windows import JoinedWindow
+from .windows import WindowTable
 
-WINDOWS_HEADER = ("start_s,lat_n,lat_p95_ms,lat_median_ms,lat_exceed_100ms,"
-                  "sched_n,bler_mean,bler_p95,mcs_median,snr_median_db")
+WINDOWS_HEADER = ",".join(WindowTable.names())
 FLAGS_HEADER = "start_s,raised,lat_evidence,sched_evidence,lat_p95_ms,bler_mean"
 
 
@@ -111,18 +110,8 @@ def compare_table(packet_size_b: int, ks: KsResult,
     return header + "\n" + row + "\n"
 
 
-def windows_table(joined: Sequence[JoinedWindow]) -> str:
-    lines = [WINDOWS_HEADER]
-    for w in joined:
-        lat, sched = w.latency, w.sched
-        lines.append(",".join([
-            repr(w.start_s), str(lat.n), repr(lat.p95_ms), repr(lat.median_ms),
-            repr(lat.exceed_100ms), str(sched.n), repr(sched.bler_mean),
-            repr(sched.bler_p95),
-            "" if sched.mcs_median is None else repr(sched.mcs_median),
-            "" if sched.snr_median_db is None else repr(sched.snr_median_db),
-        ]))
-    return "\n".join(lines) + "\n"
+def windows_table(windows: WindowTable) -> str:
+    return canon.table_text(windows)
 
 
 def flags_table(flags: Sequence[DegradationFlag]) -> str:

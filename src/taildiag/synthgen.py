@@ -67,6 +67,8 @@ _SNR_DIP_DB = 6.0
 _DL_TOTAL = 50
 MCS_MIN = 0
 MCS_MAX = 28
+MCS_INIT = 9
+K_RECOVER = 3   # snapshots below 0.05 BLER before MCS steps up
 
 # Stream indices for the per-purpose Philox substreams; per-event
 # streams start at _EVENT_STREAM_BASE + triggering sample index.
@@ -115,7 +117,6 @@ class ScenarioSpec:
     stats_period_s: float = 1.0
     rnti: int = 17
     snr_base_db: float = 30.0
-    quantize_bler: bool = False
 
     def __post_init__(self):
         if self.scenario not in _SCENARIOS:
@@ -214,21 +215,19 @@ def gen_latency_trace(spec: ScenarioSpec) -> tuple[LatencyTrace, GroundTruth]:
     return LatencyTrace(seq * spec.ping_interval_s, seq, base + elevation), truth
 
 
-def gen_sched_trace(spec: ScenarioSpec, truth: GroundTruth, *,
-                    mcs_init: int = 9, k_recover: int = 3) -> SchedulerTrace:
+def gen_sched_trace(spec: ScenarioSpec, truth: GroundTruth) -> SchedulerTrace:
     """Scheduler snapshots coupled to the latency trace through `truth`.
 
     Must be called with the GroundTruth from gen_latency_trace on the
-    same spec; fills truth.excursion_times_s as a side effect. MCS drops
-    one step after any snapshot with BLER above 0.10 and rises one step
-    after k_recover consecutive snapshots below 0.05.
+    same spec; fills truth.excursion_times_s as a side effect. MCS
+    starts at MCS_INIT, drops one step after any snapshot with BLER
+    above 0.10 and rises one step after K_RECOVER consecutive snapshots
+    below 0.05.
     """
     events = _stall_events(spec)
     expect_stalls = {ev.start_s + ev.duration_s / 2.0 for ev in events}
     if truth.stall_times_s != expect_stalls:
         raise InvalidSpecError("ground truth does not match this spec's stalls")
-    if not MCS_MIN <= mcs_init <= MCS_MAX or k_recover < 1:
-        raise InvalidSpecError("bad adaptation constants")
 
     n = _grid_count(spec.duration_s, spec.stats_period_s)
     if n == 0:
@@ -252,12 +251,10 @@ def gen_sched_trace(spec: ScenarioSpec, truth: GroundTruth, *,
     active = lift > 0.0
     bler = np.full(n, float(spec.bler_baseline))
     bler[active] = np.clip(spec.bler_baseline + lift[active], 0.0, 1.0)
-    if spec.quantize_bler:
-        bler = np.round(bler * 10.0) / 10.0
     truth.excursion_times_s = {float(t) for t in times[active]}
 
     mcs = np.empty(n, dtype=int)
-    mcs[0] = mcs_init
+    mcs[0] = MCS_INIT
     streak = 0
     for k in range(1, n):
         prev = bler[k - 1]
@@ -267,7 +264,7 @@ def gen_sched_trace(spec: ScenarioSpec, truth: GroundTruth, *,
             step = -1
         elif prev < 0.05:
             streak += 1
-            if streak >= k_recover:
+            if streak >= K_RECOVER:
                 streak = 0
                 step = 1
         else:

@@ -2,8 +2,9 @@
 
 Window membership is half-open [start, end) so boundary samples are
 never double counted across tiled windows. Both layers are aggregated
-column-wise over the whole grid at once; a window with too few samples
-on either side is left out of the join (insufficient data is not an
+column-wise over the whole grid at once, into one WindowTable whose
+columns are those of the windows CSV; a window with too few samples on
+either side is left out of the join (insufficient data is not an
 error).
 """
 
@@ -12,18 +13,27 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
 from . import stats
-from .errors import InvalidSpecError, RunTooShortError, SplitOutOfRangeError
-from .ingest import Run
+from .errors import (
+    InvalidSpecError,
+    RunTooShortError,
+    SplitOutOfRangeError,
+    check_fields,
+)
+from .ingest import Run, _Trace
 
 log = logging.getLogger(__name__)
 
 # Tolerance used when a duration is an exact multiple of the stride, so
 # float dust cannot drop the last window.
 _GRID_EPS = 1e-9
+
+# Labels of the phases before and after a split.
+PHASE_LABELS = ("LOS", "People")
 
 
 @dataclass(frozen=True)
@@ -34,6 +44,7 @@ class WindowSpec:
     min_sched_samples: int = 1
 
     def __post_init__(self):
+        check_fields(self)
         if self.width_s <= 0 or self.stride_s <= 0:
             raise InvalidSpecError("window width and stride must be positive")
         if self.stride_s > self.width_s:
@@ -43,32 +54,40 @@ class WindowSpec:
             raise InvalidSpecError("minimum sample counts must be >= 1")
 
 
-@dataclass(frozen=True)
-class LatencyWindow:
-    start_s: float
-    end_s: float
-    n: int
-    p95_ms: float
-    median_ms: float
-    exceed_100ms: float
+class JoinedWindow(NamedTuple):
+    """One row of a WindowTable; None marks an absent median."""
 
-
-@dataclass(frozen=True)
-class SchedWindow:
     start_s: float
-    end_s: float
-    n: int
+    lat_n: int
+    lat_p95_ms: float
+    lat_median_ms: float
+    lat_exceed_100ms: float
+    sched_n: int
     bler_mean: float
     bler_p95: float
     mcs_median: float | None
     snr_median_db: float | None
 
 
-@dataclass(frozen=True)
-class JoinedWindow:
-    start_s: float
-    latency: LatencyWindow
-    sched: SchedWindow
+@dataclass(frozen=True, eq=False)
+class WindowTable(_Trace):
+    """The joined windows of a run, one column per aggregate, in start
+    order; the columns are those of the windows CSV. An MCS or SNR
+    median is NaN where no snapshot of the window carries the field."""
+
+    start_s: np.ndarray
+    lat_n: np.ndarray
+    lat_p95_ms: np.ndarray
+    lat_median_ms: np.ndarray
+    lat_exceed_100ms: np.ndarray
+    sched_n: np.ndarray
+    bler_mean: np.ndarray
+    bler_p95: np.ndarray
+    mcs_median: np.ndarray
+    snr_median_db: np.ndarray
+
+    ROW: ClassVar[type] = JoinedWindow
+    INTEGRAL: ClassVar[tuple[str, ...]] = ("lat_n", "sched_n")
 
 
 def make_windows(run_duration_s: float, spec: WindowSpec) -> list[tuple[float, float]]:
@@ -108,27 +127,26 @@ def _means(lo: np.ndarray, n: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _medians(lo: np.ndarray, n: np.ndarray, values: np.ndarray) -> list[float | None]:
-    """Per-window median over the present (non-NaN) values; None where
+def _medians(lo: np.ndarray, n: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per-window median over the present (non-NaN) values; NaN where
     a window has none."""
     ordered, starts = _segments(lo, n, values)
     present = np.concatenate(([0], np.cumsum(~np.isnan(ordered))))
     k = present[starts + n] - present[starts]
     med = stats.segment_percentiles(ordered, starts, np.maximum(k, 1), 0.5)
-    return [m if c else None for m, c in zip(med.tolist(), k.tolist())]
+    return np.where(k > 0, med, np.nan)
 
 
-def build_joined_windows(run: Run, spec: WindowSpec) -> list[JoinedWindow]:
+def build_joined_windows(run: Run, spec: WindowSpec) -> WindowTable:
     """Aggregate both layers over every grid window and keep the windows
     with at least spec.min_latency_samples latency samples and
     spec.min_sched_samples scheduler snapshots, in start order.
 
     Scheduler mcs/snr medians are taken over the snapshots where the
-    field is present, None if it is absent everywhere in the window.
+    field is present, NaN if it is absent everywhere in the window.
     Reads the run's time-sorted columns as they are.
     """
-    grid = make_windows(run_duration(run), spec)
-    bounds = np.array(grid, dtype=float).reshape(-1, 2)
+    bounds = np.array(make_windows(run_duration(run), spec), dtype=float).reshape(-1, 2)
     lat_t, rtt = run.latency.t_s, run.latency.rtt_ms
     sched = run.scheduler
     sched_t, bler, mcs, snr = sched.t_s, sched.dl_bler, sched.dl_mcs, sched.snr_db
@@ -143,26 +161,17 @@ def build_joined_windows(run: Run, spec: WindowSpec) -> list[JoinedWindow]:
     rtt_sorted, lat_starts = _segments(lat_lo, lat_n, rtt)
     bler_sorted, sched_starts = _segments(sched_lo, sched_n, bler)
     over = np.concatenate(([0], np.cumsum(rtt > stats.EXCEED_FAST_MS)))
-    exceed = (over[lat_hi] - over[lat_lo]) / lat_n
-    columns = zip(
-        keep.tolist(), lat_n.tolist(),
-        stats.segment_percentiles(rtt_sorted, lat_starts, lat_n, 0.95).tolist(),
-        stats.segment_percentiles(rtt_sorted, lat_starts, lat_n, 0.5).tolist(),
-        exceed.tolist(), sched_n.tolist(),
-        _means(sched_lo, sched_n, bler).tolist(),
-        stats.segment_percentiles(bler_sorted, sched_starts, sched_n, 0.95).tolist(),
-        _medians(sched_lo, sched_n, mcs), _medians(sched_lo, sched_n, snr))
-    joined = []
-    for k, ln, p95, med, exc, sn, bmean, bp95, mcs_med, snr_med in columns:
-        start, end = grid[k]
-        joined.append(JoinedWindow(
-            start_s=start,
-            latency=LatencyWindow(start_s=start, end_s=end, n=ln, p95_ms=p95,
-                                  median_ms=med, exceed_100ms=exc),
-            sched=SchedWindow(start_s=start, end_s=end, n=sn, bler_mean=bmean,
-                              bler_p95=bp95, mcs_median=mcs_med,
-                              snr_median_db=snr_med)))
-    return joined
+    return WindowTable(
+        start_s=bounds[keep, 0],
+        lat_n=lat_n,
+        lat_p95_ms=stats.segment_percentiles(rtt_sorted, lat_starts, lat_n, 0.95),
+        lat_median_ms=stats.segment_percentiles(rtt_sorted, lat_starts, lat_n, 0.5),
+        lat_exceed_100ms=(over[lat_hi] - over[lat_lo]) / lat_n,
+        sched_n=sched_n,
+        bler_mean=_means(sched_lo, sched_n, bler),
+        bler_p95=stats.segment_percentiles(bler_sorted, sched_starts, sched_n, 0.95),
+        mcs_median=_medians(sched_lo, sched_n, mcs),
+        snr_median_db=_medians(sched_lo, sched_n, snr))
 
 
 def run_duration(run: Run) -> float:
@@ -175,8 +184,7 @@ def run_duration(run: Run) -> float:
     return last
 
 
-def split_phases(run: Run, split_s: float | None = None,
-                 labels: tuple[str, str] = ("LOS", "People")) -> tuple[Run, Run]:
+def split_phases(run: Run, split_s: float | None = None) -> tuple[Run, Run]:
     """Partition a run at split_s (default: half the nominal duration)
     into two phase-labeled subruns: t_s < split vs t_s >= split."""
     if split_s is None:
@@ -188,11 +196,11 @@ def split_phases(run: Run, split_s: float | None = None,
     sched_k = int(np.searchsorted(run.scheduler.t_s, split_s))
     lat_a, lat_b = run.latency[:lat_k], run.latency[lat_k:]
     sched_a, sched_b = run.scheduler[:sched_k], run.scheduler[sched_k:]
-    for label, lat in ((labels[0], lat_a), (labels[1], lat_b)):
+    for label, lat in zip(PHASE_LABELS, (lat_a, lat_b)):
         if not len(lat):
             log.warning("phase %r of run %s has no latency samples",
                         label, run.meta.run_id)
-    meta_a = replace(run.meta, phase=labels[0])
-    meta_b = replace(run.meta, phase=labels[1])
+    meta_a = replace(run.meta, phase=PHASE_LABELS[0])
+    meta_b = replace(run.meta, phase=PHASE_LABELS[1])
     return (Run(meta=meta_a, latency=lat_a, scheduler=sched_a),
             Run(meta=meta_b, latency=lat_b, scheduler=sched_b))

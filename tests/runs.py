@@ -1,20 +1,26 @@
-"""Traces and runs from record rows, for tests that state their inputs
-as LatencySample / SchedulerSnapshot records.
+"""Traces, window tables and runs from record rows, for tests that
+state their inputs as LatencySample / SchedulerSnapshot / JoinedWindow
+records.
 
-The library holds a run as column traces; this is the one place where
-test rows become columns. Absent optional fields (None) become NaN.
+The library holds runs and windows as column tables; this is the one
+place where test rows become columns. Absent optional fields (None)
+become NaN.
 """
 
 from taildiag.ingest import LatencyTrace, SchedulerTrace, consolidate_run
 
 
+def table(cls, rows):
+    """The `cls` table (a trace or WindowTable) holding `rows`."""
+    return cls(*([getattr(r, f) for r in rows] for f in cls.names()))
+
+
 def latency_trace(samples):
-    return LatencyTrace(*([getattr(s, f) for s in samples] for f in LatencyTrace.names()))
+    return table(LatencyTrace, samples)
 
 
 def sched_trace(snapshots):
-    return SchedulerTrace(*([getattr(s, f) for s in snapshots]
-                            for f in SchedulerTrace.names()))
+    return table(SchedulerTrace, snapshots)
 
 
 def make_run(meta, samples, snapshots):

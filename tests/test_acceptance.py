@@ -158,7 +158,7 @@ def test_criterion_06_window_count_closed_form_and_conservation():
             for i, t in enumerate(times)]
         joined = windows.build_joined_windows(
             make_run(meta, samples, dense_sched), spec)
-        by_start = {j.start_s: j.latency for j in joined}
+        by_start = {j.start_s: j for j in joined}
         total_got = total_ref = 0
         for start, end in windows.make_windows(100.0, spec):
             members = [samples[i] for i in
@@ -168,10 +168,10 @@ def test_criterion_06_window_count_closed_form_and_conservation():
                 assert got is None
                 continue
             rtts = [s.rtt_ms for s in members]
-            assert got.n == len(members)
-            assert abs(got.p95_ms - percentile_ref(rtts, 0.95)) <= 1e-12
-            assert abs(got.median_ms - percentile_ref(rtts, 0.5)) <= 1e-12
-            total_got += got.n
+            assert got.lat_n == len(members)
+            assert abs(got.lat_p95_ms - percentile_ref(rtts, 0.95)) <= 1e-12
+            assert abs(got.lat_median_ms - percentile_ref(rtts, 0.5)) <= 1e-12
+            total_got += got.lat_n
             total_ref += len(members)
         assert total_got == total_ref
     _verdict(6, checked >= 100,

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import math
 
 import pytest
 
@@ -408,3 +409,63 @@ def test_malformed_canonical_row_exits_1_naming_file_and_line(
     assert f"error: {lat}:4: {reason}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "bad_summary.csv").exists()
+
+
+# A bad config value or CLI override, the subcommand run with it, and
+# the key the error must name. "run" patches the first run entry; any
+# other section is merged into (runs: replaced in) the config.
+BAD_INPUTS = {
+    "outlier_ms_text": ({"thresholds": {"outlier_ms": "high"}}, [], "summarize", "outlier_ms"),
+    "ping_interval_text": ({"run": {"ping_interval_s": "fast"}}, [], "summarize",
+                           "ping_interval_s"),
+    "exceed_infinite": ({"thresholds": {"exceed_ms": [math.inf]}}, [], "summarize",
+                        "exceed_ms"),
+    "exceed_nan": ({"thresholds": {"exceed_ms": [math.nan]}}, [], "summarize", "exceed_ms"),
+    "exceed_scalar": ({"thresholds": {"exceed_ms": 100}}, [], "summarize", "exceed_ms"),
+    "exceed_empty": ({"thresholds": {"exceed_ms": []}}, [], "phases", "exceed_ms"),
+    "width_nan": ({"window": {"width_s": math.nan}}, [], "windows", "width_s"),
+    "width_flag_nan": ({}, ["--window-width-s", "nan"], "windows", "width_s"),
+    "runs_object": ({"runs": {"a": 1}}, [], "summarize", "runs"),
+    "runs_number": ({"runs": [5]}, [], "summarize", "runs[0]"),
+    "latency_file_number": ({"run": {"latency_file": 5}}, [], "summarize", "latency_file"),
+    "lat_threshold_nan": ({"policy": {"lat_p95_threshold_ms": math.nan}}, [], "flags",
+                          "lat_p95_threshold_ms"),
+    "lat_threshold_flag_nan": ({}, ["--lat-threshold-ms", "nan"], "flags",
+                               "lat_p95_threshold_ms"),
+    "sched_offset_nan": ({"run": {"sched_offset_s": math.nan}}, [], "windows",
+                         "sched_offset_s"),
+    "distance_nan": ({"run": {"distance_m": math.nan}}, [], "summarize", "distance_m"),
+    "packet_size_fraction": ({"run": {"packet_size_b": 30.7}}, [], "summarize",
+                             "packet_size_b"),
+    "ping_interval_infinite": ({"run": {"ping_interval_s": math.inf}}, [], "summarize",
+                               "ping_interval_s"),
+    "min_latency_fraction": ({"window": {"min_latency_samples": 2.5}}, [], "windows",
+                             "min_latency_samples"),
+    "min_sched_bool": ({"window": {"min_sched_samples": True}}, [], "windows",
+                       "min_sched_samples"),
+}
+
+
+@pytest.mark.parametrize("patch, args, command, key", BAD_INPUTS.values(),
+                         ids=BAD_INPUTS.keys())
+def test_bad_config_or_cli_value_exits_1_naming_the_key(
+        campaign, tmp_path, capsys, patch, args, command, key):
+    config = json.loads((campaign / "campaign_config.json").read_text())
+    run = config["runs"][0]
+    for name in ("latency_file", "scheduler_file", "truth_file"):
+        run[name] = str(campaign / run[name])
+    config["output_dir"] = str(tmp_path / "out")
+    for section, values in patch.items():
+        if section == "run":
+            run.update(values)
+        elif section == "runs":
+            config["runs"] = values
+        else:
+            config.setdefault(section, {}).update(values)
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(config))   # NaN and Infinity as JS literals
+    assert main([command, "--config", str(cfg_path), "coupled", *args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert key in err
+    assert not (tmp_path / "out").exists()

@@ -18,22 +18,24 @@ from taildiag.flags import (
     PhaseComparison,
     compare_phases,
     coupling_report,
-    evaluate_flag,
     evaluate_flags,
     flag_rate,
 )
-from runs import make_run
+from runs import make_run, table
 from taildiag.ingest import LatencySample, RunMetadata, SchedulerSnapshot
-from taildiag.windows import JoinedWindow, LatencyWindow, SchedWindow
+from taildiag.windows import JoinedWindow, WindowTable
 
 
 def joined(start=0.0, p95=15.0, bler=0.0, mcs=9.0):
-    lw = LatencyWindow(start_s=start, end_s=start + 10.0, n=50,
-                       p95_ms=p95, median_ms=p95 * 0.6, exceed_100ms=0.0)
-    sw = SchedWindow(start_s=start, end_s=start + 10.0, n=10,
-                     bler_mean=bler, bler_p95=bler, mcs_median=mcs,
-                     snr_median_db=30.0)
-    return JoinedWindow(start_s=start, latency=lw, sched=sw)
+    return JoinedWindow(start_s=start, lat_n=50, lat_p95_ms=p95,
+                        lat_median_ms=p95 * 0.6, lat_exceed_100ms=0.0,
+                        sched_n=10, bler_mean=bler, bler_p95=bler,
+                        mcs_median=mcs, snr_median_db=30.0)
+
+
+def evaluate_one(window, policy):
+    [flag] = evaluate_flags(table(WindowTable, [window]), policy)
+    return flag
 
 
 def run_of(samples, snapshots, duration=60.0):
@@ -58,30 +60,30 @@ def test_policy_validation():
 # ------------------------------------------------------------------ flags
 
 def test_flag_both_below_not_raised():
-    f = evaluate_flag(joined(p95=15.0, bler=0.0), FlagPolicy())
+    f = evaluate_one(joined(p95=15.0, bler=0.0), FlagPolicy())
     assert not f.raised and not f.lat_evidence and not f.sched_evidence
 
 
 def test_flag_both_above_raised():
-    f = evaluate_flag(joined(p95=250.0, bler=0.3), FlagPolicy())
+    f = evaluate_one(joined(p95=250.0, bler=0.3), FlagPolicy())
     assert f.raised and f.lat_evidence and f.sched_evidence
     assert f.lat_p95_ms == 250.0 and f.bler_mean == 0.3
 
 
 def test_flag_latency_only_not_raised_under_and():
-    f = evaluate_flag(joined(p95=250.0, bler=0.0), FlagPolicy())
+    f = evaluate_one(joined(p95=250.0, bler=0.0), FlagPolicy())
     assert f.lat_evidence and not f.sched_evidence and not f.raised
 
 
 def test_flag_or_policy():
     policy = FlagPolicy(combine="OR")
-    assert evaluate_flag(joined(p95=250.0, bler=0.0), policy).raised
-    assert evaluate_flag(joined(p95=15.0, bler=0.3), policy).raised
-    assert not evaluate_flag(joined(p95=15.0, bler=0.0), policy).raised
+    assert evaluate_one(joined(p95=250.0, bler=0.0), policy).raised
+    assert evaluate_one(joined(p95=15.0, bler=0.3), policy).raised
+    assert not evaluate_one(joined(p95=15.0, bler=0.0), policy).raised
 
 
 def test_flag_thresholds_are_strict():
-    f = evaluate_flag(joined(p95=100.0, bler=0.10), FlagPolicy())
+    f = evaluate_one(joined(p95=100.0, bler=0.10), FlagPolicy())
     assert not f.lat_evidence and not f.sched_evidence
 
 
@@ -90,8 +92,8 @@ def test_flag_thresholds_are_strict():
        st.floats(10.0, 400.0), st.floats(0.01, 0.9),
        st.sampled_from(["AND", "OR"]))
 def test_flag_monotone_in_thresholds(pairs, lat_thr, bler_thr, combine):
-    windows = [joined(start=5.0 * i, p95=p, bler=b)
-               for i, (p, b) in enumerate(pairs)]
+    windows = table(WindowTable, [joined(start=5.0 * i, p95=p, bler=b)
+                                  for i, (p, b) in enumerate(pairs)])
     base = FlagPolicy(lat_p95_threshold_ms=lat_thr,
                       bler_mean_threshold=bler_thr, combine=combine)
     raised = sum(f.raised for f in evaluate_flags(windows, base))
@@ -105,9 +107,9 @@ def test_flag_monotone_in_thresholds(pairs, lat_thr, bler_thr, combine):
 
 def test_and_needs_both_sides():
     windows = [joined(start=5.0 * i, p95=500.0, bler=0.05) for i in range(10)]
-    assert flag_rate(evaluate_flags(windows, FlagPolicy())) == 0.0
+    assert flag_rate(evaluate_flags(table(WindowTable, windows), FlagPolicy())) == 0.0
     windows = [joined(start=5.0 * i, p95=8.0, bler=0.8) for i in range(10)]
-    assert flag_rate(evaluate_flags(windows, FlagPolicy())) == 0.0
+    assert flag_rate(evaluate_flags(table(WindowTable, windows), FlagPolicy())) == 0.0
 
 
 # -------------------------------------------------------------- flag rate
@@ -191,10 +193,9 @@ def test_compare_phases_one_stall_in_4500():
     assert first.bler_p95 is None and second.bler_p95 is None
 
 
-def test_compare_phases_custom_labels_and_threshold():
-    a, b = compare_phases(_phase_run(), 30.0, labels=("q", "h"),
-                          exceed_threshold_ms=200.0)
-    assert (a.phase_label, b.phase_label) == ("q", "h")
+def test_compare_phases_custom_threshold():
+    a, b = compare_phases(_phase_run(), 30.0, exceed_threshold_ms=200.0)
+    assert (a.phase_label, b.phase_label) == ("LOS", "People")
     assert b.exceed_100ms == pytest.approx(15 / 150)  # 300 ms spikes still count
 
 
@@ -211,7 +212,7 @@ def test_compare_phases_empty_phase_raises():
 
 def test_coupling_constant_bler_undefined():
     windows = [joined(start=5.0 * i, p95=10.0 + i, bler=0.05) for i in range(8)]
-    rep = coupling_report(windows)
+    rep = coupling_report(table(WindowTable, windows))
     assert rep.rho_bler is None
     assert rep.n_windows == 8
 
@@ -220,7 +221,7 @@ def test_coupling_perfectly_coupled():
     windows = [joined(start=5.0 * i, p95=10.0 + 30.0 * (i % 3 == 0),
                       bler=0.05 + 0.4 * (i % 3 == 0), mcs=9.0)
                for i in range(12)]
-    rep = coupling_report(windows)
+    rep = coupling_report(table(WindowTable, windows))
     assert rep.rho_bler == pytest.approx(1.0)
     assert rep.rho_mcs is None  # constant MCS ranks
     assert rep.n_windows == 12
@@ -230,15 +231,15 @@ def test_coupling_mcs_absent_anywhere_is_undefined():
     windows = [joined(start=0.0, p95=10.0, bler=0.01, mcs=9.0),
                joined(start=5.0, p95=20.0, bler=0.02, mcs=None),
                joined(start=10.0, p95=30.0, bler=0.03, mcs=11.0)]
-    rep = coupling_report(windows)
+    rep = coupling_report(table(WindowTable, windows))
     assert rep.rho_mcs is None
     assert rep.rho_bler == pytest.approx(1.0)
 
 
 def test_coupling_single_window_and_empty():
-    assert coupling_report([joined()]) == CouplingReport(None, None, 1)
+    assert coupling_report(table(WindowTable, [joined()])) == CouplingReport(None, None, 1)
     with pytest.raises(EmptySequenceError):
-        coupling_report([])
+        coupling_report(table(WindowTable, []))
 
 
 @settings(max_examples=60)
@@ -248,10 +249,10 @@ def test_coupling_single_window_and_empty():
 def test_coupling_matches_rank_oracle(rows):
     windows = [joined(start=5.0 * i, p95=p, bler=b, mcs=float(m))
                for i, (p, b, m) in enumerate(rows)]
-    rep = coupling_report(windows)
-    p95 = [w.latency.p95_ms for w in windows]
-    expect_bler = spearman_ref(p95, [w.sched.bler_mean for w in windows])
-    expect_mcs = spearman_ref(p95, [w.sched.mcs_median for w in windows])
+    rep = coupling_report(table(WindowTable, windows))
+    p95 = [w.lat_p95_ms for w in windows]
+    expect_bler = spearman_ref(p95, [w.bler_mean for w in windows])
+    expect_mcs = spearman_ref(p95, [w.mcs_median for w in windows])
     if expect_bler is None:
         assert rep.rho_bler is None
     else:

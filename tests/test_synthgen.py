@@ -221,14 +221,6 @@ def test_excursion_values_lift_bler_above_half():
             assert s.dl_bler == 0.05
 
 
-def test_quantize_bler_snaps_to_tenths():
-    spec = modem_spec(seed=13, bler_excursion_prob=0.2, quantize_bler=True)
-    _, truth = gen_latency_trace(spec)
-    snaps = gen_sched_trace(spec, truth)
-    for s in snaps:
-        assert s.dl_bler == pytest.approx(round(s.dl_bler * 10) / 10, abs=1e-12)
-
-
 def test_sched_rejects_foreign_truth():
     spec = modem_spec(seed=11)
     with pytest.raises(InvalidSpecError):
