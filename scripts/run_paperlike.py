@@ -5,19 +5,24 @@ Produces, under the chosen output directory: canonical traces plus
 ground truth for four runs, then per-run summary, windows, flags and
 phase tables, and the smartphone-vs-modem comparison. Rerunning is
 byte-identical by construction.
+
+Each step prints the `taildiag` command line it stands for and then
+what that command prints. The analysis steps share one cli.Analysis,
+so each run is loaded and windowed once.
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from taildiag.cli import main as cli
+from taildiag import cli
+from taildiag.config import load_config
 
 
-def step(argv: list[str]) -> None:
+def step(argv: list[str], render, *args) -> None:
+    """Print `$ taildiag argv`, then render(*args) as that command."""
     print(f"$ taildiag {' '.join(argv)}")
-    rc = cli(argv)
+    rc = cli.guarded(render, *args)
     if rc != 0:
         sys.exit(rc)
     print()
@@ -35,18 +40,21 @@ def main() -> None:
     synth = ["synth", "paperlike", "--output-dir", str(out)]
     if args.seed is not None:
         synth += ["--seed", str(args.seed)]
-    step(synth)
+    step(synth, cli.main, synth)
 
     cfg_path = out / "campaign_config.json"
-    run_ids = [r["run_id"] for r in json.loads(cfg_path.read_text())["runs"]]
-    cfg = ["--config", str(cfg_path), "--output-dir", str(out)]
+    an = cli.Analysis(load_config(cfg_path))
+    opts = ["--config", str(cfg_path), "--output-dir", str(out)]
+    run_ids = [r.run_id for r in an.cfg.runs]
     for run_id in run_ids:
-        step(["summarize", *cfg, run_id])
-    step(["compare", *cfg, "baseline", "baseline_modem"])
+        step(["summarize", *opts, run_id], cli.cmd_summarize, an, out, run_id)
+    pair = ("baseline", "baseline_modem")
+    step(["compare", *opts, *pair], cli.cmd_compare, an, out, *pair)
     for run_id in run_ids:
-        step(["windows", *cfg, run_id])
-        step(["flags", *cfg, run_id])
-    step(["phases", *cfg, "dynamic_people"])
+        step(["windows", *opts, run_id], cli.cmd_windows, an, out, run_id)
+        step(["flags", *opts, run_id], cli.cmd_flags, an, out, run_id)
+    step(["phases", *opts, "dynamic_people"], cli.cmd_phases, an, out,
+         "dynamic_people", None)
     print(f"all outputs under {out}/")
 
 

@@ -1,5 +1,10 @@
 """Command-line driver: batch pipeline over a declarative JSON config.
 
+One Analysis holds the campaign config and the runs and window tables
+computed from it; each run is loaded, and windowed, at most once for
+the life of the object. The cmd_* functions are thin renderers over an
+Analysis, and `main` builds one per invocation.
+
 Data goes to files in the output directory (written atomically),
 warnings go to stderr, stdout carries short human-readable summaries.
 Exit status is 0 exactly when every requested output file was written.
@@ -10,6 +15,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from collections.abc import Callable
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,7 +34,7 @@ from .flags import (
     flag_rate,
 )
 from .ingest import Run, consolidate_run, parse_fullstats, parse_ping_log
-from .windows import build_joined_windows
+from .windows import WindowTable, build_joined_windows
 
 log = logging.getLogger(__name__)
 
@@ -64,33 +70,55 @@ def load_run(cfg: CampaignConfig, rc: RunConfig) -> Run:
                            sched_offset_s=rc.sched_offset_s)
 
 
-def cmd_ingest(cfg: CampaignConfig, out_dir: Path, run_ids: list[str]) -> int:
+class Analysis:
+    """A campaign config and what is computed from it: each run through
+    `load_run`, and its window table through `build_joined_windows` with
+    the config's window spec, each at most once for the life of the
+    object."""
+
+    def __init__(self, cfg: CampaignConfig) -> None:
+        self.cfg = cfg
+        self._runs: dict[str, Run] = {}
+        self._windows: dict[str, WindowTable] = {}
+
+    def run(self, run_id: str) -> Run:
+        if run_id not in self._runs:
+            self._runs[run_id] = load_run(self.cfg, self.cfg.run(run_id))
+        return self._runs[run_id]
+
+    def windows(self, run_id: str) -> WindowTable:
+        if run_id not in self._windows:
+            self._windows[run_id] = build_joined_windows(self.run(run_id),
+                                                         self.cfg.window)
+        return self._windows[run_id]
+
+
+def cmd_ingest(an: Analysis, out_dir: Path, run_ids: list[str]) -> int:
     """Normalize the named runs (default: every run with a raw source)
-    into canonical files plus a manifest under the output directory."""
-    if run_ids:
-        targets = [cfg.run(r) for r in run_ids]
-    else:
-        targets = [r for r in cfg.runs if r.ping_log or r.fullstats]
+    into canonical files plus a manifest under the output directory.
+    Every target is loaded before any file is written, so a bad source
+    leaves no output behind."""
+    targets = run_ids or [r.run_id for r in an.cfg.runs if r.ping_log or r.fullstats]
     if not targets:
         print("nothing to ingest: no runs with raw sources in config")
         return 0
-    for rc in targets:
-        run = load_run(cfg, rc)
-        files = {"latency_file": f"{rc.run_id}_latency.csv"}
+    runs = [an.run(run_id) for run_id in targets]
+    for run_id, run in zip(targets, runs):
+        files = {"latency_file": f"{run_id}_latency.csv"}
         canon.write_latency_csv(out_dir / files["latency_file"], run.latency)
         if len(run.scheduler):
-            files["scheduler_file"] = f"{rc.run_id}_sched.csv"
+            files["scheduler_file"] = f"{run_id}_sched.csv"
             canon.write_scheduler_csv(out_dir / files["scheduler_file"],
                                       run.scheduler)
-        manifest = out_dir / f"{rc.run_id}.manifest"
+        manifest = out_dir / f"{run_id}.manifest"
         canon.write_manifest(manifest, run.meta, files)
-        print(f"{rc.run_id}: {len(run.latency)} latency samples, "
+        print(f"{run_id}: {len(run.latency)} latency samples, "
               f"{len(run.scheduler)} scheduler snapshots -> {manifest}")
     return 0
 
 
-def cmd_summarize(cfg: CampaignConfig, out_dir: Path, run_id: str) -> int:
-    run = load_run(cfg, cfg.run(run_id))
+def cmd_summarize(an: Analysis, out_dir: Path, run_id: str) -> int:
+    cfg, run = an.cfg, an.run(run_id)
     rtts = run.latency.rtt_ms
     summary = stats.summary_stats(rtts, outlier_threshold_ms=cfg.outlier_ms)
     exceed_cols = [(t, stats.exceedance_prob(rtts, t))
@@ -103,10 +131,8 @@ def cmd_summarize(cfg: CampaignConfig, out_dir: Path, run_id: str) -> int:
     return 0
 
 
-def cmd_compare(cfg: CampaignConfig, out_dir: Path,
-                run_a: str, run_b: str) -> int:
-    a = load_run(cfg, cfg.run(run_a))
-    b = load_run(cfg, cfg.run(run_b))
+def cmd_compare(an: Analysis, out_dir: Path, run_a: str, run_b: str) -> int:
+    a, b = an.run(run_a), an.run(run_b)
     if a.meta.packet_size_b != b.meta.packet_size_b:
         log.warning("packet sizes differ: %s has %d B, %s has %d B",
                     run_a, a.meta.packet_size_b, run_b, b.meta.packet_size_b)
@@ -120,9 +146,8 @@ def cmd_compare(cfg: CampaignConfig, out_dir: Path,
     return 0
 
 
-def cmd_windows(cfg: CampaignConfig, out_dir: Path, run_id: str) -> int:
-    run = load_run(cfg, cfg.run(run_id))
-    joined = build_joined_windows(run, cfg.window)
+def cmd_windows(an: Analysis, out_dir: Path, run_id: str) -> int:
+    joined = an.windows(run_id)
     canon.atomic_write_text(out_dir / f"{run_id}_windows.csv",
                             report.windows_table(joined))
     print(f"{run_id}: {len(joined)} joined windows")
@@ -131,25 +156,22 @@ def cmd_windows(cfg: CampaignConfig, out_dir: Path, run_id: str) -> int:
     return 0
 
 
-def cmd_flags(cfg: CampaignConfig, out_dir: Path, run_id: str) -> int:
-    run = load_run(cfg, cfg.run(run_id))
-    joined = build_joined_windows(run, cfg.window)
-    flags = evaluate_flags(joined, cfg.policy)
+def cmd_flags(an: Analysis, out_dir: Path, run_id: str) -> int:
+    flags = evaluate_flags(an.windows(run_id), an.cfg.policy)
     canon.atomic_write_text(out_dir / f"{run_id}_flags.csv",
                             report.flags_table(flags))
+    scenario = an.run(run_id).meta.scenario
     if flags:
-        print(report.flag_rate_line(run.meta.scenario, len(flags),
-                                    flag_rate(flags)))
+        print(report.flag_rate_line(scenario, len(flags), flag_rate(flags)))
     else:
-        print(f"{run.meta.scenario}: 0 joined windows, no flags evaluated")
+        print(f"{scenario}: 0 joined windows, no flags evaluated")
     return 0
 
 
-def cmd_phases(cfg: CampaignConfig, out_dir: Path, run_id: str,
+def cmd_phases(an: Analysis, out_dir: Path, run_id: str,
                split_s: float | None) -> int:
-    run = load_run(cfg, cfg.run(run_id))
-    threshold = cfg.exceed_thresholds_ms[0]
-    rows = compare_phases(run, split_s, exceed_threshold_ms=threshold)
+    threshold = an.cfg.exceed_thresholds_ms[0]
+    rows = compare_phases(an.run(run_id), split_s, exceed_threshold_ms=threshold)
     text = report.phases_table(rows, threshold)
     canon.atomic_write_text(out_dir / f"{run_id}_phases.csv", text)
     print(text, end="")
@@ -238,31 +260,40 @@ def _out_dir(args: argparse.Namespace, cfg: CampaignConfig) -> Path:
     return out
 
 
-def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(stream=sys.stderr, format="%(levelname)s: %(message)s")
-    args = build_parser().parse_args(argv)
+def guarded(render: Callable[..., int], *args) -> int:
+    """render(*args)'s exit status; a ToolkitError or OSError is printed
+    as one `error:` line on stderr and gives exit status 1."""
     try:
-        if args.command == "synth":
-            cfg = _campaign(args, required=False)
-            return cmd_synth(_out_dir(args, cfg), args.preset, args.seed)
-        cfg = _campaign(args)
-        out = _out_dir(args, cfg)
-        if args.command == "ingest":
-            return cmd_ingest(cfg, out, args.run_ids)
-        if args.command == "summarize":
-            return cmd_summarize(cfg, out, args.run_id)
-        if args.command == "compare":
-            return cmd_compare(cfg, out, args.run_a, args.run_b)
-        if args.command == "windows":
-            return cmd_windows(cfg, out, args.run_id)
-        if args.command == "flags":
-            return cmd_flags(cfg, out, args.run_id)
-        if args.command == "phases":
-            return cmd_phases(cfg, out, args.run_id, args.split_s)
-        raise InvalidSpecError(f"unhandled command {args.command!r}")
+        return render(*args)
     except (ToolkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+def _dispatch(args: argparse.Namespace) -> int:
+    if args.command == "synth":
+        cfg = _campaign(args, required=False)
+        return cmd_synth(_out_dir(args, cfg), args.preset, args.seed)
+    an = Analysis(_campaign(args))
+    out = _out_dir(args, an.cfg)
+    if args.command == "ingest":
+        return cmd_ingest(an, out, args.run_ids)
+    if args.command == "summarize":
+        return cmd_summarize(an, out, args.run_id)
+    if args.command == "compare":
+        return cmd_compare(an, out, args.run_a, args.run_b)
+    if args.command == "windows":
+        return cmd_windows(an, out, args.run_id)
+    if args.command == "flags":
+        return cmd_flags(an, out, args.run_id)
+    if args.command == "phases":
+        return cmd_phases(an, out, args.run_id, args.split_s)
+    raise InvalidSpecError(f"unhandled command {args.command!r}")
+
+
+def main(argv: list[str] | None = None) -> int:
+    logging.basicConfig(stream=sys.stderr, format="%(levelname)s: %(message)s")
+    return guarded(_dispatch, build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

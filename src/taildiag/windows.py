@@ -35,6 +35,14 @@ _GRID_EPS = 1e-9
 # Labels of the phases before and after a split.
 PHASE_LABELS = ("LOS", "People")
 
+# Largest window grid, and largest total of samples over the joined
+# windows (both layers), that a window spec may ask for. The kernel
+# holds about 30 B per member and make_windows about 110 B per window,
+# so these keep one window build under about 700 MB; a tiny stride
+# fails cleanly here instead of exhausting memory.
+MAX_WINDOWS = 1_000_000
+MAX_MEMBERS = 20_000_000
+
 
 @dataclass(frozen=True)
 class WindowSpec:
@@ -92,11 +100,17 @@ class WindowTable(_Trace):
 
 def make_windows(run_duration_s: float, spec: WindowSpec) -> list[tuple[float, float]]:
     """Window grid over [0, run_duration_s]: starts at multiples of the
-    stride, only fully contained windows, count floor((T-w)/s)+1."""
+    stride, only fully contained windows, count floor((T-w)/s)+1.
+    A count above MAX_WINDOWS raises InvalidSpecError."""
     if run_duration_s < spec.width_s:
         raise RunTooShortError(
             f"run of {run_duration_s}s shorter than window width {spec.width_s}s")
-    count = math.floor((run_duration_s - spec.width_s) / spec.stride_s + _GRID_EPS) + 1
+    steps = (run_duration_s - spec.width_s) / spec.stride_s + _GRID_EPS
+    count = math.floor(steps) + 1 if math.isfinite(steps) else steps
+    if count > MAX_WINDOWS:
+        raise InvalidSpecError(
+            f"window width {spec.width_s}s and stride {spec.stride_s}s make "
+            f"{count} windows over {run_duration_s}s; the limit is {MAX_WINDOWS}")
     return [(k * spec.stride_s, k * spec.stride_s + spec.width_s)
             for k in range(count)]
 
@@ -144,7 +158,8 @@ def build_joined_windows(run: Run, spec: WindowSpec) -> WindowTable:
 
     Scheduler mcs/snr medians are taken over the snapshots where the
     field is present, NaN if it is absent everywhere in the window.
-    Reads the run's time-sorted columns as they are.
+    Reads the run's time-sorted columns as they are. More than
+    MAX_MEMBERS samples over the joined windows raise InvalidSpecError.
     """
     bounds = np.array(make_windows(run_duration(run), spec), dtype=float).reshape(-1, 2)
     lat_t, rtt = run.latency.t_s, run.latency.rtt_ms
@@ -157,6 +172,12 @@ def build_joined_windows(run: Run, spec: WindowSpec) -> WindowTable:
     lat_lo, lat_hi = lat_lo[keep], lat_hi[keep]
     sched_lo, sched_hi = sched_lo[keep], sched_hi[keep]
     lat_n, sched_n = lat_hi - lat_lo, sched_hi - sched_lo
+    members = int(lat_n.sum() + sched_n.sum())
+    if members > MAX_MEMBERS:
+        raise InvalidSpecError(
+            f"window width {spec.width_s}s and stride {spec.stride_s}s put "
+            f"{members} samples into {keep.size} windows; "
+            f"the limit is {MAX_MEMBERS}")
 
     rtt_sorted, lat_starts = _segments(lat_lo, lat_n, rtt)
     bler_sorted, sched_starts = _segments(sched_lo, sched_n, bler)

@@ -3,10 +3,15 @@
 import json
 import logging
 import math
+import runpy
+import sys
+import tracemalloc
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from taildiag import canon, report
+from taildiag import canon, cli, report
 from taildiag.cli import main
 from taildiag.config import load_config
 from taildiag.errors import InvalidSpecError
@@ -268,6 +273,25 @@ def test_windows_run_too_short(campaign, tmp_path, capsys):
     assert not (tmp_path / "tiny_windows.csv").exists()
 
 
+@pytest.mark.parametrize("stride", ["1e-6", "5e-324"])
+def test_windows_grid_too_large_exits_1_without_allocating(
+        campaign, tmp_path, capsys, stride):
+    tracemalloc.start()
+    try:
+        code = main(["windows", "--config", _cfg(campaign),
+                     "--output-dir", str(tmp_path), "coupled", "--stride-s", stride])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "width 10.0s" in err and f"stride {float(stride)}s" in err
+    assert "windows over 600.0s; the limit is 1000000" in err
+    assert peak < 32 * 2**20
+    assert not (tmp_path / "coupled_windows.csv").exists()
+
+
 def test_flags(campaign, tmp_path, capsys):
     assert main(["flags", "--config", _cfg(campaign),
                  "--output-dir", str(tmp_path), "coupled"]) == 0
@@ -299,6 +323,45 @@ def test_phases(campaign, tmp_path, capsys):
                  "--output-dir", str(tmp_path), "coupled",
                  "--split-s", "900"]) == 1  # beyond the 600 s run
     assert "error:" in capsys.readouterr().err
+
+
+def _two_run_config(campaign, tmp_path):
+    """The coupled campaign's run twice, as runs `a` and `b`."""
+    run = json.loads((campaign / "campaign_config.json").read_text())["runs"][0]
+    for name in ("latency_file", "scheduler_file", "truth_file"):
+        run[name] = str(campaign / run[name])
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({
+        "runs": [dict(run, run_id="a"), dict(run, run_id="b")],
+        "output_dir": str(tmp_path)}))
+    return load_config(cfg_path)
+
+
+def test_analysis_loads_and_windows_each_run_once(campaign, tmp_path, monkeypatch):
+    loads, builds = Counter(), Counter()
+    load_run, build_joined_windows = cli.load_run, cli.build_joined_windows
+
+    def counted_load(cfg, rc):
+        loads[rc.run_id] += 1
+        return load_run(cfg, rc)
+
+    def counted_build(run, spec):
+        builds[run.meta.run_id] += 1
+        return build_joined_windows(run, spec)
+
+    monkeypatch.setattr(cli, "load_run", counted_load)
+    monkeypatch.setattr(cli, "build_joined_windows", counted_build)
+    an = cli.Analysis(_two_run_config(campaign, tmp_path))
+    for run_id in ("a", "b"):
+        assert cli.cmd_summarize(an, tmp_path, run_id) == 0
+    assert cli.cmd_compare(an, tmp_path, "a", "b") == 0
+    for run_id in ("a", "b"):
+        assert cli.cmd_windows(an, tmp_path, run_id) == 0
+        assert cli.cmd_flags(an, tmp_path, run_id) == 0
+        assert cli.cmd_phases(an, tmp_path, run_id, None) == 0
+    assert loads == {"a": 1, "b": 1}
+    assert builds == {"a": 1, "b": 1}
+    assert len(list(tmp_path.glob("*.csv"))) == 9
 
 
 # ------------------------------------------------------------- CLI: ingest
@@ -351,6 +414,21 @@ def test_ingested_run_feeds_analysis(raw_dir, capsys):
     }))
     assert main(["summarize", "--config", str(cfg2), "raw1"]) == 0
     assert (raw_dir / "out" / "raw1_summary.csv").exists()
+
+
+def test_ingest_writes_nothing_when_a_later_run_fails(raw_dir, capsys):
+    (raw_dir / "c.json").write_text(json.dumps({
+        "column_map": {"rnti": "rnti", "dl_bler": "dlsch_bler"},
+        "runs": [{"run_id": "a", "ping_log": "ping.log", "fullstats": "full.csv"},
+                 {"run_id": "b", "ping_log": "missing.log"}],
+        "output_dir": "out",
+    }))
+    assert main(["ingest", "--config", str(raw_dir / "c.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "missing.log" in captured.err
+    assert not (raw_dir / "out" / "a_latency.csv").exists()
+    assert not (raw_dir / "out" / "a.manifest").exists()
 
 
 def test_ingest_nothing_to_do(campaign, tmp_path, capsys):
@@ -469,3 +547,27 @@ def test_bad_config_or_cli_value_exits_1_naming_the_key(
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert key in err
     assert not (tmp_path / "out").exists()
+
+
+# ------------------------------------------------------------ paperlike demo
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_paperlike.py"
+
+
+def test_paperlike_demo_prints_what_each_cli_step_prints(tmp_path, monkeypatch, capsys):
+    # The demo renders its analysis steps directly from one Analysis;
+    # replaying each `$ taildiag` line it prints through main() into a
+    # second directory must print the same, step by step.
+    demo, replay = tmp_path / "demo", tmp_path / "replay"
+    monkeypatch.setattr(sys, "argv", [str(SCRIPT), "--output-dir", str(demo)])
+    runpy.run_path(str(SCRIPT), run_name="__main__")
+    printed = capsys.readouterr().out.replace(str(demo), str(replay))
+    steps = printed.split("$ taildiag ")[1:]
+    assert [s.split(" ", 1)[0] for s in steps] == [
+        "synth", *["summarize"] * 4, "compare", *["windows", "flags"] * 4, "phases"]
+    assert steps[-1].endswith(f"\nall outputs under {replay}/\n")
+    steps[-1] = steps[-1].removesuffix(f"all outputs under {replay}/\n")
+    for step in steps:
+        line = step.split("\n", 1)[0]
+        assert main(line.split(" ")) == 0
+        assert step == f"{line}\n{capsys.readouterr().out}\n"

@@ -109,6 +109,34 @@ def test_grid_no_partial_windows():
     assert make_windows(10.0, WindowSpec(width_s=10.0, stride_s=3.0)) == [(0.0, 10.0)]
 
 
+def test_grid_beyond_max_windows_raises(monkeypatch):
+    monkeypatch.setattr("taildiag.windows.MAX_WINDOWS", 10)
+    spec = WindowSpec(width_s=1.0, stride_s=1.0)
+    assert len(make_windows(10.0, spec)) == 10
+    with pytest.raises(InvalidSpecError,
+                       match=r"width 1\.0s and stride 1\.0s make 11 windows"):
+        make_windows(11.0, spec)
+
+
+def test_window_members_beyond_max_members_raise(monkeypatch):
+    # 11 windows of 50 latency samples and 20 snapshots: 770 members.
+    run = run_of(dense_lat(), dense_sched())
+    monkeypatch.setattr("taildiag.windows.MAX_MEMBERS", 770)
+    assert len(build_joined_windows(run, WindowSpec())) == 11
+    monkeypatch.setattr("taildiag.windows.MAX_MEMBERS", 769)
+    with pytest.raises(InvalidSpecError, match="put 770 samples into 11 windows"):
+        build_joined_windows(run, WindowSpec())
+
+
+def test_dense_run_at_tiny_stride_raises_before_aggregating():
+    # 100 samples/s and a 1 ms stride: 50,001 windows, within the window
+    # limit, of about 1,000 samples each, beyond the member limit.
+    run = run_of([lat(k * 0.01, seq=k) for k in range(6000)],
+                 [snap(float(t)) for t in range(60)])
+    with pytest.raises(InvalidSpecError, match=r"stride 0\.001s put \d+ samples"):
+        build_joined_windows(run, WindowSpec(width_s=10.0, stride_s=0.001))
+
+
 def test_grid_too_short():
     with pytest.raises(RunTooShortError):
         make_windows(9.9, WindowSpec())
