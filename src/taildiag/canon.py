@@ -1,19 +1,29 @@
 """Canonical on-disk formats: latency/scheduler CSVs, run manifests,
-ground-truth sidecars.
+ground-truth sidecars, and the column file beside each latency and
+scheduler CSV.
 
 Floats are written with repr (shortest round-trip form) so that
 write -> read -> write is byte-identical and no precision is lost.
 All files are UTF-8 with LF line endings and are written atomically
 (temp file in the target directory, then rename).
+
+A column file `<name>.csv.cols` holds the SHA-256 of a format tag and
+the CSV's bytes, then the float64 table the text reader parses from
+them, in .npy form.
+The reader takes the table from it only while the digest matches the
+CSV it has just read; otherwise it parses the text. The CSV is the
+record: the column file is derived from it, and deleting it changes
+nothing but the time a read takes.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
-import math
 import os
 import re
 import tempfile
+from contextlib import contextmanager
 from itertools import islice
 from pathlib import Path
 from typing import Iterable
@@ -39,25 +49,32 @@ LATENCY_HEADER = ",".join(LatencyTrace.names())
 SCHED_HEADER = ",".join(SchedulerTrace.names())
 TRUTH_HEADER = "kind,t_s"
 
-# Characters of a canonical numeric table; any other (say the letters
-# of "nan" or "inf", or a hex prefix) sends the read down the careful
-# path, which names the malformed line.
-_NUMERIC_TEXT = {ord(c): None for c in "0123456789eE.+-, \t\r\n"}
+# Bytes of a canonical numeric table; any other (say the letters of
+# "nan" or "inf", a hex prefix, or a byte outside ASCII) sends the read
+# down the careful path, which names the malformed line.
+_NUMERIC_BYTES = b"0123456789eE.+-, \t\r\n"
 _NUMBER = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+_DIGEST_SIZE = hashlib.sha256().digest_size
+# Hashed ahead of the CSV bytes into a column file's digest. Any change
+# to the table the text reader yields for the same bytes (empty cells,
+# integral columns, -0.0, ...) must change this tag, so that column
+# files written before it stop matching and the text is read instead.
+_COLUMNS_TAG = b"taildiag columns 1\n"
+_FLOAT64 = np.dtype("<f8")
 
 # Manifest keys serialized for every run, in emission order.
 _MANIFEST_META_KEYS = ("run_id", "ue_type", "distance_m", "packet_size_b",
                        "scenario", "ping_interval_s", "nominal_duration_s")
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write text to path via a temp file and rename, so readers never
+def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    """Write data to path via a temp file and rename, so readers never
     observe a partially written file."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -65,6 +82,39 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """atomic_write_bytes of text in UTF-8."""
+    atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def _decode(path: str | Path, data: bytes, start: int = 0) -> str:
+    """data[start:], where data are the bytes of the file at path, as
+    UTF-8 text with universal newlines (CRLF and CR read as LF). A byte
+    that is not UTF-8 raises MalformedRecordError naming its line."""
+    try:
+        text = data[start:].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        bad = start + exc.start
+        head = data[:bad]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise MalformedRecordError(
+            path, line, f"not UTF-8 text: byte {data[bad]:#04x}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+@contextmanager
+def open_text(path: str | Path):
+    """The file at path opened as UTF-8 text with universal newlines. A
+    byte that is not UTF-8 raises MalformedRecordError naming its line,
+    found by decoding the file's bytes again."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            _decode(path, Path(path).read_bytes())
+            raise
 
 
 def _num(x: float | int | None) -> str:
@@ -85,7 +135,7 @@ def _fill_empty(text: str) -> str:
     # text already checked to hold no letter but e/E, so every NaN in
     # the table comes from an empty cell.
     text = text.replace(",,", ",nan,").replace(",,", ",nan,")
-    text = text.replace(",\n", ",nan\n").replace(",\r", ",nan\r").replace("\n,", "\nnan,")
+    text = text.replace(",\n", ",nan\n").replace("\n,", "\nnan,")
     if text.startswith(","):
         text = "nan" + text
     return text + "nan" if text.endswith(",") else text
@@ -96,7 +146,7 @@ def _loadtxt(text: str) -> np.ndarray:
                       comments=None, ndmin=2)
 
 
-def _read_slowly(path: str | Path, body: str, names: list[str],
+def _read_slowly(path: str | Path, body: str, names: tuple[str, ...],
                  optional: bool) -> np.ndarray:
     """The table of a body the fast read refused: raises at its first
     malformed line, else reads its non-blank lines (the fast read also
@@ -121,72 +171,165 @@ def _read_slowly(path: str | Path, body: str, names: list[str],
         raise ToolkitError(f"{path}: {exc}") from None
 
 
-def _read_table(path: str | Path, header: str,
-                optional: bool) -> tuple[np.ndarray, str]:
-    """Data rows of a canonical numeric CSV as a float64 table, and the
-    text below the header. Blank lines are skipped and '#' is not a
-    comment. With `optional`, an empty cell reads as NaN; otherwise it
-    is malformed, as is a wrong field count or a cell that is not a
-    decimal number."""
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline().strip()
-        if first != header:
-            raise MissingColumnError(
-                f"{path}: expected header {header!r}, got {first!r}")
-        body = fh.read()
+def _parse_text(path: str | Path, data: bytes, start: int,
+                names: tuple[str, ...], optional: bool) -> np.ndarray:
+    """The rows × fields table of the CSV text data[start:], below the
+    header. Blank lines are skipped and '#' is not a comment. With
+    `optional`, an empty cell reads as NaN; otherwise it is malformed,
+    as is a wrong field count or a cell that is not a decimal number."""
+    body = _decode(path, data, start)
     if not body.strip():
         raise EmptyTraceError(f"{path}: no data rows")
-    names = header.split(",")
     table = None
-    if not body.translate(_NUMERIC_TEXT):
+    if not data[start:].translate(None, _NUMERIC_BYTES):
         try:
             table = _loadtxt(_fill_empty(body) if optional else body)
         except ValueError:
             pass
     if table is None or table.shape[1] != len(names):
         table = _read_slowly(path, body, names, optional)
-    return table, body
+    return table
 
 
-def _raise_first(path: str | Path, body: str, faults: dict[int, str]) -> None:
-    """Raise MalformedRecordError at the first faulty data row, if any."""
+def _columns_path(path: str | Path) -> Path:
+    return Path(f"{path}.cols")
+
+
+def _columns_digest(data: bytes) -> bytes:
+    """The digest that binds a column file to the CSV bytes data."""
+    digest = hashlib.sha256(_COLUMNS_TAG)
+    digest.update(data)
+    return digest.digest()
+
+
+def _stored_table(path: str | Path, data: bytes, width: int) -> np.ndarray | None:
+    """The rows × width table of the column file beside CSV path, whose
+    bytes are data; None unless that file exists, is bound to data and
+    holds a float64 table of at least one row. Its header is checked
+    before any array is made, so no file can make the read allocate more
+    than the file holds, or unpickle anything."""
+    try:
+        with open(_columns_path(path), "rb") as fh:
+            if fh.read(_DIGEST_SIZE) != _columns_digest(data):
+                return None
+            if np.lib.format.read_magic(fh) != (1, 0):
+                return None
+            shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
+            size = os.fstat(fh.fileno()).st_size - fh.tell()
+            if (dtype != _FLOAT64 or len(shape) != 2 or shape[1] != width
+                    or shape[0] < 1 or size != shape[0] * width * _FLOAT64.itemsize):
+                return None
+            fh.seek(_DIGEST_SIZE)
+            return np.lib.format.read_array(fh, allow_pickle=False)
+    except (OSError, ValueError):
+        return None
+
+
+def _latency_faults(c: dict[str, np.ndarray]) -> dict[int, str]:
+    """Rows of latency columns outside their value domains, each with
+    the first rule it breaks."""
+    rtt = c["rtt_ms"]
+    return first_faults([
+        ("t_s not finite", ~np.isfinite(c["t_s"])),
+        ("seq not an integer", not_integer(c["seq"])),
+        ("rtt_ms not finite and > 0", ~(np.isfinite(rtt) & (rtt > 0.0))),
+    ])
+
+
+# Per trace type: whether an empty cell reads as NaN, and the rows a
+# reader refuses once the table is parsed.
+_RULES = {
+    LatencyTrace: (False, _latency_faults),
+    SchedulerTrace: (True, scheduler_faults),
+}
+
+
+def _raise_first(path: str | Path, data: bytes, faults: dict[int, str]) -> None:
+    """Raise MalformedRecordError at the first faulty data row of the
+    CSV whose bytes are data, if any."""
     if not faults:
         return
     row = min(faults)
-    lines = (n for n, line in enumerate(body.split("\n"), start=2) if line.strip())
-    raise MalformedRecordError(path, next(islice(lines, row, None)), faults[row])
+    lines = _decode(path, data).split("\n")
+    rows = (n for n, line in enumerate(lines[1:], start=2) if line.strip())
+    raise MalformedRecordError(path, next(islice(rows, row, None)), faults[row])
+
+
+def _read_trace(path: str | Path, kind: type):
+    """The `kind` trace of a canonical CSV, rows in file order: from its
+    column file when one is bound to the CSV's bytes, else from its
+    text. Either way the header is checked and each row is held to the
+    value domains of `kind`, a fault naming the CSV's path and line."""
+    optional, faults = _RULES[kind]
+    names = kind.names()
+    header = ",".join(names)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    end = data.find(b"\n")
+    end = len(data) if end < 0 else end
+    cr = data.find(b"\r", 0, end)
+    end = end if cr < 0 else cr
+    first = _decode(path, data[:end]).strip()
+    if first != header:
+        raise MissingColumnError(f"{path}: expected header {header!r}, got {first!r}")
+    table = _stored_table(path, data, len(names))
+    if table is None:
+        start = end + (2 if data.startswith(b"\r\n", end) else 1)
+        table = _parse_text(path, data, start, names, optional)
+    columns = dict(zip(names, np.ascontiguousarray(table.T)))
+    _raise_first(path, data, faults(columns))
+    return kind(**columns)
+
+
+def _table_as_read(trace) -> np.ndarray | None:
+    """The rows × fields table the text reader parses from the canonical
+    CSV of trace, or None when the reader refuses that CSV. No value
+    domain admits an infinity, nor a latency column NaN, so the faults
+    also cover the text only the careful path reads ("inf", an empty
+    latency cell), where it names the line with other words."""
+    _, faults = _RULES[type(trace)]
+    names = trace.names()
+    columns = np.array([trace.rendered(name) for name in names])
+    if not len(trace) or faults(dict(zip(names, columns))):
+        return None
+    return columns.T    # column by column on disk: fields × rows contiguous
+
+
+def _write_trace(path: str | Path, trace) -> None:
+    """Write trace as a canonical CSV, then its column file; a trace
+    whose CSV the reader refuses gets none, and loses any older one."""
+    data = table_text(trace).encode("utf-8")
+    atomic_write_bytes(path, data)
+    table = _table_as_read(trace)
+    if table is None:
+        _columns_path(path).unlink(missing_ok=True)
+        return
+    buf = io.BytesIO()
+    buf.write(_columns_digest(data))
+    np.lib.format.write_array(buf, table, allow_pickle=False)
+    atomic_write_bytes(_columns_path(path), buf.getvalue())
 
 
 def write_latency_csv(path: str | Path, samples: LatencyTrace) -> None:
-    atomic_write_text(path, table_text(samples))
+    _write_trace(path, samples)
 
 
 def read_latency_csv(path: str | Path) -> LatencyTrace:
     """Latency rows in file order. A row with a non-finite t_s, a seq
     that is not an integer or an rtt_ms that is not finite and > 0
     raises MalformedRecordError with its line."""
-    table, body = _read_table(path, LATENCY_HEADER, optional=False)
-    t, seq, rtt = table.T.copy()
-    _raise_first(path, body, first_faults([
-        ("t_s not finite", ~np.isfinite(t)),
-        ("seq not an integer", not_integer(seq)),
-        ("rtt_ms not finite and > 0", ~(np.isfinite(rtt) & (rtt > 0.0))),
-    ]))
-    return LatencyTrace(t, seq, rtt)
+    return _read_trace(path, LatencyTrace)
 
 
 def write_scheduler_csv(path: str | Path, snapshots: SchedulerTrace) -> None:
-    atomic_write_text(path, table_text(snapshots))
+    _write_trace(path, snapshots)
 
 
 def read_scheduler_csv(path: str | Path) -> SchedulerTrace:
     """Scheduler rows in file order, empty optional cells NaN. A row
     outside the value domains the raw fullstats parser enforces
     (ingest.scheduler_faults) raises MalformedRecordError with its line."""
-    table, body = _read_table(path, SCHED_HEADER, optional=True)
-    columns = dict(zip(SchedulerTrace.names(), table.T.copy()))
-    _raise_first(path, body, scheduler_faults(columns))
-    return SchedulerTrace(**columns)
+    return _read_trace(path, SchedulerTrace)
 
 
 def write_truth_csv(path: str | Path, stall_times_s: Iterable[float],
@@ -195,27 +338,6 @@ def write_truth_csv(path: str | Path, stall_times_s: Iterable[float],
     lines.extend(f"stall,{t!r}" for t in sorted(stall_times_s))
     lines.extend(f"excursion,{t!r}" for t in sorted(excursion_times_s))
     atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def read_truth_csv(path: str | Path) -> tuple[list[float], list[float]]:
-    """Returns (stall times, excursion times), each sorted ascending."""
-    times: dict[str, list[float]] = {"stall": [], "excursion": []}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != TRUTH_HEADER:
-            raise MissingColumnError(
-                f"{path}: expected header {TRUTH_HEADER!r}, got {header!r}")
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            kind, _, t = line.partition(",")
-            if kind not in times:
-                raise MalformedRecordError(path, line_no, f"unknown truth kind {kind!r}")
-            if not _NUMBER.fullmatch(t) or not math.isfinite(float(t)):
-                raise MalformedRecordError(path, line_no, f"t_s is not a finite number: {t!r}")
-            times[kind].append(float(t))
-    return sorted(times["stall"]), sorted(times["excursion"])
 
 
 def write_manifest(path: str | Path, meta: RunMetadata,
@@ -229,33 +351,3 @@ def write_manifest(path: str | Path, meta: RunMetadata,
     for key in sorted(files):
         lines.append(f"{key}={files[key]}")
     atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def read_manifest(path: str | Path) -> tuple[RunMetadata, dict[str, str]]:
-    """Returns the run metadata and a dict of the remaining entries
-    (file paths, resolved against the manifest's directory)."""
-    entries: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            entries[key.strip()] = value.strip()
-    missing = [k for k in _MANIFEST_META_KEYS if k not in entries]
-    if missing:
-        raise MissingColumnError(f"{path}: manifest missing keys {missing}")
-    meta = RunMetadata(
-        run_id=entries.pop("run_id"),
-        ue_type=entries.pop("ue_type"),
-        distance_m=float(entries.pop("distance_m")),
-        packet_size_b=int(entries.pop("packet_size_b")),
-        scenario=entries.pop("scenario"),
-        nominal_duration_s=float(entries.pop("nominal_duration_s")),
-        ping_interval_s=float(entries.pop("ping_interval_s")),
-    )
-    base = Path(path).parent
-    for key, value in entries.items():
-        if key.endswith("_file"):
-            entries[key] = str(base / value) if not os.path.isabs(value) else value
-    return meta, entries

@@ -46,7 +46,7 @@ def load_run(cfg: CampaignConfig, rc: RunConfig) -> Run:
     if rc.latency_file:
         latency = canon.read_latency_csv(rc.latency_file)
     elif rc.ping_log:
-        with open(rc.ping_log, encoding="utf-8") as fh:
+        with canon.open_text(rc.ping_log) as fh:
             latency = parse_ping_log(fh, meta).samples
     else:
         raise InvalidSpecError(
@@ -57,7 +57,7 @@ def load_run(cfg: CampaignConfig, rc: RunConfig) -> Run:
         snapshots = canon.read_scheduler_csv(rc.scheduler_file)
     elif rc.fullstats:
         cmap = rc.column_map or cfg.column_map or DEFAULT_COLUMN_MAP
-        with open(rc.fullstats, encoding="utf-8") as fh:
+        with canon.open_text(rc.fullstats) as fh:
             snapshots = parse_fullstats(
                 fh, cmap, meta, stats_period_s=rc.stats_period_s).snapshots
     nominal = rc.nominal_duration_s

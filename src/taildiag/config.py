@@ -29,6 +29,7 @@ import json
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .canon import open_text
 from .errors import InvalidSpecError, check_fields, check_value
 from .flags import FlagPolicy
 from .ingest import RunMetadata
@@ -128,7 +129,8 @@ def _build(cls, raw, where: str):
 def load_config(path: str | Path) -> CampaignConfig:
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        with open_text(path) as fh:
+            raw = json.loads(fh.read())
     except json.JSONDecodeError as exc:
         raise InvalidSpecError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(raw, dict):

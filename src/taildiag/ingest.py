@@ -127,11 +127,21 @@ class _Trace:
     def empty(cls):
         return cls(*([],) * len(cls.names()))
 
-    def values(self, name: str) -> list:
-        """Column `name` as built-in Python values, None where absent."""
+    def rendered(self, name: str) -> np.ndarray:
+        """Column `name` as float64 holding what its cells render as: in
+        an integral column each value cast to int64, and one NaN (the
+        one an empty cell reads as) wherever a value is absent."""
         col = getattr(self, name)
         absent = np.isnan(col)
         if name in self.INTEGRAL:
+            col = np.where(absent, 0.0, col).astype(np.int64).astype(float)
+        return np.where(absent, np.nan, col)
+
+    def values(self, name: str) -> list:
+        """Column `name` as built-in Python values, None where absent."""
+        col = self.rendered(name)
+        absent = np.isnan(col)
+        if name in self.INTEGRAL:     # whole numbers now: the cast is exact
             col = np.where(absent, 0.0, col).astype(np.int64)
         vals = col.tolist()
         if absent.any():

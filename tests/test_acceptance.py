@@ -35,6 +35,7 @@ from taildiag.ingest import LatencySample, RunMetadata, SchedulerSnapshot
 from taildiag.windows import WindowSpec
 
 from oracles import ks_d_ref, percentile_ref, spearman_ref, window_members_ref
+from readers import read_manifest, read_truth_csv
 from runs import make_run
 
 
@@ -248,14 +249,14 @@ def test_criterion_09_coupling_recovery_matches_emitted_table(coupled, tmp_path)
 def test_criterion_10_round_trip_and_cli_determinism(tmp_path):
     first = tmp_path / "first"
     assert main(["synth", "coupled", "--output-dir", str(first)]) == 0
-    meta, files = canon.read_manifest(first / "coupled.manifest")
+    meta, files = read_manifest(first / "coupled.manifest")
     redo = tmp_path / "redo"
     redo.mkdir()
     canon.write_latency_csv(redo / "lat.csv",
                             canon.read_latency_csv(files["latency_file"]))
     canon.write_scheduler_csv(redo / "sched.csv",
                               canon.read_scheduler_csv(files["scheduler_file"]))
-    stalls, excursions = canon.read_truth_csv(files["truth_file"])
+    stalls, excursions = read_truth_csv(files["truth_file"])
     canon.write_truth_csv(redo / "truth.csv", stalls, excursions)
     roundtrip_ok = (
         (redo / "lat.csv").read_bytes()

@@ -1,0 +1,263 @@
+"""The column file beside each canonical latency / scheduler CSV, the
+text reader it stands in for, and the atomic writer every file goes
+through."""
+
+import io
+import math
+import shutil
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from taildiag import canon
+from taildiag.errors import MalformedRecordError
+from taildiag.ingest import LatencyTrace, SchedulerTrace
+
+IO = {LatencyTrace: (canon.write_latency_csv, canon.read_latency_csv),
+      SchedulerTrace: (canon.write_scheduler_csv, canon.read_scheduler_csv)}
+
+
+def _columns(path):
+    return path.with_name(path.name + ".cols")
+
+
+def _outcome(read, path):
+    """What read(path) gives: the bytes of every column, or the text of
+    the MalformedRecordError it raises."""
+    try:
+        trace = read(path)
+    except MalformedRecordError as exc:
+        return str(exc)
+    return tuple(getattr(trace, name).tobytes() for name in trace.names())
+
+
+def _text_outcome(read, path, tmp_path):
+    """_outcome of a copy of CSV path with no column file beside it."""
+    copy = tmp_path / "text" / path.name
+    copy.parent.mkdir(exist_ok=True)
+    shutil.copyfile(path, copy)
+    got = _outcome(read, copy)
+    return got.replace(str(copy), str(path)) if isinstance(got, str) else got
+
+
+def _bind(path, table, allow_pickle=False):
+    """Write, beside CSV path, a column file bound to its current bytes
+    that holds `table`."""
+    buf = io.BytesIO()
+    buf.write(canon._columns_digest(path.read_bytes()))
+    np.lib.format.write_array(buf, table, allow_pickle=allow_pickle)
+    _columns(path).write_bytes(buf.getvalue())
+
+
+# ------------------------------------------------ column file == text read
+
+# Values a writer may be handed that the reader refuses, or that take a
+# special form in the text: NaN of either sign, infinities, -0.0,
+# fractions in integral columns, integers too large for a float64.
+ODD = st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0,
+                       -1.0, 0.5, 31.0, 2.0 ** 60, 1e300, 5e-324])
+TIMES = st.sampled_from([-0.0, 0.0, 0.2, 0.2, 5.0]) | st.floats(0.0, 1e6)
+OPT_FLOAT = st.none() | st.sampled_from([-0.0, 1.5]) | st.floats(-200.0, 200.0)
+
+LATENCY_ROWS = st.tuples(TIMES, st.integers(0, 2 ** 31) | st.just(-0.0),
+                         st.floats(1e-3, 1e6) | st.just(9.0))
+SCHED_ROWS = st.tuples(
+    TIMES, st.sampled_from([0, 17, 0x4601]),     # three RNTIs
+    st.sampled_from([-0.0, 1.0]) | st.floats(0.0, 1.0),
+    st.none() | st.floats(0.0, 1.0), st.none() | st.integers(0, 28),
+    st.none() | st.integers(0, 28), OPT_FLOAT, OPT_FLOAT,
+    st.none() | st.integers(0, 1000), st.none() | st.integers(1000, 2 ** 40))
+
+
+@st.composite
+def traces(draw):
+    """A latency or scheduler trace of 1-20 rows (one row, tied times,
+    -0.0 and absent cells included), at times with one odd cell."""
+    kind, rows = draw(st.sampled_from([(LatencyTrace, LATENCY_ROWS),
+                                       (SchedulerTrace, SCHED_ROWS)]))
+    columns = [list(c) for c in zip(*draw(st.lists(rows, min_size=1, max_size=20)))]
+    odd = draw(st.none() | st.tuples(st.integers(0, 19), st.integers(0, 9), ODD))
+    if odd is not None:
+        row, field, value = odd
+        column = columns[field % len(columns)]
+        column[row % len(column)] = value
+    return kind(*columns)
+
+
+@settings(max_examples=150, deadline=None)
+@given(traces())
+@example(SchedulerTrace([0.0], [17], [0.5], [-math.nan], [math.nan], [9], [-0.0],
+                        [None], [0], [0]))
+@example(LatencyTrace([-0.0, -0.0], [-0.0, 1], [9.0, 9.0]))
+@example(LatencyTrace([0.0, 0.2], [0, 1], [9.0, math.nan]))
+def test_column_file_read_equals_text_read(tmp_path_factory, trace):
+    path = tmp_path_factory.mktemp("cols") / "trace.csv"
+    write, read = IO[type(trace)]
+    write(path, trace)
+    with_columns = _outcome(read, path)
+    written = _columns(path).exists()
+    _columns(path).unlink(missing_ok=True)
+    assert _outcome(read, path) == with_columns
+    # written exactly for a table the reader accepts
+    assert written == isinstance(with_columns, tuple)
+
+
+def _latency(tmp_path):
+    path = tmp_path / "lat.csv"
+    canon.write_latency_csv(path, LatencyTrace([0.0, 0.2, 0.4], [0, 1, 2], [9.0, 9.5, 8.25]))
+    return path
+
+
+def test_bound_column_file_spares_the_text_parse(tmp_path, monkeypatch):
+    path = _latency(tmp_path)
+    expected = _text_outcome(canon.read_latency_csv, path, tmp_path)
+    monkeypatch.setattr(canon, "_parse_text", None)     # any text parse fails
+    assert _outcome(canon.read_latency_csv, path) == expected
+
+
+UNPICKLED = []
+
+
+def _unpickled():
+    UNPICKLED.append("unpickled")
+
+
+class _Trap:
+    """An object whose unpickling is recorded in UNPICKLED."""
+
+    def __reduce__(self):
+        return _unpickled, ()
+
+
+def _stale(path):
+    path.write_bytes(path.read_bytes().replace(b"9.5", b"9.6"))     # one byte
+
+
+def _truncate(size):
+    return lambda path: _columns(path).write_bytes(_columns(path).read_bytes()[:size])
+
+
+def _rebind(make):
+    return lambda path: _bind(path, make(canon.read_latency_csv(path)))
+
+
+def _as_table(trace):
+    return np.column_stack([getattr(trace, name) for name in trace.names()])
+
+
+DAMAGE = {
+    "missing": lambda path: _columns(path).unlink(),
+    "stale": _stale,
+    "truncated_data": _truncate(-5),
+    "truncated_header": _truncate(40),
+    "digest_only": _truncate(32),
+    "empty": _truncate(0),
+    "float32": _rebind(lambda t: _as_table(t).astype("<f4")),
+    "big_endian": _rebind(lambda t: _as_table(t).astype(">f8")),
+    "int64": _rebind(lambda t: _as_table(t).astype("<i8")),
+    "narrow": _rebind(lambda t: _as_table(t)[:, :2]),
+    "one_dimensional": _rebind(lambda t: _as_table(t).ravel()),
+    "no_rows": _rebind(lambda t: _as_table(t)[:0]),
+    "object": lambda path: _bind(path, np.array([[_Trap()] * 3] * 3, dtype=object),
+                                 allow_pickle=True),
+    "other_digest": lambda path: _columns(path).write_bytes(
+        bytes([_columns(path).read_bytes()[0] ^ 1]) + _columns(path).read_bytes()[1:]),
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGE.values(), ids=DAMAGE.keys())
+def test_unusable_column_file_falls_back_to_the_text(tmp_path, damage):
+    path = _latency(tmp_path)
+    damage(path)
+    assert _outcome(canon.read_latency_csv, path) == \
+        _text_outcome(canon.read_latency_csv, path, tmp_path)
+    assert UNPICKLED == []
+
+
+def test_stale_column_file_reads_the_edited_text(tmp_path):
+    path = _latency(tmp_path)
+    _stale(path)
+    assert canon.read_latency_csv(path).rtt_ms.tolist() == [9.0, 9.6, 8.25]
+
+
+def test_column_file_binds_the_format_tag(tmp_path, monkeypatch):
+    path = _latency(tmp_path)
+    doubled = _as_table(canon.read_latency_csv(path)) * 2     # not what the text says
+    monkeypatch.setattr(canon, "_COLUMNS_TAG", b"an earlier reader\n")
+    _bind(path, doubled)
+    monkeypatch.undo()
+    assert canon.read_latency_csv(path).rtt_ms.tolist() == [9.0, 9.5, 8.25]
+    _bind(path, doubled)                                         # under this tag
+    assert canon.read_latency_csv(path).rtt_ms.tolist() == [18.0, 19.0, 16.5]
+
+
+def test_fault_read_from_the_column_file_names_path_and_line(tmp_path, monkeypatch):
+    path = tmp_path / "lat.csv"
+    path.write_text(canon.LATENCY_HEADER + "\n0.0,0,9.0\n\n0.2,1,0.0\n")
+    _bind(path, np.array([[0.0, 0.0, 9.0], [0.2, 1.0, 0.0]]))
+    monkeypatch.setattr(canon, "_parse_text", None)
+    with pytest.raises(MalformedRecordError) as exc:
+        canon.read_latency_csv(path)
+    assert str(exc.value) == f"{path}:4: rtt_ms not finite and > 0"
+
+
+def test_rewrite_the_reader_refuses_drops_the_column_file(tmp_path):
+    path = _latency(tmp_path)
+    assert _columns(path).exists()
+    canon.write_latency_csv(path, LatencyTrace([0.0], [0], [0.0]))
+    assert not _columns(path).exists()
+    with pytest.raises(MalformedRecordError, match=":2: rtt_ms not finite and > 0"):
+        canon.read_latency_csv(path)
+
+
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_crlf_copy_reads_as_the_lf_original(tmp_path, newline):
+    sched = SchedulerTrace([0.0, 1.0], [17, 17], [0.05, 0.5], [None, 0.1], [9, None],
+                           [None, 3], [-0.0, 30.5], [None, -80.0], [2, None], [50, None])
+    lat = LatencyTrace([0.0, 0.2, 0.2], [0, 2, 1], [9.0, 1e-3, 250.5])
+    for trace in (lat, sched):
+        write, read = IO[type(trace)]
+        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        write(lf, trace)
+        original = _outcome(read, lf)
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", newline))
+        assert _outcome(read, crlf) == original                 # no column file
+        shutil.copyfile(_columns(lf), _columns(crlf))
+        assert _outcome(read, crlf) == original                 # one bound to the LF bytes
+        _bind(crlf, _as_table(read(lf)))
+        assert _outcome(read, crlf) == original                 # one bound to these bytes
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(newline.join([canon.LATENCY_HEADER.encode(), b"0.0,0,9.0", b"",
+                                  b"0.4,2", b""]))
+    with pytest.raises(MalformedRecordError) as exc:
+        canon.read_latency_csv(bad)
+    assert str(exc.value) == f"{bad}:4: expected 3 fields, got 2"
+
+
+# -------------------------------------------------------------- atomic writes
+
+def test_atomic_writes_leave_no_temp_file(tmp_path, monkeypatch):
+    canon.atomic_write_bytes(tmp_path / "a.bin", b"\x00\xff")
+    canon.atomic_write_text(tmp_path / "b.txt", "café\n")
+    _latency(tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "a.bin", "b.txt", "lat.csv", "lat.csv.cols"]
+    assert (tmp_path / "b.txt").read_bytes() == b"caf\xc3\xa9\n"
+
+    with pytest.raises(TypeError):
+        canon.atomic_write_bytes(tmp_path / "c.bin", "not bytes")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(canon.os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        canon.atomic_write_bytes(tmp_path / "a.bin", b"new")
+    with pytest.raises(OSError, match="rename refused"):
+        canon.write_latency_csv(tmp_path / "d.csv", LatencyTrace([0.0], [0], [9.0]))
+    monkeypatch.undo()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "a.bin", "b.txt", "lat.csv", "lat.csv.cols"]
+    assert (tmp_path / "a.bin").read_bytes() == b"\x00\xff"

@@ -4,6 +4,7 @@ import json
 import logging
 import math
 import runpy
+import shutil
 import sys
 import tracemalloc
 from collections import Counter
@@ -18,6 +19,7 @@ from taildiag.errors import InvalidSpecError
 from taildiag.flags import CouplingReport
 from taildiag.ingest import LatencySample
 
+from readers import read_manifest
 from runs import latency_trace
 
 # ------------------------------------------------------------- formatting
@@ -159,6 +161,25 @@ def test_synth_paperlike_run_ids(tmp_path, capsys):
 
 def _cfg(campaign):
     return str(campaign / "campaign_config.json")
+
+
+def test_outputs_do_not_depend_on_column_files(campaign, tmp_path, capsys):
+    bare = tmp_path / "bare"
+    shutil.copytree(campaign, bare)
+    removed = sorted(p.name for p in bare.glob("*.cols"))
+    assert removed == ["coupled_latency.csv.cols", "coupled_sched.csv.cols"]
+    for name in removed:
+        (bare / name).unlink()
+    results = []
+    for source in (campaign, bare):
+        out = tmp_path / f"out_{source.name}"
+        for command in ("summarize", "windows", "flags", "phases"):
+            assert main([command, "--config", _cfg(source), "--output-dir", str(out),
+                         "coupled"]) == 0
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        results.append((files, capsys.readouterr().out.replace(str(out), "OUT")))
+    assert len(results[0][0]) == 4
+    assert results[0] == results[1]
 
 
 def test_summarize(campaign, tmp_path, capsys):
@@ -388,7 +409,7 @@ def raw_dir(tmp_path):
 def test_ingest_normalizes_raw_logs(raw_dir, capsys):
     assert main(["ingest", "--config", str(raw_dir / "c.json")]) == 0
     out = raw_dir / "out"
-    meta, files = canon.read_manifest(out / "raw1.manifest")
+    meta, files = read_manifest(out / "raw1.manifest")
     assert meta.run_id == "raw1"
     assert meta.nominal_duration_s == pytest.approx(20.0)  # from sched span
     assert len(canon.read_latency_csv(files["latency_file"])) == 100
@@ -487,6 +508,37 @@ def test_malformed_canonical_row_exits_1_naming_file_and_line(
     assert f"error: {lat}:4: {reason}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "bad_summary.csv").exists()
+
+
+# Each input kind with a byte that is not UTF-8 (0xe9, Latin-1 'é') on
+# its third line, and the run entry that reads it.
+PING = b"PING h 30(58) bytes of data.\n64 bytes from h: icmp_seq=0 ttl=64 time=9.1 ms\n"
+NON_UTF8 = {
+    "latency_file": (b"t_s,seq,rtt_ms\n0.0,0,9.0\n0.2,1,9.\xe9\n", {}),
+    "scheduler_file": (b"t_s,rnti,dl_bler,ul_bler,dl_mcs,ul_mcs,snr_db,rsrp_dbm,"
+                       b"dl_retx,dl_total\n0.0,17,0.05,,,,,,,\n1.0,17,0.\xe9,,,,,,,\n",
+                       {"latency_file": "good.csv"}),
+    "ping_log": (PING + b"64 bytes from h: icmp_seq=1 ttl=64 time=9.\xe9 ms\n", {}),
+    "fullstats": (b"rnti,dl_bler\n17,0.05\n17,0.\xe9\n", {"ping_log": "ping.log"}),
+    "config": (b'{\n  "runs": [],\n  "output_dir": "\xe9"\n}\n', None),
+}
+
+
+@pytest.mark.parametrize("kind", NON_UTF8)
+def test_non_utf8_input_exits_1_naming_file_and_line(tmp_path, capsys, kind):
+    data, others = NON_UTF8[kind]
+    (tmp_path / "good.csv").write_text("t_s,seq,rtt_ms\n0.0,0,9.0\n")
+    (tmp_path / "ping.log").write_bytes(PING)
+    bad = tmp_path / "bad_input"
+    bad.write_bytes(data)
+    cfg_path = bad
+    if others is not None:
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({"runs": [{"run_id": "r", kind: bad.name, **others}],
+                                        "output_dir": "out"}))
+    assert main(["summarize", "--config", str(cfg_path), "r"]) == 1
+    assert capsys.readouterr().err == f"error: {bad}:3: not UTF-8 text: byte 0xe9\n"
+    assert not (tmp_path / "out" / "r_summary.csv").exists()
 
 
 # A bad config value or CLI override, the subcommand run with it, and

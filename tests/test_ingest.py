@@ -27,6 +27,7 @@ from taildiag.ingest import (
     select_dominant_rnti,
 )
 
+from readers import read_manifest, read_truth_csv
 from runs import latency_trace, sched_trace
 
 
@@ -397,7 +398,7 @@ def test_manifest_round_trip(tmp_path):
     path = tmp_path / "run.manifest"
     canon.write_manifest(path, m, {"latency_file": "r1_latency.csv",
                                    "scheduler_file": "r1_sched.csv"})
-    got, files = canon.read_manifest(path)
+    got, files = read_manifest(path)
     assert got == m
     assert files["latency_file"] == str(tmp_path / "r1_latency.csv")
     assert files["scheduler_file"] == str(tmp_path / "r1_sched.csv")
@@ -406,7 +407,7 @@ def test_manifest_round_trip(tmp_path):
 def test_truth_round_trip(tmp_path):
     path = tmp_path / "truth.csv"
     canon.write_truth_csv(path, [12.5, 3.25], [4.0, 99.0, 7.0])
-    stalls, excursions = canon.read_truth_csv(path)
+    stalls, excursions = read_truth_csv(path)
     assert stalls == [3.25, 12.5]
     assert excursions == [4.0, 7.0, 99.0]
     assert path.read_text().splitlines()[0] == "kind,t_s"
@@ -520,11 +521,11 @@ def test_fullstats_parser_skips_what_the_canonical_reader_rejects():
 def test_truth_reader_names_file_and_line(tmp_path):
     path = _file(tmp_path, "kind,t_s\nstall,1.0\n\nspike,2.0\n")
     with pytest.raises(MalformedRecordError) as exc:
-        canon.read_truth_csv(path)
+        read_truth_csv(path)
     assert str(exc.value) == f"{path}:4: unknown truth kind 'spike'"
     path = _file(tmp_path, "kind,t_s\nstall,nan\n")
     with pytest.raises(MalformedRecordError):
-        canon.read_truth_csv(path)
+        read_truth_csv(path)
 
 
 def test_empty_canonical_tables_raise(tmp_path):

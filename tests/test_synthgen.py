@@ -27,6 +27,8 @@ from taildiag.synthgen import (
 )
 from taildiag.windows import WindowSpec, build_joined_windows
 
+from readers import read_manifest, read_truth_csv
+
 
 def modem_spec(**kw):
     base = dict(scenario="baseline", duration_s=600.0, seed=7,
@@ -304,11 +306,11 @@ def test_campaign_files_and_round_trip(tmp_path):
     spec = modem_spec(duration_s=60.0, bler_excursion_prob=0.05,
                       stall_bler_coupling=1.0)
     [g] = gen_campaign([RunPreset("demo", spec)], tmp_path)
-    meta, files = canon.read_manifest(g.manifest_path)
+    meta, files = read_manifest(g.manifest_path)
     assert meta == g.run.meta
     assert canon.read_latency_csv(files["latency_file"]) == g.run.latency
     assert canon.read_scheduler_csv(files["scheduler_file"]) == g.run.scheduler
-    stalls, excursions = canon.read_truth_csv(files["truth_file"])
+    stalls, excursions = read_truth_csv(files["truth_file"])
     assert stalls == sorted(g.truth.stall_times_s)
     assert excursions == sorted(g.truth.excursion_times_s)
     assert (tmp_path / "campaign.manifest").read_text() == "demo.manifest\n"
