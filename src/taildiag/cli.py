@@ -19,7 +19,7 @@ from collections.abc import Callable
 from dataclasses import replace
 from pathlib import Path
 
-from . import canon, report, stats, synthgen
+from . import canon, report, stats
 from .config import (
     DEFAULT_COLUMN_MAP,
     CampaignConfig,
@@ -179,6 +179,7 @@ def cmd_phases(an: Analysis, out_dir: Path, run_id: str,
 
 
 def cmd_synth(out_dir: Path, preset: str, seed: int | None) -> int:
+    from . import synthgen     # only synth needs it: other commands skip the import
     presets = synthgen.presets_by_name(
         preset, synthgen.DEFAULT_SEED if seed is None else seed)
     generated = synthgen.gen_campaign(presets, out_dir)

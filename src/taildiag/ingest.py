@@ -17,6 +17,9 @@ import logging
 import math
 import re
 from dataclasses import dataclass, fields, replace
+from functools import partial
+from itertools import islice
+from operator import itemgetter, methodcaller
 from typing import ClassVar, Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -91,6 +94,10 @@ class SchedulerSnapshot(NamedTuple):
     dl_total: int | None = None
 
 
+# Integral values at or beyond this magnitude do not fit an int64.
+_INT64_BOUND = 2.0 ** 63
+
+
 class _Trace:
     """Equal-length float64 numpy columns, one per field of the row type
     ROW and in its order, NaN where an optional field is absent. The
@@ -130,10 +137,17 @@ class _Trace:
     def rendered(self, name: str) -> np.ndarray:
         """Column `name` as float64 holding what its cells render as: in
         an integral column each value cast to int64, and one NaN (the
-        one an empty cell reads as) wherever a value is absent."""
+        one an empty cell reads as) wherever a value is absent. An
+        integral value that int64 cannot hold (an infinity, or 2**63 or
+        more in magnitude) raises InvalidSpecError naming its row."""
         col = getattr(self, name)
         absent = np.isnan(col)
         if name in self.INTEGRAL:
+            beyond = np.flatnonzero(~absent & ~(np.abs(col) < _INT64_BOUND))
+            if beyond.size:
+                row = int(beyond[0])
+                raise InvalidSpecError(f"cannot write {name} {float(col[row])!r} of "
+                                       f"trace row {row}: int64 cannot hold it")
             col = np.where(absent, 0.0, col).astype(np.int64).astype(float)
         return np.where(absent, np.nan, col)
 
@@ -276,9 +290,172 @@ _EPOCH_RE = re.compile(r"^\[(\d+(?:\.\d+)?)\]")
 _REPLY_RE = re.compile(r"icmp_[sr]eq=(\d+)\b.*?\btime=(\d+(?:\.\d+)?)\s*ms")
 _SEQ_MOD = 1 << 16
 
+# Lines the ping parser decodes at a time, so a log is never held whole.
+_BLOCK_LINES = 16384
+# The longest number, in bytes, that the block decoder reads; a line
+# with a longer one takes the per-line rules.
+_MAX_NUMBER = 18
+# Bytes of padding around a block, so every window the decoder reads
+# lies inside the buffer.
+_PAD = 32
+_INT_POW10 = 10 ** np.arange(_MAX_NUMBER + 1, dtype=np.int64)
+_POW10 = _INT_POW10.astype(float)               # exact: 10**k for k <= 22
+_DOT, _EQ, _NL = ord("."), ord("="), ord("\n")
+_LAST = itemgetter(slice(-1, None))             # a line's last character, if any
+
 
 def _is_reply_candidate(line: str) -> bool:
     return "bytes from" in line and ("icmp_seq=" in line or "icmp_req=" in line)
+
+
+def _reply_fields(line: str) -> tuple[float, int, float] | None:
+    """(epoch, seq, rtt_ms) of a reply-like line without its line end,
+    epoch NaN when the line has none. None when the line is malformed:
+    no seq and time fields, an rtt that is not finite and > 0, a seq
+    beyond 2**53 (the largest a float64 column holds exactly), or an
+    epoch that is not finite."""
+    m = _REPLY_RE.search(line)
+    if m is None:
+        return None
+    rtt = float(m.group(2))
+    try:
+        seq = int(m.group(1))
+    except ValueError:          # more digits than int() converts
+        return None
+    em = _EPOCH_RE.match(line)
+    epoch = float(em.group(1)) if em else math.nan
+    if not 0.0 < rtt < math.inf or seq > _MAX_EXACT_INT or epoch == math.inf:
+        return None
+    return epoch, seq, rtt
+
+
+def _rows(buf: np.ndarray, pos: np.ndarray, width: int) -> np.ndarray:
+    """The `width` bytes of buf from each position in pos, one row each
+    (pos clipped into buf)."""
+    view = np.lib.stride_tricks.sliding_window_view(buf, width)
+    return view[np.clip(pos, 0, len(view) - 1)]
+
+
+def _holds(buf: np.ndarray, pos: np.ndarray, *words: bytes) -> np.ndarray:
+    """Mask of the positions in pos at which buf holds one of words, all
+    of one length."""
+    rows = _rows(buf, pos, len(words[0])).view(f"S{len(words[0])}")[:, 0]
+    return np.logical_or.reduce([rows == word for word in words])
+
+
+def _run_end(buf: np.ndarray, pos: np.ndarray, width: int, dots: bool) -> np.ndarray:
+    """End of the run of digits (and dots, with `dots`) from each
+    position in pos; pos itself where the run is `width` bytes or
+    longer."""
+    rows = _rows(buf, pos, width)
+    numeric = (rows - 48) < 10
+    if dots:
+        numeric |= rows == _DOT
+    return pos + np.argmin(numeric, axis=1)
+
+
+def _numbers(buf: np.ndarray, start: np.ndarray, end: np.ndarray, ok: np.ndarray,
+             integral: bool) -> tuple[np.ndarray, np.ndarray]:
+    r"""(ok, value) of the fields buf[start:end] where ok is set on entry:
+    ok stays set where a field is 1 to _MAX_NUMBER bytes of the form
+    \d+ (integral) or \d+(\.\d+)?, the byte before it is no digit, and
+    its digits as one integer, the mantissa, are below 2**53. Then value
+    is float() of the field: mantissa / 10**k for k digits after the
+    dot, exact since both are exact in float64 (Clinger's fast path)."""
+    length = end - start
+    ok = ok & (length >= 1) & (length <= _MAX_NUMBER)
+    width = int(length[ok].max()) + 1 if ok.any() else 2
+    rows = _rows(buf, end - width, width)           # fields right-aligned
+    values = rows - 48
+    digit = values < 10
+    inside = np.arange(width) >= (width - length)[:, None]
+    edge = width - 1 - length                       # column of the byte before
+    # Column of the last byte that is no digit: edge when all are digits.
+    last = width - 1 - np.argmin(digit[:, ::-1], axis=1)
+    # Exact in int64: width exceeds every kept field, so column 0 holds
+    # no digit of one and its sum stays below 10**18.
+    raw = (values * (digit & inside)) @ _INT_POW10[width - 1::-1]
+    if integral:
+        ok &= (last == edge) & (raw < _MAX_EXACT_INT)
+        return ok, raw.astype(float)
+    point = (ok & (np.argmax(~digit & inside, axis=1) == last)
+             & (rows[np.arange(len(rows)), last] == _DOT)
+             & (last > edge + 1) & (last < width - 1))
+    # Left of the dot, raw weighs each digit ten times too much.
+    scale = _INT_POW10[np.where(point, width - last, 0)]
+    frac = raw % scale
+    mantissa = np.where(point, (raw - frac) // 10 + frac, raw)
+    ok &= ((last == edge) | point) & (mantissa < _MAX_EXACT_INT)
+    return ok, mantissa / _POW10[np.where(point, width - 1 - last, 0)]
+
+
+def _ended(block: list[str]) -> tuple[list[str], str] | None:
+    """(lines, text): the lines of block, each ending in one newline
+    (added where it has none), and their text. None when a line holds a
+    line break before its end."""
+    text = "".join(block)
+    if text.count("\n") != len(block):
+        block = [line if line.endswith("\n") else line + "\n" for line in block]
+        text = "".join(block)
+    if text.count("\n") != len(block) or "".join(map(_LAST, block)) != "\n" * len(block):
+        return None
+    return block, text
+
+
+def _block_buffer(block: list[str]) -> np.ndarray | None:
+    """The lines of block (_ended) as one ASCII byte buffer, padded by
+    _PAD bytes either side; None when _ended refuses the block or it is
+    not ASCII."""
+    ended = _ended(block)
+    if ended is None or not ended[1].isascii():
+        return None
+    pad = b"\0" * _PAD
+    return np.frombuffer(pad + ended[1].encode("ascii") + pad, np.uint8)
+
+
+def _decode_block(block: list[str]) -> tuple[np.ndarray, ...]:
+    """(ok, epoch, seq, rtt_ms): per line of block, whether it has the
+    strict reply shape
+
+        [EPOCH] N bytes from HOST: icmp_seq=S ttl=T time=R ms
+
+    (epoch optional, icmp_req= also accepted, HOST and T free of '=',
+    each number short enough for _numbers) and values the per-line
+    rules accept, and if so its fields, epoch NaN when absent. The
+    per-line rules give the same fields for every such line; every
+    other line is left to them."""
+    n = len(block)
+    epoch, seq, rtt = np.full(n, math.nan), np.zeros(n, dtype=np.int64), np.zeros(n)
+    buf = _block_buffer(block)
+    if buf is None:
+        return np.zeros(n, dtype=bool), epoch, seq, rtt
+    # The three '=' of a reply (icmp_seq=, ttl=, time=), found between
+    # the newlines, which end the n lines.
+    marks = np.flatnonzero((buf == _EQ) | (buf == _NL))
+    newlines = np.flatnonzero(buf[marks] == _NL)
+    end = marks[newlines]
+    start = np.concatenate(([_PAD], end[:-1] + 1))
+    before = np.concatenate(([-1], newlines[:-1]))
+    ok = newlines - before == 4
+    e_seq, e_ttl, e_time = (marks[np.minimum(before + k, len(marks) - 1)] for k in (1, 2, 3))
+    ok &= (_holds(buf, e_seq - 10, b": icmp_seq=", b": icmp_req=")
+           & _holds(buf, e_ttl - 4, b" ttl=") & _holds(buf, e_time - 5, b" time=")
+           & _holds(buf, end - 3, b" ms"))
+    stamped = buf[start] == ord("[")
+    stamp_end = _run_end(buf, start + 1, _MAX_NUMBER + 1, dots=True)
+    stamp_ok, stamp = _numbers(buf, start + 1, stamp_end, ok & stamped, integral=False)
+    ok &= ~stamped | (stamp_ok & _holds(buf, stamp_end, b"] "))
+    size = np.where(stamped, stamp_end + 2, start)
+    size_end = _run_end(buf, size, 8, dots=False)
+    ok &= ((size_end > size) & _holds(buf, size_end, b" bytes from ")
+           & (size_end + 12 <= e_seq - 10))
+    ok, seq_value = _numbers(buf, e_seq + 1, e_ttl - 4, ok, integral=True)
+    ok, rtt_value = _numbers(buf, e_time + 1, end - 3, ok, integral=False)
+    ok &= rtt_value > 0.0
+    epoch[ok & stamped] = stamp[ok & stamped]
+    seq[ok] = seq_value[ok]
+    rtt[ok] = rtt_value[ok]
+    return ok, epoch, seq, rtt
 
 
 def _unwrap_seq(seq: np.ndarray) -> np.ndarray:
@@ -301,34 +478,39 @@ def parse_ping_log(lines: Iterable[str], meta: RunMetadata) -> PingParseResult:
     do, t_s is the offset from the earliest such epoch, otherwise
     t_s = count * meta.ping_interval_s, where count is icmp_seq with
     its 16-bit wraps undone. The seq column keeps the printed value.
+
+    Lines are read in blocks of _BLOCK_LINES. The lines of a block that
+    have the strict reply shape (_decode_block) are decoded together;
+    every other line is read by the per-line rules, which define the
+    result for every line.
     """
     skipped = 0
     malformed: list[tuple[int, str]] = []
-    epochs: list[float] = []
-    seqs: list[int] = []
-    rtts: list[float] = []
-    for line_no, line in enumerate(lines, start=1):
-        line = line.rstrip("\n")
-        if not _is_reply_candidate(line):
-            skipped += 1
-            continue
-        m = _REPLY_RE.search(line)
-        rtt = float(m.group(2)) if m else 0.0
-        if m is None or rtt <= 0.0:
-            malformed.append((line_no, line))
-            # One warning per line, uncapped: perfbench's raw_ingest check
-            # reads these line numbers from stderr. Capping them waits for
-            # the diagnostics sidecar (ROADMAP item 5).
-            log.warning("ping line %d unparseable: %s", line_no, line)
-            continue
-        em = _EPOCH_RE.match(line)
-        epochs.append(float(em.group(1)) if em else math.nan)
-        seqs.append(int(m.group(1)))
-        rtts.append(rtt)
-    if not rtts:
+    parts: list[tuple[np.ndarray, ...]] = []
+    line_iter = iter(lines)
+    first_no = 1
+    while block := list(islice(line_iter, _BLOCK_LINES)):
+        ok, epoch, seq, rtt = _decode_block(block)
+        for i in np.flatnonzero(~ok).tolist():
+            line = block[i].rstrip("\n")
+            if not _is_reply_candidate(line):
+                skipped += 1
+                continue
+            fields = _reply_fields(line)
+            if fields is None:
+                malformed.append((first_no + i, line))
+                # One warning per line, uncapped: perfbench's raw_ingest
+                # check reads these line numbers from stderr. Capping them
+                # waits for the diagnostics sidecar (ROADMAP item 4).
+                log.warning("ping line %d unparseable: %s", first_no + i, line)
+                continue
+            epoch[i], seq[i], rtt[i] = fields
+            ok[i] = True
+        parts.append((epoch[ok], seq[ok], rtt[ok]))
+        first_no += len(block)
+    if not any(len(rtt) for _, _, rtt in parts):
         raise EmptyTraceError("no ping reply lines parsed")
-    epoch = np.array(epochs)
-    seq = np.array(seqs, dtype=np.int64)
+    epoch, seq, rtt = (np.concatenate(col) for col in zip(*parts))
     stamped = ~np.isnan(epoch)
     # Earliest epoch as base, not the first line's, so t_s stays >= 0
     # even when replies arrive out of order.
@@ -336,7 +518,7 @@ def parse_ping_log(lines: Iterable[str], meta: RunMetadata) -> PingParseResult:
     t = np.where(stamped, epoch - base, _unwrap_seq(seq) * meta.ping_interval_s)
     order = np.lexsort((seq, t))
     return PingParseResult(
-        samples=LatencyTrace(t[order], seq[order], np.array(rtts)[order]),
+        samples=LatencyTrace(t[order], seq[order], rtt[order]),
         skipped_lines=skipped, malformed=malformed)
 
 
@@ -368,6 +550,131 @@ def _int_cell(cell: str) -> float:
     return _float_cell(cell)
 
 
+def _column(cells: list[str], parse) -> tuple[np.ndarray, dict[int, str]]:
+    """The cells read by parse (_float_cell or _int_cell), and the
+    position of each cell it refuses, with the reason. One pass converts
+    them all with float(), or for _int_cell, when every cell has the 0x
+    prefix, with int(cell, 16); only when that raises or meets a NaN are
+    the cells read one by one by parse itself."""
+    try:
+        try:
+            col = np.fromiter(map(float, cells), float, count=len(cells))
+        except ValueError:
+            if parse is not _int_cell or not all(
+                    map(methodcaller("startswith", ("0x", "0X")), cells)):
+                raise
+            col = np.fromiter(map(float, map(partial(int, base=16), cells)), float,
+                              count=len(cells))
+        if not np.isnan(col).any():
+            return col, {}
+    except (ValueError, OverflowError):
+        pass
+    col = np.empty(len(cells))
+    refused = {}
+    for k, cell in enumerate(cells):
+        try:
+            col[k] = parse(cell)
+        except (ValueError, OverflowError) as exc:
+            refused[k] = str(exc)
+    return col, refused
+
+
+def _plain_cells(block: list[str]) -> tuple[list[str], int] | None:
+    """(cells, stride): the cells of the lines of block (_ended), line
+    after line, each line's followed by a newline cell, and the cells per
+    line with that one, where csv.reader would split every line at each
+    comma into the same number of cells and no line is blank: no quote,
+    CR or NUL, no line over csv's field size limit, the same count of
+    commas in every line and a cell that is not blank in each. None
+    otherwise."""
+    ended = _ended(block)
+    if ended is None:
+        return None
+    block, text = ended
+    if ('"' in text or "\r" in text or "\0" in text
+            or max(map(len, block)) > csv.field_size_limit()):
+        return None
+    n = len(block)
+    # Each line's newline becomes a cell of its own; these fall at every
+    # (width + 1)-th place exactly when every line has `width` cells.
+    width = block[0].count(",") + 1
+    cells = text.replace("\n", ",\n,").split(",")[:-1]
+    if len(cells) != n * (width + 1) or cells[width::width + 1].count("\n") != n:
+        return None
+    firsts = cells[::width + 1]
+    if not all(map(str.strip, firsts)):
+        for k, cell in enumerate(firsts):
+            row = k * (width + 1)
+            if not cell.strip() and not any(map(str.strip, cells[row:row + width])):
+                return None
+    return cells, width + 1
+
+
+def _csv_rows(block: list[str], line_iter) -> list[list[str]]:
+    """The rows csv.reader makes of the lines of block, reading on from
+    line_iter while a quoted field runs past the end of block."""
+    left = len(block)
+
+    def source():
+        nonlocal left
+        for line in block:
+            left -= 1
+            yield line
+        yield from line_iter
+
+    reader = csv.reader(source())
+    rows = []
+    while left:
+        rows.append(next(reader))
+    return rows
+
+
+def _fullstats_block(block: list[str], line_iter, first: int,
+                     cells: list[tuple[int, object]], faults: dict[int, str]
+                     ) -> tuple[np.ndarray, np.ndarray, int]:
+    """(table, row_idx, rows): the mapped values of the rows of block
+    (and of the lines a quoted field of its last row runs on to) that
+    are not blank and that every cell parser accepts, their row indices
+    (its first row has index first), and how many rows block held. A
+    refused row goes into faults with the reason its first refused
+    cell gives, in column_map field order."""
+    bad: dict[int, str] = {}
+    plain = _plain_cells(block)
+    if plain is not None and plain[1] - 1 > max(i for i, _ in cells):
+        texts, stride = plain
+        count = len(block)
+        row_idx = first + np.arange(count)
+        table = np.empty((count, len(cells)))
+        full = np.arange(count)
+        columns = [texts[i::stride] for i, _ in cells]
+    else:
+        rows = _csv_rows(block, line_iter)
+        count = len(rows)
+        live = [(first + k, row) for k, row in enumerate(rows) if any(map(str.strip, row))]
+        row_idx = np.array([k for k, _ in live], dtype=np.int64)
+        rows = [row for _, row in live]
+        table = np.empty((len(rows), len(cells)))
+        lengths = np.fromiter(map(len, rows), np.int64, count=len(rows))
+        whole = lengths > max(i for i, _ in cells)
+        for k in np.flatnonzero(~whole).tolist():      # too short for a mapped cell
+            try:
+                table[k] = [parse(rows[k][i]) for i, parse in cells]
+            except (ValueError, IndexError, OverflowError) as exc:
+                bad[k] = str(exc)
+        full = np.flatnonzero(whole)
+        full_rows = [rows[k] for k in full]
+        columns = [list(map(itemgetter(i), full_rows)) for i, _ in cells]
+    for j, (column, (_, parse)) in enumerate(zip(columns, cells)):
+        table[full, j], refused = _column(column, parse)
+        for k, reason in refused.items():
+            bad.setdefault(int(full[k]), reason)
+    keep = np.ones(len(table), dtype=bool)
+    for k, reason in bad.items():
+        keep[k] = False
+        faults[int(row_idx[k])] = reason
+    return table[keep], row_idx[keep], count
+
+
 def parse_fullstats(lines: Iterable[str], column_map: Mapping[str, str],
                     meta: RunMetadata, *,
                     stats_period_s: float = 1.0) -> FullstatsParseResult:
@@ -378,6 +685,9 @@ def parse_fullstats(lines: Iterable[str], column_map: Mapping[str, str],
     times stats_period_s is used as the snapshot time; a mapped t_s is
     rebased so the earliest kept snapshot lies at 0. Rows with values
     outside the documented domains are skipped and counted.
+
+    Lines are read in blocks of _BLOCK_LINES, split into rows as
+    csv.reader splits them, and converted column by column.
     """
     for name in _REQUIRED_FIELDS:
         if name not in column_map:
@@ -386,9 +696,9 @@ def parse_fullstats(lines: Iterable[str], column_map: Mapping[str, str],
     if unknown:
         raise InvalidSpecError(f"unknown canonical fields in column_map: {sorted(unknown)}")
 
-    reader = csv.reader(lines)
+    line_iter = iter(lines)
     try:
-        header = [h.strip() for h in next(reader)]
+        header = [h.strip() for h in next(csv.reader(line_iter))]
     except StopIteration:
         raise EmptyTraceError("fullstats input has no header row") from None
     missing = [col for col in column_map.values() if col not in header]
@@ -399,28 +709,26 @@ def parse_fullstats(lines: Iterable[str], column_map: Mapping[str, str],
               _int_cell if name in SchedulerTrace.INTEGRAL else _float_cell)
              for name in mapped]
 
-    values: list[list[float]] = []
-    row_idx_of: list[int] = []      # row index of each entry of values
+    tables = [np.empty((0, len(mapped)))]
+    kept_idx = [np.empty(0, dtype=np.int64)]
     faults: dict[int, str] = {}     # row index -> why the row is skipped
-    for row_idx, row in enumerate(reader):
-        if not row or all(not c.strip() for c in row):
-            continue
-        try:
-            values.append([parse(row[i]) for i, parse in cells])
-        except (ValueError, IndexError, OverflowError) as exc:
-            faults[row_idx] = str(exc)
-            continue
-        row_idx_of.append(row_idx)
+    first = 0
+    while block := list(islice(line_iter, _BLOCK_LINES)):
+        table, row_idx, count = _fullstats_block(block, line_iter, first, cells, faults)
+        tables.append(table)
+        kept_idx.append(row_idx)
+        first += count
+    table = np.concatenate(tables)
+    row_idx_of = np.concatenate(kept_idx)   # row index of each row of table
 
-    table = np.array(values, dtype=float).reshape(len(values), len(mapped))
-    cols = {name: np.full(len(values), np.nan) for name in FULLSTATS_FIELDS}
+    cols = {name: np.full(len(table), np.nan) for name in FULLSTATS_FIELDS}
     cols.update((name, table[:, j]) for j, name in enumerate(mapped))
     if "t_s" not in column_map:
-        cols["t_s"] = np.array(row_idx_of) * stats_period_s
-    keep = np.ones(len(values), dtype=bool)
+        cols["t_s"] = row_idx_of * stats_period_s
+    keep = np.ones(len(table), dtype=bool)
     for pos, reason in scheduler_faults(cols).items():
         keep[pos] = False
-        faults[row_idx_of[pos]] = reason
+        faults[int(row_idx_of[pos])] = reason
     for row_idx in sorted(faults):
         # Uncapped on purpose, like the ping warnings above.
         log.warning("fullstats row %d skipped: %s", row_idx + 1, faults[row_idx])

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from taildiag import canon
-from taildiag.errors import MalformedRecordError
+from taildiag.errors import InvalidSpecError, MalformedRecordError
 from taildiag.ingest import LatencyTrace, SchedulerTrace
 
 IO = {LatencyTrace: (canon.write_latency_csv, canon.read_latency_csv),
@@ -86,15 +86,32 @@ def traces(draw):
     return kind(*columns)
 
 
+def _unwritable(trace):
+    """Whether an integral column of trace holds a value (not NaN) that
+    no int64 holds: an infinity, or 2**63 or more in magnitude."""
+    return any(not math.isnan(v) and not abs(v) < 2.0 ** 63
+               for name in trace.INTEGRAL for v in getattr(trace, name).tolist())
+
+
 @settings(max_examples=150, deadline=None)
 @given(traces())
 @example(SchedulerTrace([0.0], [17], [0.5], [-math.nan], [math.nan], [9], [-0.0],
                         [None], [0], [0]))
 @example(LatencyTrace([-0.0, -0.0], [-0.0, 1], [9.0, 9.0]))
 @example(LatencyTrace([0.0, 0.2], [0, 1], [9.0, math.nan]))
+@example(LatencyTrace([0.0, 0.2], [0, math.inf], [9.0, 9.0]))
+@example(SchedulerTrace([0.0], [1e300], [0.5], [None], [-math.inf], [9], [None],
+                        [None], [0], [0]))
 def test_column_file_read_equals_text_read(tmp_path_factory, trace):
     path = tmp_path_factory.mktemp("cols") / "trace.csv"
     write, read = IO[type(trace)]
+    if _unwritable(trace):
+        # No CSV cell holds such an integer: the writer refuses the
+        # trace and writes nothing.
+        with pytest.raises(InvalidSpecError, match="int64 cannot hold it"):
+            write(path, trace)
+        assert not path.exists() and not _columns(path).exists()
+        return
     write(path, trace)
     with_columns = _outcome(read, path)
     written = _columns(path).exists()

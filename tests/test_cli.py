@@ -3,6 +3,7 @@
 import json
 import logging
 import math
+import re
 import runpy
 import shutil
 import sys
@@ -435,6 +436,25 @@ def test_ingested_run_feeds_analysis(raw_dir, capsys):
     }))
     assert main(["summarize", "--config", str(cfg2), "raw1"]) == 0
     assert (raw_dir / "out" / "raw1_summary.csv").exists()
+
+
+def test_ingest_counts_replies_no_canonical_file_can_hold(raw_dir, capsys, caplog):
+    # An icmp_seq past int64, an rtt and an epoch of over 308 digits.
+    with open(raw_dir / "ping.log", "a") as fh:
+        fh.write("[1.2] 64 bytes from h: icmp_seq=99999999999999999999999 ttl=64 "
+                 "time=5.0 ms\n")
+        fh.write("64 bytes from h: icmp_seq=100 ttl=64 time=" + "9" * 400 + ".5 ms\n")
+        fh.write("[" + "9" * 400 + "] 64 bytes from h: icmp_seq=101 ttl=64 time=5.0 ms\n")
+    with caplog.at_level(logging.WARNING):
+        assert main(["ingest", "--config", str(raw_dir / "c.json")]) == 0
+    assert [int(n) for n in re.findall(r"ping line (\d+) unparseable", caplog.text)] == \
+        [103, 104, 105]
+    cfg2 = raw_dir / "c2.json"
+    cfg2.write_text(json.dumps({
+        "runs": [{"run_id": "raw1", "latency_file": "out/raw1_latency.csv"}],
+        "output_dir": "out"}))
+    assert main(["summarize", "--config", str(cfg2), "raw1"]) == 0
+    assert (raw_dir / "out" / "raw1_latency.csv.cols").exists()
 
 
 def test_ingest_writes_nothing_when_a_later_run_fails(raw_dir, capsys):
