@@ -290,7 +290,8 @@ _EPOCH_RE = re.compile(r"^\[(\d+(?:\.\d+)?)\]")
 _REPLY_RE = re.compile(r"icmp_[sr]eq=(\d+)\b.*?\btime=(\d+(?:\.\d+)?)\s*ms")
 _SEQ_MOD = 1 << 16
 
-# Lines the ping parser decodes at a time, so a log is never held whole.
+# Lines (ping) or rows (fullstats) the raw parsers read at a time, so a
+# log is never held whole.
 _BLOCK_LINES = 16384
 # The longest number, in bytes, that the block decoder reads; a line
 # with a longer one takes the per-line rules.
@@ -302,6 +303,10 @@ _INT_POW10 = 10 ** np.arange(_MAX_NUMBER + 1, dtype=np.int64)
 _POW10 = _INT_POW10.astype(float)               # exact: 10**k for k <= 22
 _DOT, _EQ, _NL = ord("."), ord("="), ord("\n")
 _LAST = itemgetter(slice(-1, None))             # a line's last character, if any
+# Lines at the head of a block that must hold a strict reply for the
+# block to be decoded together, so a log without that shape goes to the
+# per-line rules without paying for the block pass too.
+_PROBE_LINES = 64
 
 
 def _is_reply_candidate(line: str) -> bool:
@@ -389,28 +394,20 @@ def _numbers(buf: np.ndarray, start: np.ndarray, end: np.ndarray, ok: np.ndarray
     return ok, mantissa / _POW10[np.where(point, width - 1 - last, 0)]
 
 
-def _ended(block: list[str]) -> tuple[list[str], str] | None:
-    """(lines, text): the lines of block, each ending in one newline
-    (added where it has none), and their text. None when a line holds a
-    line break before its end."""
+def _block_buffer(block: list[str]) -> np.ndarray | None:
+    """The lines of block as one ASCII byte buffer, each ending in one
+    newline (added where it has none), padded by _PAD bytes either side.
+    None when a line holds a line break before its end or the block is
+    not ASCII."""
     text = "".join(block)
     if text.count("\n") != len(block):
         block = [line if line.endswith("\n") else line + "\n" for line in block]
         text = "".join(block)
-    if text.count("\n") != len(block) or "".join(map(_LAST, block)) != "\n" * len(block):
-        return None
-    return block, text
-
-
-def _block_buffer(block: list[str]) -> np.ndarray | None:
-    """The lines of block (_ended) as one ASCII byte buffer, padded by
-    _PAD bytes either side; None when _ended refuses the block or it is
-    not ASCII."""
-    ended = _ended(block)
-    if ended is None or not ended[1].isascii():
+    if (text.count("\n") != len(block) or "".join(map(_LAST, block)) != "\n" * len(block)
+            or not text.isascii()):
         return None
     pad = b"\0" * _PAD
-    return np.frombuffer(pad + ended[1].encode("ascii") + pad, np.uint8)
+    return np.frombuffer(pad + text.encode("ascii") + pad, np.uint8)
 
 
 def _decode_block(block: list[str]) -> tuple[np.ndarray, ...]:
@@ -423,11 +420,12 @@ def _decode_block(block: list[str]) -> tuple[np.ndarray, ...]:
     each number short enough for _numbers) and values the per-line
     rules accept, and if so its fields, epoch NaN when absent. The
     per-line rules give the same fields for every such line; every
-    other line is left to them."""
+    other line is left to them, and so is every line of a block whose
+    first _PROBE_LINES lines hold no such line."""
     n = len(block)
     epoch, seq, rtt = np.full(n, math.nan), np.zeros(n, dtype=np.int64), np.zeros(n)
-    buf = _block_buffer(block)
-    if buf is None:
+    if (n > _PROBE_LINES and not _decode_block(block[:_PROBE_LINES])[0].any()
+            or (buf := _block_buffer(block)) is None):
         return np.zeros(n, dtype=bool), epoch, seq, rtt
     # The three '=' of a reply (icmp_seq=, ttl=, time=), found between
     # the newlines, which end the n lines.
@@ -491,6 +489,7 @@ def parse_ping_log(lines: Iterable[str], meta: RunMetadata) -> PingParseResult:
     first_no = 1
     while block := list(islice(line_iter, _BLOCK_LINES)):
         ok, epoch, seq, rtt = _decode_block(block)
+        at, read = [], []           # lines the per-line rules read, and their fields
         for i in np.flatnonzero(~ok).tolist():
             line = block[i].rstrip("\n")
             if not _is_reply_candidate(line):
@@ -504,8 +503,12 @@ def parse_ping_log(lines: Iterable[str], meta: RunMetadata) -> PingParseResult:
                 # waits for the diagnostics sidecar (ROADMAP item 4).
                 log.warning("ping line %d unparseable: %s", first_no + i, line)
                 continue
-            epoch[i], seq[i], rtt[i] = fields
-            ok[i] = True
+            at.append(i)
+            read.append(fields)
+        if at:
+            # Exact: _reply_fields bounds seq by 2**53.
+            epoch[at], seq[at], rtt[at] = np.array(read).T
+            ok[at] = True
         parts.append((epoch[ok], seq[ok], rtt[ok]))
         first_no += len(block)
     if not any(len(rtt) for _, _, rtt in parts):
@@ -579,100 +582,35 @@ def _column(cells: list[str], parse) -> tuple[np.ndarray, dict[int, str]]:
     return col, refused
 
 
-def _plain_cells(block: list[str]) -> tuple[list[str], int] | None:
-    """(cells, stride): the cells of the lines of block (_ended), line
-    after line, each line's followed by a newline cell, and the cells per
-    line with that one, where csv.reader would split every line at each
-    comma into the same number of cells and no line is blank: no quote,
-    CR or NUL, no line over csv's field size limit, the same count of
-    commas in every line and a cell that is not blank in each. None
-    otherwise."""
-    ended = _ended(block)
-    if ended is None:
-        return None
-    block, text = ended
-    if ('"' in text or "\r" in text or "\0" in text
-            or max(map(len, block)) > csv.field_size_limit()):
-        return None
-    n = len(block)
-    # Each line's newline becomes a cell of its own; these fall at every
-    # (width + 1)-th place exactly when every line has `width` cells.
-    width = block[0].count(",") + 1
-    cells = text.replace("\n", ",\n,").split(",")[:-1]
-    if len(cells) != n * (width + 1) or cells[width::width + 1].count("\n") != n:
-        return None
-    firsts = cells[::width + 1]
-    if not all(map(str.strip, firsts)):
-        for k, cell in enumerate(firsts):
-            row = k * (width + 1)
-            if not cell.strip() and not any(map(str.strip, cells[row:row + width])):
-                return None
-    return cells, width + 1
-
-
-def _csv_rows(block: list[str], line_iter) -> list[list[str]]:
-    """The rows csv.reader makes of the lines of block, reading on from
-    line_iter while a quoted field runs past the end of block."""
-    left = len(block)
-
-    def source():
-        nonlocal left
-        for line in block:
-            left -= 1
-            yield line
-        yield from line_iter
-
-    reader = csv.reader(source())
-    rows = []
-    while left:
-        rows.append(next(reader))
-    return rows
-
-
-def _fullstats_block(block: list[str], line_iter, first: int,
-                     cells: list[tuple[int, object]], faults: dict[int, str]
-                     ) -> tuple[np.ndarray, np.ndarray, int]:
-    """(table, row_idx, rows): the mapped values of the rows of block
-    (and of the lines a quoted field of its last row runs on to) that
-    are not blank and that every cell parser accepts, their row indices
-    (its first row has index first), and how many rows block held. A
-    refused row goes into faults with the reason its first refused
-    cell gives, in column_map field order."""
+def _fullstats_rows(rows: list[list[str]], first: int, cells: list[tuple[int, object]],
+                    faults: dict[int, str]) -> tuple[np.ndarray, np.ndarray]:
+    """(table, row_idx): the mapped values of those of rows that are not
+    blank and that every cell parser accepts, and their row indices
+    (rows[0] has index first). A refused row goes into faults with the
+    reason its first refused cell gives, in column_map field order."""
+    live = [k for k, row in enumerate(rows) if any(map(str.strip, row))]
+    rows = [rows[k] for k in live]
+    row_idx = first + np.array(live, dtype=np.int64)
+    table = np.empty((len(rows), len(cells)))
     bad: dict[int, str] = {}
-    plain = _plain_cells(block)
-    if plain is not None and plain[1] - 1 > max(i for i, _ in cells):
-        texts, stride = plain
-        count = len(block)
-        row_idx = first + np.arange(count)
-        table = np.empty((count, len(cells)))
-        full = np.arange(count)
-        columns = [texts[i::stride] for i, _ in cells]
-    else:
-        rows = _csv_rows(block, line_iter)
-        count = len(rows)
-        live = [(first + k, row) for k, row in enumerate(rows) if any(map(str.strip, row))]
-        row_idx = np.array([k for k, _ in live], dtype=np.int64)
-        rows = [row for _, row in live]
-        table = np.empty((len(rows), len(cells)))
-        lengths = np.fromiter(map(len, rows), np.int64, count=len(rows))
-        whole = lengths > max(i for i, _ in cells)
-        for k in np.flatnonzero(~whole).tolist():      # too short for a mapped cell
-            try:
-                table[k] = [parse(rows[k][i]) for i, parse in cells]
-            except (ValueError, IndexError, OverflowError) as exc:
-                bad[k] = str(exc)
-        full = np.flatnonzero(whole)
-        full_rows = [rows[k] for k in full]
-        columns = [list(map(itemgetter(i), full_rows)) for i, _ in cells]
-    for j, (column, (_, parse)) in enumerate(zip(columns, cells)):
-        table[full, j], refused = _column(column, parse)
+    lengths = np.fromiter(map(len, rows), np.int64, count=len(rows))
+    whole = lengths > max(i for i, _ in cells)
+    for k in np.flatnonzero(~whole).tolist():      # too short for a mapped cell
+        try:
+            table[k] = [parse(rows[k][i]) for i, parse in cells]
+        except (ValueError, IndexError, OverflowError) as exc:
+            bad[k] = str(exc)
+    full = np.flatnonzero(whole)
+    full_rows = [rows[k] for k in full]
+    for j, (i, parse) in enumerate(cells):
+        table[full, j], refused = _column(list(map(itemgetter(i), full_rows)), parse)
         for k, reason in refused.items():
             bad.setdefault(int(full[k]), reason)
     keep = np.ones(len(table), dtype=bool)
     for k, reason in bad.items():
         keep[k] = False
         faults[int(row_idx[k])] = reason
-    return table[keep], row_idx[keep], count
+    return table[keep], row_idx[keep]
 
 
 def parse_fullstats(lines: Iterable[str], column_map: Mapping[str, str],
@@ -686,8 +624,8 @@ def parse_fullstats(lines: Iterable[str], column_map: Mapping[str, str],
     rebased so the earliest kept snapshot lies at 0. Rows with values
     outside the documented domains are skipped and counted.
 
-    Lines are read in blocks of _BLOCK_LINES, split into rows as
-    csv.reader splits them, and converted column by column.
+    Rows are read in blocks of _BLOCK_LINES and converted column by
+    column.
     """
     for name in _REQUIRED_FIELDS:
         if name not in column_map:
@@ -696,9 +634,9 @@ def parse_fullstats(lines: Iterable[str], column_map: Mapping[str, str],
     if unknown:
         raise InvalidSpecError(f"unknown canonical fields in column_map: {sorted(unknown)}")
 
-    line_iter = iter(lines)
+    reader = csv.reader(lines)
     try:
-        header = [h.strip() for h in next(csv.reader(line_iter))]
+        header = [h.strip() for h in next(reader)]
     except StopIteration:
         raise EmptyTraceError("fullstats input has no header row") from None
     missing = [col for col in column_map.values() if col not in header]
@@ -713,11 +651,11 @@ def parse_fullstats(lines: Iterable[str], column_map: Mapping[str, str],
     kept_idx = [np.empty(0, dtype=np.int64)]
     faults: dict[int, str] = {}     # row index -> why the row is skipped
     first = 0
-    while block := list(islice(line_iter, _BLOCK_LINES)):
-        table, row_idx, count = _fullstats_block(block, line_iter, first, cells, faults)
+    while rows := list(islice(reader, _BLOCK_LINES)):
+        table, row_idx = _fullstats_rows(rows, first, cells, faults)
         tables.append(table)
         kept_idx.append(row_idx)
-        first += count
+        first += len(rows)
     table = np.concatenate(tables)
     row_idx_of = np.concatenate(kept_idx)   # row index of each row of table
 

@@ -66,6 +66,12 @@ ODD_REPLIES = [
     "64 bytes from h: icmp_seq={seq}  ttl=64 time={rtt} ms",
     "64 bytes from h: icmp_seq={seq} ttl= time={rtt} ms",
     "64 bytes from h: icmp_seq={seq} ttl=64 time={rtt} ms\r",
+    "64 bytes from h: icmp_seq={seq} ttl=64 time={rtt} msec",
+    "64 bytes from h: icmp_seq={seq} ttl=6 4 time={rtt} ms",
+    "64 bytes from fe80::1%eth0: icmp_seq={seq} ttl=64 time={rtt} ms",
+    "64 bytes from h: icmp_seq x: icmp_req={seq} ttl=64 time={rtt} ms",
+    "64 bytes from h (10.0.0.1): icmp_seq={seq} ttl=64 time={rtt} ms (DUP!)",
+    "[1.5] [2.5] 64 bytes from h: icmp_seq={seq} ttl=64 time={rtt} ms",
     "64 bytes from h: icmp_seq={seq} ttl=64 time={rtt} ms time=1.0 ms",
     "64 bytes from h: icmp_seq={seq} ttl=64 time=.5 ms",
     "64 bytes from h: icmp_seq={seq} ttl=64 time=5. ms",
@@ -165,10 +171,14 @@ def test_ping_block_decoder_takes_the_common_replies():
     lines = [f"[1700000000.{i:06d}] 38 bytes from 10.45.0.1: icmp_seq={i} ttl=64 "
              f"time={i % 97}.{i % 7} ms\n" for i in range(1, 200)]
     lines[9] = lines[9].replace("time=10.3", "time=0.000")      # left to the line rules
+    lines[-1] = lines[-1].rstrip("\n")
     ok, epoch, seq, rtt = ingest._decode_block(lines)
     assert np.flatnonzero(~ok).tolist() == [9]
     assert seq[ok].tolist() == [i for i in range(1, 200) if i != 10]
     assert epoch[5] == float("1700000000.000006") and rtt[5] == float("6.6")
+    # A block whose head holds no strict reply goes wholly to the line rules.
+    odd_head = ["64 bytes from h: icmp_seq=1 ttl=64 time=5ms\n"] * 200 + lines
+    assert not ingest._decode_block(odd_head)[0].any()
 
 
 # --------------------------------------------------------------- fullstats
