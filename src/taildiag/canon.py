@@ -36,17 +36,8 @@ from .errors import (
     MissingColumnError,
     ToolkitError,
 )
-from .ingest import (
-    LatencyTrace,
-    RunMetadata,
-    SchedulerTrace,
-    first_faults,
-    not_integer,
-    scheduler_faults,
-)
+from .ingest import LatencyTrace, Run, SchedulerTrace
 
-LATENCY_HEADER = ",".join(LatencyTrace.names())
-SCHED_HEADER = ",".join(SchedulerTrace.names())
 TRUTH_HEADER = "kind,t_s"
 
 # Bytes of a canonical numeric table; any other (say the letters of
@@ -225,25 +216,6 @@ def _stored_table(path: str | Path, data: bytes, width: int) -> np.ndarray | Non
         return None
 
 
-def _latency_faults(c: dict[str, np.ndarray]) -> dict[int, str]:
-    """Rows of latency columns outside their value domains, each with
-    the first rule it breaks."""
-    rtt = c["rtt_ms"]
-    return first_faults([
-        ("t_s not finite", ~np.isfinite(c["t_s"])),
-        ("seq not an integer", not_integer(c["seq"])),
-        ("rtt_ms not finite and > 0", ~(np.isfinite(rtt) & (rtt > 0.0))),
-    ])
-
-
-# Per trace type: whether an empty cell reads as NaN, and the rows a
-# reader refuses once the table is parsed.
-_RULES = {
-    LatencyTrace: (False, _latency_faults),
-    SchedulerTrace: (True, scheduler_faults),
-}
-
-
 def _raise_first(path: str | Path, data: bytes, faults: dict[int, str]) -> None:
     """Raise MalformedRecordError at the first faulty data row of the
     CSV whose bytes are data, if any."""
@@ -260,7 +232,6 @@ def _read_trace(path: str | Path, kind: type):
     column file when one is bound to the CSV's bytes, else from its
     text. Either way the header is checked and each row is held to the
     value domains of `kind`, a fault naming the CSV's path and line."""
-    optional, faults = _RULES[kind]
     names = kind.names()
     header = ",".join(names)
     with open(path, "rb") as fh:
@@ -275,9 +246,9 @@ def _read_trace(path: str | Path, kind: type):
     table = _stored_table(path, data, len(names))
     if table is None:
         start = end + (2 if data.startswith(b"\r\n", end) else 1)
-        table = _parse_text(path, data, start, names, optional)
+        table = _parse_text(path, data, start, names, kind.EMPTY_IS_NAN)
     columns = dict(zip(names, np.ascontiguousarray(table.T)))
-    _raise_first(path, data, faults(columns))
+    _raise_first(path, data, kind.faults(columns))
     return kind(**columns)
 
 
@@ -287,10 +258,9 @@ def _table_as_read(trace) -> np.ndarray | None:
     domain admits an infinity, nor a latency column NaN, so the faults
     also cover the text only the careful path reads ("inf", an empty
     latency cell), where it names the line with other words."""
-    _, faults = _RULES[type(trace)]
     names = trace.names()
     columns = np.array([trace.rendered(name) for name in names])
-    if not len(trace) or faults(dict(zip(names, columns))):
+    if not len(trace) or trace.faults(dict(zip(names, columns))):
         return None
     return columns.T    # column by column on disk: fields × rows contiguous
 
@@ -315,9 +285,8 @@ def write_latency_csv(path: str | Path, samples: LatencyTrace) -> None:
 
 
 def read_latency_csv(path: str | Path) -> LatencyTrace:
-    """Latency rows in file order. A row with a non-finite t_s, a seq
-    that is not an integer or an rtt_ms that is not finite and > 0
-    raises MalformedRecordError with its line."""
+    """Latency rows in file order. A row outside the value domains of
+    LatencyTrace.faults raises MalformedRecordError with its line."""
     return _read_trace(path, LatencyTrace)
 
 
@@ -328,7 +297,7 @@ def write_scheduler_csv(path: str | Path, snapshots: SchedulerTrace) -> None:
 def read_scheduler_csv(path: str | Path) -> SchedulerTrace:
     """Scheduler rows in file order, empty optional cells NaN. A row
     outside the value domains the raw fullstats parser enforces
-    (ingest.scheduler_faults) raises MalformedRecordError with its line."""
+    (SchedulerTrace.faults) raises MalformedRecordError with its line."""
     return _read_trace(path, SchedulerTrace)
 
 
@@ -340,14 +309,24 @@ def write_truth_csv(path: str | Path, stall_times_s: Iterable[float],
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def write_manifest(path: str | Path, meta: RunMetadata,
-                   files: dict[str, str]) -> None:
-    """One key=value line per field; file paths are stored as given
-    (pass paths relative to the manifest's directory for portability)."""
-    lines = []
-    for key in _MANIFEST_META_KEYS:
-        value = getattr(meta, key)
-        lines.append(f"{key}={value!r}" if isinstance(value, float) else f"{key}={value}")
-    for key in sorted(files):
-        lines.append(f"{key}={files[key]}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def write_run(out_dir: str | Path, run: Run,
+              files: dict[str, str] | None = None) -> tuple[Path, dict]:
+    """Write run into out_dir: `{run_id}_latency.csv`, then
+    `{run_id}_sched.csv` when it has snapshots, then the manifest
+    `{run_id}.manifest`. The manifest holds one key=value line per
+    field: the metadata, then the files by key, these two and `files`
+    (more files of the run, already in out_dir), with paths relative to
+    out_dir. Returns the manifest's path and its fields, in that order."""
+    out_dir, rid = Path(out_dir), run.meta.run_id
+    files = {"latency_file": f"{rid}_latency.csv", **(files or {})}
+    write_latency_csv(out_dir / files["latency_file"], run.latency)
+    if len(run.scheduler):
+        files["scheduler_file"] = f"{rid}_sched.csv"
+        write_scheduler_csv(out_dir / files["scheduler_file"], run.scheduler)
+    fields = {key: getattr(run.meta, key) for key in _MANIFEST_META_KEYS}
+    fields.update(sorted(files.items()))
+    manifest = out_dir / f"{rid}.manifest"
+    atomic_write_text(manifest, "".join(
+        f"{key}={value!r}\n" if isinstance(value, float) else f"{key}={value}\n"
+        for key, value in fields.items()))
+    return manifest, fields

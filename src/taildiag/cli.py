@@ -104,14 +104,7 @@ def cmd_ingest(an: Analysis, out_dir: Path, run_ids: list[str]) -> int:
         return 0
     runs = [an.run(run_id) for run_id in targets]
     for run_id, run in zip(targets, runs):
-        files = {"latency_file": f"{run_id}_latency.csv"}
-        canon.write_latency_csv(out_dir / files["latency_file"], run.latency)
-        if len(run.scheduler):
-            files["scheduler_file"] = f"{run_id}_sched.csv"
-            canon.write_scheduler_csv(out_dir / files["scheduler_file"],
-                                      run.scheduler)
-        manifest = out_dir / f"{run_id}.manifest"
-        canon.write_manifest(manifest, run.meta, files)
+        manifest, _ = canon.write_run(out_dir, run)
         print(f"{run_id}: {len(run.latency)} latency samples, "
               f"{len(run.scheduler)} scheduler snapshots -> {manifest}")
     return 0

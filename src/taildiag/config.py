@@ -10,8 +10,8 @@ Layout:
       "column_map": {"rnti": "rnti", "dl_bler": "dl_bler"},
       "runs": [
         {"run_id": "baseline", "ue_type": "smartphone", ...,
-         "latency_file": "baseline_latency.csv",
-         "scheduler_file": "baseline_sched.csv"}
+         "latency_file": "baseline/latency.csv",
+         "scheduler_file": "baseline/sched.csv"}
       ]
     }
 
@@ -33,11 +33,11 @@ from .canon import open_text
 from .errors import InvalidSpecError, check_fields, check_value
 from .flags import FlagPolicy
 from .ingest import RunMetadata
+from .stats import DEFAULT_OUTLIER_MS, EXCEED_FAST_MS, EXCEED_STALL_MS
 from .windows import WindowSpec
 
 DEFAULT_COLUMN_MAP = {"rnti": "rnti", "dl_bler": "dl_bler"}
-DEFAULT_EXCEED_MS = (100.0, 1000.0)
-DEFAULT_OUTLIER_MS = 1000.0
+DEFAULT_EXCEED_MS = (EXCEED_FAST_MS, EXCEED_STALL_MS)
 
 _PATH_KEYS = ("latency_file", "scheduler_file", "truth_file", "ping_log", "fullstats")
 

@@ -20,7 +20,8 @@ class MissingColumnError(ToolkitError):
 
 class MalformedRecordError(ToolkitError):
     """A record of a canonical file breaks its format or a value
-    domain; names the file and the 1-based line."""
+    domain, or a line of a fullstats file is not CSV; names the file
+    and the 1-based line."""
 
     def __init__(self, path, line: int, reason: str):
         super().__init__(f"{path}:{line}: {reason}")

@@ -20,7 +20,7 @@ from .errors import (
     check_fields,
 )
 from .ingest import Run
-from .windows import WindowTable, split_phases
+from .windows import PHASE_LABELS, WindowTable, split_phases
 
 COMBINE_AND = "AND"
 COMBINE_OR = "OR"
@@ -54,9 +54,11 @@ class DegradationFlag:
 
 @dataclass(frozen=True)
 class PhaseComparison:
+    """One phase of compare_phases; exceed_rate is the share of its
+    latency samples above the threshold compare_phases was given."""
     phase_label: str
     lat_p95_ms: float
-    exceed_100ms: float
+    exceed_rate: float
     bler_p95: float | None
 
 
@@ -93,15 +95,14 @@ def compare_phases(run: Run, split_s: float | None = None,
     """Latency tail and raw-snapshot BLER p95 for the two phases of a
     run split at split_s (default: half the nominal duration)."""
     rows = []
-    for phase in split_phases(run, split_s):
+    for label, phase in zip(PHASE_LABELS, split_phases(run, split_s)):
         if not len(phase.latency):
-            raise EmptyPhaseError(
-                f"phase {phase.meta.phase!r} has no latency samples")
+            raise EmptyPhaseError(f"phase {label!r} has no latency samples")
         rtts, blers = phase.latency.rtt_ms, phase.scheduler.dl_bler
         rows.append(PhaseComparison(
-            phase_label=phase.meta.phase,
+            phase_label=label,
             lat_p95_ms=stats.percentile(rtts, 0.95),
-            exceed_100ms=stats.exceedance_prob(rtts, exceed_threshold_ms),
+            exceed_rate=stats.exceedance_prob(rtts, exceed_threshold_ms),
             bler_p95=stats.percentile(blers, 0.95) if blers.size else None))
     return rows[0], rows[1]
 

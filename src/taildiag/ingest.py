@@ -2,12 +2,16 @@
 
 A run holds each layer as a trace: numpy columns, one per field, in
 time order, with optional scheduler fields NaN where a snapshot lacks
-them. Iterating or indexing a trace yields LatencySample /
-SchedulerSnapshot rows with built-in Python values.
+them. Each trace class owns its value rules (`faults`), which the raw
+parsers and the canonical readers apply alike, and whether an empty
+canonical cell reads as NaN. Iterating or indexing a trace yields
+LatencySample / SchedulerSnapshot rows with built-in Python values.
 
 Both parsers are tolerant: lines or rows that cannot be used are counted
 and reported, never silently dropped, and never abort the parse. An
-input that yields zero usable records raises EmptyTraceError.
+input that yields zero usable records raises EmptyTraceError, and a
+fullstats file the CSV reader cannot split raises MalformedRecordError
+at its line.
 """
 
 from __future__ import annotations
@@ -27,14 +31,12 @@ import numpy as np
 from .errors import (
     EmptyTraceError,
     InvalidSpecError,
+    MalformedRecordError,
     MissingColumnError,
     check_fields,
 )
 
 log = logging.getLogger(__name__)
-
-UE_SMARTPHONE = "smartphone"
-UE_MODEM = "modem"
 
 SCENARIO_BASELINE = "baseline"
 SCENARIO_DYNAMIC_PEOPLE = "dynamic_people"
@@ -52,7 +54,6 @@ class RunMetadata:
     scenario: str
     nominal_duration_s: float
     ping_interval_s: float = 0.2
-    phase: str | None = None
 
     def __post_init__(self):
         check_fields(self)
@@ -96,22 +97,33 @@ class SchedulerSnapshot(NamedTuple):
 
 # Integral values at or beyond this magnitude do not fit an int64.
 _INT64_BOUND = 2.0 ** 63
+# Integers beyond this lose their last digits in a float64 column.
+_MAX_EXACT_INT = 2.0 ** 53
 
 
-class _Trace:
-    """Equal-length float64 numpy columns, one per field of the row type
-    ROW and in its order, NaN where an optional field is absent. The
-    fields named in INTEGRAL hold integers. Columns are read-only views,
-    so an order a holder relies on (the time order of a Run's traces)
-    cannot change underneath it.
+def _not_integer(values: np.ndarray) -> np.ndarray:
+    """Mask of values that are not integers float64 holds exactly
+    (NaN and infinities included)."""
+    return ~(np.abs(values) <= _MAX_EXACT_INT) | (np.floor(values) != values)
 
-    As a sequence a table yields ROW records with built-in Python
-    values (None for an absent field): len, iteration and integer
-    indexing give rows, while slices, boolean masks and index arrays
-    give tables of the same type.
-    """
 
-    ROW: ClassVar[type]
+def _first_faults(checks) -> dict[int, str]:
+    """Every row that fails one of `checks`, (reason, bad-row mask)
+    pairs in order, mapped to the reason of the first check it fails."""
+    faults: dict[int, str] = {}
+    for reason, bad in checks:
+        for row in np.flatnonzero(bad).tolist():
+            faults.setdefault(row, reason)
+    return faults
+
+
+class _Table:
+    """Equal-length float64 numpy columns, one per dataclass field and
+    in its order, NaN where an optional field is absent. The fields
+    named in INTEGRAL hold integers. Columns are read-only views, so an
+    order a holder relies on (the time order of a Run's traces) cannot
+    change underneath it."""
+
     INTEGRAL: ClassVar[tuple[str, ...]]
 
     def __post_init__(self):
@@ -129,10 +141,6 @@ class _Trace:
     @classmethod
     def names(cls) -> tuple[str, ...]:
         return tuple(f.name for f in fields(cls))
-
-    @classmethod
-    def empty(cls):
-        return cls(*([],) * len(cls.names()))
 
     def rendered(self, name: str) -> np.ndarray:
         """Column `name` as float64 holding what its cells render as: in
@@ -165,6 +173,34 @@ class _Trace:
     def __len__(self) -> int:
         return len(getattr(self, self.names()[0]))
 
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, n), getattr(other, n), equal_nan=True)
+                   for n in self.names())
+
+
+class _Trace(_Table):
+    """One layer of a run. Its value rules are the static method
+    `faults(columns)`: the rows of float64 columns, named as the
+    trace's and NaN where absent, whose values leave their domains,
+    each with the first rule it breaks. Raw and canonical rows obey the
+    same rules. EMPTY_IS_NAN says whether an empty canonical cell reads
+    as NaN (an absent value) rather than as malformed.
+
+    As a sequence a trace yields ROW records with built-in Python
+    values (None for an absent field): len, iteration and integer
+    indexing give rows, while slices, boolean masks and index arrays
+    give traces of the same type.
+    """
+
+    ROW: ClassVar[type]
+    EMPTY_IS_NAN: ClassVar[bool]
+
+    @classmethod
+    def empty(cls):
+        return cls(*([],) * len(cls.names()))
+
     def __iter__(self):
         return map(self.ROW._make, zip(*map(self.values, self.names())))
 
@@ -176,12 +212,6 @@ class _Trace:
             return next(iter(self[k:k + 1]))
         return type(self)(*(getattr(self, name)[key] for name in self.names()))
 
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return all(np.array_equal(getattr(self, n), getattr(other, n), equal_nan=True)
-                   for n in self.names())
-
 
 @dataclass(frozen=True, eq=False)
 class LatencyTrace(_Trace):
@@ -191,6 +221,16 @@ class LatencyTrace(_Trace):
 
     ROW: ClassVar[type] = LatencySample
     INTEGRAL: ClassVar[tuple[str, ...]] = ("seq",)
+    EMPTY_IS_NAN: ClassVar[bool] = False
+
+    @staticmethod
+    def faults(c: Mapping[str, np.ndarray]) -> dict[int, str]:
+        rtt = c["rtt_ms"]
+        return _first_faults([
+            ("t_s not finite", ~np.isfinite(c["t_s"])),
+            ("seq not an integer", _not_integer(c["seq"])),
+            ("rtt_ms not finite and > 0", ~(np.isfinite(rtt) & (rtt > 0.0))),
+        ])
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,6 +249,27 @@ class SchedulerTrace(_Trace):
     ROW: ClassVar[type] = SchedulerSnapshot
     INTEGRAL: ClassVar[tuple[str, ...]] = ("rnti", "dl_mcs", "ul_mcs", "dl_retx",
                                            "dl_total")
+    EMPTY_IS_NAN: ClassVar[bool] = True
+
+    @staticmethod
+    def faults(c: Mapping[str, np.ndarray]) -> dict[int, str]:
+        bler, ul_bler = c["dl_bler"], c["ul_bler"]
+        retx, total = c["dl_retx"], c["dl_total"]
+        return _first_faults([
+            ("t_s missing or not finite", ~np.isfinite(c["t_s"])),
+            ("rnti missing or not an integer", _not_integer(c["rnti"])),
+            ("rnti < 0", c["rnti"] < 0),
+            ("dl_bler missing or outside [0, 1]", ~((bler >= 0.0) & (bler <= 1.0))),
+            ("ul_bler outside [0, 1]", (ul_bler < 0.0) | (ul_bler > 1.0)),
+            *((f"{name} not an integer", ~np.isnan(c[name]) & _not_integer(c[name]))
+              for name in ("dl_mcs", "ul_mcs", "dl_retx", "dl_total")),
+            *((f"{name} outside [0, 28]", (c[name] < 0) | (c[name] > 28))
+              for name in ("dl_mcs", "ul_mcs")),
+            *((f"{name} not finite", np.isinf(c[name])) for name in ("snr_db", "rsrp_dbm")),
+            ("dl_retx < 0", retx < 0),
+            ("dl_total < 0", total < 0),
+            ("dl_retx > dl_total", (total > 0) & (retx > total)),
+        ])
 
 
 @dataclass(frozen=True)
@@ -240,50 +301,6 @@ class PingParseResult:
 class FullstatsParseResult:
     snapshots: SchedulerTrace
     skipped_rows: int
-
-
-# Integers beyond this lose their last digits in a float64 column.
-_MAX_EXACT_INT = 2.0 ** 53
-
-
-def not_integer(values: np.ndarray) -> np.ndarray:
-    """Mask of values that are not integers float64 holds exactly
-    (NaN and infinities included)."""
-    return ~(np.abs(values) <= _MAX_EXACT_INT) | (np.floor(values) != values)
-
-
-def first_faults(checks) -> dict[int, str]:
-    """Every row that fails one of `checks`, (reason, bad-row mask)
-    pairs in order, mapped to the reason of the first check it fails."""
-    faults: dict[int, str] = {}
-    for reason, bad in checks:
-        for row in np.flatnonzero(bad).tolist():
-            faults.setdefault(row, reason)
-    return faults
-
-
-def scheduler_faults(c: Mapping[str, np.ndarray]) -> dict[int, str]:
-    """Rows of float64 scheduler columns (named as SchedulerTrace's,
-    NaN where absent) whose values leave their documented domains, each
-    with the first rule it breaks. Raw and canonical rows obey the same
-    rules."""
-    bler, ul_bler = c["dl_bler"], c["ul_bler"]
-    retx, total = c["dl_retx"], c["dl_total"]
-    return first_faults([
-        ("t_s missing or not finite", ~np.isfinite(c["t_s"])),
-        ("rnti missing or not an integer", not_integer(c["rnti"])),
-        ("rnti < 0", c["rnti"] < 0),
-        ("dl_bler missing or outside [0, 1]", ~((bler >= 0.0) & (bler <= 1.0))),
-        ("ul_bler outside [0, 1]", (ul_bler < 0.0) | (ul_bler > 1.0)),
-        *((f"{name} not an integer", ~np.isnan(c[name]) & not_integer(c[name]))
-          for name in ("dl_mcs", "ul_mcs", "dl_retx", "dl_total")),
-        *((f"{name} outside [0, 28]", (c[name] < 0) | (c[name] > 28))
-          for name in ("dl_mcs", "ul_mcs")),
-        *((f"{name} not finite", np.isinf(c[name])) for name in ("snr_db", "rsrp_dbm")),
-        ("dl_retx < 0", retx < 0),
-        ("dl_total < 0", total < 0),
-        ("dl_retx > dl_total", (total > 0) & (retx > total)),
-    ])
 
 
 _EPOCH_RE = re.compile(r"^\[(\d+(?:\.\d+)?)\]")
@@ -525,7 +542,7 @@ def parse_ping_log(lines: Iterable[str], meta: RunMetadata) -> PingParseResult:
         skipped_lines=skipped, malformed=malformed)
 
 
-# Canonical fullstats fields, with value domains in scheduler_faults.
+# Canonical fullstats fields, with value domains in SchedulerTrace.faults.
 # column_map maps these names to the header names of the incoming CSV;
 # only rnti and dl_bler are mandatory, t_s is the optional timestamp
 # column.
@@ -613,6 +630,19 @@ def _fullstats_rows(rows: list[list[str]], first: int, cells: list[tuple[int, ob
     return table[keep], row_idx[keep]
 
 
+def _csv_rows(lines: Iterable[str]):
+    """The rows csv.reader splits lines into. A line it cannot split (an
+    unterminated quote, a field past csv.field_size_limit()) raises
+    MalformedRecordError naming the line, in the file lines were read
+    from when they come from an open file."""
+    reader = csv.reader(lines)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise MalformedRecordError(getattr(lines, "name", "fullstats input"),
+                                   reader.line_num, f"not CSV: {exc}") from None
+
+
 def parse_fullstats(lines: Iterable[str], column_map: Mapping[str, str],
                     meta: RunMetadata, *,
                     stats_period_s: float = 1.0) -> FullstatsParseResult:
@@ -634,7 +664,7 @@ def parse_fullstats(lines: Iterable[str], column_map: Mapping[str, str],
     if unknown:
         raise InvalidSpecError(f"unknown canonical fields in column_map: {sorted(unknown)}")
 
-    reader = csv.reader(lines)
+    reader = _csv_rows(lines)
     try:
         header = [h.strip() for h in next(reader)]
     except StopIteration:
@@ -664,7 +694,7 @@ def parse_fullstats(lines: Iterable[str], column_map: Mapping[str, str],
     if "t_s" not in column_map:
         cols["t_s"] = row_idx_of * stats_period_s
     keep = np.ones(len(table), dtype=bool)
-    for pos, reason in scheduler_faults(cols).items():
+    for pos, reason in SchedulerTrace.faults(cols).items():
         keep[pos] = False
         faults[int(row_idx_of[pos])] = reason
     for row_idx in sorted(faults):

@@ -24,7 +24,6 @@ from .ingest import RunMetadata, SchedulerTrace
 from .stats import KsResult, LatencySummary
 from .windows import WindowTable
 
-WINDOWS_HEADER = ",".join(WindowTable.names())
 FLAGS_HEADER = "start_s,raised,lat_evidence,sched_evidence,lat_p95_ms,bler_mean"
 
 
@@ -131,7 +130,7 @@ def phases_table(rows: Sequence[PhaseComparison],
     lines = [header]
     for r in rows:
         lines.append(",".join([
-            r.phase_label, fmt_ms(r.lat_p95_ms), fmt_rate(r.exceed_100ms),
+            r.phase_label, fmt_ms(r.lat_p95_ms), fmt_rate(r.exceed_rate),
             "N/A" if r.bler_p95 is None else fmt_rate(r.bler_p95)]))
     return "\n".join(lines) + "\n"
 

@@ -370,26 +370,11 @@ def gen_campaign(presets: Sequence[RunPreset],
     config_runs = []
     for preset in presets:
         run, truth = gen_run(preset)
-        rid = preset.run_id
-        names = {
-            "latency_file": f"{rid}_latency.csv",
-            "scheduler_file": f"{rid}_sched.csv",
-            "truth_file": f"{rid}_truth.csv",
-        }
-        canon.write_latency_csv(out / names["latency_file"], run.latency)
-        canon.write_scheduler_csv(out / names["scheduler_file"], run.scheduler)
-        canon.write_truth_csv(out / names["truth_file"],
+        truth_file = f"{preset.run_id}_truth.csv"
+        canon.write_truth_csv(out / truth_file,
                               truth.stall_times_s, truth.excursion_times_s)
-        manifest_path = out / f"{rid}.manifest"
-        canon.write_manifest(manifest_path, run.meta, names)
-        meta = run.meta
-        config_runs.append({
-            "run_id": rid, "ue_type": meta.ue_type,
-            "distance_m": meta.distance_m, "packet_size_b": meta.packet_size_b,
-            "scenario": meta.scenario,
-            "nominal_duration_s": meta.nominal_duration_s,
-            "ping_interval_s": meta.ping_interval_s, **names,
-        })
+        manifest_path, fields = canon.write_run(out, run, {"truth_file": truth_file})
+        config_runs.append(fields)
         generated.append(GeneratedRun(run=run, truth=truth,
                                       manifest_path=manifest_path))
     canon.atomic_write_text(

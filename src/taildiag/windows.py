@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
-from typing import ClassVar, NamedTuple
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .errors import (
     SplitOutOfRangeError,
     check_fields,
 )
-from .ingest import Run, _Trace
+from .ingest import Run, _Table
 
 log = logging.getLogger(__name__)
 
@@ -62,23 +62,8 @@ class WindowSpec:
             raise InvalidSpecError("minimum sample counts must be >= 1")
 
 
-class JoinedWindow(NamedTuple):
-    """One row of a WindowTable; None marks an absent median."""
-
-    start_s: float
-    lat_n: int
-    lat_p95_ms: float
-    lat_median_ms: float
-    lat_exceed_100ms: float
-    sched_n: int
-    bler_mean: float
-    bler_p95: float
-    mcs_median: float | None
-    snr_median_db: float | None
-
-
 @dataclass(frozen=True, eq=False)
-class WindowTable(_Trace):
+class WindowTable(_Table):
     """The joined windows of a run, one column per aggregate, in start
     order; the columns are those of the windows CSV. An MCS or SNR
     median is NaN where no snapshot of the window carries the field."""
@@ -94,7 +79,6 @@ class WindowTable(_Trace):
     mcs_median: np.ndarray
     snr_median_db: np.ndarray
 
-    ROW: ClassVar[type] = JoinedWindow
     INTEGRAL: ClassVar[tuple[str, ...]] = ("lat_n", "sched_n")
 
 
@@ -207,7 +191,8 @@ def run_duration(run: Run) -> float:
 
 def split_phases(run: Run, split_s: float | None = None) -> tuple[Run, Run]:
     """Partition a run at split_s (default: half the nominal duration)
-    into two phase-labeled subruns: t_s < split vs t_s >= split."""
+    into two subruns with its metadata, the phases PHASE_LABELS name:
+    t_s < split vs t_s >= split."""
     if split_s is None:
         split_s = run.meta.nominal_duration_s / 2.0
     if not 0.0 < split_s < run_duration(run):
@@ -221,7 +206,5 @@ def split_phases(run: Run, split_s: float | None = None) -> tuple[Run, Run]:
         if not len(lat):
             log.warning("phase %r of run %s has no latency samples",
                         label, run.meta.run_id)
-    meta_a = replace(run.meta, phase=PHASE_LABELS[0])
-    meta_b = replace(run.meta, phase=PHASE_LABELS[1])
-    return (Run(meta=meta_a, latency=lat_a, scheduler=sched_a),
-            Run(meta=meta_b, latency=lat_b, scheduler=sched_b))
+    return (Run(meta=run.meta, latency=lat_a, scheduler=sched_a),
+            Run(meta=run.meta, latency=lat_b, scheduler=sched_b))

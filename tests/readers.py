@@ -1,6 +1,6 @@
 """Readers of the run manifest and the ground-truth CSV.
 
-The library writes both files (canon.write_manifest,
+The library writes both files (canon.write_run,
 canon.write_truth_csv) but never reads them back: the CLI takes its
 runs from the campaign config. Tests read them to check what the
 writers and the generator produced.

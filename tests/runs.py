@@ -1,17 +1,16 @@
-"""Traces, window tables and runs from record rows, for tests that
-state their inputs as LatencySample / SchedulerSnapshot / JoinedWindow
-records.
+"""Traces and runs from record rows, for tests that state their inputs
+as LatencySample / SchedulerSnapshot records.
 
-The library holds runs and windows as column tables; this is the one
-place where test rows become columns. Absent optional fields (None)
-become NaN.
+The library holds runs as column traces; this is the one place where
+test rows become trace columns. Absent optional fields (None) become
+NaN. Tests build a WindowTable from its columns directly.
 """
 
 from taildiag.ingest import LatencyTrace, SchedulerTrace, consolidate_run
 
 
 def table(cls, rows):
-    """The `cls` table (a trace or WindowTable) holding `rows`."""
+    """The `cls` trace holding `rows`."""
     return cls(*([getattr(r, f) for r in rows] for f in cls.names()))
 
 

@@ -15,6 +15,7 @@ from taildiag import canon
 from taildiag.errors import InvalidSpecError, MalformedRecordError
 from taildiag.ingest import LatencyTrace, SchedulerTrace
 
+LATENCY_HEADER = ",".join(LatencyTrace.names())
 IO = {LatencyTrace: (canon.write_latency_csv, canon.read_latency_csv),
       SchedulerTrace: (canon.write_scheduler_csv, canon.read_scheduler_csv)}
 
@@ -212,7 +213,7 @@ def test_column_file_binds_the_format_tag(tmp_path, monkeypatch):
 
 def test_fault_read_from_the_column_file_names_path_and_line(tmp_path, monkeypatch):
     path = tmp_path / "lat.csv"
-    path.write_text(canon.LATENCY_HEADER + "\n0.0,0,9.0\n\n0.2,1,0.0\n")
+    path.write_text(LATENCY_HEADER + "\n0.0,0,9.0\n\n0.2,1,0.0\n")
     _bind(path, np.array([[0.0, 0.0, 9.0], [0.2, 1.0, 0.0]]))
     monkeypatch.setattr(canon, "_parse_text", None)
     with pytest.raises(MalformedRecordError) as exc:
@@ -246,7 +247,7 @@ def test_crlf_copy_reads_as_the_lf_original(tmp_path, newline):
         _bind(crlf, _as_table(read(lf)))
         assert _outcome(read, crlf) == original                 # one bound to these bytes
     bad = tmp_path / "bad.csv"
-    bad.write_bytes(newline.join([canon.LATENCY_HEADER.encode(), b"0.0,0,9.0", b"",
+    bad.write_bytes(newline.join([LATENCY_HEADER.encode(), b"0.0,0,9.0", b"",
                                   b"0.4,2", b""]))
     with pytest.raises(MalformedRecordError) as exc:
         canon.read_latency_csv(bad)

@@ -1,5 +1,6 @@
 """Formatting, config loading, and end-to-end CLI coverage."""
 
+import csv
 import json
 import logging
 import math
@@ -470,6 +471,22 @@ def test_ingest_writes_nothing_when_a_later_run_fails(raw_dir, capsys):
     assert captured.err.startswith("error: ") and "missing.log" in captured.err
     assert not (raw_dir / "out" / "a_latency.csv").exists()
     assert not (raw_dir / "out" / "a.manifest").exists()
+
+
+@pytest.mark.parametrize("line", [1, 22], ids=["header", "row"])
+def test_ingest_fullstats_cell_past_the_csv_field_limit_exits_1(raw_dir, capsys, line):
+    # One cell longer than csv.field_size_limit(): the CSV reader refuses
+    # the line instead of splitting it.
+    full = raw_dir / "full.csv"
+    rows = full.read_text().splitlines(keepends=True)     # a header and 20 rows
+    rows.insert(line - 1, "17,0." + "0" * (csv.field_size_limit() + 8_928) + "\n")
+    full.write_text("".join(rows))
+    assert main(["ingest", "--config", str(raw_dir / "c.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {full}:{line}: not CSV: field larger than "
+                            f"field limit ({csv.field_size_limit()})\n")
+    assert list((raw_dir / "out").iterdir()) == []
 
 
 def test_ingest_nothing_to_do(campaign, tmp_path, capsys):

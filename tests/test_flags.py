@@ -1,5 +1,6 @@
 """Flag semantics, flag-rate arithmetic, phase comparison, coupling."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,20 +22,27 @@ from taildiag.flags import (
     evaluate_flags,
     flag_rate,
 )
-from runs import make_run, table
+from runs import make_run
 from taildiag.ingest import LatencySample, RunMetadata, SchedulerSnapshot
-from taildiag.windows import JoinedWindow, WindowTable
+from taildiag.windows import WindowTable
 
 
-def joined(start=0.0, p95=15.0, bler=0.0, mcs=9.0):
-    return JoinedWindow(start_s=start, lat_n=50, lat_p95_ms=p95,
-                        lat_median_ms=p95 * 0.6, lat_exceed_100ms=0.0,
-                        sched_n=10, bler_mean=bler, bler_p95=bler,
-                        mcs_median=mcs, snr_median_db=30.0)
+def window_table(p95, bler, mcs=9.0):
+    """A WindowTable of windows 5 s apart with these window p95s and
+    BLER means; mcs is one MCS median for every window or one per
+    window, NaN where absent."""
+    p95 = np.asarray(p95, dtype=float)
+    n = p95.size
+    return WindowTable(start_s=5.0 * np.arange(n), lat_n=np.full(n, 50),
+                       lat_p95_ms=p95, lat_median_ms=p95 * 0.6,
+                       lat_exceed_100ms=np.zeros(n), sched_n=np.full(n, 10),
+                       bler_mean=bler, bler_p95=bler,
+                       mcs_median=np.broadcast_to(mcs, n),
+                       snr_median_db=np.full(n, 30.0))
 
 
-def evaluate_one(window, policy):
-    [flag] = evaluate_flags(table(WindowTable, [window]), policy)
+def evaluate_one(p95, bler, policy):
+    [flag] = evaluate_flags(window_table([p95], [bler]), policy)
     return flag
 
 
@@ -60,30 +68,30 @@ def test_policy_validation():
 # ------------------------------------------------------------------ flags
 
 def test_flag_both_below_not_raised():
-    f = evaluate_one(joined(p95=15.0, bler=0.0), FlagPolicy())
+    f = evaluate_one(15.0, 0.0, FlagPolicy())
     assert not f.raised and not f.lat_evidence and not f.sched_evidence
 
 
 def test_flag_both_above_raised():
-    f = evaluate_one(joined(p95=250.0, bler=0.3), FlagPolicy())
+    f = evaluate_one(250.0, 0.3, FlagPolicy())
     assert f.raised and f.lat_evidence and f.sched_evidence
     assert f.lat_p95_ms == 250.0 and f.bler_mean == 0.3
 
 
 def test_flag_latency_only_not_raised_under_and():
-    f = evaluate_one(joined(p95=250.0, bler=0.0), FlagPolicy())
+    f = evaluate_one(250.0, 0.0, FlagPolicy())
     assert f.lat_evidence and not f.sched_evidence and not f.raised
 
 
 def test_flag_or_policy():
     policy = FlagPolicy(combine="OR")
-    assert evaluate_one(joined(p95=250.0, bler=0.0), policy).raised
-    assert evaluate_one(joined(p95=15.0, bler=0.3), policy).raised
-    assert not evaluate_one(joined(p95=15.0, bler=0.0), policy).raised
+    assert evaluate_one(250.0, 0.0, policy).raised
+    assert evaluate_one(15.0, 0.3, policy).raised
+    assert not evaluate_one(15.0, 0.0, policy).raised
 
 
 def test_flag_thresholds_are_strict():
-    f = evaluate_one(joined(p95=100.0, bler=0.10), FlagPolicy())
+    f = evaluate_one(100.0, 0.10, FlagPolicy())
     assert not f.lat_evidence and not f.sched_evidence
 
 
@@ -92,8 +100,7 @@ def test_flag_thresholds_are_strict():
        st.floats(10.0, 400.0), st.floats(0.01, 0.9),
        st.sampled_from(["AND", "OR"]))
 def test_flag_monotone_in_thresholds(pairs, lat_thr, bler_thr, combine):
-    windows = table(WindowTable, [joined(start=5.0 * i, p95=p, bler=b)
-                                  for i, (p, b) in enumerate(pairs)])
+    windows = window_table(*zip(*pairs))
     base = FlagPolicy(lat_p95_threshold_ms=lat_thr,
                       bler_mean_threshold=bler_thr, combine=combine)
     raised = sum(f.raised for f in evaluate_flags(windows, base))
@@ -106,10 +113,10 @@ def test_flag_monotone_in_thresholds(pairs, lat_thr, bler_thr, combine):
 
 
 def test_and_needs_both_sides():
-    windows = [joined(start=5.0 * i, p95=500.0, bler=0.05) for i in range(10)]
-    assert flag_rate(evaluate_flags(table(WindowTable, windows), FlagPolicy())) == 0.0
-    windows = [joined(start=5.0 * i, p95=8.0, bler=0.8) for i in range(10)]
-    assert flag_rate(evaluate_flags(table(WindowTable, windows), FlagPolicy())) == 0.0
+    windows = window_table([500.0] * 10, [0.05] * 10)
+    assert flag_rate(evaluate_flags(windows, FlagPolicy())) == 0.0
+    windows = window_table([8.0] * 10, [0.8] * 10)
+    assert flag_rate(evaluate_flags(windows, FlagPolicy())) == 0.0
 
 
 # -------------------------------------------------------------- flag rate
@@ -159,9 +166,9 @@ def _phase_run():
 def test_compare_phases_detects_contrast():
     los, people = compare_phases(_phase_run(), 30.0)
     assert (los.phase_label, people.phase_label) == ("LOS", "People")
-    assert los.lat_p95_ms == 10.0 and los.exceed_100ms == 0.0
+    assert los.lat_p95_ms == 10.0 and los.exceed_rate == 0.0
     assert people.lat_p95_ms > 100.0
-    assert people.exceed_100ms == pytest.approx(15 / 150)
+    assert people.exceed_rate == pytest.approx(15 / 150)
     assert people.bler_p95 > los.bler_p95
 
 
@@ -176,7 +183,7 @@ def test_compare_phases_identical_halves():
                                                 dl_bler=s.dl_bler) for s in snaps]
     a, b = compare_phases(run_of(mirrored, mirrored_snaps, 60.0), 30.0)
     assert a.lat_p95_ms == b.lat_p95_ms
-    assert a.exceed_100ms == b.exceed_100ms
+    assert a.exceed_rate == b.exceed_rate
     assert a.bler_p95 == b.bler_p95
 
 
@@ -188,15 +195,15 @@ def test_compare_phases_one_stall_in_4500():
                 for i in range(4500)]
     run = run_of(samples, [], duration=1800.0)
     first, second = compare_phases(run, 900.0)
-    assert first.exceed_100ms == pytest.approx(1 / 4500)
-    assert second.exceed_100ms == 0.0
+    assert first.exceed_rate == pytest.approx(1 / 4500)
+    assert second.exceed_rate == 0.0
     assert first.bler_p95 is None and second.bler_p95 is None
 
 
 def test_compare_phases_custom_threshold():
     a, b = compare_phases(_phase_run(), 30.0, exceed_threshold_ms=200.0)
     assert (a.phase_label, b.phase_label) == ("LOS", "People")
-    assert b.exceed_100ms == pytest.approx(15 / 150)  # 300 ms spikes still count
+    assert b.exceed_rate == pytest.approx(15 / 150)  # 300 ms spikes still count
 
 
 def test_compare_phases_empty_phase_raises():
@@ -211,35 +218,31 @@ def test_compare_phases_empty_phase_raises():
 # --------------------------------------------------------------- coupling
 
 def test_coupling_constant_bler_undefined():
-    windows = [joined(start=5.0 * i, p95=10.0 + i, bler=0.05) for i in range(8)]
-    rep = coupling_report(table(WindowTable, windows))
+    rep = coupling_report(window_table([10.0 + i for i in range(8)], [0.05] * 8))
     assert rep.rho_bler is None
     assert rep.n_windows == 8
 
 
 def test_coupling_perfectly_coupled():
-    windows = [joined(start=5.0 * i, p95=10.0 + 30.0 * (i % 3 == 0),
-                      bler=0.05 + 0.4 * (i % 3 == 0), mcs=9.0)
-               for i in range(12)]
-    rep = coupling_report(table(WindowTable, windows))
+    rep = coupling_report(window_table(
+        [10.0 + 30.0 * (i % 3 == 0) for i in range(12)],
+        [0.05 + 0.4 * (i % 3 == 0) for i in range(12)], mcs=9.0))
     assert rep.rho_bler == pytest.approx(1.0)
     assert rep.rho_mcs is None  # constant MCS ranks
     assert rep.n_windows == 12
 
 
 def test_coupling_mcs_absent_anywhere_is_undefined():
-    windows = [joined(start=0.0, p95=10.0, bler=0.01, mcs=9.0),
-               joined(start=5.0, p95=20.0, bler=0.02, mcs=None),
-               joined(start=10.0, p95=30.0, bler=0.03, mcs=11.0)]
-    rep = coupling_report(table(WindowTable, windows))
+    rep = coupling_report(window_table([10.0, 20.0, 30.0], [0.01, 0.02, 0.03],
+                                       mcs=[9.0, np.nan, 11.0]))
     assert rep.rho_mcs is None
     assert rep.rho_bler == pytest.approx(1.0)
 
 
 def test_coupling_single_window_and_empty():
-    assert coupling_report(table(WindowTable, [joined()])) == CouplingReport(None, None, 1)
+    assert coupling_report(window_table([15.0], [0.0])) == CouplingReport(None, None, 1)
     with pytest.raises(EmptySequenceError):
-        coupling_report(table(WindowTable, []))
+        coupling_report(window_table([], []))
 
 
 @settings(max_examples=60)
@@ -247,12 +250,10 @@ def test_coupling_single_window_and_empty():
                           st.integers(0, 28)),
                 min_size=2, max_size=50))
 def test_coupling_matches_rank_oracle(rows):
-    windows = [joined(start=5.0 * i, p95=p, bler=b, mcs=float(m))
-               for i, (p, b, m) in enumerate(rows)]
-    rep = coupling_report(table(WindowTable, windows))
-    p95 = [w.lat_p95_ms for w in windows]
-    expect_bler = spearman_ref(p95, [w.bler_mean for w in windows])
-    expect_mcs = spearman_ref(p95, [w.mcs_median for w in windows])
+    p95, bler, mcs = (list(col) for col in zip(*rows))
+    rep = coupling_report(window_table(p95, bler, mcs=[float(m) for m in mcs]))
+    expect_bler = spearman_ref(p95, bler)
+    expect_mcs = spearman_ref(p95, [float(m) for m in mcs])
     if expect_bler is None:
         assert rep.rho_bler is None
     else:

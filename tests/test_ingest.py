@@ -395,13 +395,27 @@ def test_csv_headers_are_canonical(tmp_path):
 
 def test_manifest_round_trip(tmp_path):
     m = meta(distance_m=11.0, packet_size_b=1000)
-    path = tmp_path / "run.manifest"
-    canon.write_manifest(path, m, {"latency_file": "r1_latency.csv",
-                                   "scheduler_file": "r1_sched.csv"})
+    run = consolidate_run(latency_trace([LatencySample(0.0, 0, 9.0)]),
+                          sched_trace([SchedulerSnapshot(0.0, 17, 0.05)]), m)
+    path, fields = canon.write_run(tmp_path, run, {"truth_file": "r1_truth.csv"})
+    assert path == tmp_path / "r1.manifest"
     got, files = read_manifest(path)
     assert got == m
-    assert files["latency_file"] == str(tmp_path / "r1_latency.csv")
-    assert files["scheduler_file"] == str(tmp_path / "r1_sched.csv")
+    assert files == {name: str(tmp_path / f"r1_{kind}.csv") for name, kind in
+                     [("latency_file", "latency"), ("scheduler_file", "sched"),
+                      ("truth_file", "truth")]}
+    assert canon.read_latency_csv(files["latency_file"]) == run.latency
+    assert canon.read_scheduler_csv(files["scheduler_file"]) == run.scheduler
+    assert [line.partition("=")[0] for line in path.read_text().splitlines()] == list(fields)
+    assert fields["truth_file"] == "r1_truth.csv" and fields["packet_size_b"] == 1000
+
+
+def test_run_without_snapshots_gets_no_scheduler_file(tmp_path):
+    run = consolidate_run(latency_trace([LatencySample(0.0, 0, 9.0)]), None, meta())
+    path, fields = canon.write_run(tmp_path, run)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "r1.manifest", "r1_latency.csv", "r1_latency.csv.cols"]
+    assert "scheduler_file" not in fields and "scheduler_file" not in read_manifest(path)[1]
 
 
 def test_truth_round_trip(tmp_path):
@@ -439,8 +453,8 @@ def test_ingested_run_survives_canonical_round_trip(tmp_path):
 
 # --------------------------------------------------- canonical-file faults
 
-LAT_HEAD = canon.LATENCY_HEADER + "\n"
-SCHED_HEAD = canon.SCHED_HEADER + "\n"
+LAT_HEAD = ",".join(LatencyTrace.names()) + "\n"
+SCHED_HEAD = ",".join(SchedulerTrace.names()) + "\n"
 
 
 def _file(tmp_path, text):

@@ -31,7 +31,7 @@ from taildiag.errors import (
     SplitOutOfRangeError,
 )
 from runs import make_run
-from taildiag.flags import FlagPolicy, evaluate_flags
+from taildiag.flags import FlagPolicy, compare_phases, evaluate_flags
 from taildiag.ingest import LatencySample, RunMetadata, SchedulerSnapshot
 from taildiag.windows import (
     WindowSpec,
@@ -67,16 +67,24 @@ def dense_lat(duration=60.0):
     return [lat(k * 0.2, seq=k) for k in range(int(duration * 5))]
 
 
+def values_by_start(joined):
+    """The values of each joined window, {start_s: {column: value}},
+    read from the table's columns."""
+    columns = {name: getattr(joined, name).tolist() for name in joined.names()}
+    return {start: {name: col[k] for name, col in columns.items()}
+            for k, start in enumerate(columns["start_s"])}
+
+
 def latency_windows(samples, spec, duration=60.0):
-    """Window rows by start, scheduler side held dense."""
-    joined = build_joined_windows(run_of(samples, dense_sched(duration), duration), spec)
-    return {j.start_s: j for j in joined}
+    """values_by_start of the joined windows, scheduler side held dense."""
+    return values_by_start(build_joined_windows(
+        run_of(samples, dense_sched(duration), duration), spec))
 
 
 def sched_windows(snapshots, spec, duration=60.0):
-    """Window rows by start, latency side held dense."""
-    joined = build_joined_windows(run_of(dense_lat(duration), snapshots, duration), spec)
-    return {j.start_s: j for j in joined}
+    """values_by_start of the joined windows, latency side held dense."""
+    return values_by_start(build_joined_windows(
+        run_of(dense_lat(duration), snapshots, duration), spec))
 
 
 # ------------------------------------------------------------------- spec
@@ -160,8 +168,8 @@ def test_grid_closed_form_matches_enumeration(duration, width, stride):
 def test_latency_window_uniform():
     samples = [lat(t * 0.2, 8.0, seq=t) for t in range(50)]
     w = latency_windows(samples, WindowSpec())[0.0]
-    assert (w.lat_n, w.lat_p95_ms, w.lat_exceed_100ms) == (50, 8.0, 0.0)
-    assert w.lat_median_ms == 8.0
+    assert (w["lat_n"], w["lat_p95_ms"], w["lat_exceed_100ms"]) == (50, 8.0, 0.0)
+    assert w["lat_median_ms"] == 8.0
 
 
 def test_latency_window_insufficient():
@@ -173,35 +181,35 @@ def test_latency_window_single_outlier_p95():
     rtts = [10.0] * 49 + [500.0]
     samples = [lat(t * 0.2, rtts[t], seq=t) for t in range(50)]
     w = latency_windows(samples, WindowSpec())[0.0]
-    assert w.lat_p95_ms == pytest.approx(percentile_ref(rtts, 0.95), abs=1e-12)
-    assert w.lat_exceed_100ms == pytest.approx(1 / 50)
+    assert w["lat_p95_ms"] == pytest.approx(percentile_ref(rtts, 0.95), abs=1e-12)
+    assert w["lat_exceed_100ms"] == pytest.approx(1 / 50)
 
 
 def test_latency_window_membership_half_open():
     samples = [lat(0.0, 1.0, seq=0), lat(9.999, 2.0, seq=1), lat(10.0, 3.0, seq=2)]
     by_start = latency_windows(samples, WindowSpec(min_latency_samples=1))
-    assert by_start[0.0].lat_n == 2  # the sample at exactly t=10 belongs to the next window
-    assert by_start[10.0].lat_n == 1
+    assert by_start[0.0]["lat_n"] == 2  # the sample at exactly t=10 belongs to the next window
+    assert by_start[10.0]["lat_n"] == 1
 
 
 def test_latency_window_exceedance_is_strict():
     rtts = [100.0] * 40 + [100.5] * 10
     samples = [lat(t * 0.2, rtts[t], seq=t) for t in range(50)]
     w = latency_windows(samples, WindowSpec())[0.0]
-    assert w.lat_exceed_100ms == pytest.approx(exceedance_ref(rtts, 100.0), abs=1e-12)
+    assert w["lat_exceed_100ms"] == pytest.approx(exceedance_ref(rtts, 100.0), abs=1e-12)
 
 
 def test_sched_window_all_zero():
     snaps = [snap(float(t)) for t in range(10)]
     w = sched_windows(snaps, WindowSpec())[0.0]
-    assert (w.bler_mean, w.bler_p95) == (0.0, 0.0)
+    assert (w["bler_mean"], w["bler_p95"]) == (0.0, 0.0)
 
 
 def test_sched_window_mean_brute_force():
     snaps = [snap(0.0, 0.0), snap(1.0, 0.1), snap(2.0, 0.5)]
     w = sched_windows(snaps, WindowSpec())[0.0]
-    assert w.bler_mean == pytest.approx(0.2, abs=1e-12)
-    assert w.sched_n == 3
+    assert w["bler_mean"] == pytest.approx(0.2, abs=1e-12)
+    assert w["sched_n"] == 3
 
 
 @settings(max_examples=40)
@@ -216,17 +224,17 @@ def test_sched_window_mean_is_np_mean_of_members(points):
     for start, end in make_windows(60.0, WindowSpec()):
         members = [points[i][1] for i in window_members_ref(times, start, end)]
         if members:
-            assert by_start[start].bler_mean == float(np.mean(members))
+            assert by_start[start]["bler_mean"] == float(np.mean(members))
 
 
 def test_sched_window_absent_fields():
     snaps = [snap(0.0), snap(1.0)]
     w = sched_windows(snaps, WindowSpec())[0.0]
-    assert w.mcs_median is None and w.snr_median_db is None
+    assert math.isnan(w["mcs_median"]) and math.isnan(w["snr_median_db"])
     snaps = [snap(0.0, mcs=9, snr=30.0), snap(1.0), snap(2.0, mcs=11, snr=32.0)]
     w = sched_windows(snaps, WindowSpec())[0.0]
-    assert w.mcs_median == 10.0  # median over the two present values
-    assert w.snr_median_db == 31.0
+    assert w["mcs_median"] == 10.0  # median over the two present values
+    assert w["snr_median_db"] == 31.0
 
 
 def test_sched_window_insufficient():
@@ -249,10 +257,10 @@ def test_window_aggregates_match_stats_on_members(points):
             assert w is None
             continue
         rtts = [samples[i].rtt_ms for i in members]
-        assert w.lat_n == len(members)
-        assert w.lat_p95_ms == pytest.approx(percentile_ref(rtts, 0.95), abs=1e-12)
-        assert w.lat_median_ms == pytest.approx(percentile_ref(rtts, 0.5), abs=1e-12)
-        assert w.lat_exceed_100ms == pytest.approx(exceedance_ref(rtts, 100.0), abs=1e-12)
+        assert w["lat_n"] == len(members)
+        assert w["lat_p95_ms"] == pytest.approx(percentile_ref(rtts, 0.95), abs=1e-12)
+        assert w["lat_median_ms"] == pytest.approx(percentile_ref(rtts, 0.5), abs=1e-12)
+        assert w["lat_exceed_100ms"] == pytest.approx(exceedance_ref(rtts, 100.0), abs=1e-12)
 
 
 @settings(max_examples=30)
@@ -269,8 +277,8 @@ def test_membership_conservation(duration, width, stride, times):
     samples = sorted((lat(t, 5.0, seq=i) for i, t in enumerate(times)),
                      key=lambda s: s.t_s)
     grid = make_windows(float(duration), spec)
-    by_start = latency_windows(samples, spec, float(duration))
-    total_members = sum(by_start[start].lat_n for start, _ in grid if start in by_start)
+    windows = latency_windows(samples, spec, float(duration))
+    total_members = sum(windows[start]["lat_n"] for start, _ in grid if start in windows)
     multiplicity = sum(
         len(window_members_ref([t], start, end))
         for t in times for start, end in grid)
@@ -300,7 +308,7 @@ def test_join_identical_grids_full_length():
     joined = build_joined_windows(run_of(samples, snaps), WindowSpec())
     grid = make_windows(60.0, WindowSpec())
     assert len(joined) == len(grid) == 11
-    assert [j.start_s for j in joined] == [start for start, _ in grid]
+    assert joined.start_s.tolist() == [start for start, _ in grid]
 
 
 def test_join_starts_subset_of_inputs():
@@ -309,9 +317,10 @@ def test_join_starts_subset_of_inputs():
     joined = build_joined_windows(run_of(samples, snaps), WindowSpec())
     lat_starts = set(latency_windows(samples, WindowSpec()))
     sched_starts = set(sched_windows(snaps, WindowSpec()))
-    assert joined and all(
-        j.start_s in lat_starts and j.start_s in sched_starts for j in joined)
-    assert [j.start_s for j in joined] == sorted(j.start_s for j in joined)
+    starts = joined.start_s.tolist()
+    assert starts and all(
+        start in lat_starts and start in sched_starts for start in starts)
+    assert starts == sorted(starts)
 
 
 def test_build_joined_windows_on_run():
@@ -380,7 +389,8 @@ def test_split_conserves_counts_and_labels():
     first, second = split_phases(run, 900.0)
     assert len(first.latency) + len(second.latency) == 9000
     assert len(first.scheduler) + len(second.scheduler) == 1800
-    assert (first.meta.phase, second.meta.phase) == ("LOS", "People")
+    assert first.meta == second.meta == run.meta
+    assert [r.phase_label for r in compare_phases(run, 900.0)] == ["LOS", "People"]
     assert all(s.t_s < 900.0 for s in first.latency)
     assert all(s.t_s >= 900.0 for s in second.latency)
     # the boundary snapshot at exactly t=900 lands in the second phase
