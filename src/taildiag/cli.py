@@ -233,18 +233,15 @@ def _campaign(args: argparse.Namespace, required: bool = True) -> CampaignConfig
         raise InvalidSpecError(f"{args.command} requires --config")
     else:
         cfg = CampaignConfig()
-    window = cfg.window
-    if getattr(args, "window_width_s", None) is not None:
-        window = replace(window, width_s=args.window_width_s)
-    if getattr(args, "stride_s", None) is not None:
-        window = replace(window, stride_s=args.stride_s)
-    policy = cfg.policy
-    if getattr(args, "lat_threshold_ms", None) is not None:
-        policy = replace(policy, lat_p95_threshold_ms=args.lat_threshold_ms)
-    if getattr(args, "bler_threshold", None) is not None:
-        policy = replace(policy, bler_mean_threshold=args.bler_threshold)
-    if window is not cfg.window or policy is not cfg.policy:
-        cfg = replace(cfg, window=window, policy=policy)
+    window = {"width_s": getattr(args, "window_width_s", None),
+              "stride_s": getattr(args, "stride_s", None)}
+    policy = {"lat_p95_threshold_ms": getattr(args, "lat_threshold_ms", None),
+              "bler_mean_threshold": getattr(args, "bler_threshold", None)}
+    window, policy = ({k: v for k, v in d.items() if v is not None} for d in (window, policy))
+    if window or policy:
+        # One replace per spec: a width and a stride are checked together.
+        cfg = replace(cfg, window=replace(cfg.window, **window),
+                      policy=replace(cfg.policy, **policy))
     return cfg
 
 

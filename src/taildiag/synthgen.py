@@ -357,6 +357,8 @@ def presets_by_name(name: str, seed: int = DEFAULT_SEED) -> tuple[RunPreset, ...
     if name not in PRESET_BUILDERS:
         raise InvalidSpecError(
             f"unknown preset {name!r}; valid presets: {sorted(PRESET_BUILDERS)}")
+    if not 0 <= seed < 2**64:
+        raise InvalidSpecError(f"seed {seed} is not an unsigned 64-bit integer")
     return PRESET_BUILDERS[name](seed)
 
 

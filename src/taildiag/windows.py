@@ -36,10 +36,10 @@ _GRID_EPS = 1e-9
 PHASE_LABELS = ("LOS", "People")
 
 # Largest window grid, and largest total of samples over the joined
-# windows (both layers), that a window spec may ask for. The kernel
-# holds about 30 B per member and make_windows about 110 B per window,
-# so these keep one window build under about 700 MB; a tiny stride
-# fails cleanly here instead of exhausting memory.
+# windows (both layers), that a window spec may ask for. The kernel holds
+# 16 B per member on the 24 h modem run (tracemalloc), 32 B at most if
+# nearly all are snapshots, and make_windows about 110 B per window: one
+# build stays under about 800 MB, and a tiny stride fails cleanly here.
 MAX_WINDOWS = 1_000_000
 MAX_MEMBERS = 20_000_000
 
@@ -99,40 +99,42 @@ def make_windows(run_duration_s: float, spec: WindowSpec) -> list[tuple[float, f
             for k in range(count)]
 
 
-def _segments(lo: np.ndarray, n: np.ndarray,
-              values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Members values[lo[k]:lo[k] + n[k]] of every window k, each
-    segment sorted ascending (NaN last), and the segment offsets."""
-    starts = np.cumsum(n) - n
-    seg = np.repeat(np.arange(n.size), n)
-    # Sort (window, rank of value) keys, the rank from one stable argsort
-    # of the column: each segment comes out ascending, ties in time order.
-    order = np.argsort(values, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    key = np.sort(seg * order.size + rank[np.arange(seg.size) - starts[seg] + lo[seg]])
-    return values[order[key - seg * order.size]], starts
+def _sorted_members(lo: np.ndarray, n: np.ndarray, columns, mean=None):
+    """Each window k's members columns[i][lo[k]:lo[k] + n[k]], sorted
+    ascending (NaN last), in one flat array per column, and each
+    window's offset there. The windows of one slice length are one block
+    per column, gathered with one member index and sorted by row. Ties
+    differ at most as +0.0 and -0.0, which segment_percentiles maps to
+    the same bits in either order. mean[k] (if given) is np.mean of the
+    unsorted row of columns[0]: its pairwise sum keeps np.mean's bits."""
+    order = np.argsort(n, kind="stable")
+    offsets = (np.cumsum(n[order]) - n[order])[np.argsort(order)]
+    flats = [np.empty(int(n.sum())) for _ in columns]
+    lengths, first = np.unique(n[order], return_index=True)
+    for length, k, start in zip(lengths.tolist(), np.split(order, first[1:]),
+                                offsets[order[first]].tolist()):
+        members = lo[k, None] + np.arange(length)
+        for column, flat in zip(columns, flats):
+            block = flat[start:start + members.size].reshape(members.shape)
+            np.take(column, members, out=block, mode="clip")  # in range: unbuffered
+            if mean is not None and flat is flats[0]:
+                mean[k] = np.mean(block, axis=1)
+            block.sort(axis=1)
+    return offsets, flats
 
 
-def _means(lo: np.ndarray, n: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """np.mean of every slice values[lo[k]:lo[k] + n[k]], as one 2-D
-    np.mean per slice length. Its per-row pairwise sum keeps the bits
-    of np.mean on each slice, which a prefix sum or reduceat does not."""
-    out = np.empty(n.size)
-    for length in np.unique(n).tolist():
-        k = np.flatnonzero(n == length)
-        out[k] = np.mean(values[lo[k, None] + np.arange(length)], axis=1)
-    return out
+def _counts(mask: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Number of true values in every slice mask[lo[k]:hi[k]]."""
+    total = np.concatenate(([0], np.cumsum(mask)))
+    return total[hi] - total[lo]
 
 
-def _medians(lo: np.ndarray, n: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Per-window median over the present (non-NaN) values; NaN where
-    a window has none."""
-    ordered, starts = _segments(lo, n, values)
-    present = np.concatenate(([0], np.cumsum(~np.isnan(ordered))))
-    k = present[starts + n] - present[starts]
-    med = stats.segment_percentiles(ordered, starts, np.maximum(k, 1), 0.5)
-    return np.where(k > 0, med, np.nan)
+def _median_of_present(rows, at, column, lo, hi) -> np.ndarray:
+    """Median of the non-NaN members column[lo[k]:hi[k]] of every window
+    k, the first of its sorted members rows[at[k]:]; NaN if it has none."""
+    present = _counts(~np.isnan(column), lo, hi)
+    med = stats.segment_percentiles(rows, at, np.maximum(present, 1), 0.5)
+    return np.where(present > 0, med, np.nan)
 
 
 def build_joined_windows(run: Run, spec: WindowSpec) -> WindowTable:
@@ -162,21 +164,20 @@ def build_joined_windows(run: Run, spec: WindowSpec) -> WindowTable:
             f"window width {spec.width_s}s and stride {spec.stride_s}s put "
             f"{members} samples into {keep.size} windows; "
             f"the limit is {MAX_MEMBERS}")
-
-    rtt_sorted, lat_starts = _segments(lat_lo, lat_n, rtt)
-    bler_sorted, sched_starts = _segments(sched_lo, sched_n, bler)
-    over = np.concatenate(([0], np.cumsum(rtt > stats.EXCEED_FAST_MS)))
+    # Counted first, so the prefix sum's temporaries never meet the rows.
+    exceed = _counts(rtt > stats.EXCEED_FAST_MS, lat_lo, lat_hi) / lat_n
+    lat_at, (rtt_rows,) = _sorted_members(lat_lo, lat_n, (rtt,))
+    bler_mean = np.empty(keep.size)
+    at, (bler_rows, mcs_rows, snr_rows) = _sorted_members(
+        sched_lo, sched_n, (bler, mcs, snr), bler_mean)
     return WindowTable(
-        start_s=bounds[keep, 0],
-        lat_n=lat_n,
-        lat_p95_ms=stats.segment_percentiles(rtt_sorted, lat_starts, lat_n, 0.95),
-        lat_median_ms=stats.segment_percentiles(rtt_sorted, lat_starts, lat_n, 0.5),
-        lat_exceed_100ms=(over[lat_hi] - over[lat_lo]) / lat_n,
-        sched_n=sched_n,
-        bler_mean=_means(sched_lo, sched_n, bler),
-        bler_p95=stats.segment_percentiles(bler_sorted, sched_starts, sched_n, 0.95),
-        mcs_median=_medians(sched_lo, sched_n, mcs),
-        snr_median_db=_medians(sched_lo, sched_n, snr))
+        start_s=bounds[keep, 0], lat_n=lat_n,
+        lat_p95_ms=stats.segment_percentiles(rtt_rows, lat_at, lat_n, 0.95),
+        lat_median_ms=stats.segment_percentiles(rtt_rows, lat_at, lat_n, 0.5),
+        lat_exceed_100ms=exceed, sched_n=sched_n, bler_mean=bler_mean,
+        bler_p95=stats.segment_percentiles(bler_rows, at, sched_n, 0.95),
+        mcs_median=_median_of_present(mcs_rows, at, mcs, sched_lo, sched_hi),
+        snr_median_db=_median_of_present(snr_rows, at, snr, sched_lo, sched_hi))
 
 
 def run_duration(run: Run) -> float:

@@ -151,6 +151,15 @@ def test_synth_unknown_preset(tmp_path, capsys):
     assert "error:" in err and "paperlike" in err and "coupled" in err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**70)])
+def test_synth_seed_outside_u64_is_an_error(tmp_path, capsys, seed):
+    out = tmp_path / "out"
+    assert main(["synth", "paperlike", "--output-dir", str(out), "--seed", seed]) == 1
+    assert capsys.readouterr().err == (
+        f"error: seed {seed} is not an unsigned 64-bit integer\n")
+    assert not any(out.iterdir())
+
+
 def test_synth_paperlike_run_ids(tmp_path, capsys):
     assert main(["synth", "paperlike", "--output-dir", str(tmp_path)]) == 0
     names = {p.name for p in tmp_path.glob("*.manifest")}
@@ -267,6 +276,15 @@ def test_windows_override_grid(campaign, tmp_path, capsys):
                  "--output-dir", str(tmp_path), "coupled",
                  "--window-width-s", "60", "--stride-s", "60"]) == 0
     assert "coupled: 10 joined windows" in capsys.readouterr().out
+
+
+def test_windows_override_width_below_config_stride(campaign, tmp_path, capsys):
+    # 4 s windows at a 2 s stride are valid, although the configured
+    # 5 s stride exceeds the 4 s width on its own.
+    assert main(["windows", "--config", _cfg(campaign),
+                 "--output-dir", str(tmp_path), "coupled",
+                 "--window-width-s", "4", "--stride-s", "2"]) == 0
+    assert "coupled: 299 joined windows" in capsys.readouterr().out
 
 
 def test_windows_empty_join(campaign, tmp_path, capsys):

@@ -24,7 +24,7 @@ from oracles import (
     window_members_ref,
     window_starts_ref,
 )
-from taildiag import report, synthgen
+from taildiag import canon, report, stats, synthgen
 from taildiag.errors import (
     InvalidSpecError,
     RunTooShortError,
@@ -32,7 +32,14 @@ from taildiag.errors import (
 )
 from runs import make_run
 from taildiag.flags import FlagPolicy, compare_phases, evaluate_flags
-from taildiag.ingest import LatencySample, RunMetadata, SchedulerSnapshot
+from taildiag.ingest import (
+    LatencySample,
+    LatencyTrace,
+    RunMetadata,
+    SchedulerSnapshot,
+    SchedulerTrace,
+    consolidate_run,
+)
 from taildiag.windows import (
     WindowSpec,
     build_joined_windows,
@@ -242,6 +249,76 @@ def test_sched_window_insufficient():
     assert 0.0 not in sched_windows([snap(0.0)], spec)
 
 
+# Snapshot times in bursts of varied density: (first time, count, span)
+# triples, each `count` snapshots evenly over `span` seconds.
+BURSTS = st.lists(st.tuples(st.floats(0.0, 59.0), st.integers(1, 30), st.floats(0.0, 8.0)),
+                  min_size=1, max_size=12)
+SPECS = st.sampled_from([WindowSpec(), WindowSpec(7.0, 3.0), WindowSpec(20.0, 5.0)])
+
+
+def burst_snapshots(bursts, data, bler, mcs, snr):
+    """Snapshots at the burst times, each field drawn from its strategy."""
+    times = [min(t + span * i / count, 59.999) for t, count, span in bursts
+             for i in range(count)]
+    draw = [data.draw(st.lists(s, min_size=len(times), max_size=len(times)))
+            for s in (bler, mcs, snr)]
+    return [snap(*row) for row in zip(times, *draw)]
+
+
+def sched_order_statistics(spec, snapshots):
+    """(window start, column, q, members in time order) of every grid
+    window with a snapshot, for bler_p95 and the present members of the
+    mcs and snr medians; and the joined windows, latency side dense."""
+    run = run_of(dense_lat(), snapshots)
+    sched = run.scheduler
+    cases = []
+    for start, end in make_windows(60.0, spec):
+        members = window_members_ref(sched.t_s.tolist(), start, end)
+        if members:
+            cases += [(start, name, q, [v for v in column[members].tolist() if not math.isnan(v)])
+                      for name, column, q in (("bler_p95", sched.dl_bler, 0.95),
+                                              ("mcs_median", sched.dl_mcs, 0.5),
+                                              ("snr_median_db", sched.snr_db, 0.5))]
+    return cases, values_by_start(build_joined_windows(run, spec))
+
+
+@settings(max_examples=40)
+@given(SPECS, BURSTS, st.data())
+def test_sched_order_statistics_match_reference(spec, bursts, data):
+    snapshots = burst_snapshots(bursts, data, st.floats(0.0, 1.0),
+                                st.none() | st.integers(0, 28),
+                                st.none() | st.floats(-20.0, 40.0))
+    cases, by_start = sched_order_statistics(spec, snapshots)
+    assert len(by_start) == len({start for start, *_ in cases})
+    for start, name, q, present in cases:
+        got = by_start[start][name]
+        if present:
+            assert got == pytest.approx(percentile_ref(present, q), abs=1e-12)
+        else:
+            assert math.isnan(got)
+
+
+@settings(max_examples=40)
+@given(SPECS, BURSTS, st.data())
+def test_sched_order_statistics_keep_bits_of_stable_time_order(spec, bursts, data):
+    # Ties, +0.0 against -0.0 among them: the columns carry the bits of
+    # segment_percentiles over each window's members sorted stably, that
+    # is with ties in time order.
+    signed = st.sampled_from([-0.0, 0.0, 1.0, 0.5])
+    snapshots = burst_snapshots(bursts, data, signed, st.none() | st.integers(0, 2),
+                                st.none() | st.sampled_from([-0.0, 0.0, -1.0, 1.0]))
+    cases, by_start = sched_order_statistics(spec, snapshots)
+    for start, name, q, present in cases:
+        got = by_start[start][name]
+        if not present:
+            assert math.isnan(got)
+            continue
+        want = float(stats.segment_percentiles(
+            np.sort(np.array(present), kind="stable"), np.zeros(1, dtype=np.intp),
+            np.array([len(present)]), q)[0])
+        assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want))
+
+
 @settings(max_examples=50)
 @given(st.lists(st.tuples(st.floats(0.0, 59.999), st.floats(0.1, 2000.0)),
                 min_size=1, max_size=80))
@@ -378,6 +455,74 @@ def test_modem_24h_tables_match_golden_digests():
               "modem_24h_flags.csv": report.flags_table(evaluate_flags(joined, FlagPolicy()))}
     for name, text in tables.items():
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == expected[name], name
+
+
+def _bursty_times(rng, duration, mean_rate):
+    """Sorted arrival times over [0, duration): Poisson within stretches
+    of 1-40 s whose rates spread over two orders of magnitude."""
+    edges = np.concatenate(([0.0], np.cumsum(rng.uniform(1.0, 40.0, int(duration)))))
+    edges = np.minimum(edges[:np.searchsorted(edges, duration) + 1], duration)
+    times = [rng.uniform(a, b, rng.poisson(mean_rate * rng.lognormal(-0.7, 1.2) * (b - a)))
+             for a, b in zip(edges[:-1], edges[1:])]
+    return np.sort(np.concatenate(times))
+
+
+def _signed_zeros(rng, values):
+    """`values` with every zero given a random sign."""
+    return np.where(values == 0.0, np.where(rng.random(values.size) < 0.5, -0.0, 0.0),
+                    values)
+
+
+def irregular_run(seed=20261018, duration=3600.0):
+    """A seeded 1 h run whose windows reach the kernel's grouped and NaN
+    paths: bursty arrivals on both layers (hundreds of distinct window
+    lengths), about 10 % absent dl_mcs and snr_db plus stretches where
+    all of them are absent, values on coarse grids (repeated values),
+    and +0.0 and -0.0 in dl_bler and snr_db."""
+    rng = np.random.default_rng(seed)
+    lat_t = _bursty_times(rng, duration, 10.0)
+    rtt = np.maximum(np.round(rng.lognormal(3.0, 0.9, lat_t.size), 1), 0.1)
+    sched_t = _bursty_times(rng, duration, 5.0)
+    n = sched_t.size
+    bler = np.where(rng.random(n) < 0.3, 0.0, np.round(rng.beta(0.5, 5.0, n), 2))
+    mcs = rng.integers(0, 29, n).astype(float)
+    snr = np.round(rng.normal(4.0, 6.0, n) * 2.0) / 2.0
+    absent = rng.random((2, n)) < 0.1
+    # Stretches where every dl_mcs (row 0), every snr_db (row 1) or both are absent.
+    for rows, a, b in [((0,), 300.0, 340.0), ((1,), 1200.0, 1380.0), ((0,), 2500.0, 2530.0),
+                       ((0, 1), 2300.0, 2330.0), ((0, 1), 3200.0, 3370.0)]:
+        absent[np.ix_(rows, (sched_t >= a) & (sched_t < b))] = True
+    nan = np.full(n, np.nan)
+    meta = RunMetadata(run_id="irregular", ue_type="modem", distance_m=6.0,
+                       packet_size_b=30, scenario="baseline", nominal_duration_s=duration)
+    return consolidate_run(
+        LatencyTrace(lat_t, np.arange(lat_t.size), rtt),
+        SchedulerTrace(sched_t, np.full(n, 17.0), _signed_zeros(rng, bler), nan,
+                       np.where(absent[0], np.nan, mcs), nan,
+                       np.where(absent[1], np.nan, _signed_zeros(rng, snr)),
+                       nan, nan, nan),
+        meta)
+
+
+# SHA-256 of canon.table_text of the irregular run's windows, recorded
+# with the kernel that sorted every window's members by one global
+# argsort: the windows CSV of a run with many window lengths, absent
+# medians and signed zeros must not move a bit.
+IRREGULAR_DIGESTS = {
+    (10.0, 5.0): "6df937f36bd45d0022fc8cfe33f65b18a451688b0db13bff188e11c25e38b51c",
+    (100.0, 5.0): "f6a37cbaf3aa81cc6d64135df934eac5cc81c378dbf42931a9b0958860110f6a",
+    (7.0, 3.0): "6bdd4d656d2bf22430ce3c69397b7c08ca7a20237fe93baa450641aad7176d5f",
+}
+
+
+@pytest.mark.parametrize("width,stride", list(IRREGULAR_DIGESTS))
+def test_irregular_run_windows_match_golden_digests(width, stride):
+    joined = build_joined_windows(irregular_run(), WindowSpec(width, stride))
+    assert np.unique(joined.lat_n).size >= 100
+    assert np.unique(joined.sched_n).size >= 100
+    assert np.isnan(joined.mcs_median).any() and np.isnan(joined.snr_median_db).any()
+    digest = hashlib.sha256(canon.table_text(joined).encode("utf-8")).hexdigest()
+    assert digest == IRREGULAR_DIGESTS[width, stride]
 
 
 # ------------------------------------------------------------------ split
