@@ -2,10 +2,22 @@
 ground-truth sidecars, and the column file beside each latency and
 scheduler CSV.
 
-Floats are written with repr (shortest round-trip form) so that
+Floats are written as their repr (shortest round-trip form) so that
 write -> read -> write is byte-identical and no precision is lost.
 All files are UTF-8 with LF line endings and are written atomically
 (temp file in the target directory, then rename).
+
+Data tables are rendered by one kernel (`csv_bytes`), a block of rows
+at a time. It finds the digits repr picks with numpy: an exact scaled
+product (Dekker's two-product) gives the 17-digit decimal of each float
+and its residual, and the shortest of the 15-, 16- and 17-digit
+roundings that lies within half an ulp is the one repr prints. A cell
+it cannot prove that way (a power of two, a near tie or round-trip
+boundary, an exponent outside fixed notation) is rendered by repr
+itself, so the output is repr's byte for byte. Each character position
+of a cell is one byte vector over the block's rows, NUL where a cell
+has no character; the block is transposed to rows and the NULs
+dropped.
 
 A column file `<name>.csv.cols` holds the SHA-256 of a format tag and
 the CSV's bytes, then the float64 table the text reader parses from
@@ -32,6 +44,7 @@ import numpy as np
 
 from .errors import (
     EmptyTraceError,
+    InvalidSpecError,
     MalformedRecordError,
     MissingColumnError,
     ToolkitError,
@@ -108,17 +121,195 @@ def open_text(path: str | Path):
             raise
 
 
-def _num(x: float | int | None) -> str:
-    return "" if x is None else repr(x)
+# Rows rendered at a time. A block's byte and digit matrices stay a few
+# MB; blocks of 2**14 rows already raised the quick start's peak RSS
+# above what one repr per cell took (45.5 against 44.0 MiB).
+_BLOCK_ROWS = 1 << 13
+_POW10 = 10.0 ** np.arange(23)      # exact up to 10**22
+_RECIPROCAL = 1 / 10.0 ** np.arange(8, -1, -1)
+# Dekker's split of a double into two halves of at most 26 bits.
+_SPLIT = 2.0 ** 27 + 1
+_POW10_HI = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+# Relative margin within which a rounding tie or a round-trip boundary
+# counts as met, and the cell goes to repr.
+_TIE_MARGIN = 1e-9
+_MANTISSA = (1 << 52) - 1
+_POWERS = 10 ** np.arange(18, -1, -1, dtype=np.int64)
+_SLOT = np.arange(17, dtype=np.uint8)
+_DIGIT_NO = np.arange(1, 18, dtype=np.uint8)[:, None]
+# Exponent of a cell the digit layout does not show (empty or verbatim).
+_UNSHOWN = 100
+_MINUS, _DOT, _ZERO = (np.uint8(ord(c)) for c in "-.0")
+
+
+def _shortest(ax: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For floats ax in [1e-4, 1e15) that are not powers of two: the
+    digits of each one's repr as a 17-digit integer (trailing zeros
+    padded), its decimal exponent, and whether both are proven. The
+    17-digit rounding M17 of ax * 10**(16 - E) and its residual are
+    exact, from Dekker's two-product; its 15- and 16-digit roundings
+    are the candidates repr prefers when they lie strictly within half
+    an ulp of ax. Not proven: an exponent floor(log10) misjudged (M17
+    outside [10**16, 10**17)), or a tie or round-trip boundary within
+    _TIE_MARGIN. No candidate rounds up to 10**17 within half an ulp:
+    the power of ten it stands for is a double, a whole ulp from ax."""
+    exp10 = np.floor(np.log10(ax))
+    k = (16 - exp10).astype(np.intp)
+    scale = _POW10[k]
+    p = ax * scale
+    split = _SPLIT * ax
+    hi = split - (split - ax)
+    lo = ax - hi
+    s_hi, s_lo = _POW10_HI[k], _POW10_LO[k]
+    err = ((hi * s_hi - p) + hi * s_lo + lo * s_hi) + lo * s_lo
+    carry = np.rint(err)
+    rho = err - carry                   # ax * 10**k == M17 + rho, exactly
+    m17 = p.astype(np.int64) + carry.astype(np.int64)
+    q16 = m17 // 10
+    q15 = q16 // 10
+    r16, r15 = m17 - q16 * 10, m17 - q15 * 100
+    above = rho > 0
+    c16 = q16 + ((r16 > 5) | ((r16 == 5) & above))
+    c15 = q15 + ((r15 > 50) | ((r15 == 50) & above))
+    d16 = np.abs((c16 * 10 - m17) - rho)
+    d15 = np.abs((c15 * 100 - m17) - rho)
+    ulp = (ax.view(np.int64) + 1).view(np.float64) - ax   # the gap above = below
+    half_ulp = ulp * scale * 0.5        # exact: 2**m * 10**k
+    inside, outside = half_ulp * (1 - _TIE_MARGIN), half_ulp * (1 + _TIE_MARGIN)
+    digits = np.where(d15 < inside, c15 * 100, np.where(d16 < inside, c16 * 10, m17))
+    off_tie = np.abs(rho)
+    proven = ((m17 >= 10 ** 16) & (m17 < 10 ** 17)
+              & ((d15 < inside) | (d15 > outside)) & ((d16 < inside) | (d16 > outside))
+              & (off_tie < 0.5 - _TIE_MARGIN)
+              & ((off_tie > _TIE_MARGIN) | ((r16 != 5) & (r15 != 50))))
+    return digits, 16 - k, proven
+
+
+def _digit_rows(values: np.ndarray, width: int) -> np.ndarray:
+    """(width, len(values)) uint8: the decimal digits of non-negative
+    int64 values below 10**width, most significant first."""
+    rows = np.empty((width, values.size))
+    while width > 9:
+        high = values // 10 ** 8
+        _chunk_digits(values - high * 10 ** 8, rows[width - 8:width])
+        values, width = high, width - 8
+    _chunk_digits(values, rows[:width])
+    return rows.astype(np.uint8)
+
+
+def _chunk_digits(values: np.ndarray, rows: np.ndarray) -> None:
+    """Write the len(rows) digits of int64 values below 10**9 into rows.
+    floor((v + 0.5) * fl(10**-a)) is v // 10**a exactly: the added 0.5
+    keeps the quotient 0.5 / 10**a from every integer, and the product's
+    relative error (at most 2**-52) moves a quotient below 10**(9 - a)
+    by far less."""
+    np.multiply(values.astype(float) + 0.5, _RECIPROCAL[-len(rows):, None], out=rows)
+    np.floor(rows, out=rows)
+    rows[1:] -= 10 * rows[:-1]
+
+
+def _float_slots(x: np.ndarray) -> list[np.ndarray]:
+    """The cells of float64 values x, each its repr and NaN an empty
+    cell, as byte rows over x (one per character position, NUL where a
+    cell has none). The sign, then "0." and leading zeros (only if some
+    cell is below 1), then the digits, with a dot row after each digit
+    position some cell's point follows, then the repr of the cells
+    outside fixed notation."""
+    ax = np.abs(x)
+    fast = (ax >= 1e-4) & (ax < 1e15) & ((ax.view(np.int64) & _MANTISSA) != 0)
+    digits, exp10, proven = _shortest(np.where(fast, ax, 3.0))
+    fast &= proven
+    digits *= fast                      # zero renders as 0.0: digits 0, exponent 0
+    exp10 *= fast
+    shown = fast | (ax == 0)
+    verbatim = []
+    slow = np.flatnonzero(~shown & ~np.isnan(x))
+    for row, text in zip(slow.tolist(), map(repr, ax[slow].tolist())):
+        if "e" in text or "n" in text:  # exponent form, or inf
+            verbatim.append((row, text))
+            continue
+        plain = text.replace(".", "")
+        significant = plain.lstrip("0")
+        digits[row] = int(significant.rstrip("0").ljust(17, "0"))
+        exp10[row] = text.index(".") - (len(plain) - len(significant)) - 1
+        shown[row] = True
+    exp10 += ~shown * _UNSHOWN
+    rows = _digit_rows(digits, 17)
+    count = ((rows != 0) * _DIGIT_NO).max(axis=0)    # up to the last nonzero digit
+    # Digits shown: the significant ones, and for a whole number the
+    # zeros up to the point and the one after it.
+    length = (np.maximum(count, exp10 + 2) * shown).astype(np.uint8)
+    used = np.bincount((exp10 + 5) * shown, minlength=22)[1:]
+    slots = []
+    negative = np.signbit(x) & ~np.isnan(x)
+    if negative.any():
+        slots.append(negative[None] * _MINUS)
+    if used[:4].any():                  # some exponent in -4..-1
+        below = exp10 < 0
+        slots.append(np.array([below * _ZERO, below * _DOT]
+                              + [(exp10 < -z) * _ZERO
+                                 for z in range(1, 4 - int(np.argmax(used[:4] > 0)))]))
+    width = int(length.max())
+    body = (_SLOT[:width, None] < length) * (rows[:width] + _ZERO)
+    start = 0
+    for point in np.flatnonzero(used[4:4 + width]).tolist():
+        slots += [body[start:point + 1], (exp10 == point)[None] * _DOT]
+        start = point + 1
+    slots.append(body[start:])
+    if verbatim:
+        at, texts = zip(*verbatim)
+        cells = np.array([t.encode("ascii") for t in texts])
+        block = np.zeros((cells.itemsize, x.size), np.uint8)
+        block[:, list(at)] = cells.view(np.uint8).reshape(len(at), -1).T
+        slots.append(block)
+    return slots
+
+
+def _int_slots(x: np.ndarray) -> list[np.ndarray]:
+    """The cells of whole float64 values x that int64 holds, each as an
+    integer and NaN an empty cell, as byte rows like _float_slots'."""
+    absent = np.isnan(x)
+    values = np.where(absent, 0.0, x).astype(np.int64)
+    magnitude = np.abs(values)
+    width = len(str(int(magnitude.max())))
+    rows = _digit_rows(magnitude, width)
+    shown = magnitude >= _POWERS[-width:, None]     # from the first significant digit
+    shown[-1] = True
+    shown &= ~absent
+    slots = [shown * (rows + _ZERO)]
+    negative = values < 0
+    if negative.any():
+        slots.insert(0, negative[None] * _MINUS)
+    return slots
+
+
+def csv_bytes(names: Iterable[str], columns: Iterable[np.ndarray],
+              integral: Iterable[str] = ()) -> bytes:
+    """Equal-length float64 columns as UTF-8 CSV: `names` as the header,
+    then one line per row, each cell the repr of its float and NaN an
+    empty cell. The columns named in `integral` hold whole numbers that
+    int64 holds, written as integers."""
+    names, columns, integral = list(names), list(columns), set(integral)
+    parts = [(",".join(names) + "\n").encode("utf-8")]
+    rows = len(columns[0]) if columns else 0
+    for start in range(0, rows, _BLOCK_ROWS):
+        slots = []
+        for i, (name, column) in enumerate(zip(names, columns)):
+            block = column[start:start + _BLOCK_ROWS]
+            slots += (_int_slots if name in integral else _float_slots)(block)
+            slots.append(np.full((1, block.size), 10 if i == len(names) - 1 else 44,
+                                 np.uint8))
+        parts.append(np.concatenate(slots).T.tobytes().translate(None, b"\0"))
+    return b"".join(parts)
 
 
 def table_text(table) -> str:
     """A columnar table (a trace or the window table) as CSV text: its
     field names as the header, then one line per row, floats in repr
     form and an absent value as an empty cell."""
-    columns = [map(_num if None in values else repr, values)
-               for values in map(table.values, table.names())]
-    return "\n".join([",".join(table.names()), *map(",".join, zip(*columns))]) + "\n"
+    names = table.names()
+    return csv_bytes(names, map(table.rendered, names), table.INTEGRAL).decode("utf-8")
 
 
 def _fill_empty(text: str) -> str:
@@ -252,15 +443,14 @@ def _read_trace(path: str | Path, kind: type):
     return kind(**columns)
 
 
-def _table_as_read(trace) -> np.ndarray | None:
+def _table_as_read(trace, columns: np.ndarray) -> np.ndarray | None:
     """The rows × fields table the text reader parses from the canonical
-    CSV of trace, or None when the reader refuses that CSV. No value
+    CSV of trace, whose fields × rows `columns` are trace.rendered of
+    each field, or None when the reader refuses that CSV. No value
     domain admits an infinity, nor a latency column NaN, so the faults
     also cover the text only the careful path reads ("inf", an empty
     latency cell), where it names the line with other words."""
-    names = trace.names()
-    columns = np.array([trace.rendered(name) for name in names])
-    if not len(trace) or trace.faults(dict(zip(names, columns))):
+    if not len(trace) or trace.faults(dict(zip(trace.names(), columns))):
         return None
     return columns.T    # column by column on disk: fields × rows contiguous
 
@@ -268,9 +458,11 @@ def _table_as_read(trace) -> np.ndarray | None:
 def _write_trace(path: str | Path, trace) -> None:
     """Write trace as a canonical CSV, then its column file; a trace
     whose CSV the reader refuses gets none, and loses any older one."""
-    data = table_text(trace).encode("utf-8")
+    names = trace.names()
+    columns = np.array([trace.rendered(name) for name in names])
+    data = csv_bytes(names, columns, trace.INTEGRAL)
     atomic_write_bytes(path, data)
-    table = _table_as_read(trace)
+    table = _table_as_read(trace, columns)
     if table is None:
         _columns_path(path).unlink(missing_ok=True)
         return
@@ -303,9 +495,18 @@ def read_scheduler_csv(path: str | Path) -> SchedulerTrace:
 
 def write_truth_csv(path: str | Path, stall_times_s: Iterable[float],
                     excursion_times_s: Iterable[float]) -> None:
+    """Write the ground-truth sidecar: one `kind,t_s` line per stall,
+    then per excursion, each kind in time order. A time that is not
+    finite raises InvalidSpecError naming it."""
     lines = [TRUTH_HEADER]
-    lines.extend(f"stall,{t!r}" for t in sorted(stall_times_s))
-    lines.extend(f"excursion,{t!r}" for t in sorted(excursion_times_s))
+    for kind, times in (("stall", stall_times_s), ("excursion", excursion_times_s)):
+        times = np.sort(np.array(list(times), dtype=float), kind="stable")
+        bad = times[~np.isfinite(times)]
+        if bad.size:
+            raise InvalidSpecError(
+                f"cannot write {kind} time {float(bad[0])!r} to {path}: not finite")
+        cells = csv_bytes(("t_s",), [times]).decode("utf-8").split("\n")[1:-1]
+        lines.extend(f"{kind},{cell}" for cell in cells)
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -327,6 +528,6 @@ def write_run(out_dir: str | Path, run: Run,
     fields.update(sorted(files.items()))
     manifest = out_dir / f"{rid}.manifest"
     atomic_write_text(manifest, "".join(
-        f"{key}={value!r}\n" if isinstance(value, float) else f"{key}={value}\n"
+        f"{key}={float(value)!r}\n" if isinstance(value, float) else f"{key}={value}\n"
         for key, value in fields.items()))
     return manifest, fields

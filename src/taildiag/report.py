@@ -8,7 +8,8 @@ Two kinds of output, deliberately different:
   undefined correlations. Stable for golden-file comparison.
 - Data tables (windowed join, flag timeline) keep full float precision
   so downstream statistics on the emitted file agree exactly with
-  statistics on the in-memory windows.
+  statistics on the in-memory windows. canon.csv_bytes renders them,
+  each float as its repr.
 """
 
 from __future__ import annotations
@@ -114,13 +115,11 @@ def windows_table(windows: WindowTable) -> str:
 
 
 def flags_table(flags: Sequence[DegradationFlag]) -> str:
-    lines = [FLAGS_HEADER]
-    for f in flags:
-        lines.append(",".join([
-            repr(f.start_s), str(int(f.raised)), str(int(f.lat_evidence)),
-            str(int(f.sched_evidence)), repr(f.lat_p95_ms), repr(f.bler_mean),
-        ]))
-    return "\n".join(lines) + "\n"
+    names = FLAGS_HEADER.split(",")
+    columns = np.array([(f.start_s, f.raised, f.lat_evidence, f.sched_evidence,
+                         f.lat_p95_ms, f.bler_mean) for f in flags], dtype=float)
+    return canon.csv_bytes(names, columns.reshape(-1, len(names)).T,
+                           names[1:4]).decode("utf-8")
 
 
 def phases_table(rows: Sequence[PhaseComparison],

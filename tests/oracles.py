@@ -227,3 +227,12 @@ def parse_fullstats_ref(lines, column_map, stats_period_s=1.0):
             s["t_s"] -= base
     rows = [tuple(s[name] for name in SCHED_FIELDS) for s in kept]
     return sorted(rows, key=lambda r: (r[0], r[1])), faults
+
+
+def table_text_ref(table):
+    """A columnar table (a trace or the window table) as CSV text, one
+    Python repr per cell: the field names as the header, then one line
+    per row, an absent value (None) as an empty cell."""
+    columns = [["" if v is None else repr(v) for v in table.values(name)]
+               for name in table.names()]
+    return "\n".join([",".join(table.names()), *map(",".join, zip(*columns))]) + "\n"

@@ -427,6 +427,29 @@ def test_truth_round_trip(tmp_path):
     assert path.read_text().splitlines()[0] == "kind,t_s"
 
 
+def test_truth_csv_writes_numpy_times_as_plain_floats(tmp_path):
+    path = tmp_path / "truth.csv"
+    canon.write_truth_csv(path, np.array([2.0, 1.5]), np.array([0.25]))
+    assert path.read_text() == "kind,t_s\nstall,1.5\nstall,2.0\nexcursion,0.25\n"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_truth_csv_refuses_a_time_that_is_not_finite(tmp_path, bad):
+    path = tmp_path / "truth.csv"
+    with pytest.raises(InvalidSpecError, match=f"excursion time {bad!r} "):
+        canon.write_truth_csv(path, [1.0], np.array([3.0, bad]))
+    assert not path.exists()
+
+
+def test_manifest_writes_numpy_floats_as_plain_floats(tmp_path):
+    m = meta(distance_m=np.float64(2.0), nominal_duration_s=np.float64(60.0))
+    run = consolidate_run(latency_trace([LatencySample(0.0, 0, 9.0)]), None, m)
+    path, _ = canon.write_run(tmp_path, run)
+    lines = path.read_text().splitlines()
+    assert "distance_m=2.0" in lines and "nominal_duration_s=60.0" in lines
+    assert read_manifest(path)[0] == m
+
+
 def test_atomic_write_replaces_existing(tmp_path):
     path = tmp_path / "out.txt"
     canon.atomic_write_text(path, "old\n")
