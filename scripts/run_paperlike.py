@@ -6,9 +6,9 @@ ground truth for four runs, then per-run summary, windows, flags and
 phase tables, and the smartphone-vs-modem comparison. Rerunning is
 byte-identical by construction.
 
-Each step prints the `taildiag` command line it stands for and then
-what that command prints. The analysis steps share one cli.Analysis,
-so each run is loaded and windowed once.
+Each step prints the `taildiag` command line it runs and then what that
+command prints. The analysis steps run through cli.execute over one
+shared cli.Analysis, so each run is loaded and windowed once.
 """
 
 import argparse
@@ -19,10 +19,10 @@ from taildiag import cli
 from taildiag.config import load_config
 
 
-def step(argv: list[str], render, *args) -> None:
-    """Print `$ taildiag argv`, then render(*args) as that command."""
+def step(argv: list[str], run) -> None:
+    """Print `$ taildiag argv`, then run(argv) as that command."""
     print(f"$ taildiag {' '.join(argv)}")
-    rc = cli.guarded(render, *args)
+    rc = cli.guarded(run, argv)
     if rc != 0:
         sys.exit(rc)
     print()
@@ -40,21 +40,18 @@ def main() -> None:
     synth = ["synth", "paperlike", "--output-dir", str(out)]
     if args.seed is not None:
         synth += ["--seed", str(args.seed)]
-    step(synth, cli.main, synth)
+    step(synth, cli.main)
 
     cfg_path = out / "campaign_config.json"
     an = cli.Analysis(load_config(cfg_path))
+    parser = cli.build_parser()
     opts = ["--config", str(cfg_path), "--output-dir", str(out)]
     run_ids = [r.run_id for r in an.cfg.runs]
-    for run_id in run_ids:
-        step(["summarize", *opts, run_id], cli.cmd_summarize, an, out, run_id)
-    pair = ("baseline", "baseline_modem")
-    step(["compare", *opts, *pair], cli.cmd_compare, an, out, *pair)
-    for run_id in run_ids:
-        step(["windows", *opts, run_id], cli.cmd_windows, an, out, run_id)
-        step(["flags", *opts, run_id], cli.cmd_flags, an, out, run_id)
-    step(["phases", *opts, "dynamic_people"], cli.cmd_phases, an, out,
-         "dynamic_people", None)
+    for argv in ([["summarize", *opts, run_id] for run_id in run_ids]
+                 + [["compare", *opts, "baseline", "baseline_modem"]]
+                 + [[cmd, *opts, run_id] for run_id in run_ids for cmd in ("windows", "flags")]
+                 + [["phases", *opts, "dynamic_people"]]):
+        step(argv, lambda argv: cli.execute(an, out, parser.parse_args(argv)))
     print(f"all outputs under {out}/")
 
 

@@ -57,7 +57,7 @@ TRUTH_HEADER = "kind,t_s"
 # "nan" or "inf", a hex prefix, or a byte outside ASCII) sends the read
 # down the careful path, which names the malformed line.
 _NUMERIC_BYTES = b"0123456789eE.+-, \t\r\n"
-_NUMBER = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+_NUMBER = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 _DIGEST_SIZE = hashlib.sha256().digest_size
 # Hashed ahead of the CSV bytes into a column file's digest. Any change
 # to the table the text reader yields for the same bytes (empty cells,
@@ -214,8 +214,9 @@ def _float_slots(x: np.ndarray) -> list[np.ndarray]:
     cell, as byte rows over x (one per character position, NUL where a
     cell has none). The sign, then "0." and leading zeros (only if some
     cell is below 1), then the digits, with a dot row after each digit
-    position some cell's point follows, then the repr of the cells
-    outside fixed notation."""
+    position some cell's point follows, then, verbatim, the repr of
+    each cell whose digits _shortest does not prove (a power of two, a
+    near tie, a cell outside fixed notation)."""
     ax = np.abs(x)
     fast = (ax >= 1e-4) & (ax < 1e15) & ((ax.view(np.int64) & _MANTISSA) != 0)
     digits, exp10, proven = _shortest(np.where(fast, ax, 3.0))
@@ -223,17 +224,6 @@ def _float_slots(x: np.ndarray) -> list[np.ndarray]:
     digits *= fast                      # zero renders as 0.0: digits 0, exponent 0
     exp10 *= fast
     shown = fast | (ax == 0)
-    verbatim = []
-    slow = np.flatnonzero(~shown & ~np.isnan(x))
-    for row, text in zip(slow.tolist(), map(repr, ax[slow].tolist())):
-        if "e" in text or "n" in text:  # exponent form, or inf
-            verbatim.append((row, text))
-            continue
-        plain = text.replace(".", "")
-        significant = plain.lstrip("0")
-        digits[row] = int(significant.rstrip("0").ljust(17, "0"))
-        exp10[row] = text.index(".") - (len(plain) - len(significant)) - 1
-        shown[row] = True
     exp10 += ~shown * _UNSHOWN
     rows = _digit_rows(digits, 17)
     count = ((rows != 0) * _DIGIT_NO).max(axis=0)    # up to the last nonzero digit
@@ -257,11 +247,11 @@ def _float_slots(x: np.ndarray) -> list[np.ndarray]:
         slots += [body[start:point + 1], (exp10 == point)[None] * _DOT]
         start = point + 1
     slots.append(body[start:])
-    if verbatim:
-        at, texts = zip(*verbatim)
-        cells = np.array([t.encode("ascii") for t in texts])
+    slow = np.flatnonzero(~shown & ~np.isnan(x))
+    if slow.size:
+        cells = np.array([repr(v).encode("ascii") for v in ax[slow].tolist()])
         block = np.zeros((cells.itemsize, x.size), np.uint8)
-        block[:, list(at)] = cells.view(np.uint8).reshape(len(at), -1).T
+        block[:, slow] = cells.view(np.uint8).reshape(slow.size, -1).T
         slots.append(block)
     return slots
 

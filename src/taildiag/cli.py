@@ -2,8 +2,9 @@
 
 One Analysis holds the campaign config and the runs and window tables
 computed from it; each run is loaded, and windowed, at most once for
-the life of the object. The cmd_* functions are thin renderers over an
-Analysis, and `main` builds one per invocation.
+the life of the object. `execute` runs one parsed command over an
+Analysis: `ingest`, or an analysis command's renderer, whose one file
+it writes before printing. `main` builds one Analysis per invocation.
 
 Data goes to files in the output directory (written atomically),
 warnings go to stderr, stdout carries short human-readable summaries.
@@ -93,7 +94,7 @@ class Analysis:
         return self._windows[run_id]
 
 
-def cmd_ingest(an: Analysis, out_dir: Path, run_ids: list[str]) -> int:
+def _ingest(an: Analysis, out_dir: Path, run_ids: list[str]) -> int:
     """Normalize the named runs (default: every run with a raw source)
     into canonical files plus a manifest under the output directory.
     Every target is loaded before any file is written, so a bad source
@@ -110,75 +111,72 @@ def cmd_ingest(an: Analysis, out_dir: Path, run_ids: list[str]) -> int:
     return 0
 
 
-def cmd_summarize(an: Analysis, out_dir: Path, run_id: str) -> int:
-    cfg, run = an.cfg, an.run(run_id)
+def _summarize(an: Analysis, args: argparse.Namespace) -> tuple[str, str, str]:
+    cfg, run = an.cfg, an.run(args.run_id)
     rtts = run.latency.rtt_ms
     summary = stats.summary_stats(rtts, outlier_threshold_ms=cfg.outlier_ms)
     exceed_cols = [(t, stats.exceedance_prob(rtts, t))
                    for t in cfg.exceed_thresholds_ms]
     sched = report.scheduler_summary(run.scheduler)
     text = report.summary_table(run.meta, summary, sched, exceed_cols)
-    path = out_dir / f"{run_id}_summary.csv"
-    canon.atomic_write_text(path, text)
-    print(text, end="")
-    return 0
+    return f"{args.run_id}_summary.csv", text, text
 
 
-def cmd_compare(an: Analysis, out_dir: Path, run_a: str, run_b: str) -> int:
-    a, b = an.run(run_a), an.run(run_b)
+def _compare(an: Analysis, args: argparse.Namespace) -> tuple[str, str, str]:
+    a, b = an.run(args.run_a), an.run(args.run_b)
     if a.meta.packet_size_b != b.meta.packet_size_b:
         log.warning("packet sizes differ: %s has %d B, %s has %d B",
-                    run_a, a.meta.packet_size_b, run_b, b.meta.packet_size_b)
+                    args.run_a, a.meta.packet_size_b, args.run_b, b.meta.packet_size_b)
     rtts_a, rtts_b = a.latency.rtt_ms, b.latency.rtt_ms
     ks = stats.ks_two_sample(rtts_a, rtts_b)
     text = report.compare_table(a.meta.packet_size_b, ks,
                                 stats.percentile(rtts_a, 0.95),
                                 stats.percentile(rtts_b, 0.95))
-    canon.atomic_write_text(out_dir / f"compare_{run_a}_vs_{run_b}.csv", text)
-    print(text, end="")
-    return 0
+    return f"compare_{args.run_a}_vs_{args.run_b}.csv", text, text
 
 
-def cmd_windows(an: Analysis, out_dir: Path, run_id: str) -> int:
-    joined = an.windows(run_id)
-    canon.atomic_write_text(out_dir / f"{run_id}_windows.csv",
-                            report.windows_table(joined))
-    print(f"{run_id}: {len(joined)} joined windows")
+def _windows(an: Analysis, args: argparse.Namespace) -> tuple[str, str, str]:
+    joined = an.windows(args.run_id)
+    printed = f"{args.run_id}: {len(joined)} joined windows\n"
     if joined:
-        print(report.coupling_line(coupling_report(joined)))
-    return 0
+        printed += report.coupling_line(coupling_report(joined)) + "\n"
+    return f"{args.run_id}_windows.csv", report.windows_table(joined), printed
 
 
-def cmd_flags(an: Analysis, out_dir: Path, run_id: str) -> int:
-    flags = evaluate_flags(an.windows(run_id), an.cfg.policy)
-    canon.atomic_write_text(out_dir / f"{run_id}_flags.csv",
-                            report.flags_table(flags))
-    scenario = an.run(run_id).meta.scenario
-    if flags:
-        print(report.flag_rate_line(scenario, len(flags), flag_rate(flags)))
-    else:
-        print(f"{scenario}: 0 joined windows, no flags evaluated")
-    return 0
+def _flags(an: Analysis, args: argparse.Namespace) -> tuple[str, str, str]:
+    flags = evaluate_flags(an.windows(args.run_id), an.cfg.policy)
+    scenario = an.run(args.run_id).meta.scenario
+    printed = (report.flag_rate_line(scenario, len(flags), flag_rate(flags)) if flags
+               else f"{scenario}: 0 joined windows, no flags evaluated")
+    return f"{args.run_id}_flags.csv", report.flags_table(flags), printed + "\n"
 
 
-def cmd_phases(an: Analysis, out_dir: Path, run_id: str,
-               split_s: float | None) -> int:
+def _phases(an: Analysis, args: argparse.Namespace) -> tuple[str, str, str]:
     threshold = an.cfg.exceed_thresholds_ms[0]
-    rows = compare_phases(an.run(run_id), split_s, exceed_threshold_ms=threshold)
+    rows = compare_phases(an.run(args.run_id), args.split_s,
+                          exceed_threshold_ms=threshold)
     text = report.phases_table(rows, threshold)
-    canon.atomic_write_text(out_dir / f"{run_id}_phases.csv", text)
-    print(text, end="")
-    return 0
+    return f"{args.run_id}_phases.csv", text, text
 
 
-def cmd_synth(out_dir: Path, preset: str, seed: int | None) -> int:
-    from . import synthgen     # only synth needs it: other commands skip the import
-    presets = synthgen.presets_by_name(
-        preset, synthgen.DEFAULT_SEED if seed is None else seed)
-    generated = synthgen.gen_campaign(presets, out_dir)
-    for g in generated:
-        print(g.manifest_path)
-    print(f"{preset}: {len(generated)} runs -> {out_dir}")
+# Each analysis command's renderer: from an Analysis and the parsed
+# arguments, the output file name, the file text and the printed text.
+# It writes and prints nothing; `execute` does both.
+_RENDERERS = {
+    "summarize": _summarize, "compare": _compare, "windows": _windows,
+    "flags": _flags, "phases": _phases,
+}
+
+
+def execute(an: Analysis, out_dir: Path, args: argparse.Namespace) -> int:
+    """Run the parsed command args over an: ingest, or an analysis
+    command, whose one file is written atomically under out_dir before
+    its summary is printed."""
+    if args.command == "ingest":
+        return _ingest(an, out_dir, args.run_ids)
+    name, text, printed = _RENDERERS[args.command](an, args)
+    canon.atomic_write_text(out_dir / name, text)
+    print(printed, end="")
     return 0
 
 
@@ -263,23 +261,16 @@ def guarded(render: Callable[..., int], *args) -> int:
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "synth":
-        cfg = _campaign(args, required=False)
-        return cmd_synth(_out_dir(args, cfg), args.preset, args.seed)
+        from . import synthgen     # only synth needs it: other commands skip the import
+        out_dir = _out_dir(args, _campaign(args, required=False))
+        seed = synthgen.DEFAULT_SEED if args.seed is None else args.seed
+        generated = synthgen.gen_campaign(synthgen.presets_by_name(args.preset, seed), out_dir)
+        for g in generated:
+            print(g.manifest_path)
+        print(f"{args.preset}: {len(generated)} runs -> {out_dir}")
+        return 0
     an = Analysis(_campaign(args))
-    out = _out_dir(args, an.cfg)
-    if args.command == "ingest":
-        return cmd_ingest(an, out, args.run_ids)
-    if args.command == "summarize":
-        return cmd_summarize(an, out, args.run_id)
-    if args.command == "compare":
-        return cmd_compare(an, out, args.run_a, args.run_b)
-    if args.command == "windows":
-        return cmd_windows(an, out, args.run_id)
-    if args.command == "flags":
-        return cmd_flags(an, out, args.run_id)
-    if args.command == "phases":
-        return cmd_phases(an, out, args.run_id, args.split_s)
-    raise InvalidSpecError(f"unhandled command {args.command!r}")
+    return execute(an, _out_dir(args, an.cfg), args)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -303,8 +303,8 @@ class FullstatsParseResult:
     skipped_rows: int
 
 
-_EPOCH_RE = re.compile(r"^\[(\d+(?:\.\d+)?)\]")
-_REPLY_RE = re.compile(r"icmp_[sr]eq=(\d+)\b.*?\btime=(\d+(?:\.\d+)?)\s*ms")
+_EPOCH_RE = re.compile(r"^\[([0-9]+(?:\.[0-9]+)?)\]")
+_REPLY_RE = re.compile(r"icmp_[sr]eq=([0-9]+)\b.*?\btime=([0-9]+(?:\.[0-9]+)?)\s*ms")
 _SEQ_MOD = 1 << 16
 
 # Lines (ping) or rows (fullstats) the raw parsers read at a time, so a
@@ -380,10 +380,11 @@ def _numbers(buf: np.ndarray, start: np.ndarray, end: np.ndarray, ok: np.ndarray
              integral: bool) -> tuple[np.ndarray, np.ndarray]:
     r"""(ok, value) of the fields buf[start:end] where ok is set on entry:
     ok stays set where a field is 1 to _MAX_NUMBER bytes of the form
-    \d+ (integral) or \d+(\.\d+)?, the byte before it is no digit, and
-    its digits as one integer, the mantissa, are below 2**53. Then value
-    is float() of the field: mantissa / 10**k for k digits after the
-    dot, exact since both are exact in float64 (Clinger's fast path)."""
+    [0-9]+ (integral) or [0-9]+(\.[0-9]+)?, the byte before it is no
+    digit, and its digits as one integer, the mantissa, are below 2**53.
+    Then value is float() of the field: mantissa / 10**k for k digits
+    after the dot, exact since both are exact in float64 (Clinger's fast
+    path)."""
     length = end - start
     ok = ok & (length >= 1) & (length <= _MAX_NUMBER)
     width = int(length[ok].max()) + 1 if ok.any() else 2
@@ -550,9 +551,17 @@ FULLSTATS_FIELDS = SchedulerTrace.names()
 _REQUIRED_FIELDS = ("rnti", "dl_bler")
 
 
+def _plain(text: str) -> bool:
+    """Whether text holds no "_" and is ASCII: float() and int() read
+    "1_0" as 10 and any Unicode digit ("\u0663") as a digit."""
+    return "_" not in text and text.isascii()
+
+
 def _float_cell(cell: str) -> float:
     """A numeric cell; NaN (absent) when blank. Raises ValueError on
-    text that is not a number, "nan" included."""
+    text that is not a number: "nan", or a cell that is not _plain."""
+    if not _plain(cell):
+        raise ValueError(f"not a number: {cell!r}")
     cell = cell.strip()
     if not cell:
         return math.nan
@@ -564,29 +573,30 @@ def _float_cell(cell: str) -> float:
 
 def _int_cell(cell: str) -> float:
     """Like _float_cell, but a 0x prefix reads as hexadecimal."""
-    cell = cell.strip()
-    if cell[:2].lower() == "0x":
+    if _plain(cell) and cell.strip()[:2].lower() == "0x":
         return float(int(cell, 16))
     return _float_cell(cell)
 
 
 def _column(cells: list[str], parse) -> tuple[np.ndarray, dict[int, str]]:
     """The cells read by parse (_float_cell or _int_cell), and the
-    position of each cell it refuses, with the reason. One pass converts
-    them all with float(), or for _int_cell, when every cell has the 0x
-    prefix, with int(cell, 16); only when that raises or meets a NaN are
-    the cells read one by one by parse itself."""
+    position of each cell it refuses, with the reason. When the joined
+    cells are _plain, one pass converts them all with float(), or for
+    _int_cell, when every cell has the 0x prefix, with int(cell, 16);
+    only otherwise, or when that raises or meets a NaN, are the cells
+    read one by one by parse itself."""
     try:
-        try:
-            col = np.fromiter(map(float, cells), float, count=len(cells))
-        except ValueError:
-            if parse is not _int_cell or not all(
-                    map(methodcaller("startswith", ("0x", "0X")), cells)):
-                raise
-            col = np.fromiter(map(float, map(partial(int, base=16), cells)), float,
-                              count=len(cells))
-        if not np.isnan(col).any():
-            return col, {}
+        if _plain("".join(cells)):
+            try:
+                col = np.fromiter(map(float, cells), float, count=len(cells))
+            except ValueError:
+                if parse is not _int_cell or not all(
+                        map(methodcaller("startswith", ("0x", "0X")), cells)):
+                    raise
+                col = np.fromiter(map(float, map(partial(int, base=16), cells)), float,
+                                  count=len(cells))
+            if not np.isnan(col).any():
+                return col, {}
     except (ValueError, OverflowError):
         pass
     col = np.empty(len(cells))
@@ -599,27 +609,32 @@ def _column(cells: list[str], parse) -> tuple[np.ndarray, dict[int, str]]:
     return col, refused
 
 
-def _fullstats_rows(rows: list[list[str]], first: int, cells: list[tuple[int, object]],
+def _fullstats_rows(rows: list[list[str]], first: int, cells: list[tuple[str, int, object]],
                     faults: dict[int, str]) -> tuple[np.ndarray, np.ndarray]:
     """(table, row_idx): the mapped values of those of rows that are not
     blank and that every cell parser accepts, and their row indices
-    (rows[0] has index first). A refused row goes into faults with the
-    reason its first refused cell gives, in column_map field order."""
+    (rows[0] has index first). cells holds (field, column, parser) per
+    mapped field. A refused row goes into faults with the reason its
+    first refused or missing cell gives, in column_map field order."""
     live = [k for k, row in enumerate(rows) if any(map(str.strip, row))]
     rows = [rows[k] for k in live]
     row_idx = first + np.array(live, dtype=np.int64)
     table = np.empty((len(rows), len(cells)))
     bad: dict[int, str] = {}
     lengths = np.fromiter(map(len, rows), np.int64, count=len(rows))
-    whole = lengths > max(i for i, _ in cells)
+    whole = lengths > max(i for _, i, _ in cells)
     for k in np.flatnonzero(~whole).tolist():      # too short for a mapped cell
+        row = rows[k]
         try:
-            table[k] = [parse(rows[k][i]) for i, parse in cells]
-        except (ValueError, IndexError, OverflowError) as exc:
+            for j, (name, i, parse) in enumerate(cells):
+                if i >= len(row):
+                    raise ValueError(f"{name} is field {i + 1}, but the row has {len(row)}")
+                table[k, j] = parse(row[i])
+        except (ValueError, OverflowError) as exc:
             bad[k] = str(exc)
     full = np.flatnonzero(whole)
     full_rows = [rows[k] for k in full]
-    for j, (i, parse) in enumerate(cells):
+    for j, (_, i, parse) in enumerate(cells):
         table[full, j], refused = _column(list(map(itemgetter(i), full_rows)), parse)
         for k, reason in refused.items():
             bad.setdefault(int(full[k]), reason)
@@ -673,7 +688,7 @@ def parse_fullstats(lines: Iterable[str], column_map: Mapping[str, str],
     if missing:
         raise MissingColumnError(f"mapped columns absent from header: {missing}")
     mapped = [name for name in FULLSTATS_FIELDS if name in column_map]
-    cells = [(header.index(column_map[name]),
+    cells = [(name, header.index(column_map[name]),
               _int_cell if name in SchedulerTrace.INTEGRAL else _float_cell)
              for name in mapped]
 

@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from . import canon
-from .errors import InvalidSpecError
+from .errors import InvalidSpecError, check_fields
 from .ingest import (
     LatencyTrace,
     Run,
@@ -88,6 +88,7 @@ class UeProfile:
     stall_scale_ms: float
 
     def __post_init__(self):
+        check_fields(self)
         if not self.label:
             raise InvalidSpecError("UE label must be non-empty")
         if self.base_median_ms <= 0 or self.jitter_scale <= 0 or self.stall_scale_ms <= 0:
@@ -119,6 +120,7 @@ class ScenarioSpec:
     snr_base_db: float = 30.0
 
     def __post_init__(self):
+        check_fields(self)
         if self.scenario not in _SCENARIOS:
             raise InvalidSpecError(
                 f"scenario must be one of {_SCENARIOS}, got {self.scenario!r}")

@@ -80,8 +80,8 @@ def window_starts_ref(duration, width, stride):
 
 # ------------------------------------------------------------ raw parsers
 
-_PING_EPOCH = re.compile(r"^\[(\d+(?:\.\d+)?)\]")
-_PING_REPLY = re.compile(r"icmp_[sr]eq=(\d+)\b.*?\btime=(\d+(?:\.\d+)?)\s*ms")
+_PING_EPOCH = re.compile(r"^\[([0-9]+(?:\.[0-9]+)?)\]")
+_PING_REPLY = re.compile(r"icmp_[sr]eq=([0-9]+)\b.*?\btime=([0-9]+(?:\.[0-9]+)?)\s*ms")
 
 
 def parse_ping_ref(lines, ping_interval_s):
@@ -140,6 +140,8 @@ _SCHED_INTEGRAL = ("rnti", "dl_mcs", "ul_mcs", "dl_retx", "dl_total")
 
 
 def _cell_ref(cell, integral):
+    if "_" in cell or not cell.isascii():
+        raise ValueError(f"not a number: {cell!r}")
     cell = cell.strip()
     if integral and cell[:2].lower() == "0x":
         return float(int(cell, 16))
@@ -210,8 +212,10 @@ def parse_fullstats_ref(lines, column_map, stats_period_s=1.0):
             snap["t_s"] = row_idx * stats_period_s
         try:
             for name, col in mapped:
+                if col >= len(row):
+                    raise ValueError(f"{name} is field {col + 1}, but the row has {len(row)}")
                 snap[name] = _cell_ref(row[col], name in _SCHED_INTEGRAL)
-        except (ValueError, IndexError, OverflowError) as exc:
+        except (ValueError, OverflowError) as exc:
             faults[row_idx] = str(exc)
             continue
         reason = _sched_fault_ref(snap)

@@ -393,13 +393,10 @@ def test_analysis_loads_and_windows_each_run_once(campaign, tmp_path, monkeypatc
     monkeypatch.setattr(cli, "load_run", counted_load)
     monkeypatch.setattr(cli, "build_joined_windows", counted_build)
     an = cli.Analysis(_two_run_config(campaign, tmp_path))
-    for run_id in ("a", "b"):
-        assert cli.cmd_summarize(an, tmp_path, run_id) == 0
-    assert cli.cmd_compare(an, tmp_path, "a", "b") == 0
-    for run_id in ("a", "b"):
-        assert cli.cmd_windows(an, tmp_path, run_id) == 0
-        assert cli.cmd_flags(an, tmp_path, run_id) == 0
-        assert cli.cmd_phases(an, tmp_path, run_id, None) == 0
+    parser = cli.build_parser()
+    for argv in (["summarize", "a"], ["summarize", "b"], ["compare", "a", "b"],
+                 *([cmd, run_id] for run_id in "ab" for cmd in ("windows", "flags", "phases"))):
+        assert cli.execute(an, tmp_path, parser.parse_args(argv)) == 0
     assert loads == {"a": 1, "b": 1}
     assert builds == {"a": 1, "b": 1}
     assert len(list(tmp_path.glob("*.csv"))) == 9
@@ -662,9 +659,10 @@ SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_paperlike.py"
 
 
 def test_paperlike_demo_prints_what_each_cli_step_prints(tmp_path, monkeypatch, capsys):
-    # The demo renders its analysis steps directly from one Analysis;
+    # The demo runs its analysis steps over one shared Analysis;
     # replaying each `$ taildiag` line it prints through main() into a
-    # second directory must print the same, step by step.
+    # second directory must print the same, step by step, and write the
+    # same files.
     demo, replay = tmp_path / "demo", tmp_path / "replay"
     monkeypatch.setattr(sys, "argv", [str(SCRIPT), "--output-dir", str(demo)])
     runpy.run_path(str(SCRIPT), run_name="__main__")
@@ -678,3 +676,8 @@ def test_paperlike_demo_prints_what_each_cli_step_prints(tmp_path, monkeypatch, 
         line = step.split("\n", 1)[0]
         assert main(line.split(" ")) == 0
         assert step == f"{line}\n{capsys.readouterr().out}\n"
+    names = sorted(p.name for p in demo.iterdir())
+    assert len(names) == 40 and sum(n.endswith(".cols") for n in names) == 8
+    assert sorted(p.name for p in replay.iterdir()) == names
+    for name in names:
+        assert (replay / name).read_bytes() == (demo / name).read_bytes(), name

@@ -508,6 +508,8 @@ def test_canonical_readers_skip_blank_lines(tmp_path):
     ("0.0,0,9.0\n1e999,1,9.0\n", 3, "t_s not finite"),
     ("0.0,0,9.0\n-inf,1,9.0\n", 3, "t_s is not a number: '-inf'"),
     ("0.0,0,9.0\n#0.2,1,9.0\n", 3, "t_s is not a number: '#0.2'"),  # '#' is no comment
+    ("0.0,0,9.0\n0.2,1,\u0663\n", 3, "rtt_ms is not a number: '\u0663'"),  # ASCII digits only
+    ("0.0,0,9.0\n0.2,\u0661,9.0\n", 3, "seq is not a number: '\u0661'"),
     ("0.0,0,9.0\n\n\n0.2,1\n", 5, "expected 3 fields, got 2"),
     ("0.0,0,9.0\n\n  \n0.6,3,0\n", 5, "rtt_ms not finite and > 0"),
 ])
@@ -531,6 +533,7 @@ def test_latency_reader_names_file_and_line(tmp_path, rows, line, reason):
     ("0.0,17,1.5,,,,,,,", "dl_bler missing or outside [0, 1]"),
     ("0.0,17,0.05,1.2,,,,,,", "ul_bler outside [0, 1]"),
     ("0.0,17,0.05,,9.5,,,,,", "dl_mcs not an integer"),
+    ("0.0,17,0.05,,\u0669,,,,,", "dl_mcs is not a number: '\u0669'"),
     ("0.0,17,0.05,,31,,,,,", "dl_mcs outside [0, 28]"),
     ("0.0,17,0.05,,,-1,,,,", "ul_mcs outside [0, 28]"),
     ("0.0,17,0.05,,,,nan,,,", "snr_db is not a number: 'nan'"),

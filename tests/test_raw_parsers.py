@@ -63,6 +63,8 @@ ODD_REPLIES = [
     "64 bytes from a=b: icmp_seq={seq} ttl=64 time={rtt} ms",
     "64 bytes from hé: icmp_seq={seq} ttl=64 time={rtt} ms",
     "64 bytes from h: icmp_seq=９ ttl=64 time={rtt} ms",
+    "64 bytes from h: icmp_seq={seq} ttl=64 time=3.\u0665 ms",
+    "[\u0661.5] 64 bytes from h: icmp_seq={seq} ttl=64 time={rtt} ms",
     "64 bytes from h: icmp_seq={seq}  ttl=64 time={rtt} ms",
     "64 bytes from h: icmp_seq={seq} ttl= time={rtt} ms",
     "64 bytes from h: icmp_seq={seq} ttl=64 time={rtt} ms\r",
@@ -167,6 +169,22 @@ def test_ping_replies_past_2_53_or_infinite_are_malformed():
     assert res.samples.seq.tolist() == [2.0 ** 53]
 
 
+@pytest.mark.parametrize("block_lines", [2, 65536])
+def test_ping_digits_are_ascii(block_lines):
+    # float() and int() read any Unicode digit, and \d matches them.
+    lines = ["64 bytes from h: icmp_seq=\u0663 ttl=1 time=\u0663 ms",
+             "64 bytes from h: icmp_seq=4 ttl=1 time=3.\u0665 ms",
+             "64 bytes from h: icmp_seq=12\u00e9 ttl=1 time=3 ms",
+             "64 bytes from h: icmp_seq=1\u0663 ttl=1 time=3 ms",
+             "[\u0661\u0667.5] 64 bytes from h: icmp_seq=5 ttl=1 time=3 ms",
+             "64 bytes from h: icmp_seq=6 ttl=1 time=3 ms"]
+    got, warned = _parse(parse_ping_log, block_lines, iter(lines), META)
+    assert [n for n, _ in got.malformed] == [1, 2, 3, 4] and len(warned) == 4
+    assert got.samples.seq.tolist() == [5, 6]
+    # The bracket holds no epoch, so times come from the sequence count.
+    assert got.samples.t_s.tolist() == [5 * META.ping_interval_s, 6 * META.ping_interval_s]
+
+
 def test_ping_block_decoder_takes_the_common_replies():
     lines = [f"[1700000000.{i:06d}] 38 bytes from 10.45.0.1: icmp_seq={i} ttl=64 "
              f"time={i % 97}.{i % 7} ms\n" for i in range(1, 200)]
@@ -193,10 +211,11 @@ MAPS = [
 ]
 CELLS = {
     "TIME": ["0.5", "3", "1000.25", "2", " 7.5 ", "", "nan", "inf", "x"],
-    "RNTI": ["17", "0x4601", "0X11", "18", " 0x4702", "0xzz", "-3", "17.5", "", "nan"],
-    "DL_BLER": ["0.05", "0", "1.0", "0.5", "1.7", "", "nan", "abc"],
+    "RNTI": ["17", "0x4601", "0X11", "18", " 0x4702", "0xzz", "-3", "17.5", "", "nan",
+             "0x_11", "\u0661\u0667"],
+    "DL_BLER": ["0.05", "0", "1.0", "0.5", "1.7", "", "nan", "abc", "\u0660.5"],
     "UL_BLER": ["0.1", "", "  ", "2.0", "nan"],
-    "DL_MCS": ["9", "28", "", "31", "9.5", "0x1c"],
+    "DL_MCS": ["9", "28", "", "31", "9.5", "0x1c", "1_0"],
     "SNR_dB": ["29.929603705319114", "-80.5", "", "inf", "1e999"],
     "DL_HARQ_RETX": ["2", "0", "", "60", "-1"],
     "DL_HARQ_TX": ["50", "", "0", "-50"],
@@ -265,4 +284,20 @@ def test_fullstats_columns_refused_by_the_bulk_pass_name_each_row(block_lines):
     assert warned == [
         "fullstats row 2 skipped: not a number: 'nan'",
         "fullstats row 4 skipped: invalid literal for int() with base 16: '0x'",
-        "fullstats row 5 skipped: list index out of range"]
+        "fullstats row 5 skipped: dl_bler is field 2, but the row has 1"]
+
+
+@pytest.mark.parametrize("block_lines", [1, 2, 65536])
+def test_fullstats_cells_with_underscores_or_non_ascii_are_skipped(block_lines):
+    # float() reads "1_0" as 10 and "\u0663" as 3, int(cell, 16) "0x_5" as 5.
+    lines = ["rnti,dl_bler,mcs", "17,0.1,9", "17,0.1,1_0", "17,\u0660.5,9", "0x_11,0.1,9",
+             "\u0661\u0667,0.1,9", "17,0.1,\u00a09", "17,0.3,10"]
+    cmap = {"rnti": "rnti", "dl_bler": "dl_bler", "dl_mcs": "mcs"}
+    got, warned = _parse(parse_fullstats, block_lines, iter(lines), cmap, META)
+    assert got.snapshots.dl_mcs.tolist() == [9.0, 10.0] and got.skipped_rows == 5
+    assert warned == [
+        "fullstats row 2 skipped: not a number: '1_0'",
+        "fullstats row 3 skipped: not a number: '\u0660.5'",
+        "fullstats row 4 skipped: not a number: '0x_11'",
+        "fullstats row 5 skipped: not a number: '\u0661\u0667'",
+        "fullstats row 6 skipped: not a number: '\\xa09'"]

@@ -97,8 +97,8 @@ def test_table_longer_than_two_blocks():
     n = 2 * block + 100
     t = np.arange(n) * 0.2
     rtt = 10.0 + (np.arange(n) % 997) / 7.0
-    rtt[5] = 32.0                       # a power of two: repr, set in the digit rows
-    t[block + 3] = 5.176300048828125    # a 17-digit tie: repr, set in the digit rows
+    rtt[5] = 32.0                       # a power of two: repr verbatim
+    t[block + 3] = 5.176300048828125    # a 17-digit tie: repr verbatim
     rtt[2 * block + 7] = 1e-05          # exponent form: repr verbatim
     rtt[2 * block + 8] = math.inf
     trace = LatencyTrace(t, np.arange(n), rtt)

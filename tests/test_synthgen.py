@@ -38,6 +38,10 @@ def modem_spec(**kw):
     return ScenarioSpec(**base)
 
 
+def modem_ue(**kw):
+    return dataclasses.replace(MODEM, **kw)
+
+
 # ------------------------------------------------------------- validation
 
 def test_ue_profile_validation():
@@ -70,6 +74,25 @@ def test_scenario_spec_validation():
     with pytest.raises(InvalidSpecError):
         ScenarioSpec("dynamic_people", 600.0, 7, SMARTPHONE,
                      obstruction_start_s=600.0)
+
+
+@pytest.mark.parametrize("make, name, value, words", [
+    (modem_spec, "scenario", 3, "a string"),
+    (modem_spec, "duration_s", math.nan, "a finite number"),
+    (modem_spec, "duration_s", math.inf, "a finite number"),
+    (modem_spec, "seed", 1.5, "an integer"),
+    (modem_spec, "seed", True, "an integer"),
+    (modem_spec, "ping_interval_s", "0.2", "a finite number"),
+    (modem_spec, "rnti", 17.0, "an integer"),
+    (modem_spec, "snr_base_db", -math.inf, "a finite number"),
+    (modem_ue, "label", None, "a string"),
+    (modem_ue, "base_median_ms", math.nan, "a finite number"),
+    (modem_ue, "stall_prob", True, "a finite number"),
+])
+def test_specs_check_their_declared_types(make, name, value, words):
+    with pytest.raises(InvalidSpecError) as exc:
+        make(**{name: value})
+    assert str(exc.value) == f"{name} must be {words}, got {value!r}"
 
 
 # ------------------------------------------------------------ determinism
