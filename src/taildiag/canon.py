@@ -19,6 +19,11 @@ of a cell is one byte vector over the block's rows, NUL where a cell
 has no character; the block is transposed to rows and the NULs
 dropped.
 
+The text reader splits a CSV's bytes into cells with numpy and reads
+them with the exact decimal reader (`decimals.decode`); a cell that
+reader leaves is float() of it where the canonical grammar allows it,
+and any other text goes to a careful path that names the malformed line.
+
 A column file `<name>.csv.cols` holds the SHA-256 of a format tag and
 the CSV's bytes, then the float64 table the text reader parses from
 them, in .npy form.
@@ -42,21 +47,25 @@ from typing import Iterable
 
 import numpy as np
 
+from . import decimals
+from .decimals import POW10 as _POW10
+from .decimals import POW10_HI as _POW10_HI
+from .decimals import POW10_LO as _POW10_LO
+from .decimals import SPLIT as _SPLIT
+from .decimals import TIE_MARGIN as _TIE_MARGIN
 from .errors import (
     EmptyTraceError,
     InvalidSpecError,
     MalformedRecordError,
     MissingColumnError,
-    ToolkitError,
 )
-from .ingest import LatencyTrace, Run, SchedulerTrace
+from .ingest import LatencyTrace, Run, SchedulerTrace, decode_text
 
 TRUTH_HEADER = "kind,t_s"
 
-# Bytes of a canonical numeric table; any other (say the letters of
-# "nan" or "inf", a hex prefix, or a byte outside ASCII) sends the read
-# down the careful path, which names the malformed line.
-_NUMERIC_BYTES = b"0123456789eE.+-, \t\r\n"
+# The grammar of a canonical numeric cell. A cell outside it (say
+# "nan", "inf", a hex prefix or a space) sends the read down the
+# careful path, which names the malformed line.
 _NUMBER = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 _DIGEST_SIZE = hashlib.sha256().digest_size
 # Hashed ahead of the CSV bytes into a column file's digest. Any change
@@ -93,21 +102,6 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def _decode(path: str | Path, data: bytes, start: int = 0) -> str:
-    """data[start:], where data are the bytes of the file at path, as
-    UTF-8 text with universal newlines (CRLF and CR read as LF). A byte
-    that is not UTF-8 raises MalformedRecordError naming its line."""
-    try:
-        text = data[start:].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        bad = start + exc.start
-        head = data[:bad]
-        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-        raise MalformedRecordError(
-            path, line, f"not UTF-8 text: byte {data[bad]:#04x}") from None
-    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
-
-
 @contextmanager
 def open_text(path: str | Path):
     """The file at path opened as UTF-8 text with universal newlines. A
@@ -117,7 +111,7 @@ def open_text(path: str | Path):
         try:
             yield fh
         except UnicodeDecodeError:
-            _decode(path, Path(path).read_bytes())
+            decode_text(path, Path(path).read_bytes())
             raise
 
 
@@ -125,15 +119,7 @@ def open_text(path: str | Path):
 # MB; blocks of 2**14 rows already raised the quick start's peak RSS
 # above what one repr per cell took (45.5 against 44.0 MiB).
 _BLOCK_ROWS = 1 << 13
-_POW10 = 10.0 ** np.arange(23)      # exact up to 10**22
 _RECIPROCAL = 1 / 10.0 ** np.arange(8, -1, -1)
-# Dekker's split of a double into two halves of at most 26 bits.
-_SPLIT = 2.0 ** 27 + 1
-_POW10_HI = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)
-_POW10_LO = _POW10 - _POW10_HI
-# Relative margin within which a rounding tie or a round-trip boundary
-# counts as met, and the cell goes to repr.
-_TIE_MARGIN = 1e-9
 _MANTISSA = (1 << 52) - 1
 _POWERS = 10 ** np.arange(18, -1, -1, dtype=np.int64)
 _SLOT = np.arange(17, dtype=np.uint8)
@@ -302,20 +288,35 @@ def table_text(table) -> str:
     return csv_bytes(names, map(table.rendered, names), table.INTEGRAL).decode("utf-8")
 
 
-def _fill_empty(text: str) -> str:
-    # Empty cells become "nan", which loadtxt reads as NaN. Only for
-    # text already checked to hold no letter but e/E, so every NaN in
-    # the table comes from an empty cell.
-    text = text.replace(",,", ",nan,").replace(",,", ",nan,")
-    text = text.replace(",\n", ",nan\n").replace("\n,", "\nnan,")
-    if text.startswith(","):
-        text = "nan" + text
-    return text + "nan" if text.endswith(",") else text
-
-
-def _loadtxt(text: str) -> np.ndarray:
-    return np.loadtxt(io.StringIO(text), delimiter=",", dtype=float,
-                      comments=None, ndmin=2)
+def _read_cells(data: bytes, start: int, width: int, optional: bool) -> np.ndarray | None:
+    """The rows × width table of the ASCII CSV text data[start:], lines
+    of width cells split on commas, each cell read by decimals.decode,
+    or where it leaves one that _NUMBER matches, by float(); with
+    `optional` an empty cell reads as NaN. None for any other text: no
+    line, a line of another width (a blank one), a cell with blanks or
+    outside _NUMBER, or an empty cell without `optional`."""
+    body = data[start:]
+    pad = bytes(decimals.MAX_CELL)      # so decode need not copy buf to pad it
+    buf = np.frombuffer(pad + body + (b"" if body.endswith(b"\n") else b"\n") + pad,
+                        np.uint8)
+    seps = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    is_nl = buf[seps] == ord("\n")
+    rows, extra = divmod(len(seps), width)
+    if not rows or extra or not is_nl[width - 1::width].all() or is_nl.sum() != rows:
+        return None
+    ends = seps.reshape(rows, width)
+    starts = np.concatenate(([len(pad) - 1], seps[:-1])).reshape(rows, width) + 1
+    table = np.empty((rows, width))
+    for j in range(width):
+        ok, table[:, j] = decimals.decode(buf, starts[:, j], ends[:, j])
+        if not optional and np.isnan(table[ok, j]).any():
+            return None
+        for k in np.flatnonzero(~ok).tolist():
+            cell = bytes(buf[starts[k, j]:ends[k, j]]).decode("ascii")
+            if not _NUMBER.fullmatch(cell):
+                return None
+            table[k, j] = float(cell)
+    return table
 
 
 def _read_slowly(path: str | Path, body: str, names: tuple[str, ...],
@@ -336,11 +337,7 @@ def _read_slowly(path: str | Path, body: str, names: tuple[str, ...],
                 raise MalformedRecordError(path, line_no,
                                            f"{name} is not a number: {cell!r}")
         kept.append(",".join(cells))
-    text = "\n".join(kept)
-    try:
-        return _loadtxt(_fill_empty(text) if optional else text)
-    except ValueError as exc:
-        raise ToolkitError(f"{path}: {exc}") from None
+    return _read_cells("\n".join(kept).encode("ascii"), 0, len(names), optional)
 
 
 def _parse_text(path: str | Path, data: bytes, start: int,
@@ -349,16 +346,11 @@ def _parse_text(path: str | Path, data: bytes, start: int,
     header. Blank lines are skipped and '#' is not a comment. With
     `optional`, an empty cell reads as NaN; otherwise it is malformed,
     as is a wrong field count or a cell that is not a decimal number."""
-    body = _decode(path, data, start)
-    if not body.strip():
-        raise EmptyTraceError(f"{path}: no data rows")
-    table = None
-    if not data[start:].translate(None, _NUMERIC_BYTES):
-        try:
-            table = _loadtxt(_fill_empty(body) if optional else body)
-        except ValueError:
-            pass
-    if table is None or table.shape[1] != len(names):
+    table = _read_cells(data, start, len(names), optional) if data.isascii() else None
+    if table is None:
+        body = decode_text(path, data[start:], line=2)
+        if not body.strip():
+            raise EmptyTraceError(f"{path}: no data rows")
         table = _read_slowly(path, body, names, optional)
     return table
 
@@ -403,7 +395,7 @@ def _raise_first(path: str | Path, data: bytes, faults: dict[int, str]) -> None:
     if not faults:
         return
     row = min(faults)
-    lines = _decode(path, data).split("\n")
+    lines = decode_text(path, data).split("\n")
     rows = (n for n, line in enumerate(lines[1:], start=2) if line.strip())
     raise MalformedRecordError(path, next(islice(rows, row, None)), faults[row])
 
@@ -421,7 +413,7 @@ def _read_trace(path: str | Path, kind: type):
     end = len(data) if end < 0 else end
     cr = data.find(b"\r", 0, end)
     end = end if cr < 0 else cr
-    first = _decode(path, data[:end]).strip()
+    first = decode_text(path, data[:end]).strip()
     if first != header:
         raise MissingColumnError(f"{path}: expected header {header!r}, got {first!r}")
     table = _stored_table(path, data, len(names))

@@ -34,7 +34,7 @@ from .flags import (
     evaluate_flags,
     flag_rate,
 )
-from .ingest import Run, consolidate_run, parse_fullstats, parse_ping_log
+from .ingest import RawLog, Run, consolidate_run, parse_fullstats, parse_ping_log
 from .windows import WindowTable, build_joined_windows
 
 log = logging.getLogger(__name__)
@@ -47,8 +47,7 @@ def load_run(cfg: CampaignConfig, rc: RunConfig) -> Run:
     if rc.latency_file:
         latency = canon.read_latency_csv(rc.latency_file)
     elif rc.ping_log:
-        with canon.open_text(rc.ping_log) as fh:
-            latency = parse_ping_log(fh, meta).samples
+        latency = parse_ping_log(RawLog(rc.ping_log), meta).samples
     else:
         raise InvalidSpecError(
             f"run {rc.run_id!r} names no latency source "
@@ -58,9 +57,8 @@ def load_run(cfg: CampaignConfig, rc: RunConfig) -> Run:
         snapshots = canon.read_scheduler_csv(rc.scheduler_file)
     elif rc.fullstats:
         cmap = rc.column_map or cfg.column_map or DEFAULT_COLUMN_MAP
-        with canon.open_text(rc.fullstats) as fh:
-            snapshots = parse_fullstats(
-                fh, cmap, meta, stats_period_s=rc.stats_period_s).snapshots
+        snapshots = parse_fullstats(RawLog(rc.fullstats), cmap, meta,
+                                    stats_period_s=rc.stats_period_s).snapshots
     nominal = rc.nominal_duration_s
     if nominal is None:
         nominal = float(latency.t_s.max()) + rc.ping_interval_s

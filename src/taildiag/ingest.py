@@ -17,17 +17,22 @@ at its line.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 import re
+from collections import deque
 from dataclasses import dataclass, fields, replace
 from functools import partial
-from itertools import islice
-from operator import itemgetter, methodcaller
-from typing import ClassVar, Iterable, Mapping, NamedTuple
+from itertools import chain, islice
+from operator import itemgetter
+from pathlib import Path
+from typing import ClassVar, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
+from . import decimals
+from .decimals import MAX_EXACT_INT
 from .errors import (
     EmptyTraceError,
     InvalidSpecError,
@@ -97,14 +102,12 @@ class SchedulerSnapshot(NamedTuple):
 
 # Integral values at or beyond this magnitude do not fit an int64.
 _INT64_BOUND = 2.0 ** 63
-# Integers beyond this lose their last digits in a float64 column.
-_MAX_EXACT_INT = 2.0 ** 53
 
 
 def _not_integer(values: np.ndarray) -> np.ndarray:
-    """Mask of values that are not integers float64 holds exactly
-    (NaN and infinities included)."""
-    return ~(np.abs(values) <= _MAX_EXACT_INT) | (np.floor(values) != values)
+    """Mask of values that are not integers below 2**53 in magnitude,
+    the ones float64 holds exactly (NaN and infinities included)."""
+    return ~(np.abs(values) < MAX_EXACT_INT) | (np.floor(values) != values)
 
 
 def _first_faults(checks) -> dict[int, str]:
@@ -307,23 +310,112 @@ _EPOCH_RE = re.compile(r"^\[([0-9]+(?:\.[0-9]+)?)\]")
 _REPLY_RE = re.compile(r"icmp_[sr]eq=([0-9]+)\b.*?\btime=([0-9]+(?:\.[0-9]+)?)\s*ms")
 _SEQ_MOD = 1 << 16
 
-# Lines (ping) or rows (fullstats) the raw parsers read at a time, so a
-# log is never held whole.
+# Bytes of a raw log read at a time, so a log is never held whole.
+_CHUNK_BYTES = 1 << 20
+# Lines (ping) or rows (fullstats) an iterable of str lines is read in
+# at a time.
 _BLOCK_LINES = 16384
-# The longest number, in bytes, that the block decoder reads; a line
-# with a longer one takes the per-line rules.
-_MAX_NUMBER = 18
-# Bytes of padding around a block, so every window the decoder reads
-# lies inside the buffer.
-_PAD = 32
-_INT_POW10 = 10 ** np.arange(_MAX_NUMBER + 1, dtype=np.int64)
-_POW10 = _INT_POW10.astype(float)               # exact: 10**k for k <= 22
-_DOT, _EQ, _NL = ord("."), ord("="), ord("\n")
-_LAST = itemgetter(slice(-1, None))             # a line's last character, if any
-# Lines at the head of a block that must hold a strict reply for the
-# block to be decoded together, so a log without that shape goes to the
-# per-line rules without paying for the block pass too.
-_PROBE_LINES = 64
+# Bytes of padding around a block, so every word the decoders read lies
+# inside the buffer, and decimals.decode need not copy it to pad it.
+_PAD = b"\0" * 64
+_EQ, _NL = ord("="), ord("\n")
+
+
+def decode_text(path: str | Path, data: bytes, line: int = 1) -> str:
+    """data, bytes of the file at path whose first line is line `line`,
+    as UTF-8 text with universal newlines (CRLF and CR read as LF). A
+    byte that is not UTF-8 raises MalformedRecordError naming its line."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        line += head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise MalformedRecordError(
+            path, line, f"not UTF-8 text: byte {data[exc.start]:#04x}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+class RawLog:
+    """A raw log file read as bytes, a chunk of whole lines of about
+    _CHUNK_BYTES at a time (a longer line is one chunk). The raw parsers
+    decode a plain chunk without making a str of any line; iterating
+    the log yields its lines as UTF-8 text with universal newlines, a
+    byte that is not UTF-8 raising MalformedRecordError at its line."""
+
+    def __init__(self, path: str | Path) -> None:
+        self.name = str(path)
+
+    def chunks(self) -> Iterator[bytes]:
+        with open(self.name, "rb") as fh:
+            rest = b""
+            while block := fh.read(_CHUNK_BYTES):
+                data = rest + block
+                # After the last LF, or in a log without one after the
+                # last CR but a final one, which may begin a CRLF.
+                cut = data.rfind(b"\n") + 1 or data.rfind(b"\r", 0, len(data) - 1) + 1
+                rest = data[cut:]
+                if cut:
+                    yield data[:cut]
+            if rest:
+                yield rest
+
+    def lines(self, chunk: bytes, index: int) -> list[str]:
+        """The lines of chunk, chunk `index` of the log, as text."""
+        try:
+            return io.StringIO(decode_text(self.name, chunk)).readlines()
+        except MalformedRecordError:    # name the line in the file, not in chunk
+            line = 1
+            for before in islice(self.chunks(), index):
+                line += before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
+            decode_text(self.name, chunk, line)
+            raise
+
+    def __iter__(self) -> Iterator[str]:
+        for index, chunk in enumerate(self.chunks()):
+            yield from self.lines(chunk, index)
+
+
+def _plain(data: bytes) -> bool:
+    """Whether data is ASCII without CR, NUL or a double quote: text the
+    block decoders read as it is, one line per LF."""
+    return (data.isascii() and b"\r" not in data and b"\0" not in data
+            and b'"' not in data)
+
+
+def _pieces(lines: Iterable[str]) -> Iterator[bytes | list[str]]:
+    """The lines of a raw log in pieces of whole lines: bytes of _plain
+    text, each line ending in LF (one added to a last line without),
+    or else a list of the lines as str. A RawLog gives one piece per
+    chunk; any other iterable of str lines one per _BLOCK_LINES lines,
+    each line one str of the iterable."""
+    if isinstance(lines, RawLog):
+        for index, chunk in enumerate(lines.chunks()):
+            if _plain(chunk):
+                yield chunk if chunk.endswith(b"\n") else chunk + b"\n"
+            else:
+                yield lines.lines(chunk, index)
+        return
+    line_iter = iter(lines)
+    while block := list(islice(line_iter, _BLOCK_LINES)):
+        text = "".join(line if line.endswith("\n") else line + "\n" for line in block)
+        if text.isascii() and text.count("\n") == len(block) and _plain(data := text.encode()):
+            yield data
+        else:
+            yield block
+
+
+def _text_lines(piece: bytes | list[str]) -> list[str]:
+    """The lines of a piece as str."""
+    return piece if isinstance(piece, list) else io.StringIO(piece.decode("ascii")).readlines()
+
+
+def _line(piece: bytes | list[str], bounds: tuple[np.ndarray, np.ndarray] | None,
+          i: int) -> str:
+    """Line (or cell) i of a piece, without its line end: piece[i] of a
+    list, and of bytes the ASCII text from bounds[0][i] to bounds[1][i]."""
+    if bounds is None:
+        return piece[i].rstrip("\n")
+    return piece[bounds[0][i]:bounds[1][i]].decode("ascii")
 
 
 def _is_reply_candidate(line: str) -> bool:
@@ -333,9 +425,9 @@ def _is_reply_candidate(line: str) -> bool:
 def _reply_fields(line: str) -> tuple[float, int, float] | None:
     """(epoch, seq, rtt_ms) of a reply-like line without its line end,
     epoch NaN when the line has none. None when the line is malformed:
-    no seq and time fields, an rtt that is not finite and > 0, a seq
-    beyond 2**53 (the largest a float64 column holds exactly), or an
-    epoch that is not finite."""
+    no seq and time fields, an rtt that is not finite and > 0, a seq of
+    2**53 or more (float64 holds only smaller ones exactly), or an epoch
+    that is not finite."""
     m = _REPLY_RE.search(line)
     if m is None:
         return None
@@ -346,132 +438,97 @@ def _reply_fields(line: str) -> tuple[float, int, float] | None:
         return None
     em = _EPOCH_RE.match(line)
     epoch = float(em.group(1)) if em else math.nan
-    if not 0.0 < rtt < math.inf or seq > _MAX_EXACT_INT or epoch == math.inf:
+    if not 0.0 < rtt < math.inf or seq >= MAX_EXACT_INT or epoch == math.inf:
         return None
     return epoch, seq, rtt
 
 
-def _rows(buf: np.ndarray, pos: np.ndarray, width: int) -> np.ndarray:
-    """The `width` bytes of buf from each position in pos, one row each
-    (pos clipped into buf)."""
-    view = np.lib.stride_tricks.sliding_window_view(buf, width)
-    return view[np.clip(pos, 0, len(view) - 1)]
+def _holds(at: np.ndarray, pos: np.ndarray, *texts: bytes) -> np.ndarray:
+    """Mask of the positions in pos at which one of texts, of at most 16
+    bytes, begins in the buffer whose words_at is `at`."""
+    found = np.zeros(len(pos), dtype=bool)
+    for text in texts:
+        here = np.ones(len(pos), dtype=bool)
+        for off in range(0, len(text), 8):
+            part = text[off:off + 8]
+            mask = np.uint64((1 << 8 * len(part)) - 1)
+            here &= (at[pos + off] & mask) == np.uint64(int.from_bytes(part, "little"))
+        found |= here
+    return found
 
 
-def _holds(buf: np.ndarray, pos: np.ndarray, *words: bytes) -> np.ndarray:
-    """Mask of the positions in pos at which buf holds one of words, all
-    of one length."""
-    rows = _rows(buf, pos, len(words[0])).view(f"S{len(words[0])}")[:, 0]
-    return np.logical_or.reduce([rows == word for word in words])
+# Byte k holds 7 - k: the top byte of (1 << 8i) * _BYTE_INDEX is i.
+_BYTE_INDEX = np.uint64(0x0001020304050607)
 
 
-def _run_end(buf: np.ndarray, pos: np.ndarray, width: int, dots: bool) -> np.ndarray:
-    """End of the run of digits (and dots, with `dots`) from each
-    position in pos; pos itself where the run is `width` bytes or
-    longer."""
-    rows = _rows(buf, pos, width)
-    numeric = (rows - 48) < 10
-    if dots:
-        numeric |= rows == _DOT
-    return pos + np.argmin(numeric, axis=1)
+def _find(at: np.ndarray, pos: np.ndarray, byte: int, words: int) -> np.ndarray:
+    """The position of the first `byte` in the 8 * words bytes from each
+    position in pos, in the buffer whose words_at is `at`; the end of
+    those bytes where none is."""
+    found = pos + 8 * words
+    lanes = np.uint64(0x0101010101010101)
+    for j in range(words - 1, -1, -1):
+        x = at[pos + 8 * j] ^ (lanes * np.uint64(byte))
+        first = (x - lanes) & ~x & (lanes << np.uint64(7))
+        first &= ~first + np.uint64(1)
+        index = ((first >> np.uint64(7)) * _BYTE_INDEX) >> np.uint64(56)
+        found = np.where(first != 0, pos + 8 * j + index.astype(np.int64), found)
+    return found
 
 
-def _numbers(buf: np.ndarray, start: np.ndarray, end: np.ndarray, ok: np.ndarray,
-             integral: bool) -> tuple[np.ndarray, np.ndarray]:
-    r"""(ok, value) of the fields buf[start:end] where ok is set on entry:
-    ok stays set where a field is 1 to _MAX_NUMBER bytes of the form
-    [0-9]+ (integral) or [0-9]+(\.[0-9]+)?, the byte before it is no
-    digit, and its digits as one integer, the mantissa, are below 2**53.
-    Then value is float() of the field: mantissa / 10**k for k digits
-    after the dot, exact since both are exact in float64 (Clinger's fast
-    path)."""
-    length = end - start
-    ok = ok & (length >= 1) & (length <= _MAX_NUMBER)
-    width = int(length[ok].max()) + 1 if ok.any() else 2
-    rows = _rows(buf, end - width, width)           # fields right-aligned
-    values = rows - 48
-    digit = values < 10
-    inside = np.arange(width) >= (width - length)[:, None]
-    edge = width - 1 - length                       # column of the byte before
-    # Column of the last byte that is no digit: edge when all are digits.
-    last = width - 1 - np.argmin(digit[:, ::-1], axis=1)
-    # Exact in int64: width exceeds every kept field, so column 0 holds
-    # no digit of one and its sum stays below 10**18.
-    raw = (values * (digit & inside)) @ _INT_POW10[width - 1::-1]
-    if integral:
-        ok &= (last == edge) & (raw < _MAX_EXACT_INT)
-        return ok, raw.astype(float)
-    point = (ok & (np.argmax(~digit & inside, axis=1) == last)
-             & (rows[np.arange(len(rows)), last] == _DOT)
-             & (last > edge + 1) & (last < width - 1))
-    # Left of the dot, raw weighs each digit ten times too much.
-    scale = _INT_POW10[np.where(point, width - last, 0)]
-    frac = raw % scale
-    mantissa = np.where(point, (raw - frac) // 10 + frac, raw)
-    ok &= ((last == edge) | point) & (mantissa < _MAX_EXACT_INT)
-    return ok, mantissa / _POW10[np.where(point, width - 1 - last, 0)]
+def _digit(buf: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    return (buf[pos] - 48) < 10
 
 
-def _block_buffer(block: list[str]) -> np.ndarray | None:
-    """The lines of block as one ASCII byte buffer, each ending in one
-    newline (added where it has none), padded by _PAD bytes either side.
-    None when a line holds a line break before its end or the block is
-    not ASCII."""
-    text = "".join(block)
-    if text.count("\n") != len(block):
-        block = [line if line.endswith("\n") else line + "\n" for line in block]
-        text = "".join(block)
-    if (text.count("\n") != len(block) or "".join(map(_LAST, block)) != "\n" * len(block)
-            or not text.isascii()):
-        return None
-    pad = b"\0" * _PAD
-    return np.frombuffer(pad + text.encode("ascii") + pad, np.uint8)
-
-
-def _decode_block(block: list[str]) -> tuple[np.ndarray, ...]:
-    """(ok, epoch, seq, rtt_ms): per line of block, whether it has the
-    strict reply shape
+def _decode_block(chunk: bytes) -> tuple[np.ndarray, ...]:
+    """(start, end, ok, epoch, seq, rtt_ms): per line of chunk, _plain
+    text whose every line ends in LF, the line's bytes chunk[start:end]
+    without its LF, whether it has the strict reply shape
 
         [EPOCH] N bytes from HOST: icmp_seq=S ttl=T time=R ms
 
-    (epoch optional, icmp_req= also accepted, HOST and T free of '=',
-    each number short enough for _numbers) and values the per-line
-    rules accept, and if so its fields, epoch NaN when absent. The
-    per-line rules give the same fields for every such line; every
-    other line is left to them, and so is every line of a block whose
-    first _PROBE_LINES lines hold no such line."""
-    n = len(block)
-    epoch, seq, rtt = np.full(n, math.nan), np.zeros(n, dtype=np.int64), np.zeros(n)
-    if (n > _PROBE_LINES and not _decode_block(block[:_PROBE_LINES])[0].any()
-            or (buf := _block_buffer(block)) is None):
-        return np.zeros(n, dtype=bool), epoch, seq, rtt
+    (epoch optional, icmp_req= also accepted, EPOCH below 24 bytes and
+    N below 8 without spaces, HOST and T free of '=', each number one
+    the kernel reads) and values the
+    per-line rules accept, and if so its fields, epoch NaN when absent.
+    The per-line rules give the same fields for every such line, and
+    every other line is left to them."""
+    buf = np.frombuffer(_PAD + chunk + _PAD, np.uint8)
+    at = decimals.words_at(buf)
     # The three '=' of a reply (icmp_seq=, ttl=, time=), found between
-    # the newlines, which end the n lines.
+    # the newlines, which end the lines.
     marks = np.flatnonzero((buf == _EQ) | (buf == _NL))
     newlines = np.flatnonzero(buf[marks] == _NL)
     end = marks[newlines]
-    start = np.concatenate(([_PAD], end[:-1] + 1))
+    start = np.concatenate(([len(_PAD)], end[:-1] + 1))
+    n = len(end)
+    epoch, seq, rtt = np.full(n, math.nan), np.zeros(n), np.zeros(n)
     before = np.concatenate(([-1], newlines[:-1]))
     ok = newlines - before == 4
     e_seq, e_ttl, e_time = (marks[np.minimum(before + k, len(marks) - 1)] for k in (1, 2, 3))
-    ok &= (_holds(buf, e_seq - 10, b": icmp_seq=", b": icmp_req=")
-           & _holds(buf, e_ttl - 4, b" ttl=") & _holds(buf, e_time - 5, b" time=")
-           & _holds(buf, end - 3, b" ms"))
+    ok &= (_holds(at, e_seq - 10, b": icmp_seq=", b": icmp_req=")
+           & _holds(at, e_ttl - 4, b" ttl=") & _holds(at, e_time - 5, b" time=")
+           & _holds(at, end - 3, b" ms"))
     stamped = buf[start] == ord("[")
-    stamp_end = _run_end(buf, start + 1, _MAX_NUMBER + 1, dots=True)
-    stamp_ok, stamp = _numbers(buf, start + 1, stamp_end, ok & stamped, integral=False)
-    ok &= ~stamped | (stamp_ok & _holds(buf, stamp_end, b"] "))
+    stamp_end = _find(at, start + 1, ord("]"), 3)
+    ok &= ~stamped | _holds(at, stamp_end, b"] ")
     size = np.where(stamped, stamp_end + 2, start)
-    size_end = _run_end(buf, size, 8, dots=False)
-    ok &= ((size_end > size) & _holds(buf, size_end, b" bytes from ")
-           & (size_end + 12 <= e_seq - 10))
-    ok, seq_value = _numbers(buf, e_seq + 1, e_ttl - 4, ok, integral=True)
-    ok, rtt_value = _numbers(buf, e_time + 1, end - 3, ok, integral=False)
-    ok &= rtt_value > 0.0
+    size_end = _find(at, size, ord(" "), 1)
+    ok &= _holds(at, size_end, b" bytes from ") & (size_end + 12 <= e_seq - 10)
+    bounds = start - len(_PAD), end - len(_PAD)
+    if not ok.any():
+        return *bounds, ok, epoch, seq, rtt
+    stamp_ok, stamp = decimals.decode(buf, start + 1, stamp_end)
+    ok &= ~stamped | (stamp_ok & _digit(buf, start + 1) & _digit(buf, stamp_end - 1))
+    # A digit first, and second if any: no sign, and no 0x prefix.
+    seq_ok, seq_value = decimals.decode(buf, e_seq + 1, e_ttl - 4, integral=True)
+    ok &= seq_ok & _digit(buf, e_seq + 1) & (_digit(buf, e_seq + 2) | (e_ttl - 4 == e_seq + 2))
+    rtt_ok, rtt_value = decimals.decode(buf, e_time + 1, end - 3)
+    ok &= rtt_ok & _digit(buf, e_time + 1) & _digit(buf, end - 4) & (rtt_value > 0.0)
     epoch[ok & stamped] = stamp[ok & stamped]
     seq[ok] = seq_value[ok]
     rtt[ok] = rtt_value[ok]
-    return ok, epoch, seq, rtt
+    return *bounds, ok, epoch, seq, rtt
 
 
 def _unwrap_seq(seq: np.ndarray) -> np.ndarray:
@@ -493,54 +550,86 @@ def parse_ping_log(lines: Iterable[str], meta: RunMetadata) -> PingParseResult:
     Reply lines may carry a leading bracketed epoch timestamp; when they
     do, t_s is the offset from the earliest such epoch, otherwise
     t_s = count * meta.ping_interval_s, where count is icmp_seq with
-    its 16-bit wraps undone. The seq column keeps the printed value.
+    its 16-bit wraps undone. In a log where any reply carries an epoch,
+    a reply without one is malformed. The seq column keeps the printed
+    value.
 
-    Lines are read in blocks of _BLOCK_LINES. The lines of a block that
-    have the strict reply shape (_decode_block) are decoded together;
-    every other line is read by the per-line rules, which define the
-    result for every line.
+    lines is a RawLog or an iterable of str lines, read in pieces
+    (_pieces). The lines of a plain piece that have the strict reply
+    shape (_decode_block) are decoded together; every other line is
+    read by the per-line rules, which define the result for every line.
+    Warnings, one per malformed line, come in line order.
     """
     skipped = 0
     malformed: list[tuple[int, str]] = []
     parts: list[tuple[np.ndarray, ...]] = []
-    line_iter = iter(lines)
+    stamped = False
+    # Replies without an epoch before the first with one: malformed if
+    # one follows. Their lines are kept unless a RawLog can give them.
+    bare: dict[int, str | None] = {}
     first_no = 1
-    while block := list(islice(line_iter, _BLOCK_LINES)):
-        ok, epoch, seq, rtt = _decode_block(block)
+    for piece in _pieces(lines):
+        if isinstance(piece, bytes):
+            start, end, ok, epoch, seq, rtt = _decode_block(piece)
+            text = partial(_line, piece, (start, end))
+        else:
+            ok, epoch, seq, rtt = (np.zeros(len(piece), dtype=bool), np.full(len(piece), math.nan),
+                                   np.zeros(len(piece)), np.zeros(len(piece)))
+            text = partial(_line, piece, None)
         at, read = [], []           # lines the per-line rules read, and their fields
         for i in np.flatnonzero(~ok).tolist():
-            line = block[i].rstrip("\n")
+            line = text(i)
             if not _is_reply_candidate(line):
                 skipped += 1
-                continue
-            fields = _reply_fields(line)
-            if fields is None:
+            elif (fields := _reply_fields(line)) is None:
                 malformed.append((first_no + i, line))
-                # One warning per line, uncapped: perfbench's raw_ingest
-                # check reads these line numbers from stderr. Capping them
-                # waits for the diagnostics sidecar (ROADMAP item 4).
-                log.warning("ping line %d unparseable: %s", first_no + i, line)
-                continue
-            at.append(i)
-            read.append(fields)
+            else:
+                at.append(i)
+                read.append(fields)
         if at:
             # Exact: _reply_fields bounds seq by 2**53.
             epoch[at], seq[at], rtt[at] = np.array(read).T
             ok[at] = True
+        replies = np.flatnonzero(ok)
+        unstamped = replies[np.isnan(epoch[replies])].tolist()
+        if not stamped and len(unstamped) < len(replies):
+            stamped = True
+            parts.clear()           # replies without an epoch, all of them
+            kept = dict(_lines_at(lines, bare)) if isinstance(lines, RawLog) else bare
+            malformed += kept.items()
+        if stamped:
+            malformed += ((first_no + i, text(i)) for i in unstamped)
+            ok[unstamped] = False
+        else:
+            bare.update((first_no + i, None if isinstance(lines, RawLog) else text(i))
+                        for i in unstamped)
         parts.append((epoch[ok], seq[ok], rtt[ok]))
-        first_no += len(block)
+        first_no += len(ok)
+    malformed.sort()
+    for line_no, line in malformed:
+        # One warning per line, uncapped: perfbench's raw_ingest check
+        # reads these line numbers from stderr. Capping them waits for
+        # the diagnostics sidecar (ROADMAP item 4).
+        log.warning("ping line %d unparseable: %s", line_no, line)
     if not any(len(rtt) for _, _, rtt in parts):
         raise EmptyTraceError("no ping reply lines parsed")
     epoch, seq, rtt = (np.concatenate(col) for col in zip(*parts))
-    stamped = ~np.isnan(epoch)
     # Earliest epoch as base, not the first line's, so t_s stays >= 0
     # even when replies arrive out of order.
-    base = epoch[stamped].min() if stamped.any() else 0.0
-    t = np.where(stamped, epoch - base, _unwrap_seq(seq) * meta.ping_interval_s)
+    t = epoch - epoch.min() if stamped else _unwrap_seq(seq) * meta.ping_interval_s
     order = np.lexsort((seq, t))
     return PingParseResult(
         samples=LatencyTrace(t[order], seq[order], rtt[order]),
         skipped_lines=skipped, malformed=malformed)
+
+
+def _lines_at(log: RawLog, numbers) -> Iterator[tuple[int, str]]:
+    """(number, line without its line end) of each of the lines of log
+    numbered in numbers, read again."""
+    last = max(numbers, default=0)
+    for line_no, line in zip(range(1, last + 1), log):
+        if line_no in numbers:
+            yield line_no, line.rstrip("\n")
 
 
 # Canonical fullstats fields, with value domains in SchedulerTrace.faults.
@@ -551,16 +640,17 @@ FULLSTATS_FIELDS = SchedulerTrace.names()
 _REQUIRED_FIELDS = ("rnti", "dl_bler")
 
 
-def _plain(text: str) -> bool:
+def _plain_cell(text: str) -> bool:
     """Whether text holds no "_" and is ASCII: float() and int() read
-    "1_0" as 10 and any Unicode digit ("\u0663") as a digit."""
+    "1_0" as 10 and any Unicode digit ("٣") as a digit."""
     return "_" not in text and text.isascii()
 
 
 def _float_cell(cell: str) -> float:
     """A numeric cell; NaN (absent) when blank. Raises ValueError on
-    text that is not a number: "nan", or a cell that is not _plain."""
-    if not _plain(cell):
+    text that is not a number: "nan", or a cell that is not
+    _plain_cell."""
+    if not _plain_cell(cell):
         raise ValueError(f"not a number: {cell!r}")
     cell = cell.strip()
     if not cell:
@@ -573,52 +663,49 @@ def _float_cell(cell: str) -> float:
 
 def _int_cell(cell: str) -> float:
     """Like _float_cell, but a 0x prefix reads as hexadecimal."""
-    if _plain(cell) and cell.strip()[:2].lower() == "0x":
+    if _plain_cell(cell) and cell.strip()[:2].lower() == "0x":
         return float(int(cell, 16))
     return _float_cell(cell)
 
 
-def _column(cells: list[str], parse) -> tuple[np.ndarray, dict[int, str]]:
-    """The cells read by parse (_float_cell or _int_cell), and the
-    position of each cell it refuses, with the reason. When the joined
-    cells are _plain, one pass converts them all with float(), or for
-    _int_cell, when every cell has the 0x prefix, with int(cell, 16);
-    only otherwise, or when that raises or meets a NaN, are the cells
-    read one by one by parse itself."""
-    try:
-        if _plain("".join(cells)):
-            try:
-                col = np.fromiter(map(float, cells), float, count=len(cells))
-            except ValueError:
-                if parse is not _int_cell or not all(
-                        map(methodcaller("startswith", ("0x", "0X")), cells)):
-                    raise
-                col = np.fromiter(map(float, map(partial(int, base=16), cells)), float,
-                                  count=len(cells))
-            if not np.isnan(col).any():
-                return col, {}
-    except (ValueError, OverflowError):
-        pass
-    col = np.empty(len(cells))
+def _settle(col: np.ndarray, ok: np.ndarray, cell, parse) -> dict[int, str]:
+    """Read each cell the kernel left (not ok) with parse, _float_cell or
+    _int_cell, into col; cell(k) is the text of cell k. Returns the
+    position of each cell parse refuses, with the reason."""
     refused = {}
-    for k, cell in enumerate(cells):
+    for k in np.flatnonzero(~ok).tolist():
         try:
-            col[k] = parse(cell)
+            col[k] = parse(cell(k))
         except (ValueError, OverflowError) as exc:
             refused[k] = str(exc)
-    return col, refused
+    return refused
 
 
-def _fullstats_rows(rows: list[list[str]], first: int, cells: list[tuple[str, int, object]],
+def _column(cells: list[str], parse) -> tuple[np.ndarray, dict[int, str]]:
+    """The cells read by parse (_float_cell or _int_cell) through the
+    kernel, and the position of each cell parse refuses, with the
+    reason."""
+    text = "\n".join(cells)
+    ok, col = np.zeros(len(cells), dtype=bool), np.empty(len(cells))
+    if text.isascii():
+        size = np.fromiter(map(len, cells), np.int64, count=len(cells))
+        end = len(_PAD) + np.cumsum(size + 1) - 1
+        buf = np.frombuffer(_PAD + text.encode() + _PAD, np.uint8)
+        ok, col = decimals.decode(buf, end - size, end, integral=parse is _int_cell)
+    return col, _settle(col, ok, cells.__getitem__, parse)
+
+
+def _fullstats_rows(rows: list[list[str]], row_idx: np.ndarray,
+                    cells: list[tuple[str, int, object]],
                     faults: dict[int, str]) -> tuple[np.ndarray, np.ndarray]:
-    """(table, row_idx): the mapped values of those of rows that are not
-    blank and that every cell parser accepts, and their row indices
-    (rows[0] has index first). cells holds (field, column, parser) per
-    mapped field. A refused row goes into faults with the reason its
-    first refused or missing cell gives, in column_map field order."""
+    """(table, row_idx): the mapped values of those of rows (numbered
+    row_idx) that are not blank and that every cell parser accepts, and
+    their row indices. cells holds (field, column, parser) per mapped
+    field. A refused row goes into faults with the reason its first
+    refused or missing cell gives, in column_map field order."""
     live = [k for k, row in enumerate(rows) if any(map(str.strip, row))]
     rows = [rows[k] for k in live]
-    row_idx = first + np.array(live, dtype=np.int64)
+    row_idx = row_idx[live]
     table = np.empty((len(rows), len(cells)))
     bad: dict[int, str] = {}
     lengths = np.fromiter(map(len, rows), np.int64, count=len(rows))
@@ -645,17 +732,48 @@ def _fullstats_rows(rows: list[list[str]], first: int, cells: list[tuple[str, in
     return table[keep], row_idx[keep]
 
 
-def _csv_rows(lines: Iterable[str]):
-    """The rows csv.reader splits lines into. A line it cannot split (an
-    unterminated quote, a field past csv.field_size_limit()) raises
-    MalformedRecordError naming the line, in the file lines were read
-    from when they come from an open file."""
-    reader = csv.reader(lines)
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise MalformedRecordError(getattr(lines, "name", "fullstats input"),
-                                   reader.line_num, f"not CSV: {exc}") from None
+def _plain_rows(piece: bytes, first: int, width: int, cells: list[tuple[str, int, object]],
+                faults: dict[int, str]) -> tuple[np.ndarray, np.ndarray] | None:
+    """What _fullstats_rows gives for the rows of piece, _plain lines
+    each ending in LF and numbered from first, in a file whose header
+    has width fields. The lines of width fields are split with numpy
+    and their mapped cells read by the kernel; any other line, and one
+    without a mapped number (it may be blank), is split on commas and
+    read by _fullstats_rows. None when a line is longer than
+    csv.field_size_limit(): csv.reader must refuse it."""
+    padded = _PAD + piece + _PAD
+    buf = np.frombuffer(padded, np.uint8)
+    seps = np.flatnonzero((buf == 44) | (buf == _NL))
+    newline = np.flatnonzero(buf[seps] == _NL)
+    ends = seps[newline]
+    starts = np.concatenate(([len(_PAD)], ends[:-1] + 1))
+    if int((ends - starts).max()) > csv.field_size_limit():
+        return None
+    seps = np.concatenate(([len(_PAD) - 1], seps))
+    lines = np.flatnonzero(np.diff(newline, prepend=-1) == width)
+    base = newline[lines] + 1 - width           # seps[base]: the LF before the line
+    table = np.empty((len(lines), len(cells)))
+    number = np.zeros(len(lines), dtype=bool)
+    bad: dict[int, str] = {}
+    for j, (_, i, parse) in enumerate(cells):
+        start, end = seps[base + i] + 1, seps[base + i + 1]
+        ok, table[:, j] = decimals.decode(buf, start, end, integral=parse is _int_cell)
+        number |= ok & ~np.isnan(table[:, j])
+        cell = partial(_line, padded, (start, end))
+        for k, reason in _settle(table[:, j], ok, cell, parse).items():
+            bad.setdefault(k, reason)
+    keep = number.copy()
+    for k, reason in bad.items():
+        if number[k]:
+            keep[k] = False
+            faults[first + int(lines[k])] = reason
+    rest = np.setdiff1d(np.arange(len(ends)), lines[number], assume_unique=True)
+    split = [padded[starts[k]:ends[k]].decode("ascii").split(",") if ends[k] > starts[k] else []
+             for k in rest.tolist()]
+    more, more_idx = _fullstats_rows(split, first + rest, cells, faults)
+    row_idx = np.concatenate((first + lines[keep], more_idx))
+    order = np.argsort(row_idx, kind="stable")
+    return np.concatenate((table[keep], more))[order], row_idx[order]
 
 
 def parse_fullstats(lines: Iterable[str], column_map: Mapping[str, str],
@@ -669,8 +787,12 @@ def parse_fullstats(lines: Iterable[str], column_map: Mapping[str, str],
     rebased so the earliest kept snapshot lies at 0. Rows with values
     outside the documented domains are skipped and counted.
 
-    Rows are read in blocks of _BLOCK_LINES and converted column by
-    column.
+    lines is a RawLog or an iterable of str lines, read in pieces
+    (_pieces). A plain piece is split with numpy (_plain_rows); any
+    other goes to one csv.reader, which defines the rows, and so does
+    the header line. A line csv.reader cannot split (an unterminated
+    quote, a field past csv.field_size_limit()) raises
+    MalformedRecordError naming it.
     """
     for name in _REQUIRED_FIELDS:
         if name not in column_map:
@@ -679,28 +801,72 @@ def parse_fullstats(lines: Iterable[str], column_map: Mapping[str, str],
     if unknown:
         raise InvalidSpecError(f"unknown canonical fields in column_map: {sorted(unknown)}")
 
-    reader = _csv_rows(lines)
-    try:
-        header = [h.strip() for h in next(reader)]
-    except StopIteration:
-        raise EmptyTraceError("fullstats input has no header row") from None
-    missing = [col for col in column_map.values() if col not in header]
-    if missing:
-        raise MissingColumnError(f"mapped columns absent from header: {missing}")
-    mapped = [name for name in FULLSTATS_FIELDS if name in column_map]
-    cells = [(name, header.index(column_map[name]),
-              _int_cell if name in SchedulerTrace.INTEGRAL else _float_cell)
-             for name in mapped]
+    pieces = _pieces(lines)
+    pending: deque[str] = deque()   # lines for csv.reader
+    line_no = 0                     # lines read so far
+    head = next(pieces, [])
+    if isinstance(head, bytes):     # the header goes to csv.reader
+        cut = head.index(b"\n") + 1
+        pieces = chain([head[cut:]] if cut < len(head) else [], pieces)
+        head = [head[:cut].decode("ascii")]
+    pending.extend(head)
 
-    tables = [np.empty((0, len(mapped)))]
-    kept_idx = [np.empty(0, dtype=np.int64)]
-    faults: dict[int, str] = {}     # row index -> why the row is skipped
-    first = 0
-    while rows := list(islice(reader, _BLOCK_LINES)):
-        table, row_idx = _fullstats_rows(rows, first, cells, faults)
-        tables.append(table)
-        kept_idx.append(row_idx)
-        first += len(rows)
+    def feed():
+        nonlocal line_no
+        while True:
+            while pending:
+                line_no += 1
+                yield pending.popleft()
+            piece = next(pieces, None)
+            if piece is None:
+                return
+            pending.extend(_text_lines(piece))
+
+    reader = csv.reader(feed())
+    try:
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise EmptyTraceError("fullstats input has no header row") from None
+        missing = [col for col in column_map.values() if col not in header]
+        if missing:
+            raise MissingColumnError(f"mapped columns absent from header: {missing}")
+        mapped = [name for name in FULLSTATS_FIELDS if name in column_map]
+        cells = [(name, header.index(column_map[name]),
+                  _int_cell if name in SchedulerTrace.INTEGRAL else _float_cell)
+                 for name in mapped]
+
+        tables = [np.empty((0, len(mapped)))]
+        kept_idx = [np.empty(0, dtype=np.int64)]
+        faults: dict[int, str] = {}     # row index -> why the row is skipped
+        first = 0
+        while True:
+            if not pending:
+                piece = next(pieces, None)
+                if piece is None:
+                    break
+                part = (_plain_rows(piece, first, len(header), cells, faults)
+                        if isinstance(piece, bytes) else None)
+                if part is not None:
+                    count = piece.count(b"\n")
+                    first += count
+                    line_no += count
+                    tables.append(part[0])
+                    kept_idx.append(part[1])
+                    continue
+                pending.extend(_text_lines(piece))
+            # Rows up to the end of what is pending; a quoted field that
+            # goes on past it pulls in the next piece as lines.
+            rows = [next(reader)]
+            while pending:
+                rows.append(next(reader))
+            table, row_idx = _fullstats_rows(rows, first + np.arange(len(rows)), cells, faults)
+            first += len(rows)
+            tables.append(table)
+            kept_idx.append(row_idx)
+    except csv.Error as exc:
+        raise MalformedRecordError(getattr(lines, "name", "fullstats input"), line_no,
+                                   f"not CSV: {exc}") from None
     table = np.concatenate(tables)
     row_idx_of = np.concatenate(kept_idx)   # row index of each row of table
 

@@ -89,11 +89,12 @@ def parse_ping_ref(lines, ping_interval_s):
 
     Returns (rows, skipped, malformed): rows are (t_s, seq, rtt_ms) sorted
     by (t_s, seq), ties in file order; skipped counts the lines that are
-    no reply; malformed lists the (line number, line) of the replies
-    whose fields cannot be used: no seq and time, an rtt that is not
-    finite and > 0, a seq past 2**53 or an epoch that is not finite.
-    t_s is the epoch less the earliest epoch, or for a line without one
-    the 16-bit-unwrapped seq count times ping_interval_s."""
+    no reply; malformed lists, in line order, the (line number, line)
+    of the replies whose fields cannot be used: no seq and time, an rtt
+    that is not finite and > 0, a seq of 2**53 or more, an epoch that is
+    not finite, or no epoch in a log where some reply has one. t_s is
+    the epoch less the earliest epoch, or in a log without epochs the
+    16-bit-unwrapped seq count times ping_interval_s."""
     skipped, malformed, replies = 0, [], []
     for line_no, line in enumerate(lines, start=1):
         line = line.rstrip("\n")
@@ -111,11 +112,16 @@ def parse_ping_ref(lines, ping_interval_s):
         em = _PING_EPOCH.match(line)
         if em is not None:
             epoch = float(em.group(1))
-        if (seq is None or not 0.0 < rtt < math.inf or seq > 2 ** 53
+        if (seq is None or not 0.0 < rtt < math.inf or seq >= 2 ** 53
                 or epoch == math.inf):
             malformed.append((line_no, line))
             continue
-        replies.append((epoch, seq, rtt))
+        replies.append((epoch, seq, rtt, line_no, line))
+    if any(epoch is not None for epoch, *_ in replies):
+        malformed += [(n, line) for epoch, _, _, n, line in replies if epoch is None]
+        malformed.sort()
+        replies = [r for r in replies if r[0] is not None]
+    replies = [r[:3] for r in replies]
     counts = []
     for _, seq, _ in replies:
         if not counts:
@@ -154,7 +160,7 @@ def _cell_ref(cell, integral):
 
 
 def _whole(v):
-    return abs(v) <= 2.0 ** 53 and math.floor(v) == v
+    return abs(v) < 2.0 ** 53 and math.floor(v) == v
 
 
 def _sched_fault_ref(r):

@@ -501,6 +501,7 @@ def test_canonical_readers_skip_blank_lines(tmp_path):
     ("0.0,0,9.0\n0.2,1,fast\n", 3, "rtt_ms is not a number: 'fast'"),
     ("0.0,0,9.0\n0.2,1,\n", 3, "rtt_ms is not a number: ''"),
     ("0.0,0,9.0\n0.2,1.5,9.0\n", 3, "seq not an integer"),
+    ("0.0,9007199254740991,9.0\n0.2,9007199254740992,9.0\n", 3, "seq not an integer"),
     ("0.0,0,nan\n", 2, "rtt_ms is not a number: 'nan'"),
     ("0.0,0,9.0\n0.2,1,0.0\n", 3, "rtt_ms not finite and > 0"),
     ("0.0,0,9.0\n0.2,1,-3.0\n", 3, "rtt_ms not finite and > 0"),
@@ -541,6 +542,8 @@ def test_latency_reader_names_file_and_line(tmp_path, rows, line, reason):
     ("0.0,17,0.05,,,,,-1e999,,", "rsrp_dbm not finite"),
     ("0.0,17,0.05,,,,,,-1,", "dl_retx < 0"),
     ("0.0,17,0.05,,,,,,,-50", "dl_total < 0"),
+    ("0.0,9007199254740993,0.05,,,,,,,", "rnti missing or not an integer"),
+    ("0.0,17,0.05,,,,,,,9007199254740992", "dl_total not an integer"),
     ("0.0,17,0.05,,,,,,60,50", "dl_retx > dl_total"),
 ])
 def test_scheduler_reader_applies_the_fullstats_domains(tmp_path, row, reason):

@@ -1,6 +1,7 @@
 """The raw ping and fullstats parsers against the row-wise oracles in
 oracles.py, on messy logs, with blocks cut everywhere."""
 
+import json
 import logging
 from contextlib import contextmanager
 from unittest import mock
@@ -10,9 +11,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from taildiag import ingest
-from taildiag.errors import EmptyTraceError
-from taildiag.ingest import RunMetadata, parse_fullstats, parse_ping_log
+from taildiag import canon, ingest
+from taildiag.cli import load_run
+from taildiag.config import load_config
+from taildiag.errors import EmptyTraceError, MalformedRecordError
+from taildiag.ingest import RunMetadata, consolidate_run, parse_fullstats, parse_ping_log
 
 from oracles import SCHED_FIELDS, parse_fullstats_ref, parse_ping_ref
 
@@ -163,10 +166,11 @@ def test_ping_replies_past_2_53_or_infinite_are_malformed():
              "[1.3] 64 bytes from h: icmp_seq=9007199254740993 ttl=64 time=5.0 ms",
              "[1.4] 64 bytes from h: icmp_seq=3 ttl=64 time=" + "9" * 400 + ".5 ms",
              "[" + "9" * 400 + "] 64 bytes from h: icmp_seq=4 ttl=64 time=5.0 ms",
-             "[1.6] 64 bytes from h: icmp_seq=9007199254740992 ttl=64 time=5.0 ms"]
+             "[1.6] 64 bytes from h: icmp_seq=9007199254740992 ttl=64 time=5.0 ms",
+             "[1.7] 64 bytes from h: icmp_seq=9007199254740991 ttl=64 time=5.0 ms"]
     res = parse_ping_log(lines, META)
-    assert [n for n, _ in res.malformed] == [1, 2, 3, 4]
-    assert res.samples.seq.tolist() == [2.0 ** 53]
+    assert [n for n, _ in res.malformed] == [1, 2, 3, 4, 5]
+    assert res.samples.seq.tolist() == [2.0 ** 53 - 1]
 
 
 @pytest.mark.parametrize("block_lines", [2, 65536])
@@ -189,14 +193,18 @@ def test_ping_block_decoder_takes_the_common_replies():
     lines = [f"[1700000000.{i:06d}] 38 bytes from 10.45.0.1: icmp_seq={i} ttl=64 "
              f"time={i % 97}.{i % 7} ms\n" for i in range(1, 200)]
     lines[9] = lines[9].replace("time=10.3", "time=0.000")      # left to the line rules
-    lines[-1] = lines[-1].rstrip("\n")
-    ok, epoch, seq, rtt = ingest._decode_block(lines)
+    chunk = "".join(lines).encode()
+    start, end, ok, epoch, seq, rtt = ingest._decode_block(chunk)
+    assert [chunk[a:b] for a, b in zip(start, end)] == [line.rstrip("\n").encode()
+                                                        for line in lines]
     assert np.flatnonzero(~ok).tolist() == [9]
     assert seq[ok].tolist() == [i for i in range(1, 200) if i != 10]
     assert epoch[5] == float("1700000000.000006") and rtt[5] == float("6.6")
-    # A block whose head holds no strict reply goes wholly to the line rules.
-    odd_head = ["64 bytes from h: icmp_seq=1 ttl=64 time=5ms\n"] * 200 + lines
-    assert not ingest._decode_block(odd_head)[0].any()
+    # A block without a strict reply goes wholly to the line rules, and
+    # a last line cut short reads no byte past the block.
+    odd = b"64 bytes from h: icmp_seq=1 ttl=64 time=5ms\n" * 200
+    for block in (odd, odd + b"[\n", b"[\n", b"[1.5] 64 bytes from h: icmp_seq=1\n"):
+        assert not ingest._decode_block(block)[2].any()
 
 
 # --------------------------------------------------------------- fullstats
@@ -301,3 +309,138 @@ def test_fullstats_cells_with_underscores_or_non_ascii_are_skipped(block_lines):
         "fullstats row 4 skipped: not a number: '0x_11'",
         "fullstats row 5 skipped: not a number: '\u0661\u0667'",
         "fullstats row 6 skipped: not a number: '\\xa09'"]
+
+
+# ------------------------------------------------ logs read as bytes, by chunk
+
+def test_unstamped_reply_in_a_stamped_log_is_malformed(tmp_path):
+    # A reply without an epoch, or whose bracket holds none, would be
+    # timed by its sequence count, on another base than its neighbours.
+    lines = ["64 bytes from h: icmp_seq=4999 ttl=64 time=5 ms",
+             "64 bytes from h: icmp_seq=x ttl=64 time=5 ms",
+             "[1700000000.0] 64 bytes from h: icmp_seq=5000 ttl=64 time=5 ms",
+             "[] 64 bytes from h: icmp_seq=5001 ttl=64 time=5 ms",
+             "[1.5.6] 64 bytes from h: icmp_seq=5003 ttl=64 time=5 ms",
+             "[١.5] 64 bytes from h: icmp_seq=5004 ttl=64 time=5 ms",
+             "[1700000002.0] 64 bytes from h: icmp_seq=5002 ttl=64 time=5 ms"]
+    path = tmp_path / "ping.log"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for chunk_bytes in (64, ingest._CHUNK_BYTES):
+        for source in (lines, ingest.RawLog(path)):
+            with mock.patch.object(ingest, "_CHUNK_BYTES", chunk_bytes):
+                got, warned = _parse(parse_ping_log, 2, source, META)
+            assert got.samples.t_s.tolist() == [0.0, 2.0]
+            assert got.samples.seq.tolist() == [5000, 5002]
+            assert [n for n, _ in got.malformed] == [1, 2, 4, 5, 6]
+            assert warned == [f"ping line {n} unparseable: {lines[n - 1]}"
+                              for n in (1, 2, 4, 5, 6)]
+    # Without any epoch, times come from the sequence count as before.
+    got = parse_ping_log(lines[:2], META)
+    assert got.samples.seq.tolist() == [4999] and len(got.malformed) == 1
+
+
+def test_fullstats_integral_cells_past_2_53_are_skipped():
+    # float64 holds no integer at or past 2**53 exactly: 2**53 + 1 read
+    # as 2**53, and was kept.
+    lines = ["rnti,dl_bler,tx", "9007199254740993,0.1,5", "0x20000000000001,0.1,5",
+             "17,0.1,9007199254740993", "9007199254740992,0.1,5", "9007199254740991,0.2,5",
+             "0x1fffffffffffff,0.3,9007199254740991"]
+    cmap = {"rnti": "rnti", "dl_bler": "dl_bler", "dl_total": "tx"}
+    for block_lines in (2, 65536):
+        got, warned = _parse(parse_fullstats, block_lines, lines, cmap, META)
+        assert got.skipped_rows == 4 and got.snapshots.rnti.tolist() == [2.0 ** 53 - 1] * 2
+        assert warned == ["fullstats row 1 skipped: rnti missing or not an integer",
+                          "fullstats row 2 skipped: rnti missing or not an integer",
+                          "fullstats row 3 skipped: dl_total not an integer",
+                          "fullstats row 4 skipped: rnti missing or not an integer"]
+
+
+def _messy_logs(tmp_path):
+    """A ping log and a fullstats CSV, each written so that small chunks
+    cut them everywhere: a CRLF stretch, a non-ASCII stretch, malformed
+    and odd lines, and no final newline; the fullstats CSV has a quoted
+    cell, and a line break in one, in one stretch only."""
+    ping = ["PING h (h) 30(58) bytes of data."]
+    for i in range(120):
+        stamp = f"[{1_700_000_000 + 0.2 * i:.6f}] "
+        host = "hé" if 40 <= i < 45 else "10.45.0.1"
+        line = f"{stamp}38 bytes from {host}: icmp_seq={i % 7 + i} ttl=64 time={i % 97}.{i % 3} ms"
+        if i % 17 == 5:
+            line = line[:line.index("time=") + 5]               # no rtt: malformed
+        elif i % 23 == 7:
+            line = line.replace(stamp, "")                      # no epoch: malformed
+        elif i % 29 == 3:
+            line = f"{stamp}no answer yet for icmp_seq={i}"
+        ping.append(line + ("\r" if 60 <= i < 66 else ""))
+    ping += ["", "--- h ping statistics ---", "120 packets transmitted"]
+    fullstats = ["TIME,RNTI,DL_BLER,UL_BLER,DL_MCS,SNR_dB,DL_HARQ_RETX,DL_HARQ_TX"]
+    for k in range(150):
+        row = [str(k), "0x4601", repr(0.01 * (k % 50)), "0.05", str(k % 30),
+               repr(29.0 + k / 7), str(k % 5), "50"]
+        if k == 70:
+            row[5] = '"1,5"'
+        elif k == 71:
+            row[7] = '"5\n0"'
+        elif k % 31 == 4:
+            row = row[:3]
+        elif k % 37 == 9:
+            row = [""] * len(row)
+        fullstats.append(",".join(row))
+    ping_path, fullstats_path = tmp_path / "ping.log", tmp_path / "fullstats.csv"
+    ping_path.write_bytes("\n".join(ping).encode("utf-8"))
+    fullstats_path.write_bytes("\n".join(fullstats).encode("utf-8"))
+    return ping_path, fullstats_path
+
+
+@pytest.mark.parametrize("chunk_bytes", [50, 173, 1024, 1 << 20])
+def test_logs_read_by_chunk_equal_the_str_line_parse(tmp_path, chunk_bytes):
+    ping_path, fullstats_path = _messy_logs(tmp_path)
+    cmap = MAPS[1]
+    with canon.open_text(ping_path) as fh:
+        ping_lines = list(fh)
+    with canon.open_text(fullstats_path) as fh:
+        fullstats_lines = list(fh)
+    want_ping, want_ping_log = _parse(parse_ping_log, 16, ping_lines, META)
+    want_fs, want_fs_log = _parse(parse_fullstats, 16, fullstats_lines, cmap, META)
+    with mock.patch.object(ingest, "_CHUNK_BYTES", chunk_bytes):
+        plain = [ingest._plain(chunk) for chunk in ingest.RawLog(ping_path).chunks()]
+        assert not all(plain) and (any(plain) or len(plain) == 1)
+        assert list(ingest.RawLog(ping_path)) == ping_lines
+        got_ping, got_ping_log = _parse(parse_ping_log, 16, ingest.RawLog(ping_path), META)
+        got_fs, got_fs_log = _parse(parse_fullstats, 16, ingest.RawLog(fullstats_path),
+                                    cmap, META)
+        config = tmp_path / "campaign.json"
+        config.write_text(json.dumps({"runs": [{
+            "run_id": "r1", "ue_type": "modem", "scenario": "baseline", "distance_m": 6.0,
+            "packet_size_b": 30, "ping_interval_s": 0.2, "ping_log": ping_path.name,
+            "fullstats": fullstats_path.name, "column_map": cmap}]}), encoding="utf-8")
+        cfg = load_config(config)
+        run = load_run(cfg, cfg.runs[0])
+    assert _columns(got_ping.samples) == _columns(want_ping.samples)
+    assert (got_ping.skipped_lines, got_ping.malformed) == (want_ping.skipped_lines,
+                                                            want_ping.malformed)
+    assert got_ping_log == want_ping_log and len(want_ping.malformed) > 5
+    assert _columns(got_fs.snapshots) == _columns(want_fs.snapshots)
+    assert got_fs.skipped_rows == want_fs.skipped_rows > 0 and got_fs_log == want_fs_log
+    want_run = consolidate_run(want_ping.samples, want_fs.snapshots, run.meta)
+    assert _columns(run.latency) == _columns(want_run.latency)
+    assert _columns(run.scheduler) == _columns(want_run.scheduler)
+
+
+@pytest.mark.parametrize("chunk_bytes", [40, 1 << 20])
+def test_a_byte_that_is_not_utf8_names_its_line_in_the_file(tmp_path, chunk_bytes):
+    lines = [f"[{i}.5] 64 bytes from h: icmp_seq={i} ttl=64 time=5 ms" for i in range(30)]
+    lines[20] = "[20.5] 64 bytes from h\udcff: icmp_seq=20"
+    for parse, args, head in ((parse_ping_log, (META,), []),
+                              (parse_fullstats, ({"rnti": "a", "dl_bler": "b"}, META), ["a,b"])):
+        text = head + lines
+        path = tmp_path / "log"
+        path.write_bytes("\r\n".join(text[:10]).encode() + b"\r\n"
+                         + "\n".join(text[10:]).encode("utf-8", "surrogateescape"))
+        with pytest.raises(MalformedRecordError) as parent, canon.open_text(path) as fh:
+            list(fh)
+        assert parent.value.line == len(head) + 21
+        with mock.patch.object(ingest, "_CHUNK_BYTES", chunk_bytes), \
+                pytest.raises(MalformedRecordError) as exc:
+            parse(ingest.RawLog(path), *args)
+        assert str(exc.value) == str(parent.value)
