@@ -14,7 +14,7 @@ mantissa M and the count k of digits after the point:
 
 - fast path: M below 2**53 and k <= 22. M and 10**k are then both exact
   doubles, and M / 10**k is float()'s value, rounded once (Clinger);
-- long path: M of 2**53 up to 19 digits. The candidate x = fl(M) / 10**k
+- long path: M of 2**53 up to 9 * 10**18. The candidate x = fl(M) / 10**k
   lies within about an ulp of M / 10**k. Dekker's two-product gives the
   residual M - x * 10**k exactly, and x, or failing that its neighbour
   towards the residual, is float()'s value when the residual lies

@@ -7,11 +7,13 @@ parsers and the canonical readers apply alike, and whether an empty
 canonical cell reads as NaN. Iterating or indexing a trace yields
 LatencySample / SchedulerSnapshot rows with built-in Python values.
 
-Both parsers are tolerant: lines or rows that cannot be used are counted
-and reported, never silently dropped, and never abort the parse. An
-input that yields zero usable records raises EmptyTraceError, and a
-fullstats file the CSV reader cannot split raises MalformedRecordError
-at its line.
+Both parsers read a RawLog, a raw log file read as bytes a chunk of
+whole lines at a time, or any iterable of str lines. They are tolerant:
+lines or rows that cannot be used are counted and reported, never
+silently dropped, and never abort the parse. An input that yields zero
+usable records raises EmptyTraceError, and a fullstats file the CSV
+reader cannot split, or a byte that is not UTF-8, raises
+MalformedRecordError at its line.
 """
 
 from __future__ import annotations
@@ -489,10 +491,9 @@ def _decode_block(chunk: bytes) -> tuple[np.ndarray, ...]:
 
     (epoch optional, icmp_req= also accepted, EPOCH below 24 bytes and
     N below 8 without spaces, HOST and T free of '=', each number one
-    the kernel reads) and values the
-    per-line rules accept, and if so its fields, epoch NaN when absent.
-    The per-line rules give the same fields for every such line, and
-    every other line is left to them."""
+    the kernel reads) and values the per-line rules accept, and if so
+    its fields, epoch NaN when absent. The per-line rules give the same
+    fields for every such line, and every other line is left to them."""
     buf = np.frombuffer(_PAD + chunk + _PAD, np.uint8)
     at = decimals.words_at(buf)
     # The three '=' of a reply (icmp_seq=, ttl=, time=), found between
@@ -564,9 +565,11 @@ def parse_ping_log(lines: Iterable[str], meta: RunMetadata) -> PingParseResult:
     malformed: list[tuple[int, str]] = []
     parts: list[tuple[np.ndarray, ...]] = []
     stamped = False
-    # Replies without an epoch before the first with one: malformed if
-    # one follows. Their lines are kept unless a RawLog can give them.
-    bare: dict[int, str | None] = {}
+    # Replies without an epoch before the first with one, malformed if
+    # one follows: their line numbers, and their lines unless a RawLog
+    # can read them again.
+    bare: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    bare_lines: list[str] = []
     first_no = 1
     for piece in _pieces(lines):
         if isinstance(piece, bytes):
@@ -595,14 +598,16 @@ def parse_ping_log(lines: Iterable[str], meta: RunMetadata) -> PingParseResult:
         if not stamped and len(unstamped) < len(replies):
             stamped = True
             parts.clear()           # replies without an epoch, all of them
-            kept = dict(_lines_at(lines, bare)) if isinstance(lines, RawLog) else bare
-            malformed += kept.items()
+            numbers = np.concatenate(bare).tolist()
+            malformed += (_lines_at(lines, set(numbers)) if isinstance(lines, RawLog)
+                          else zip(numbers, bare_lines))
         if stamped:
             malformed += ((first_no + i, text(i)) for i in unstamped)
             ok[unstamped] = False
         else:
-            bare.update((first_no + i, None if isinstance(lines, RawLog) else text(i))
-                        for i in unstamped)
+            bare.append(first_no + np.array(unstamped, dtype=np.int64))
+            if not isinstance(lines, RawLog):
+                bare_lines += map(text, unstamped)
         parts.append((epoch[ok], seq[ok], rtt[ok]))
         first_no += len(ok)
     malformed.sort()
@@ -733,22 +738,19 @@ def _fullstats_rows(rows: list[list[str]], row_idx: np.ndarray,
 
 
 def _plain_rows(piece: bytes, first: int, width: int, cells: list[tuple[str, int, object]],
-                faults: dict[int, str]) -> tuple[np.ndarray, np.ndarray] | None:
+                faults: dict[int, str]) -> tuple[np.ndarray, np.ndarray]:
     """What _fullstats_rows gives for the rows of piece, _plain lines
     each ending in LF and numbered from first, in a file whose header
     has width fields. The lines of width fields are split with numpy
     and their mapped cells read by the kernel; any other line, and one
     without a mapped number (it may be blank), is split on commas and
-    read by _fullstats_rows. None when a line is longer than
-    csv.field_size_limit(): csv.reader must refuse it."""
+    read by _fullstats_rows."""
     padded = _PAD + piece + _PAD
     buf = np.frombuffer(padded, np.uint8)
     seps = np.flatnonzero((buf == 44) | (buf == _NL))
     newline = np.flatnonzero(buf[seps] == _NL)
     ends = seps[newline]
     starts = np.concatenate(([len(_PAD)], ends[:-1] + 1))
-    if int((ends - starts).max()) > csv.field_size_limit():
-        return None
     seps = np.concatenate(([len(_PAD) - 1], seps))
     lines = np.flatnonzero(np.diff(newline, prepend=-1) == width)
     base = newline[lines] + 1 - width           # seps[base]: the LF before the line
@@ -776,36 +778,20 @@ def _plain_rows(piece: bytes, first: int, width: int, cells: list[tuple[str, int
     return np.concatenate((table[keep], more))[order], row_idx[order]
 
 
-def parse_fullstats(lines: Iterable[str], column_map: Mapping[str, str],
-                    meta: RunMetadata, *,
-                    stats_period_s: float = 1.0) -> FullstatsParseResult:
-    """Parse a delimited fullstats table into scheduler snapshots.
-
-    column_map maps canonical field names (FULLSTATS_FIELDS) to header
-    names in the incoming file. Without a mapped t_s column, row index
-    times stats_period_s is used as the snapshot time; a mapped t_s is
-    rebased so the earliest kept snapshot lies at 0. Rows with values
-    outside the documented domains are skipped and counted.
-
-    lines is a RawLog or an iterable of str lines, read in pieces
-    (_pieces). A plain piece is split with numpy (_plain_rows); any
-    other goes to one csv.reader, which defines the rows, and so does
-    the header line. A line csv.reader cannot split (an unterminated
-    quote, a field past csv.field_size_limit()) raises
-    MalformedRecordError naming it.
-    """
-    for name in _REQUIRED_FIELDS:
-        if name not in column_map:
-            raise MissingColumnError(f"column_map must map {name!r}")
-    unknown = set(column_map) - set(FULLSTATS_FIELDS)
-    if unknown:
-        raise InvalidSpecError(f"unknown canonical fields in column_map: {sorted(unknown)}")
-
+def _fullstats_blocks(lines: Iterable[str]) -> Iterator[list[str] | bytes | list[list[str]]]:
+    """The rows of a fullstats input: its header row (None if it has no
+    line), then blocks of rows, a _pieces piece at a time. A plain
+    piece whose lines csv.reader would split on commas alone is a bytes
+    block, each line a row; every other line goes to one csv.reader,
+    whose rows up to the end of a piece are a list block, so a quoted
+    field may run on into the next piece (which it then reads too). A
+    line csv.reader cannot split (an unterminated quote, a field past
+    csv.field_size_limit()) raises MalformedRecordError naming it."""
     pieces = _pieces(lines)
     pending: deque[str] = deque()   # lines for csv.reader
     line_no = 0                     # lines read so far
     head = next(pieces, [])
-    if isinstance(head, bytes):     # the header goes to csv.reader
+    if isinstance(head, bytes):     # the header line goes to csv.reader
         cut = head.index(b"\n") + 1
         pieces = chain([head[cut:]] if cut < len(head) else [], pieces)
         head = [head[:cut].decode("ascii")]
@@ -824,49 +810,74 @@ def parse_fullstats(lines: Iterable[str], column_map: Mapping[str, str],
 
     reader = csv.reader(feed())
     try:
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise EmptyTraceError("fullstats input has no header row") from None
-        missing = [col for col in column_map.values() if col not in header]
-        if missing:
-            raise MissingColumnError(f"mapped columns absent from header: {missing}")
-        mapped = [name for name in FULLSTATS_FIELDS if name in column_map]
-        cells = [(name, header.index(column_map[name]),
-                  _int_cell if name in SchedulerTrace.INTEGRAL else _float_cell)
-                 for name in mapped]
-
-        tables = [np.empty((0, len(mapped)))]
-        kept_idx = [np.empty(0, dtype=np.int64)]
-        faults: dict[int, str] = {}     # row index -> why the row is skipped
-        first = 0
-        while True:
+        yield next(reader, None)
+        while pending or (piece := next(pieces, None)) is not None:
             if not pending:
-                piece = next(pieces, None)
-                if piece is None:
-                    break
-                part = (_plain_rows(piece, first, len(header), cells, faults)
-                        if isinstance(piece, bytes) else None)
-                if part is not None:
-                    count = piece.count(b"\n")
-                    first += count
-                    line_no += count
-                    tables.append(part[0])
-                    kept_idx.append(part[1])
+                ends = np.flatnonzero(np.frombuffer(piece, np.uint8) == _NL) \
+                    if isinstance(piece, bytes) else None
+                if ends is not None and np.diff(ends, prepend=-1).max() <= csv.field_size_limit():
+                    line_no += len(ends)
+                    yield piece
                     continue
                 pending.extend(_text_lines(piece))
-            # Rows up to the end of what is pending; a quoted field that
-            # goes on past it pulls in the next piece as lines.
             rows = [next(reader)]
             while pending:
                 rows.append(next(reader))
-            table, row_idx = _fullstats_rows(rows, first + np.arange(len(rows)), cells, faults)
-            first += len(rows)
-            tables.append(table)
-            kept_idx.append(row_idx)
+            yield rows
     except csv.Error as exc:
         raise MalformedRecordError(getattr(lines, "name", "fullstats input"), line_no,
                                    f"not CSV: {exc}") from None
+
+
+def parse_fullstats(lines: Iterable[str], column_map: Mapping[str, str],
+                    meta: RunMetadata, *,
+                    stats_period_s: float = 1.0) -> FullstatsParseResult:
+    """Parse a delimited fullstats table into scheduler snapshots.
+
+    column_map maps canonical field names (FULLSTATS_FIELDS) to header
+    names in the incoming file. Without a mapped t_s column, row index
+    times stats_period_s is used as the snapshot time; a mapped t_s is
+    rebased so the earliest kept snapshot lies at 0. Rows with values
+    outside the documented domains are skipped and counted.
+
+    lines is a RawLog or an iterable of str lines, read in blocks of
+    rows (_fullstats_blocks): a plain block is split with numpy
+    (_plain_rows), and any other rows come from csv.reader, which
+    defines them.
+    """
+    for name in _REQUIRED_FIELDS:
+        if name not in column_map:
+            raise MissingColumnError(f"column_map must map {name!r}")
+    unknown = set(column_map) - set(FULLSTATS_FIELDS)
+    if unknown:
+        raise InvalidSpecError(f"unknown canonical fields in column_map: {sorted(unknown)}")
+
+    blocks = _fullstats_blocks(lines)
+    header = next(blocks)
+    if header is None:
+        raise EmptyTraceError("fullstats input has no header row")
+    header = [h.strip() for h in header]
+    missing = [col for col in column_map.values() if col not in header]
+    if missing:
+        raise MissingColumnError(f"mapped columns absent from header: {missing}")
+    mapped = [name for name in FULLSTATS_FIELDS if name in column_map]
+    cells = [(name, header.index(column_map[name]),
+              _int_cell if name in SchedulerTrace.INTEGRAL else _float_cell)
+             for name in mapped]
+
+    tables = [np.empty((0, len(mapped)))]
+    kept_idx = [np.empty(0, dtype=np.int64)]
+    faults: dict[int, str] = {}     # row index -> why the row is skipped
+    first = 0
+    for block in blocks:
+        if isinstance(block, bytes):
+            table, row_idx = _plain_rows(block, first, len(header), cells, faults)
+            first += block.count(b"\n")
+        else:
+            table, row_idx = _fullstats_rows(block, first + np.arange(len(block)), cells, faults)
+            first += len(block)
+        tables.append(table)
+        kept_idx.append(row_idx)
     table = np.concatenate(tables)
     row_idx_of = np.concatenate(kept_idx)   # row index of each row of table
 
