@@ -40,7 +40,6 @@ import io
 import os
 import re
 import tempfile
-from contextlib import contextmanager
 from itertools import islice
 from pathlib import Path
 from typing import Iterable
@@ -100,19 +99,6 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
 def atomic_write_text(path: str | Path, text: str) -> None:
     """atomic_write_bytes of text in UTF-8."""
     atomic_write_bytes(path, text.encode("utf-8"))
-
-
-@contextmanager
-def open_text(path: str | Path):
-    """The file at path opened as UTF-8 text with universal newlines. A
-    byte that is not UTF-8 raises MalformedRecordError naming its line,
-    found by decoding the file's bytes again."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            yield fh
-        except UnicodeDecodeError:
-            decode_text(path, Path(path).read_bytes())
-            raise
 
 
 # Rows rendered at a time. A block's byte and digit matrices stay a few

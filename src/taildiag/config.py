@@ -29,10 +29,9 @@ import json
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .canon import open_text
 from .errors import InvalidSpecError, check_fields, check_value
 from .flags import FlagPolicy
-from .ingest import RunMetadata
+from .ingest import RunMetadata, decode_text
 from .stats import DEFAULT_OUTLIER_MS, EXCEED_FAST_MS, EXCEED_STALL_MS
 from .windows import WindowSpec
 
@@ -129,8 +128,7 @@ def _build(cls, raw, where: str):
 def load_config(path: str | Path) -> CampaignConfig:
     path = Path(path)
     try:
-        with open_text(path) as fh:
-            raw = json.loads(fh.read())
+        raw = json.loads(decode_text(path, path.read_bytes()))
     except json.JSONDecodeError as exc:
         raise InvalidSpecError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(raw, dict):

@@ -55,7 +55,7 @@ def _lanes(byte: int) -> np.uint64:
     return _U(int.from_bytes(bytes([byte]) * 8, "little"))
 
 
-_ZEROS, _DOTS, _ONES, _HIGH, _ABOVE_NINE = map(_lanes, (48, 46, 1, 128, 0x46))
+_ZEROS, _ONES, _HIGH, _ABOVE_NINE = map(_lanes, (48, 1, 128, 0x46))
 # _COVER[16 + c]: the low c bytes of a word (none for c < 0, all for
 # c > 8), the first c characters of it.
 _COVER = np.array([(1 << 8 * min(max(c, 0), 8)) - 1 for c in range(-16, 25)], dtype=_U)
@@ -71,6 +71,15 @@ def words_at(buf: np.ndarray) -> np.ndarray:
     """The little-endian uint64 word starting at each byte offset of the
     uint8 buffer buf (but its last seven), a view of it."""
     return np.ndarray((len(buf) - 7,), "<u8", np.ascontiguousarray(buf), strides=(1,))
+
+
+def first_byte(words: np.ndarray, byte: int) -> np.ndarray:
+    """Per word, 1 << 8i for its first byte i (in text order) that is
+    `byte`, and 0 where none is."""
+    x = words ^ _lanes(byte)
+    first = (x - _ONES) & ~x & _HIGH    # the high bit of each such byte, and
+    first &= ~first + _U(1)             # maybe of one above it: keep the lowest
+    return first >> _U(7)
 
 
 def _eight_digits(words: np.ndarray) -> np.ndarray:
@@ -178,10 +187,7 @@ def decode(buf: np.ndarray, start: np.ndarray, end: np.ndarray,
         w &= ~mask
         w |= _ZEROS & mask
         if not integral:                # where a '.' may be
-            x = w ^ _DOTS
-            first = (x - _ONES) & ~x & _HIGH
-            first &= ~first + _U(1)     # the high bit of the word's first '.'
-            first >>= _U(7)
+            first = first_byte(w, ord("."))
             w ^= first * _DOT_TO_ZERO
             here = first != 0
             twice |= dotted & here

@@ -321,6 +321,10 @@ _BLOCK_LINES = 16384
 # inside the buffer, and decimals.decode need not copy it to pad it.
 _PAD = b"\0" * 64
 _EQ, _NL = ord("="), ord("\n")
+# Lines at the head of a chunk that must hold a strict reply for the
+# chunk to be decoded together, so a log without that shape goes to the
+# per-line rules without paying for the numpy pass too.
+_PROBE_LINES = 64
 
 
 def decode_text(path: str | Path, data: bytes, line: int = 1) -> str:
@@ -384,26 +388,33 @@ def _plain(data: bytes) -> bool:
             and b'"' not in data)
 
 
+def _piece(block: list[str]) -> bytes | list[str]:
+    """block, lines each one str, as bytes where they are _plain text
+    with one LF at the end of each (one added where a line has none);
+    else block itself."""
+    text = "".join(line if line.endswith("\n") else line + "\n" for line in block)
+    if text.isascii() and text.count("\n") == len(block) and _plain(data := text.encode()):
+        return data
+    return block
+
+
 def _pieces(lines: Iterable[str]) -> Iterator[bytes | list[str]]:
     """The lines of a raw log in pieces of whole lines: bytes of _plain
-    text, each line ending in LF (one added to a last line without),
-    or else a list of the lines as str. A RawLog gives one piece per
-    chunk; any other iterable of str lines one per _BLOCK_LINES lines,
-    each line one str of the iterable."""
+    text, each line ending in LF, or else a list of the lines as str. A
+    RawLog gives one piece per chunk: the chunk itself if plain, else
+    the _piece of its lines as text (so a chunk of CRLF lines is plain
+    once decoded). Any other iterable of str lines gives the _piece of
+    each _BLOCK_LINES of its lines."""
     if isinstance(lines, RawLog):
         for index, chunk in enumerate(lines.chunks()):
             if _plain(chunk):
                 yield chunk if chunk.endswith(b"\n") else chunk + b"\n"
             else:
-                yield lines.lines(chunk, index)
+                yield _piece(lines.lines(chunk, index))
         return
     line_iter = iter(lines)
     while block := list(islice(line_iter, _BLOCK_LINES)):
-        text = "".join(line if line.endswith("\n") else line + "\n" for line in block)
-        if text.isascii() and text.count("\n") == len(block) and _plain(data := text.encode()):
-            yield data
-        else:
-            yield block
+        yield _piece(block)
 
 
 def _text_lines(piece: bytes | list[str]) -> list[str]:
@@ -468,12 +479,9 @@ def _find(at: np.ndarray, pos: np.ndarray, byte: int, words: int) -> np.ndarray:
     position in pos, in the buffer whose words_at is `at`; the end of
     those bytes where none is."""
     found = pos + 8 * words
-    lanes = np.uint64(0x0101010101010101)
     for j in range(words - 1, -1, -1):
-        x = at[pos + 8 * j] ^ (lanes * np.uint64(byte))
-        first = (x - lanes) & ~x & (lanes << np.uint64(7))
-        first &= ~first + np.uint64(1)
-        index = ((first >> np.uint64(7)) * _BYTE_INDEX) >> np.uint64(56)
+        first = decimals.first_byte(at[pos + 8 * j], byte)
+        index = (first * _BYTE_INDEX) >> np.uint64(56)
         found = np.where(first != 0, pos + 8 * j + index.astype(np.int64), found)
     return found
 
@@ -493,8 +501,15 @@ def _decode_block(chunk: bytes) -> tuple[np.ndarray, ...]:
     N below 8 without spaces, HOST and T free of '=', each number one
     the kernel reads) and values the per-line rules accept, and if so
     its fields, epoch NaN when absent. The per-line rules give the same
-    fields for every such line, and every other line is left to them."""
+    fields for every such line, and every other line is left to them, as
+    is every line of a chunk whose first _PROBE_LINES lines hold none."""
     buf = np.frombuffer(_PAD + chunk + _PAD, np.uint8)
+    head = np.flatnonzero(buf[len(_PAD):len(_PAD) + (1 << 14)] == _NL)
+    if len(head) > _PROBE_LINES and not _decode_block(chunk[:head[_PROBE_LINES - 1] + 1])[2].any():
+        end = np.flatnonzero(buf == _NL) - len(_PAD)
+        n = len(end)
+        return (np.concatenate(([0], end[:-1] + 1)), end, np.zeros(n, dtype=bool),
+                np.full(n, math.nan), np.zeros(n), np.zeros(n))
     at = decimals.words_at(buf)
     # The three '=' of a reply (icmp_seq=, ttl=, time=), found between
     # the newlines, which end the lines.
@@ -580,8 +595,12 @@ def parse_ping_log(lines: Iterable[str], meta: RunMetadata) -> PingParseResult:
                                    np.zeros(len(piece)), np.zeros(len(piece)))
             text = partial(_line, piece, None)
         at, read = [], []           # lines the per-line rules read, and their fields
-        for i in np.flatnonzero(~ok).tolist():
-            line = text(i)
+        odd = np.flatnonzero(~ok).tolist()
+        if isinstance(piece, bytes) and not ok.any():
+            odd_lines = piece.decode("ascii").split("\n")   # all lines, at once
+        else:
+            odd_lines = map(text, odd)
+        for i, line in zip(odd, odd_lines):
             if not _is_reply_candidate(line):
                 skipped += 1
             elif (fields := _reply_fields(line)) is None:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from taildiag import canon, ingest
+from taildiag import ingest
 from taildiag.cli import load_run
 from taildiag.config import load_config
 from taildiag.errors import EmptyTraceError, MalformedRecordError
@@ -200,11 +200,13 @@ def test_ping_block_decoder_takes_the_common_replies():
     assert np.flatnonzero(~ok).tolist() == [9]
     assert seq[ok].tolist() == [i for i in range(1, 200) if i != 10]
     assert epoch[5] == float("1700000000.000006") and rtt[5] == float("6.6")
-    # A block without a strict reply goes wholly to the line rules, and
-    # a last line cut short reads no byte past the block.
+    # A block whose head holds no strict reply goes wholly to the line
+    # rules, and a last line cut short reads no byte past the block.
     odd = b"64 bytes from h: icmp_seq=1 ttl=64 time=5ms\n" * 200
-    for block in (odd, odd + b"[\n", b"[\n", b"[1.5] 64 bytes from h: icmp_seq=1\n"):
-        assert not ingest._decode_block(block)[2].any()
+    for block in (odd + chunk, odd + b"[\n", b"[\n", b"[1.5] 64 bytes from h: icmp_seq=1\n"):
+        start, end, ok = ingest._decode_block(block)[:3]
+        assert not ok.any()
+        assert [block[a:b] for a, b in zip(start, end)] == block.split(b"\n")[:-1]
 
 
 # --------------------------------------------------------------- fullstats
@@ -396,9 +398,10 @@ def _messy_logs(tmp_path):
 def test_logs_read_by_chunk_equal_the_str_line_parse(tmp_path, chunk_bytes):
     ping_path, fullstats_path = _messy_logs(tmp_path)
     cmap = MAPS[1]
-    with canon.open_text(ping_path) as fh:
+    # The str lines a text file yields: UTF-8, universal newlines.
+    with open(ping_path, encoding="utf-8") as fh:
         ping_lines = list(fh)
-    with canon.open_text(fullstats_path) as fh:
+    with open(fullstats_path, encoding="utf-8") as fh:
         fullstats_lines = list(fh)
     want_ping, want_ping_log = _parse(parse_ping_log, 16, ping_lines, META)
     want_fs, want_fs_log = _parse(parse_fullstats, 16, fullstats_lines, cmap, META)
@@ -437,10 +440,9 @@ def test_a_byte_that_is_not_utf8_names_its_line_in_the_file(tmp_path, chunk_byte
         path = tmp_path / "log"
         path.write_bytes("\r\n".join(text[:10]).encode() + b"\r\n"
                          + "\n".join(text[10:]).encode("utf-8", "surrogateescape"))
-        with pytest.raises(MalformedRecordError) as parent, canon.open_text(path) as fh:
-            list(fh)
-        assert parent.value.line == len(head) + 21
         with mock.patch.object(ingest, "_CHUNK_BYTES", chunk_bytes), \
                 pytest.raises(MalformedRecordError) as exc:
             parse(ingest.RawLog(path), *args)
-        assert str(exc.value) == str(parent.value)
+        line = len(head) + 21
+        assert exc.value.line == line
+        assert str(exc.value) == f"{path}:{line}: not UTF-8 text: byte 0xff"
