@@ -490,7 +490,7 @@ def _digit(buf: np.ndarray, pos: np.ndarray) -> np.ndarray:
     return (buf[pos] - 48) < 10
 
 
-def _decode_block(chunk: bytes) -> tuple[np.ndarray, ...]:
+def _decode_block(chunk: bytes, probe: bool = True) -> tuple[np.ndarray, ...]:
     """(start, end, ok, epoch, seq, rtt_ms): per line of chunk, _plain
     text whose every line ends in LF, the line's bytes chunk[start:end]
     without its LF, whether it has the strict reply shape
@@ -502,10 +502,12 @@ def _decode_block(chunk: bytes) -> tuple[np.ndarray, ...]:
     the kernel reads) and values the per-line rules accept, and if so
     its fields, epoch NaN when absent. The per-line rules give the same
     fields for every such line, and every other line is left to them, as
-    is every line of a chunk whose first _PROBE_LINES lines hold none."""
+    is, with `probe`, every line of a chunk whose first _PROBE_LINES
+    lines hold none."""
     buf = np.frombuffer(_PAD + chunk + _PAD, np.uint8)
     head = np.flatnonzero(buf[len(_PAD):len(_PAD) + (1 << 14)] == _NL)
-    if len(head) > _PROBE_LINES and not _decode_block(chunk[:head[_PROBE_LINES - 1] + 1])[2].any():
+    if (probe and len(head) > _PROBE_LINES
+            and not _decode_block(chunk[:head[_PROBE_LINES - 1] + 1])[2].any()):
         end = np.flatnonzero(buf == _NL) - len(_PAD)
         n = len(end)
         return (np.concatenate(([0], end[:-1] + 1)), end, np.zeros(n, dtype=bool),
@@ -586,13 +588,16 @@ def parse_ping_log(lines: Iterable[str], meta: RunMetadata) -> PingParseResult:
     bare: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
     bare_lines: list[str] = []
     first_no = 1
+    probe = True                    # only after a piece without a strict reply
     for piece in _pieces(lines):
         if isinstance(piece, bytes):
-            start, end, ok, epoch, seq, rtt = _decode_block(piece)
+            start, end, ok, epoch, seq, rtt = _decode_block(piece, probe)
+            probe = not ok.any()
             text = partial(_line, piece, (start, end))
         else:
-            ok, epoch, seq, rtt = (np.zeros(len(piece), dtype=bool), np.full(len(piece), math.nan),
-                                   np.zeros(len(piece)), np.zeros(len(piece)))
+            n = len(piece)
+            ok, epoch, seq, rtt = (np.zeros(n, dtype=bool), np.full(n, math.nan),
+                                   np.zeros(n), np.zeros(n))
             text = partial(_line, piece, None)
         at, read = [], []           # lines the per-line rules read, and their fields
         odd = np.flatnonzero(~ok).tolist()
@@ -789,8 +794,8 @@ def _plain_rows(piece: bytes, first: int, width: int, cells: list[tuple[str, int
             keep[k] = False
             faults[first + int(lines[k])] = reason
     rest = np.setdiff1d(np.arange(len(ends)), lines[number], assume_unique=True)
-    split = [padded[starts[k]:ends[k]].decode("ascii").split(",") if ends[k] > starts[k] else []
-             for k in rest.tolist()]
+    split = [padded[a:b].decode("ascii").split(",") if b > a else []
+             for a, b in zip(starts[rest].tolist(), ends[rest].tolist())]
     more, more_idx = _fullstats_rows(split, first + rest, cells, faults)
     row_idx = np.concatenate((first + lines[keep], more_idx))
     order = np.argsort(row_idx, kind="stable")
@@ -832,12 +837,12 @@ def _fullstats_blocks(lines: Iterable[str]) -> Iterator[list[str] | bytes | list
         yield next(reader, None)
         while pending or (piece := next(pieces, None)) is not None:
             if not pending:
-                ends = np.flatnonzero(np.frombuffer(piece, np.uint8) == _NL) \
-                    if isinstance(piece, bytes) else None
-                if ends is not None and np.diff(ends, prepend=-1).max() <= csv.field_size_limit():
-                    line_no += len(ends)
-                    yield piece
-                    continue
+                if isinstance(piece, bytes):
+                    ends = np.flatnonzero(np.frombuffer(piece, np.uint8) == _NL)
+                    if np.diff(ends, prepend=-1).max() <= csv.field_size_limit():
+                        line_no += len(ends)
+                        yield piece
+                        continue
                 pending.extend(_text_lines(piece))
             rows = [next(reader)]
             while pending:
@@ -893,7 +898,8 @@ def parse_fullstats(lines: Iterable[str], column_map: Mapping[str, str],
             table, row_idx = _plain_rows(block, first, len(header), cells, faults)
             first += block.count(b"\n")
         else:
-            table, row_idx = _fullstats_rows(block, first + np.arange(len(block)), cells, faults)
+            row_idx = first + np.arange(len(block))
+            table, row_idx = _fullstats_rows(block, row_idx, cells, faults)
             first += len(block)
         tables.append(table)
         kept_idx.append(row_idx)

@@ -109,7 +109,8 @@ def integral_cells(draw):
     if kind == "hex":
         return draw(st.sampled_from(["0x", "0X"])) + format(draw(st.integers(0, 2 ** 60)),
                                                             draw(st.sampled_from(["x", "X"])))
-    return draw(st.sampled_from(["0x", "0xg", "-0x5", "0x_5", "5.0", "1e3", "0x" + "0" * 23 + "1"]))
+    return draw(st.sampled_from(["0x", "0xg", "-0x5", "0x_5", "5.0", "1e3",
+                                 "0x" + "0" * 23 + "1"]))
 
 
 @settings(max_examples=300, deadline=None)

@@ -366,7 +366,8 @@ def _messy_logs(tmp_path):
     for i in range(120):
         stamp = f"[{1_700_000_000 + 0.2 * i:.6f}] "
         host = "hé" if 40 <= i < 45 else "10.45.0.1"
-        line = f"{stamp}38 bytes from {host}: icmp_seq={i % 7 + i} ttl=64 time={i % 97}.{i % 3} ms"
+        line = (f"{stamp}38 bytes from {host}: icmp_seq={i % 7 + i} ttl=64 "
+                f"time={i % 97}.{i % 3} ms")
         if i % 17 == 5:
             line = line[:line.index("time=") + 5]               # no rtt: malformed
         elif i % 23 == 7:
@@ -434,8 +435,9 @@ def test_logs_read_by_chunk_equal_the_str_line_parse(tmp_path, chunk_bytes):
 def test_a_byte_that_is_not_utf8_names_its_line_in_the_file(tmp_path, chunk_bytes):
     lines = [f"[{i}.5] 64 bytes from h: icmp_seq={i} ttl=64 time=5 ms" for i in range(30)]
     lines[20] = "[20.5] 64 bytes from h\udcff: icmp_seq=20"
+    cmap = {"rnti": "a", "dl_bler": "b"}
     for parse, args, head in ((parse_ping_log, (META,), []),
-                              (parse_fullstats, ({"rnti": "a", "dl_bler": "b"}, META), ["a,b"])):
+                              (parse_fullstats, (cmap, META), ["a,b"])):
         text = head + lines
         path = tmp_path / "log"
         path.write_bytes("\r\n".join(text[:10]).encode() + b"\r\n"
