@@ -58,7 +58,8 @@ from .errors import (
     MalformedRecordError,
     MissingColumnError,
 )
-from .ingest import LatencyTrace, Run, SchedulerTrace, decode_text
+from .chunks import decode_text
+from .ingest import LatencyTrace, Run, SchedulerTrace
 
 TRUTH_HEADER = "kind,t_s"
 

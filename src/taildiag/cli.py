@@ -34,7 +34,8 @@ from .flags import (
     evaluate_flags,
     flag_rate,
 )
-from .ingest import RawLog, Run, consolidate_run, parse_fullstats, parse_ping_log
+from .chunks import RawLog
+from .ingest import Run, consolidate_run, parse_fullstats, parse_ping_log
 from .windows import WindowTable, build_joined_windows
 
 log = logging.getLogger(__name__)

@@ -31,7 +31,8 @@ from pathlib import Path
 
 from .errors import InvalidSpecError, check_fields, check_value
 from .flags import FlagPolicy
-from .ingest import RunMetadata, decode_text
+from .chunks import decode_text
+from .ingest import RunMetadata
 from .stats import DEFAULT_OUTLIER_MS, EXCEED_FAST_MS, EXCEED_STALL_MS
 from .windows import WindowSpec
 

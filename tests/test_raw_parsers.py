@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from taildiag import ingest
+from taildiag import chunks, ingest
 from taildiag.cli import load_run
 from taildiag.config import load_config
 from taildiag.errors import EmptyTraceError, MalformedRecordError
@@ -40,7 +40,7 @@ def warnings_logged():
 def _parse(parse, block_lines, lines, *args, **kwargs):
     """(result or EmptyTraceError, warnings) of parse over lines, read in
     blocks of block_lines."""
-    with mock.patch.object(ingest, "_BLOCK_LINES", block_lines), warnings_logged() as warned:
+    with mock.patch.object(chunks, "_BLOCK_LINES", block_lines), warnings_logged() as warned:
         try:
             return parse(lines, *args, **kwargs), warned
         except EmptyTraceError as exc:
@@ -150,7 +150,7 @@ def _columns(trace):
 def test_ping_parse_equals_the_line_by_line_oracle(lines):
     rows, skipped, malformed = parse_ping_ref(lines, META.ping_interval_s)
     expected_warnings = [f"ping line {n} unparseable: {line}" for n, line in malformed]
-    for block_lines in (3, ingest._BLOCK_LINES):
+    for block_lines in (3, chunks._BLOCK_LINES):
         got, warned = _parse(parse_ping_log, block_lines, iter(lines), META)
         assert warned == expected_warnings
         if not rows:
@@ -194,7 +194,7 @@ def test_ping_block_decoder_takes_the_common_replies():
              f"time={i % 97}.{i % 7} ms\n" for i in range(1, 200)]
     lines[9] = lines[9].replace("time=10.3", "time=0.000")      # left to the line rules
     chunk = "".join(lines).encode()
-    start, end, ok, epoch, seq, rtt = ingest._decode_block(chunk)
+    start, end, ok, epoch, seq, rtt = chunks.decode_replies(chunk)
     assert [chunk[a:b] for a, b in zip(start, end)] == [line.rstrip("\n").encode()
                                                         for line in lines]
     assert np.flatnonzero(~ok).tolist() == [9]
@@ -204,7 +204,7 @@ def test_ping_block_decoder_takes_the_common_replies():
     # rules, and a last line cut short reads no byte past the block.
     odd = b"64 bytes from h: icmp_seq=1 ttl=64 time=5ms\n" * 200
     for block in (odd + chunk, odd + b"[\n", b"[\n", b"[1.5] 64 bytes from h: icmp_seq=1\n"):
-        start, end, ok = ingest._decode_block(block)[:3]
+        start, end, ok = chunks.decode_replies(block)[:3]
         assert not ok.any()
         assert [block[a:b] for a, b in zip(start, end)] == block.split(b"\n")[:-1]
 
@@ -261,7 +261,7 @@ def fullstats_texts(draw):
 @given(fullstats_texts(), st.sampled_from(MAPS), st.sampled_from([1.0, 0.25]))
 def test_fullstats_parse_equals_the_row_by_row_oracle(lines, column_map, period):
     ref = parse_fullstats_ref(lines, column_map, period)
-    for block_lines in (3, ingest._BLOCK_LINES):
+    for block_lines in (3, chunks._BLOCK_LINES):
         got, warned = _parse(parse_fullstats, block_lines, iter(lines), column_map, META,
                              stats_period_s=period)
         if ref is None:
@@ -327,9 +327,9 @@ def test_unstamped_reply_in_a_stamped_log_is_malformed(tmp_path):
              "[1700000002.0] 64 bytes from h: icmp_seq=5002 ttl=64 time=5 ms"]
     path = tmp_path / "ping.log"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    for chunk_bytes in (64, ingest._CHUNK_BYTES):
-        for source in (lines, ingest.RawLog(path)):
-            with mock.patch.object(ingest, "_CHUNK_BYTES", chunk_bytes):
+    for chunk_bytes in (64, chunks._CHUNK_BYTES):
+        for source in (lines, chunks.RawLog(path)):
+            with mock.patch.object(chunks, "_CHUNK_BYTES", chunk_bytes):
                 got, warned = _parse(parse_ping_log, 2, source, META)
             assert got.samples.t_s.tolist() == [0.0, 2.0]
             assert got.samples.seq.tolist() == [5000, 5002]
@@ -406,12 +406,12 @@ def test_logs_read_by_chunk_equal_the_str_line_parse(tmp_path, chunk_bytes):
         fullstats_lines = list(fh)
     want_ping, want_ping_log = _parse(parse_ping_log, 16, ping_lines, META)
     want_fs, want_fs_log = _parse(parse_fullstats, 16, fullstats_lines, cmap, META)
-    with mock.patch.object(ingest, "_CHUNK_BYTES", chunk_bytes):
-        plain = [ingest._plain(chunk) for chunk in ingest.RawLog(ping_path).chunks()]
+    with mock.patch.object(chunks, "_CHUNK_BYTES", chunk_bytes):
+        plain = [chunks._plain(chunk) for chunk in chunks.RawLog(ping_path).chunks()]
         assert not all(plain) and (any(plain) or len(plain) == 1)
-        assert list(ingest.RawLog(ping_path)) == ping_lines
-        got_ping, got_ping_log = _parse(parse_ping_log, 16, ingest.RawLog(ping_path), META)
-        got_fs, got_fs_log = _parse(parse_fullstats, 16, ingest.RawLog(fullstats_path),
+        assert list(chunks.RawLog(ping_path)) == ping_lines
+        got_ping, got_ping_log = _parse(parse_ping_log, 16, chunks.RawLog(ping_path), META)
+        got_fs, got_fs_log = _parse(parse_fullstats, 16, chunks.RawLog(fullstats_path),
                                     cmap, META)
         config = tmp_path / "campaign.json"
         config.write_text(json.dumps({"runs": [{
@@ -442,9 +442,9 @@ def test_a_byte_that_is_not_utf8_names_its_line_in_the_file(tmp_path, chunk_byte
         path = tmp_path / "log"
         path.write_bytes("\r\n".join(text[:10]).encode() + b"\r\n"
                          + "\n".join(text[10:]).encode("utf-8", "surrogateescape"))
-        with mock.patch.object(ingest, "_CHUNK_BYTES", chunk_bytes), \
+        with mock.patch.object(chunks, "_CHUNK_BYTES", chunk_bytes), \
                 pytest.raises(MalformedRecordError) as exc:
-            parse(ingest.RawLog(path), *args)
+            parse(chunks.RawLog(path), *args)
         line = len(head) + 21
         assert exc.value.line == line
         assert str(exc.value) == f"{path}:{line}: not UTF-8 text: byte 0xff"
