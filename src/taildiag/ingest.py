@@ -360,10 +360,11 @@ def parse_ping_log(lines: Iterable[str], meta: RunMetadata) -> PingParseResult:
     value.
 
     lines is a RawLog or an iterable of str lines, read in pieces
-    (_pieces). The lines of a plain piece that have the strict reply
-    shape (_decode_block) are decoded together; every other line is
-    read by the per-line rules, which define the result for every line.
-    Warnings, one per malformed line, come in line order.
+    (chunks.pieces). The lines of a plain piece that have the strict
+    reply shape (chunks.decode_replies) are decoded together; every
+    other line is read by the per-line rules, which define the result
+    for every line. Warnings, one per malformed line, come in line
+    order.
     """
     skipped = 0
     malformed: list[tuple[int, str]] = []
@@ -550,7 +551,7 @@ def _fullstats_rows(rows: list[list[str]], row_idx: np.ndarray,
 
 def _plain_rows(piece: bytes, first: int, width: int, cells: list[tuple[str, int, object]],
                 faults: dict[int, str]) -> tuple[np.ndarray, np.ndarray]:
-    """What _fullstats_rows gives for the rows of piece, _plain lines
+    """What _fullstats_rows gives for the rows of piece, plain lines
     each ending in LF and numbered from first, in a file whose header
     has width fields. The lines of width fields are split with numpy
     and their mapped cells read by the kernel; any other line, and one
@@ -591,7 +592,7 @@ def _plain_rows(piece: bytes, first: int, width: int, cells: list[tuple[str, int
 
 def _fullstats_blocks(lines: Iterable[str]) -> Iterator[list[str] | bytes | list[list[str]]]:
     """The rows of a fullstats input: its header row (None if it has no
-    line), then blocks of rows, a _pieces piece at a time. A plain
+    line), then blocks of rows, a chunks.pieces piece at a time. A plain
     piece whose lines csv.reader would split on commas alone is a bytes
     block, each line a row; every other line goes to one csv.reader,
     whose rows up to the end of a piece are a list block, so a quoted
