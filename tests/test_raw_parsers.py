@@ -342,8 +342,8 @@ def test_unstamped_reply_in_a_stamped_log_is_malformed(tmp_path):
 
 
 def test_fullstats_integral_cells_past_2_53_are_skipped():
-    # float64 holds no integer at or past 2**53 exactly: 2**53 + 1 read
-    # as 2**53, and was kept.
+    # float() reads 2**53 + 1 as 2**53: from 2**53 on, a float64 integer
+    # stands for more than one integer.
     lines = ["rnti,dl_bler,tx", "9007199254740993,0.1,5", "0x20000000000001,0.1,5",
              "17,0.1,9007199254740993", "9007199254740992,0.1,5", "9007199254740991,0.2,5",
              "0x1fffffffffffff,0.3,9007199254740991"]
