@@ -19,10 +19,14 @@ of a cell is one byte vector over the block's rows, NUL where a cell
 has no character; the block is transposed to rows and the NULs
 dropped.
 
-The text reader splits a CSV's bytes into cells with numpy and reads
-them with the exact decimal reader (`decimals.decode`); a cell that
-reader leaves is float() of it where the canonical grammar allows it,
-and any other text goes to a careful path that names the malformed line.
+The text reader reads a CSV's body with `chunks.numeric_lines`: a line
+of the header's width whose every cell the exact decimal reader
+(`decimals.decode`) proves is read by numpy, and every other line goes
+whole to the careful rule (`_careful`), which strips cells, skips blank
+lines, reads each cell in the canonical grammar by float() and names
+the first malformed line. A body that is not ASCII or holds a CR is
+decoded once (universal newlines) and re-encoded first, so a CRLF copy
+is read like its LF original.
 
 A column file `<name>.csv.cols` holds the SHA-256 of a format tag and
 the CSV's bytes, then the float64 table the text reader parses from
@@ -37,9 +41,11 @@ from __future__ import annotations
 
 import hashlib
 import io
+import math
 import os
 import re
 import tempfile
+from functools import partial
 from itertools import islice
 from pathlib import Path
 from typing import Iterable
@@ -48,9 +54,6 @@ import numpy as np
 
 from . import decimals
 from .decimals import POW10 as _POW10
-from .decimals import POW10_HI as _POW10_HI
-from .decimals import POW10_LO as _POW10_LO
-from .decimals import SPLIT as _SPLIT
 from .decimals import TIE_MARGIN as _TIE_MARGIN
 from .errors import (
     EmptyTraceError,
@@ -58,14 +61,14 @@ from .errors import (
     MalformedRecordError,
     MissingColumnError,
 )
-from .chunks import decode_text
+from .chunks import decode_text, numeric_lines
 from .ingest import LatencyTrace, Run, SchedulerTrace
 
 TRUTH_HEADER = "kind,t_s"
 
-# The grammar of a canonical numeric cell. A cell outside it (say
-# "nan", "inf", a hex prefix or a space) sends the read down the
-# careful path, which names the malformed line.
+# The grammar of a canonical numeric cell, stripped of blanks. The
+# careful rule names the line of a cell outside it (say "nan", "inf" or
+# a hex prefix) as malformed.
 _NUMBER = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 _DIGEST_SIZE = hashlib.sha256().digest_size
 # Hashed ahead of the CSV bytes into a column file's digest. Any change
@@ -130,12 +133,7 @@ def _shortest(ax: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     exp10 = np.floor(np.log10(ax))
     k = (16 - exp10).astype(np.intp)
     scale = _POW10[k]
-    p = ax * scale
-    split = _SPLIT * ax
-    hi = split - (split - ax)
-    lo = ax - hi
-    s_hi, s_lo = _POW10_HI[k], _POW10_LO[k]
-    err = ((hi * s_hi - p) + hi * s_lo + lo * s_hi) + lo * s_lo
+    p, err = decimals.two_product(ax, k)
     carry = np.rint(err)
     rho = err - carry                   # ax * 10**k == M17 + rho, exactly
     m17 = p.astype(np.int64) + carry.astype(np.int64)
@@ -275,70 +273,40 @@ def table_text(table) -> str:
     return csv_bytes(names, map(table.rendered, names), table.INTEGRAL).decode("utf-8")
 
 
-def _read_cells(data: bytes, start: int, width: int, optional: bool) -> np.ndarray | None:
-    """The rows × width table of the ASCII CSV text data[start:], lines
-    of width cells split on commas, each cell read by decimals.decode,
-    or where it leaves one that _NUMBER matches, by float(); with
-    `optional` an empty cell reads as NaN. None for any other text: no
-    line, a line of another width (a blank one), a cell with blanks or
-    outside _NUMBER, or an empty cell without `optional`."""
-    body = data[start:]
-    pad = bytes(decimals.MAX_CELL)      # so decode need not copy buf to pad it
-    buf = np.frombuffer(pad + body + (b"" if body.endswith(b"\n") else b"\n") + pad,
-                        np.uint8)
-    seps = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
-    is_nl = buf[seps] == ord("\n")
-    rows, extra = divmod(len(seps), width)
-    if not rows or extra or not is_nl[width - 1::width].all() or is_nl.sum() != rows:
+def _careful(path: str | Path, names: tuple[str, ...], optional: bool, k: int,
+             line: str) -> list[float] | None:
+    """The values of line k of a canonical CSV body, line k + 2 of the
+    file, each cell stripped and read by float() (an empty one as NaN);
+    None for a blank line. A wrong field count, or a cell outside
+    _NUMBER (an empty one unless optional), raises MalformedRecordError
+    naming the line."""
+    if not line.strip():
         return None
-    ends = seps.reshape(rows, width)
-    starts = np.concatenate(([len(pad) - 1], seps[:-1])).reshape(rows, width) + 1
-    table = np.empty((rows, width))
-    for j in range(width):
-        ok, table[:, j] = decimals.decode(buf, starts[:, j], ends[:, j])
-        if not optional and np.isnan(table[ok, j]).any():
-            return None
-        for k in np.flatnonzero(~ok).tolist():
-            cell = bytes(buf[starts[k, j]:ends[k, j]]).decode("ascii")
-            if not _NUMBER.fullmatch(cell):
-                return None
-            table[k, j] = float(cell)
-    return table
-
-
-def _read_slowly(path: str | Path, body: str, names: tuple[str, ...],
-                 optional: bool) -> np.ndarray:
-    """The table of a body the fast read refused: raises at its first
-    malformed line, else reads its non-blank lines (the fast read also
-    refuses whitespace-only lines and blanks around cells)."""
-    kept = []
-    for line_no, line in enumerate(body.split("\n"), start=2):
-        if not line.strip():
-            continue
-        cells = [c.strip() for c in line.split(",")]
-        if len(cells) != len(names):
-            raise MalformedRecordError(
-                path, line_no, f"expected {len(names)} fields, got {len(cells)}")
-        for name, cell in zip(names, cells):
-            if not (_NUMBER.fullmatch(cell) or (optional and not cell)):
-                raise MalformedRecordError(path, line_no,
-                                           f"{name} is not a number: {cell!r}")
-        kept.append(",".join(cells))
-    return _read_cells("\n".join(kept).encode("ascii"), 0, len(names), optional)
+    cells = [c.strip() for c in line.split(",")]
+    if len(cells) != len(names):
+        raise MalformedRecordError(path, k + 2, f"expected {len(names)} fields, got {len(cells)}")
+    for name, cell in zip(names, cells):
+        if not (_NUMBER.fullmatch(cell) or (optional and not cell)):
+            raise MalformedRecordError(path, k + 2, f"{name} is not a number: {cell!r}")
+    return [float(cell) if cell else math.nan for cell in cells]
 
 
 def _parse_text(path: str | Path, data: bytes, start: int,
                 names: tuple[str, ...], optional: bool) -> np.ndarray:
     """The rows × fields table of the CSV text data[start:], below the
-    header. Blank lines are skipped and '#' is not a comment. With
-    `optional`, an empty cell reads as NaN; otherwise it is malformed,
-    as is a wrong field count or a cell that is not a decimal number."""
-    table = _read_cells(data, start, len(names), optional) if data.isascii() else None
-    if table is None:
-        body = decode_text(path, data[start:], line=2)
-        if not body.strip():
-            raise EmptyTraceError(f"{path}: no data rows")
-        table = _read_slowly(path, body, names, optional)
+    header, read by chunks.numeric_lines with _careful as its rule: a
+    body that is not ASCII or holds a CR is decoded once (universal
+    newlines) and re-encoded first. Blank lines are skipped and '#' is
+    not a comment. With `optional`, an empty cell reads as NaN;
+    otherwise it is malformed, as is a wrong field count or a cell that
+    is not a decimal number, the first such line in the file raising."""
+    body = memoryview(data)[start:]
+    if not data.isascii() or b"\r" in data:
+        body = decode_text(path, data[start:], line=2).encode("utf-8")
+    table, _ = numeric_lines(body, len(names), [(j, False) for j in range(len(names))],
+                             optional, partial(_careful, path, names, optional))
+    if not len(table):
+        raise EmptyTraceError(f"{path}: no data rows")
     return table
 
 
@@ -417,7 +385,7 @@ def _table_as_read(trace, columns: np.ndarray) -> np.ndarray | None:
     CSV of trace, whose fields × rows `columns` are trace.rendered of
     each field, or None when the reader refuses that CSV. No value
     domain admits an infinity, nor a latency column NaN, so the faults
-    also cover the text only the careful path reads ("inf", an empty
+    also cover the text only the careful rule reads ("inf", an empty
     latency cell), where it names the line with other words."""
     if not len(trace) or trace.faults(dict(zip(trace.names(), columns))):
         return None

@@ -1,11 +1,16 @@
-"""Raw logs read as bytes.
+"""Raw logs and CSV text read as bytes.
 
 A RawLog is a raw log file read a chunk of whole lines at a time, so a
 log is never held whole. The raw parsers take its chunks, or blocks of
 any iterable of str lines, as pieces (`pieces`): a plain piece, ASCII
 without CR, NUL or a double quote, is bytes that numpy decoders read as
-they are; any other is a list of str lines. `decode_replies` decodes
-the ping replies of a plain piece.
+they are; any other is a list of str lines.
+
+Two numpy decoders read the bytes, each through the exact decimal
+reader (`decimals.decode`) and each leaving every line it cannot prove
+whole to its caller's rules: `decode_replies` the ping replies of a
+plain piece, and `numeric_lines` the numeric cells of CSV lines (the
+plain fullstats pieces and the canonical CSV bodies).
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import io
 import math
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -29,7 +34,7 @@ _BLOCK_LINES = 16384
 # Bytes of padding around a block, so every word the decoders read lies
 # inside the buffer, and decimals.decode need not copy it to pad it.
 PAD = b"\0" * 64
-_EQ, _NL = ord("="), ord("\n")
+_EQ, _NL, _COMMA = ord("="), ord("\n"), ord(",")
 # Lines at the head of a chunk that must hold a strict reply for the
 # chunk to be decoded together, so a log without that shape goes to the
 # per-line rules without paying for the numpy pass too.
@@ -133,7 +138,7 @@ def text_lines(piece: bytes | list[str]) -> list[str]:
 
 def line_at(piece: bytes | list[str], bounds: tuple[np.ndarray, np.ndarray] | None,
             i: int) -> str:
-    """Line (or cell) i of a piece, without its line end: piece[i] of a
+    """Line i of a piece, without its line end: piece[i] of a
     list, and of bytes the ASCII text from bounds[0][i] to bounds[1][i]."""
     if bounds is None:
         return piece[i].rstrip("\n")
@@ -231,3 +236,62 @@ def decode_replies(chunk: bytes, probe: bool = True) -> tuple[np.ndarray, ...]:
     seq[ok] = seq_value[ok]
     rtt[ok] = rtt_value[ok]
     return *bounds, ok, epoch, seq, rtt
+
+
+def numeric_lines(piece: bytes | memoryview, width: int, columns: list[tuple[int, bool]],
+                  optional: bool, rule: Callable[[int, str], list[float] | None]
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(table, line_index): the values of the selected cells of the lines
+    of piece, each a table row, and the index of each row's line in
+    piece. piece is bytes, or a view of them, whose lines each end in
+    LF (the last may not) and hold UTF-8 text; columns holds (cell,
+    integral) per selected cell. A line is read wholly with numpy, split
+    on `,` and its selected cells read by decimals.decode, when it has
+    `width` cells and every selected cell is proven, not all of them
+    empty and, unless `optional`, none empty. Every other line k goes
+    wholly to rule(k, line), the line as text without its LF, in line
+    order; the rule returns the line's values, or None to leave it out.
+    The rule defines the result: decode gives float() of every cell it
+    proves."""
+    padded = b"".join((PAD, piece, b"" if piece[-1:] == b"\n" else b"\n", PAD))
+    buf = np.frombuffer(padded, np.uint8)
+    seps = np.flatnonzero((buf == _COMMA) | (buf == _NL))    # where each cell ends
+    newline = buf[seps] == _NL
+    count = int(newline.sum())                  # lines
+    starts, ends = np.empty_like(seps), seps
+    starts[0], starts[1:] = len(PAD), seps[:-1] + 1
+    if len(seps) == count * width and newline[width - 1::width].all():
+        lines = np.arange(count)
+    else:                                       # only the cells of lines of width cells
+        cells = np.diff(np.flatnonzero(newline), prepend=-1)
+        lines = np.flatnonzero(cells == width)
+        wide = np.repeat(cells == width, cells)
+        starts, ends = starts[wide], ends[wide]
+    starts, ends = starts.reshape(-1, width), ends.reshape(-1, width)
+    table = np.empty((len(lines), len(columns)))
+    keep = np.ones(len(lines), dtype=bool)
+    empty = np.ones(len(lines), dtype=bool)     # every selected cell empty
+    for j, (i, integral) in enumerate(columns):
+        ok, table[:, j] = decimals.decode(buf, starts[:, i], ends[:, i], integral)
+        blank = np.isnan(table[:, j])           # where ok, an empty cell
+        keep &= ok if optional else ok & ~blank
+        empty &= blank
+    keep &= ~empty
+    if len(lines) == count and keep.all():
+        return table, lines
+    lines = lines[keep]
+    left = np.ones(count, dtype=bool)
+    left[lines] = False
+    ends = seps[newline]
+    starts = np.concatenate(([len(PAD)], ends[:-1] + 1)).tolist()
+    ends = ends.tolist()
+    at, values = [], []
+    for k in np.flatnonzero(left).tolist():
+        row = rule(k, padded[starts[k]:ends[k]].decode())
+        if row is not None:
+            at.append(k)
+            values.append(row)
+    index = np.concatenate((lines, np.array(at, dtype=lines.dtype)))
+    order = np.argsort(index, kind="stable")
+    table = np.concatenate((table[keep], np.reshape(values, (len(at), len(columns)))))
+    return table[order], index[order]

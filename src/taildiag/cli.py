@@ -43,31 +43,36 @@ log = logging.getLogger(__name__)
 
 def load_run(cfg: CampaignConfig, rc: RunConfig) -> Run:
     """Materialize one run: canonical files win over raw logs; the
-    nominal duration, when not configured, is taken from the data."""
+    nominal duration, when not configured, is taken from the data. An
+    InvalidSpecError while reading the run (a derived time that
+    overflows, say) names the run."""
     meta = rc.metadata()
-    if rc.latency_file:
-        latency = canon.read_latency_csv(rc.latency_file)
-    elif rc.ping_log:
-        latency = parse_ping_log(RawLog(rc.ping_log), meta).samples
-    else:
+    if not (rc.latency_file or rc.ping_log):
         raise InvalidSpecError(
             f"run {rc.run_id!r} names no latency source "
             "(latency_file or ping_log)")
-    snapshots = None
-    if rc.scheduler_file:
-        snapshots = canon.read_scheduler_csv(rc.scheduler_file)
-    elif rc.fullstats:
-        cmap = rc.column_map or cfg.column_map or DEFAULT_COLUMN_MAP
-        snapshots = parse_fullstats(RawLog(rc.fullstats), cmap, meta,
-                                    stats_period_s=rc.stats_period_s).snapshots
-    nominal = rc.nominal_duration_s
-    if nominal is None:
-        nominal = float(latency.t_s.max()) + rc.ping_interval_s
-        if snapshots is not None:
-            nominal = max(nominal, float(snapshots.t_s.max()) + rc.stats_period_s)
-    meta = replace(meta, nominal_duration_s=nominal)
-    return consolidate_run(latency, snapshots, meta,
-                           sched_offset_s=rc.sched_offset_s)
+    try:
+        if rc.latency_file:
+            latency = canon.read_latency_csv(rc.latency_file)
+        else:
+            latency = parse_ping_log(RawLog(rc.ping_log), meta).samples
+        snapshots = None
+        if rc.scheduler_file:
+            snapshots = canon.read_scheduler_csv(rc.scheduler_file)
+        elif rc.fullstats:
+            cmap = rc.column_map or cfg.column_map or DEFAULT_COLUMN_MAP
+            snapshots = parse_fullstats(RawLog(rc.fullstats), cmap, meta,
+                                        stats_period_s=rc.stats_period_s).snapshots
+        nominal = rc.nominal_duration_s
+        if nominal is None:
+            nominal = float(latency.t_s.max()) + rc.ping_interval_s
+            if snapshots is not None:
+                nominal = max(nominal, float(snapshots.t_s.max()) + rc.stats_period_s)
+        meta = replace(meta, nominal_duration_s=nominal)
+        return consolidate_run(latency, snapshots, meta,
+                               sched_offset_s=rc.sched_offset_s)
+    except InvalidSpecError as exc:
+        raise InvalidSpecError(f"run {rc.run_id!r}: {exc}") from None
 
 
 class Analysis:

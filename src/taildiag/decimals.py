@@ -1,10 +1,13 @@
 """The exact decimal reader: numeric cells of a byte buffer as float64.
 
-`decode` is the read-side twin of `canon.csv_bytes`, and every reader of
-numbers in text goes through it: the ping fields, the fullstats columns
-and the canonical CSV cells. Its values are float()'s bit for bit. A
-cell it cannot prove that way is refused, and its caller reads it with
-its own per-cell rule, which stays the definition of the result.
+`decode` is the read-side twin of `canon.csv_bytes`. It reads the
+numbers of the bytes the two numpy line readers split
+(`chunks.decode_replies` the ping fields, `chunks.numeric_lines` the
+fullstats and canonical CSV cells); a row csv.reader splits (a quoted
+fullstats stretch) is read by its format's rule alone. Its values are
+float()'s bit for bit. A cell it cannot prove that way is refused, and
+its caller reads the whole line with its own rule, which stays the
+definition of the result.
 
 Cells are read eight bytes to a word (SWAR). Each cell is gathered
 right-aligned into one to three little-endian uint64 words; the bytes
@@ -15,8 +18,9 @@ mantissa M and the count k of digits after the point:
 - fast path: M below 2**53 and k <= 22. M and 10**k are then both exact
   doubles, and M / 10**k is float()'s value, rounded once (Clinger);
 - long path: M of 2**53 up to 9 * 10**18. The candidate x = fl(M) / 10**k
-  lies within about an ulp of M / 10**k. Dekker's two-product gives the
-  residual M - x * 10**k exactly, and x, or failing that its neighbour
+  lies within about an ulp of M / 10**k. Dekker's two-product
+  (`two_product`, which canon's renderer shares) gives the residual
+  M - x * 10**k exactly, and x, or failing that its neighbour
   towards the residual, is float()'s value when the residual lies
   strictly inside its half-ulp interval, with a margin. A near tie is
   refused.
@@ -38,9 +42,9 @@ MAX_EXACT_INT = 2.0 ** 53
 MAX_CELL = 24
 POW10 = 10.0 ** np.arange(23)      # exact up to 10**22
 # Dekker's split of a double into two halves of at most 26 bits.
-SPLIT = 2.0 ** 27 + 1
-POW10_HI = SPLIT * POW10 - (SPLIT * POW10 - POW10)
-POW10_LO = POW10 - POW10_HI
+_SPLIT = 2.0 ** 27 + 1
+_POW10_HI = _SPLIT * POW10 - (_SPLIT * POW10 - POW10)
+_POW10_LO = POW10 - _POW10_HI
 # Relative margin within which a rounding tie counts as met: the cell is
 # then refused (here) or rendered by repr (canon).
 TIE_MARGIN = 1e-9
@@ -109,17 +113,23 @@ def _inside(x: np.ndarray, residual: np.ndarray, scale: np.ndarray) -> np.ndarra
     return (residual < up * bound) & (-residual < down * bound)
 
 
+def two_product(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, err): p = fl(x * 10**k) and its error, x * 10**k == p + err
+    exactly, for k in 0..22 (Dekker's two-product, without FMA)."""
+    p = x * POW10[k]
+    split = _SPLIT * x
+    hi = split - (split - x)
+    lo = x - hi
+    s_hi, s_lo = _POW10_HI[k], _POW10_LO[k]
+    return p, ((hi * s_hi - p) + hi * s_lo + lo * s_hi) + lo * s_lo
+
+
 def _long_path(m: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(proven, value): float() of M / 10**k for int64 mantissas M of
     2**53 or more, where proven."""
-    x = m / POW10[k]
     scale = POW10[k]
-    p = x * scale
-    split = SPLIT * x
-    hi = split - (split - x)
-    lo = x - hi
-    s_hi, s_lo = POW10_HI[k], POW10_LO[k]
-    err = ((hi * s_hi - p) + hi * s_lo + lo * s_hi) + lo * s_lo
+    x = m / scale
+    p, err = two_product(x, k)
     # p is a whole number near M (>= 2**53), so M - p is exact in int64.
     residual = (m - p.astype(np.int64)).astype(np.float64) - err
     proven = _inside(x, residual, scale)

@@ -26,12 +26,11 @@ from collections import deque
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from itertools import chain
-from operator import itemgetter
 from typing import ClassVar, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from . import chunks, decimals
+from . import chunks
 from .decimals import MAX_EXACT_INT
 from .errors import (
     EmptyTraceError,
@@ -108,6 +107,14 @@ def _not_integer(values: np.ndarray) -> np.ndarray:
     """Mask of values that are not integers below 2**53 in magnitude,
     the ones float64 holds exactly (NaN and infinities included)."""
     return ~(np.abs(values) < MAX_EXACT_INT) | (np.floor(values) != values)
+
+
+def _check_finite(t: float, layer: str, how: str) -> None:
+    """Raise InvalidSpecError naming the layer unless t, a time the
+    parsers or consolidate_run derive (`how`), is finite: before the
+    numpy arithmetic would overflow to an infinity."""
+    if not math.isfinite(t):
+        raise InvalidSpecError(f"{layer} t_s overflows: {how} is not finite")
 
 
 def _first_faults(checks) -> dict[int, str]:
@@ -355,9 +362,9 @@ def parse_ping_log(lines: Iterable[str], meta: RunMetadata) -> PingParseResult:
     Reply lines may carry a leading bracketed epoch timestamp; when they
     do, t_s is the offset from the earliest such epoch, otherwise
     t_s = count * meta.ping_interval_s, where count is icmp_seq with
-    its 16-bit wraps undone. In a log where any reply carries an epoch,
-    a reply without one is malformed. The seq column keeps the printed
-    value.
+    its 16-bit wraps undone; a t_s float64 cannot hold raises
+    InvalidSpecError. In a log where any reply carries an epoch, a reply
+    without one is malformed. The seq column keeps the printed value.
 
     lines is a RawLog or an iterable of str lines, read in pieces
     (chunks.pieces). The lines of a plain piece that have the strict
@@ -433,7 +440,14 @@ def parse_ping_log(lines: Iterable[str], meta: RunMetadata) -> PingParseResult:
     epoch, seq, rtt = (np.concatenate(col) for col in zip(*parts))
     # Earliest epoch as base, not the first line's, so t_s stays >= 0
     # even when replies arrive out of order.
-    t = epoch - epoch.min() if stamped else _unwrap_seq(seq) * meta.ping_interval_s
+    if stamped:
+        t = epoch - epoch.min()
+    else:
+        t = _unwrap_seq(seq)                # the sequence count
+        _check_finite(float(t.max()) * meta.ping_interval_s, "latency",
+                      f"seq count {int(t.max())} times ping_interval_s "
+                      f"{meta.ping_interval_s!r}")
+        t = t * meta.ping_interval_s
     order = np.lexsort((seq, t))
     return PingParseResult(
         samples=LatencyTrace(t[order], seq[order], rtt[order]),
@@ -485,109 +499,28 @@ def _int_cell(cell: str) -> float:
     return _float_cell(cell)
 
 
-def _settle(col: np.ndarray, ok: np.ndarray, cell, parse) -> dict[int, str]:
-    """Read each cell the kernel left (not ok) with parse, _float_cell or
-    _int_cell, into col; cell(k) is the text of cell k. Returns the
-    position of each cell parse refuses, with the reason."""
-    refused = {}
-    for k in np.flatnonzero(~ok).tolist():
-        try:
-            col[k] = parse(cell(k))
-        except (ValueError, OverflowError) as exc:
-            refused[k] = str(exc)
-    return refused
-
-
-def _column(cells: list[str], parse) -> tuple[np.ndarray, dict[int, str]]:
-    """The cells read by parse (_float_cell or _int_cell) through the
-    kernel, and the position of each cell parse refuses, with the
-    reason."""
-    text = "\n".join(cells)
-    ok, col = np.zeros(len(cells), dtype=bool), np.empty(len(cells))
-    if text.isascii():
-        size = np.fromiter(map(len, cells), np.int64, count=len(cells))
-        end = len(chunks.PAD) + np.cumsum(size + 1) - 1
-        buf = np.frombuffer(chunks.PAD + text.encode() + chunks.PAD, np.uint8)
-        ok, col = decimals.decode(buf, end - size, end, integral=parse is _int_cell)
-    return col, _settle(col, ok, cells.__getitem__, parse)
-
-
-def _fullstats_rows(rows: list[list[str]], row_idx: np.ndarray,
-                    cells: list[tuple[str, int, object]],
-                    faults: dict[int, str]) -> tuple[np.ndarray, np.ndarray]:
-    """(table, row_idx): the mapped values of those of rows (numbered
-    row_idx) that are not blank and that every cell parser accepts, and
-    their row indices. cells holds (field, column, parser) per mapped
-    field. A refused row goes into faults with the reason its first
-    refused or missing cell gives, in column_map field order."""
-    live = [k for k, row in enumerate(rows) if any(map(str.strip, row))]
-    rows = [rows[k] for k in live]
-    row_idx = row_idx[live]
-    table = np.empty((len(rows), len(cells)))
-    bad: dict[int, str] = {}
-    lengths = np.fromiter(map(len, rows), np.int64, count=len(rows))
-    whole = lengths > max(i for _, i, _ in cells)
-    for k in np.flatnonzero(~whole).tolist():      # too short for a mapped cell
-        row = rows[k]
-        try:
-            for j, (name, i, parse) in enumerate(cells):
-                if i >= len(row):
-                    raise ValueError(f"{name} is field {i + 1}, but the row has {len(row)}")
-                table[k, j] = parse(row[i])
-        except (ValueError, OverflowError) as exc:
-            bad[k] = str(exc)
-    full = np.flatnonzero(whole)
-    full_rows = [rows[k] for k in full]
-    for j, (_, i, parse) in enumerate(cells):
-        table[full, j], refused = _column(list(map(itemgetter(i), full_rows)), parse)
-        for k, reason in refused.items():
-            bad.setdefault(int(full[k]), reason)
-    keep = np.ones(len(table), dtype=bool)
-    for k, reason in bad.items():
-        keep[k] = False
-        faults[int(row_idx[k])] = reason
-    return table[keep], row_idx[keep]
-
-
-def _plain_rows(piece: bytes, first: int, width: int, cells: list[tuple[str, int, object]],
-                faults: dict[int, str]) -> tuple[np.ndarray, np.ndarray]:
-    """What _fullstats_rows gives for the rows of piece, plain lines
-    each ending in LF and numbered from first, in a file whose header
-    has width fields. The lines of width fields are split with numpy
-    and their mapped cells read by the kernel; any other line, and one
-    without a mapped number (it may be blank), is split on commas and
-    read by _fullstats_rows."""
-    padded = chunks.PAD + piece + chunks.PAD
-    buf = np.frombuffer(padded, np.uint8)
-    seps = np.flatnonzero((buf == 44) | (buf == _NL))
-    newline = np.flatnonzero(buf[seps] == _NL)
-    ends = seps[newline]
-    starts = np.concatenate(([len(chunks.PAD)], ends[:-1] + 1))
-    seps = np.concatenate(([len(chunks.PAD) - 1], seps))
-    lines = np.flatnonzero(np.diff(newline, prepend=-1) == width)
-    base = newline[lines] + 1 - width           # seps[base]: the LF before the line
-    table = np.empty((len(lines), len(cells)))
-    number = np.zeros(len(lines), dtype=bool)
-    bad: dict[int, str] = {}
-    for j, (_, i, parse) in enumerate(cells):
-        start, end = seps[base + i] + 1, seps[base + i + 1]
-        ok, table[:, j] = decimals.decode(buf, start, end, integral=parse is _int_cell)
-        number |= ok & ~np.isnan(table[:, j])
-        cell = partial(chunks.line_at, padded, (start, end))
-        for k, reason in _settle(table[:, j], ok, cell, parse).items():
-            bad.setdefault(k, reason)
-    keep = number.copy()
-    for k, reason in bad.items():
-        if number[k]:
-            keep[k] = False
-            faults[first + int(lines[k])] = reason
-    rest = np.setdiff1d(np.arange(len(ends)), lines[number], assume_unique=True)
-    split = [padded[a:b].decode("ascii").split(",") if b > a else []
-             for a, b in zip(starts[rest].tolist(), ends[rest].tolist())]
-    more, more_idx = _fullstats_rows(split, first + rest, cells, faults)
-    row_idx = np.concatenate((first + lines[keep], more_idx))
-    order = np.argsort(row_idx, kind="stable")
-    return np.concatenate((table[keep], more))[order], row_idx[order]
+def _row_values(cells: list[tuple[str, int, object]], faults: dict[int, str], first: int,
+                k: int, row: list[str] | str) -> list[float] | None:
+    """The mapped values of row k of a block whose first row has index
+    first, row a csv.reader row or a plain line (split on commas), each
+    mapped cell read by its parser, per (field, column, parser) of
+    cells. None for a blank row, and for a row too short for a mapped
+    cell or with a cell its parser refuses, which goes into faults with
+    the reason of the first such cell in cells order."""
+    if isinstance(row, str):
+        row = row.split(",")
+    if not any(map(str.strip, row)):
+        return None
+    try:
+        values = []
+        for name, i, parse in cells:
+            if i >= len(row):
+                raise ValueError(f"{name} is field {i + 1}, but the row has {len(row)}")
+            values.append(parse(row[i]))
+        return values
+    except (ValueError, OverflowError) as exc:
+        faults[first + k] = str(exc)
+        return None
 
 
 def _fullstats_blocks(lines: Iterable[str]) -> Iterator[list[str] | bytes | list[list[str]]]:
@@ -649,13 +582,15 @@ def parse_fullstats(lines: Iterable[str], column_map: Mapping[str, str],
     column_map maps canonical field names (FULLSTATS_FIELDS) to header
     names in the incoming file. Without a mapped t_s column, row index
     times stats_period_s is used as the snapshot time; a mapped t_s is
-    rebased so the earliest kept snapshot lies at 0. Rows with values
+    rebased so the earliest kept snapshot lies at 0. Either time, if
+    float64 cannot hold it, raises InvalidSpecError. Rows with values
     outside the documented domains are skipped and counted.
 
     lines is a RawLog or an iterable of str lines, read in blocks of
-    rows (_fullstats_blocks): a plain block is split with numpy
-    (_plain_rows), and any other rows come from csv.reader, which
-    defines them.
+    rows (_fullstats_blocks): a plain block is read by
+    chunks.numeric_lines, and any other rows come from csv.reader,
+    which defines them. Either way the row rule (_row_values) reads
+    every row numpy does not read whole, and defines the result.
     """
     for name in _REQUIRED_FIELDS:
         if name not in column_map:
@@ -677,26 +612,33 @@ def parse_fullstats(lines: Iterable[str], column_map: Mapping[str, str],
               _int_cell if name in SchedulerTrace.INTEGRAL else _float_cell)
              for name in mapped]
 
+    columns = [(i, parse is _int_cell) for _, i, parse in cells]
     tables = [np.empty((0, len(mapped)))]
     kept_idx = [np.empty(0, dtype=np.int64)]
     faults: dict[int, str] = {}     # row index -> why the row is skipped
     first = 0
     for block in blocks:
+        rule = partial(_row_values, cells, faults, first)
         if isinstance(block, bytes):
-            table, row_idx = _plain_rows(block, first, len(header), cells, faults)
-            first += block.count(b"\n")
+            table, row_idx = chunks.numeric_lines(block, len(header), columns, True, rule)
+            rows = block.count(b"\n")
         else:
-            row_idx = first + np.arange(len(block))
-            table, row_idx = _fullstats_rows(block, row_idx, cells, faults)
-            first += len(block)
+            values = list(map(rule, range(len(block)), block))
+            row_idx = np.flatnonzero([v is not None for v in values])
+            table = np.reshape([v for v in values if v is not None], (len(row_idx), len(cells)))
+            rows = len(block)
         tables.append(table)
-        kept_idx.append(row_idx)
+        kept_idx.append(first + row_idx)
+        first += rows
     table = np.concatenate(tables)
     row_idx_of = np.concatenate(kept_idx)   # row index of each row of table
 
     cols = {name: np.full(len(table), np.nan) for name in FULLSTATS_FIELDS}
     cols.update((name, table[:, j]) for j, name in enumerate(mapped))
     if "t_s" not in column_map:
+        last = int(row_idx_of.max(initial=0))
+        _check_finite(last * stats_period_s, "scheduler",
+                      f"row index {last} times stats_period_s {stats_period_s!r}")
         cols["t_s"] = row_idx_of * stats_period_s
     keep = np.ones(len(table), dtype=bool)
     for pos, reason in SchedulerTrace.faults(cols).items():
@@ -710,7 +652,9 @@ def parse_fullstats(lines: Iterable[str], column_map: Mapping[str, str],
 
     snaps = SchedulerTrace(**{name: col[keep] for name, col in cols.items()})
     if "t_s" in column_map:
-        snaps = replace(snaps, t_s=snaps.t_s - snaps.t_s.min())
+        low, high = float(snaps.t_s.min()), float(snaps.t_s.max())
+        _check_finite(high - low, "scheduler", f"t_s {high!r} less the earliest t_s {low!r}")
+        snaps = replace(snaps, t_s=snaps.t_s - low)
     return FullstatsParseResult(
         snapshots=snaps[np.lexsort((snaps.rnti, snaps.t_s))],
         skipped_rows=len(faults))
@@ -731,12 +675,16 @@ def consolidate_run(latency: LatencyTrace, scheduler: SchedulerTrace | None,
     """Assemble a Run: both layers time-sorted (latency by (t_s, seq),
     both stably), scheduler restricted to the dominant RNTI, optional
     constant offset applied to scheduler times (snapshots shifted below
-    t=0 are dropped). A run without scheduler data passes None."""
+    t=0 are dropped; a shifted time float64 cannot hold raises
+    InvalidSpecError). A run without scheduler data passes None."""
     lat = latency[np.lexsort((latency.seq, latency.t_s))]
     sched = SchedulerTrace.empty()
     if scheduler is not None and len(scheduler):
         _, sched = select_dominant_rnti(scheduler)
         if sched_offset_s:
+            for end in (float(sched.t_s.min()), float(sched.t_s.max())):
+                _check_finite(end + sched_offset_s, "scheduler",
+                              f"t_s {end!r} plus sched_offset_s {sched_offset_s!r}")
             t = sched.t_s + sched_offset_s
             below = t < 0
             dropped = int(np.count_nonzero(below))

@@ -504,6 +504,37 @@ def test_ingest_fullstats_cell_past_the_csv_field_limit_exits_1(raw_dir, capsys,
     assert list((raw_dir / "out").iterdir()) == []
 
 
+# A time the parsers or consolidate_run derive past float64's range: the
+# fullstats CSV (None: raw_dir's) and run entry that make it, and the
+# layer the error names. Left to numpy, each overflows with a
+# RuntimeWarning, to an infinity that a canonical CSV the reader refuses
+# would hold, or (row index times period) to a skipped row.
+OVERFLOWS = {
+    "fullstats_rebase": ("t,rnti,dlsch_bler\n-1e308,17,0.05\n1e308,17,0.05\n",
+                         {"column_map": {"t_s": "t", "rnti": "rnti", "dl_bler": "dlsch_bler"}},
+                         "scheduler"),
+    "ping_interval": (None, {"ping_interval_s": 1e308}, "latency"),
+    "sched_offset": ("rnti,dlsch_bler\n17,0.05\n17,0.05\n",
+                     {"sched_offset_s": 1.7e308, "stats_period_s": 1e308}, "scheduler"),
+    "stats_period": (None, {"stats_period_s": 1e307}, "scheduler"),
+}
+
+
+@pytest.mark.parametrize("fullstats, run, layer", OVERFLOWS.values(), ids=OVERFLOWS.keys())
+def test_ingest_derived_time_that_overflows_exits_1(raw_dir, capsys, fullstats, run, layer):
+    if fullstats is not None:
+        (raw_dir / "full.csv").write_text(fullstats)
+    config = json.loads((raw_dir / "c.json").read_text())
+    config["runs"][0].update(nominal_duration_s=100.0, **run)
+    (raw_dir / "c.json").write_text(json.dumps(config))
+    assert main(["ingest", "--config", str(raw_dir / "c.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(rf"error: run 'raw1': {layer} t_s overflows: [^\n]* is not finite\n",
+                        captured.err), captured.err
+    assert list((raw_dir / "out").iterdir()) == []
+
+
 def test_ingest_nothing_to_do(campaign, tmp_path, capsys):
     assert main(["ingest", "--config", _cfg(campaign),
                  "--output-dir", str(tmp_path)]) == 0

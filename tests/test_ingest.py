@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from taildiag import canon, ingest, synthgen
+from taildiag import canon, decimals, ingest, synthgen
 from taildiag.errors import (
     EmptyTraceError,
     InvalidSpecError,
@@ -513,6 +513,13 @@ def test_canonical_readers_skip_blank_lines(tmp_path):
     ("0.0,0,9.0\n0.2,\u0661,9.0\n", 3, "seq is not a number: '\u0661'"),
     ("0.0,0,9.0\n\n\n0.2,1\n", 5, "expected 3 fields, got 2"),
     ("0.0,0,9.0\n\n  \n0.6,3,0\n", 5, "rtt_ms not finite and > 0"),
+    # The first of two malformed lines; one in a CRLF body; one after
+    # more proven cells than decimals.decode reads in a block.
+    ("0.0,0,9.0\n0.2,1,fast\n0.4,2\n", 3, "rtt_ms is not a number: 'fast'"),
+    ("0.0,0,9.0\r\n0.2,1,9.5\r\n0.4,2,fast\r\n0.6,3,9.0\r\n", 4,
+     "rtt_ms is not a number: 'fast'"),
+    pytest.param("".join(f"{k}.5,{k},9.0\n" for k in range(decimals._BLOCK + 1)) + "0.2,1,\n",
+                 decimals._BLOCK + 3, "rtt_ms is not a number: ''", id="past_a_decode_block"),
 ])
 def test_latency_reader_names_file_and_line(tmp_path, rows, line, reason):
     path = _file(tmp_path, LAT_HEAD + rows)

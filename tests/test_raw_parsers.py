@@ -1,9 +1,14 @@
 """The raw ping and fullstats parsers against the row-wise oracles in
 oracles.py, on messy logs, with blocks cut everywhere."""
 
+import hashlib
 import json
 import logging
+import os
+import subprocess
+import sys
 from contextlib import contextmanager
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -257,8 +262,18 @@ def fullstats_texts(draw):
     return text.splitlines(keepends=True)
 
 
+FULLSTATS_HEAD = ",".join(HEADER) + "\n"
+GOOD_ROW = "0.5,17,0.05,0.1,9,29.5,2,50\n"
+
+
 @settings(max_examples=150, deadline=None)
 @given(fullstats_texts(), st.sampled_from(MAPS), st.sampled_from([1.0, 0.25]))
+# Plain lines of the header's width with a mapped cell the kernel
+# refuses and the row rule accepts (blanks around it, an exponent, 25
+# bytes) or refuses (nan).
+@example([FULLSTATS_HEAD, GOOD_ROW, " 7.5 ,18,1e-05,0.1,9,29.5,2,50\n"], MAPS[2], 1.0)
+@example([FULLSTATS_HEAD, GOOD_ROW, "3,17,0.05,0.1,9,29.9296037053191140000001,2,50\n",
+          "2,17,nan,0.1,9,29.5,2,50\n", GOOD_ROW], MAPS[1], 0.25)
 def test_fullstats_parse_equals_the_row_by_row_oracle(lines, column_map, period):
     ref = parse_fullstats_ref(lines, column_map, period)
     for block_lines in (3, chunks._BLOCK_LINES):
@@ -429,6 +444,39 @@ def test_logs_read_by_chunk_equal_the_str_line_parse(tmp_path, chunk_bytes):
     want_run = consolidate_run(want_ping.samples, want_fs.snapshots, run.meta)
     assert _columns(run.latency) == _columns(want_run.latency)
     assert _columns(run.scheduler) == _columns(want_run.scheduler)
+
+
+# SHA-256 of each file `taildiag ingest` writes from the _messy_logs
+# (column map MAPS[1]) and of its stderr, one warning line per skipped
+# reply or row; any chunk size gives these bytes.
+INGEST_DIGESTS = {
+    "r1.manifest": "59a98509d88c3799d7beaacd3acce4acdc391e788ea82af7f44d651310b06895",
+    "r1_latency.csv": "27bd4026c11ef0f2dcc0b42bd58081416a64f9533dca79398b560c1e9070093e",
+    "r1_latency.csv.cols": "b803d5387093b89300db5ad7c5d04fb557f11cbac3665fbdf68ad8026cc6002d",
+    "r1_sched.csv": "d77e3e0fe3dd393b8d65bf728d9259ba6fff9f07266104e94581adceee0a898d",
+    "r1_sched.csv.cols": "48c1808d89a18d91da6fe1dd52599bcdaf698b846c07c78f794efa82d8824847",
+    "stderr": "84adf18adfad0055717ccba1a97df3a2e05f7893669e116584e0eb4fba50a6e8",
+}
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("chunk_bytes", [173, 1 << 20])
+def test_ingest_of_the_messy_logs_writes_the_recorded_bytes(tmp_path, chunk_bytes):
+    _messy_logs(tmp_path)
+    config = tmp_path / "campaign.json"
+    config.write_text(json.dumps({"column_map": MAPS[1], "output_dir": "out", "runs": [{
+        "run_id": "r1", "ue_type": "modem", "scenario": "baseline", "distance_m": 6.0,
+        "packet_size_b": 30, "ping_interval_s": 0.2, "ping_log": "ping.log",
+        "fullstats": "fullstats.csv"}]}))
+    # A child process, so that stderr holds the CLI's own warning lines.
+    child = (f"import sys; from taildiag import chunks, cli; chunks._CHUNK_BYTES = {chunk_bytes}; "
+             "sys.exit(cli.main(sys.argv[1:]))")
+    done = subprocess.run([sys.executable, "-c", child, "ingest", "--config", str(config)],
+                          capture_output=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert done.returncode == 0, done.stderr
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in (tmp_path / "out").iterdir()}
+    assert {**written, "stderr": hashlib.sha256(done.stderr).hexdigest()} == INGEST_DIGESTS
 
 
 @pytest.mark.parametrize("chunk_bytes", [40, 1 << 20])

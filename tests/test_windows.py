@@ -422,6 +422,28 @@ DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_paperlike.py"
 
 
+# SHA-256 of the column file of each of those runs' latency and
+# scheduler CSVs, recorded at the same seed; digests.json holds none.
+COLUMN_DIGESTS = {
+    "baseline_latency.csv.cols":
+        "83350a09495a77a40b7f1f8915c2e022dd15400e4829f33c63469a93e1199a7c",
+    "baseline_modem_latency.csv.cols":
+        "1a3fa3b8fbb8ff6a48b8ad50d1a18d4433b2f248611399c4454c693981c54395",
+    "baseline_modem_sched.csv.cols":
+        "bbb88e710d1c15d8b52ec4a39d790351e4f038604b0754553e1023c5d3bcd26c",
+    "baseline_sched.csv.cols":
+        "6414eb3ad19a99dff28b23e0a2aeccffbdbd2a42240a48e420d7a1958f9d1310",
+    "dynamic_people_latency.csv.cols":
+        "d32299bba07bfab15b8449829944b4a68af4ac07ef4ba2159d2374c42814fa11",
+    "dynamic_people_sched.csv.cols":
+        "d8a9c34f51469601ab9f2cde6b59886b1089a01783648688b876f98a93be2237",
+    "static_1h_latency.csv.cols":
+        "6d2fc4e1709c5e62e17f2ed709e6bca00cc61f2fd807c1b4dc6f360c64bbee89",
+    "static_1h_sched.csv.cols":
+        "24202ab6747d7729fd0e2617e28c285c33985843c875afa97c043942ff1c973f",
+}
+
+
 def test_paperlike_tables_match_golden_digests(tmp_path, monkeypatch, capsys):
     expected = json.loads(DIGESTS.read_text(encoding="utf-8"))[
         "paperlike"][str(synthgen.DEFAULT_SEED)]
@@ -438,6 +460,7 @@ def test_paperlike_tables_match_golden_digests(tmp_path, monkeypatch, capsys):
     assert len(columns) == 8
     assert len(expected) == 32
     assert {name: written[name] for name in written if name not in columns} == expected
+    assert {name: written[name] for name in columns} == COLUMN_DIGESTS
 
 
 def test_modem_24h_tables_match_golden_digests():
