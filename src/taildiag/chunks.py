@@ -253,26 +253,21 @@ def numeric_lines(piece: bytes | memoryview, width: int, columns: list[tuple[int
     order; the rule returns the line's values, or None to leave it out.
     The rule defines the result: decode gives float() of every cell it
     proves."""
-    padded = b"".join((PAD, piece, b"" if piece[-1:] == b"\n" else b"\n", PAD))
+    padded = b"".join((PAD, b"\n", piece, b"" if piece[-1:] == b"\n" else b"\n", PAD))
     buf = np.frombuffer(padded, np.uint8)
-    seps = np.flatnonzero((buf == _COMMA) | (buf == _NL))    # where each cell ends
-    newline = buf[seps] == _NL
-    count = int(newline.sum())                  # lines
-    starts, ends = np.empty_like(seps), seps
-    starts[0], starts[1:] = len(PAD), seps[:-1] + 1
-    if len(seps) == count * width and newline[width - 1::width].all():
-        lines = np.arange(count)
-    else:                                       # only the cells of lines of width cells
-        cells = np.diff(np.flatnonzero(newline), prepend=-1)
-        lines = np.flatnonzero(cells == width)
-        wide = np.repeat(cells == width, cells)
-        starts, ends = starts[wide], ends[wide]
-    starts, ends = starts.reshape(-1, width), ends.reshape(-1, width)
+    # Cell c of the piece starts after bounds[c] (bounds[0] is the LF
+    # put before the piece) and ends at bounds[c + 1].
+    bounds = np.flatnonzero((buf == _COMMA) | (buf == _NL))
+    last = np.flatnonzero(buf[bounds[1:]] == _NL)   # the last cell c of each line
+    count = len(last)                           # lines
+    lines = np.flatnonzero(np.diff(last, prepend=-1) == width)   # only these are read here
+    first = last[lines] - (width - 1)
     table = np.empty((len(lines), len(columns)))
     keep = np.ones(len(lines), dtype=bool)
     empty = np.ones(len(lines), dtype=bool)     # every selected cell empty
     for j, (i, integral) in enumerate(columns):
-        ok, table[:, j] = decimals.decode(buf, starts[:, i], ends[:, i], integral)
+        ok, table[:, j] = decimals.decode(buf, bounds[first + i] + 1, bounds[first + i + 1],
+                                          integral)
         blank = np.isnan(table[:, j])           # where ok, an empty cell
         keep &= ok if optional else ok & ~blank
         empty &= blank
@@ -282,12 +277,10 @@ def numeric_lines(piece: bytes | memoryview, width: int, columns: list[tuple[int
     lines = lines[keep]
     left = np.ones(count, dtype=bool)
     left[lines] = False
-    ends = seps[newline]
-    starts = np.concatenate(([len(PAD)], ends[:-1] + 1)).tolist()
-    ends = ends.tolist()
+    breaks = bounds[np.concatenate(([0], last + 1))].tolist()   # line k: after k, to k + 1
     at, values = [], []
     for k in np.flatnonzero(left).tolist():
-        row = rule(k, padded[starts[k]:ends[k]].decode())
+        row = rule(k, padded[breaks[k] + 1:breaks[k + 1]].decode())
         if row is not None:
             at.append(k)
             values.append(row)

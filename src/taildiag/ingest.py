@@ -500,15 +500,12 @@ def _int_cell(cell: str) -> float:
 
 
 def _row_values(cells: list[tuple[str, int, object]], faults: dict[int, str], first: int,
-                k: int, row: list[str] | str) -> list[float] | None:
+                k: int, row: list[str]) -> list[float] | None:
     """The mapped values of row k of a block whose first row has index
-    first, row a csv.reader row or a plain line (split on commas), each
-    mapped cell read by its parser, per (field, column, parser) of
-    cells. None for a blank row, and for a row too short for a mapped
-    cell or with a cell its parser refuses, which goes into faults with
-    the reason of the first such cell in cells order."""
-    if isinstance(row, str):
-        row = row.split(",")
+    first, each mapped cell read by its parser, per (field, column,
+    parser) of cells. None for a blank row, and for a row too short for
+    a mapped cell or with a cell its parser refuses, which goes into
+    faults with the reason of the first such cell in cells order."""
     if not any(map(str.strip, row)):
         return None
     try:
@@ -620,7 +617,8 @@ def parse_fullstats(lines: Iterable[str], column_map: Mapping[str, str],
     for block in blocks:
         rule = partial(_row_values, cells, faults, first)
         if isinstance(block, bytes):
-            table, row_idx = chunks.numeric_lines(block, len(header), columns, True, rule)
+            table, row_idx = chunks.numeric_lines(block, len(header), columns, True,
+                                                  lambda k, line: rule(k, line.split(",")))
             rows = block.count(b"\n")
         else:
             values = list(map(rule, range(len(block)), block))
