@@ -376,7 +376,8 @@ def _messy_logs(tmp_path):
     """A ping log and a fullstats CSV, each written so that small chunks
     cut them everywhere: a CRLF stretch, a non-ASCII stretch, malformed
     and odd lines, and no final newline; the fullstats CSV has a quoted
-    cell, and a line break in one, in one stretch only."""
+    cell, and a line break in one, in one stretch only, and one
+    non-ASCII cell in an unmapped column and one in a mapped column."""
     ping = ["PING h (h) 30(58) bytes of data."]
     for i in range(120):
         stamp = f"[{1_700_000_000 + 0.2 * i:.6f}] "
@@ -403,7 +404,11 @@ def _messy_logs(tmp_path):
             row = row[:3]
         elif k % 37 == 9:
             row = [""] * len(row)
-        fullstats.append(",".join(row))
+        elif k == 120:
+            row[0] = f"{k}\u00e9"                                 # TIME: not mapped
+        elif k == 123:
+            row[4] = "\u0663"                                    # DL_MCS: skipped
+        fullstats.append(",".join(row) + ("\r" if 100 <= k < 106 else ""))
     ping_path, fullstats_path = tmp_path / "ping.log", tmp_path / "fullstats.csv"
     ping_path.write_bytes("\n".join(ping).encode("utf-8"))
     fullstats_path.write_bytes("\n".join(fullstats).encode("utf-8"))
@@ -453,9 +458,9 @@ INGEST_DIGESTS = {
     "r1.manifest": "59a98509d88c3799d7beaacd3acce4acdc391e788ea82af7f44d651310b06895",
     "r1_latency.csv": "27bd4026c11ef0f2dcc0b42bd58081416a64f9533dca79398b560c1e9070093e",
     "r1_latency.csv.cols": "b803d5387093b89300db5ad7c5d04fb557f11cbac3665fbdf68ad8026cc6002d",
-    "r1_sched.csv": "d77e3e0fe3dd393b8d65bf728d9259ba6fff9f07266104e94581adceee0a898d",
-    "r1_sched.csv.cols": "48c1808d89a18d91da6fe1dd52599bcdaf698b846c07c78f794efa82d8824847",
-    "stderr": "84adf18adfad0055717ccba1a97df3a2e05f7893669e116584e0eb4fba50a6e8",
+    "r1_sched.csv": "22f75b89ea545274ca40283cedd91407f3a36498f53f5ec4a510adeb99d55650",
+    "r1_sched.csv.cols": "4acac957f00033a1d667549ab5d566d5c532b72e3e22167bc4d9622bf6263682",
+    "stderr": "a990c0f879f5cd0c4460f891409b5654bd44b97417fbf06d4590676b649f2a61",
 }
 SRC = Path(__file__).resolve().parents[1] / "src"
 
