@@ -32,9 +32,10 @@ A column file `<name>.csv.cols` holds the SHA-256 of a format tag and
 the CSV's bytes, then the float64 table the text reader parses from
 them, in .npy form.
 The reader takes the table from it only while the digest matches the
-CSV it has just read; otherwise it parses the text. The CSV is the
-record: the column file is derived from it, and deleting it changes
-nothing but the time a read takes.
+CSV it has just read, the file is well-formed and every row keeps to
+the value rules; otherwise it parses the text, which alone names the
+line of a fault. The CSV is the record: the column file is derived
+from it, and deleting it changes nothing but the time a read takes.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ import os
 import re
 import tempfile
 from functools import partial
-from itertools import islice
 from pathlib import Path
 from typing import Iterable
 
@@ -291,23 +291,24 @@ def _careful(path: str | Path, names: tuple[str, ...], optional: bool, k: int,
     return [float(cell) if cell else math.nan for cell in cells]
 
 
-def _parse_text(path: str | Path, data: bytes, start: int,
-                names: tuple[str, ...], optional: bool) -> np.ndarray:
+def _parse_text(path: str | Path, data: bytes, start: int, names: tuple[str, ...],
+                optional: bool) -> tuple[np.ndarray, np.ndarray]:
     """The rows × fields table of the CSV text data[start:], below the
-    header, read by chunks.numeric_lines with _careful as its rule: a
-    body that is not ASCII or holds a CR is decoded once (universal
-    newlines) and re-encoded first. Blank lines are skipped and '#' is
-    not a comment. With `optional`, an empty cell reads as NaN;
-    otherwise it is malformed, as is a wrong field count or a cell that
-    is not a decimal number, the first such line in the file raising."""
+    header, and each row's line k in it (line k + 2 of the file), read
+    by chunks.numeric_lines with _careful as its rule: a body that is
+    not ASCII or holds a CR is decoded once (universal newlines) and
+    re-encoded first. Blank lines are skipped and '#' is not a comment.
+    With `optional`, an empty cell reads as NaN; otherwise it is
+    malformed, as is a wrong field count or a cell that is not a
+    decimal number, the first such line in the file raising."""
     body = memoryview(data)[start:]
     if not data.isascii() or b"\r" in data:
         body = decode_text(path, data[start:], line=2).encode("utf-8")
-    table, _ = numeric_lines(body, len(names), [(j, False) for j in range(len(names))],
-                             optional, partial(_careful, path, names, optional))
+    table, index = numeric_lines(body, len(names), [(j, False) for j in range(len(names))],
+                                 optional, partial(_careful, path, names, optional))
     if not len(table):
         raise EmptyTraceError(f"{path}: no data rows")
-    return table
+    return table, index
 
 
 def _columns_path(path: str | Path) -> Path:
@@ -321,12 +322,14 @@ def _columns_digest(data: bytes) -> bytes:
     return digest.digest()
 
 
-def _stored_table(path: str | Path, data: bytes, width: int) -> np.ndarray | None:
-    """The rows × width table of the column file beside CSV path, whose
-    bytes are data; None unless that file exists, is bound to data and
-    holds a float64 table of at least one row. Its header is checked
-    before any array is made, so no file can make the read allocate more
-    than the file holds, or unpickle anything."""
+def _stored_table(path: str | Path, data: bytes, kind: type) -> dict | None:
+    """The columns by name of the table in the column file beside CSV
+    path, whose bytes are data; None unless that file exists, is bound
+    to data, holds a float64 table of at least one row and one column
+    per field of `kind`, and every row keeps to kind.faults. Its header
+    is checked before any array is made, so no file can make the read
+    allocate more than the file holds, or unpickle anything."""
+    width = len(kind.names())
     try:
         with open(_columns_path(path), "rb") as fh:
             if fh.read(_DIGEST_SIZE) != _columns_digest(data):
@@ -339,27 +342,18 @@ def _stored_table(path: str | Path, data: bytes, width: int) -> np.ndarray | Non
                     or shape[0] < 1 or size != shape[0] * width * _FLOAT64.itemsize):
                 return None
             fh.seek(_DIGEST_SIZE)
-            return np.lib.format.read_array(fh, allow_pickle=False)
+            table = np.lib.format.read_array(fh, allow_pickle=False)
     except (OSError, ValueError):
         return None
-
-
-def _raise_first(path: str | Path, data: bytes, faults: dict[int, str]) -> None:
-    """Raise MalformedRecordError at the first faulty data row of the
-    CSV whose bytes are data, if any."""
-    if not faults:
-        return
-    row = min(faults)
-    lines = decode_text(path, data).split("\n")
-    rows = (n for n, line in enumerate(lines[1:], start=2) if line.strip())
-    raise MalformedRecordError(path, next(islice(rows, row, None)), faults[row])
+    columns = dict(zip(kind.names(), np.ascontiguousarray(table.T)))
+    return None if kind.faults(columns) else columns
 
 
 def _read_trace(path: str | Path, kind: type):
     """The `kind` trace of a canonical CSV, rows in file order: from its
-    column file when one is bound to the CSV's bytes, else from its
-    text. Either way the header is checked and each row is held to the
-    value domains of `kind`, a fault naming the CSV's path and line."""
+    column file when _stored_table takes it, else from its text, where a
+    row outside the value domains of `kind` raises MalformedRecordError
+    naming the CSV's path and the line _parse_text read the row from."""
     names = kind.names()
     header = ",".join(names)
     with open(path, "rb") as fh:
@@ -371,12 +365,15 @@ def _read_trace(path: str | Path, kind: type):
     first = decode_text(path, data[:end]).strip()
     if first != header:
         raise MissingColumnError(f"{path}: expected header {header!r}, got {first!r}")
-    table = _stored_table(path, data, len(names))
-    if table is None:
+    columns = _stored_table(path, data, kind)
+    if columns is None:
         start = end + (2 if data.startswith(b"\r\n", end) else 1)
-        table = _parse_text(path, data, start, names, kind.EMPTY_IS_NAN)
-    columns = dict(zip(names, np.ascontiguousarray(table.T)))
-    _raise_first(path, data, kind.faults(columns))
+        table, index = _parse_text(path, data, start, names, kind.EMPTY_IS_NAN)
+        columns = dict(zip(names, np.ascontiguousarray(table.T)))
+        faults = kind.faults(columns)
+        if faults:
+            row = min(faults)
+            raise MalformedRecordError(path, int(index[row]) + 2, faults[row])
     return kind(**columns)
 
 

@@ -366,22 +366,22 @@ def parse_ping_log(lines: Iterable[str], meta: RunMetadata) -> PingParseResult:
     InvalidSpecError. In a log where any reply carries an epoch, a reply
     without one is malformed. The seq column keeps the printed value.
 
-    lines is a RawLog or an iterable of str lines, read in pieces
-    (chunks.pieces). The lines of a plain piece that have the strict
-    reply shape (chunks.decode_replies) are decoded together; every
-    other line is read by the per-line rules, which define the result
-    for every line. Warnings, one per malformed line, come in line
-    order.
+    lines is a RawLog, or an iterable of str lines, which is read into
+    a list once; either is read in pieces (chunks.pieces). The lines of
+    a plain piece that have the strict reply shape
+    (chunks.decode_replies) are decoded together; every other line is
+    read by the per-line rules, which define the result for every line.
+    Warnings, one per malformed line, come in line order. A log without
+    a reply raises EmptyTraceError naming its file (`lines.name`).
     """
+    source = getattr(lines, "name", "ping log")
+    if not isinstance(lines, chunks.RawLog):
+        lines = list(lines)
     skipped = 0
     malformed: list[tuple[int, str]] = []
+    # Per piece: the line numbers, epochs, seqs and rtts of its replies.
     parts: list[tuple[np.ndarray, ...]] = []
     stamped = False
-    # Replies without an epoch before the first with one, malformed if
-    # one follows: their line numbers, and their lines unless a RawLog
-    # can read them again.
-    bare: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
-    bare_lines: list[str] = []
     first_no = 1
     probe = True                    # only after a piece without a strict reply
     for piece in chunks.pieces(lines):
@@ -416,18 +416,14 @@ def parse_ping_log(lines: Iterable[str], meta: RunMetadata) -> PingParseResult:
         unstamped = replies[np.isnan(epoch[replies])].tolist()
         if not stamped and len(unstamped) < len(replies):
             stamped = True
-            parts.clear()           # replies without an epoch, all of them
-            numbers = np.concatenate(bare).tolist()
-            malformed += (_lines_at(lines, set(numbers)) if isinstance(lines, chunks.RawLog)
-                          else zip(numbers, bare_lines))
+            # The replies so far have no epoch: each is malformed.
+            malformed += _lines_at(lines, {no for numbers, *_ in parts
+                                           for no in numbers.tolist()})
+            parts.clear()
         if stamped:
             malformed += ((first_no + i, text(i)) for i in unstamped)
             ok[unstamped] = False
-        else:
-            bare.append(first_no + np.array(unstamped, dtype=np.int64))
-            if not isinstance(lines, chunks.RawLog):
-                bare_lines += map(text, unstamped)
-        parts.append((epoch[ok], seq[ok], rtt[ok]))
+        parts.append((first_no + np.flatnonzero(ok), epoch[ok], seq[ok], rtt[ok]))
         first_no += len(ok)
     malformed.sort()
     for line_no, line in malformed:
@@ -435,9 +431,9 @@ def parse_ping_log(lines: Iterable[str], meta: RunMetadata) -> PingParseResult:
         # reads these line numbers from stderr. Capping them waits for
         # the diagnostics sidecar (ROADMAP item 4).
         log.warning("ping line %d unparseable: %s", line_no, line)
-    if not any(len(rtt) for _, _, rtt in parts):
-        raise EmptyTraceError("no ping reply lines parsed")
-    epoch, seq, rtt = (np.concatenate(col) for col in zip(*parts))
+    if not any(len(rtt) for *_, rtt in parts):
+        raise EmptyTraceError(f"{source}: no ping reply lines parsed")
+    _, epoch, seq, rtt = map(np.concatenate, zip(*parts))
     # Earliest epoch as base, not the first line's, so t_s stays >= 0
     # even when replies arrive out of order.
     if stamped:
@@ -454,9 +450,10 @@ def parse_ping_log(lines: Iterable[str], meta: RunMetadata) -> PingParseResult:
         skipped_lines=skipped, malformed=malformed)
 
 
-def _lines_at(log: chunks.RawLog, numbers) -> Iterator[tuple[int, str]]:
-    """(number, line without its line end) of each of the lines of log
-    numbered in numbers, read again."""
+def _lines_at(log: chunks.RawLog | list[str], numbers) -> Iterator[tuple[int, str]]:
+    """(number, line without its line end) of each of the lines of log,
+    a RawLog or a list of str lines, numbered in numbers, read again
+    from its start."""
     last = max(numbers, default=0)
     for line_no, line in zip(range(1, last + 1), log):
         if line_no in numbers:
@@ -528,10 +525,12 @@ def _fullstats_blocks(lines: Iterable[str]) -> Iterator[list[str] | bytes | list
     whose rows up to the end of a piece are a list block, so a quoted
     field may run on into the next piece (which it then reads too). A
     line csv.reader cannot split (an unterminated quote, a field past
-    csv.field_size_limit()) raises MalformedRecordError naming it."""
+    csv.field_size_limit()) raises MalformedRecordError naming it: after
+    the lines yielded in bytes blocks, line reader.line_num of those
+    csv.reader has read."""
     pieces = chunks.pieces(lines)
     pending: deque[str] = deque()   # lines for csv.reader
-    line_no = 0                     # lines read so far
+    in_blocks = 0                   # lines yielded in bytes blocks
     head = next(pieces, [])
     if isinstance(head, bytes):     # the header line goes to csv.reader
         cut = head.index(b"\n") + 1
@@ -540,10 +539,8 @@ def _fullstats_blocks(lines: Iterable[str]) -> Iterator[list[str] | bytes | list
     pending.extend(head)
 
     def feed():
-        nonlocal line_no
         while True:
             while pending:
-                line_no += 1
                 yield pending.popleft()
             piece = next(pieces, None)
             if piece is None:
@@ -558,7 +555,7 @@ def _fullstats_blocks(lines: Iterable[str]) -> Iterator[list[str] | bytes | list
                 if isinstance(piece, bytes):
                     ends = np.flatnonzero(np.frombuffer(piece, np.uint8) == _NL)
                     if np.diff(ends, prepend=-1).max() <= csv.field_size_limit():
-                        line_no += len(ends)
+                        in_blocks += len(ends)
                         yield piece
                         continue
                 pending.extend(chunks.text_lines(piece))
@@ -567,8 +564,8 @@ def _fullstats_blocks(lines: Iterable[str]) -> Iterator[list[str] | bytes | list
                 rows.append(next(reader))
             yield rows
     except csv.Error as exc:
-        raise MalformedRecordError(getattr(lines, "name", "fullstats input"), line_no,
-                                   f"not CSV: {exc}") from None
+        raise MalformedRecordError(getattr(lines, "name", "fullstats input"),
+                                   in_blocks + reader.line_num, f"not CSV: {exc}") from None
 
 
 def parse_fullstats(lines: Iterable[str], column_map: Mapping[str, str],
@@ -587,7 +584,8 @@ def parse_fullstats(lines: Iterable[str], column_map: Mapping[str, str],
     rows (_fullstats_blocks): a plain block is read by
     chunks.numeric_lines, and any other rows come from csv.reader,
     which defines them. Either way the row rule (_row_values) reads
-    every row numpy does not read whole, and defines the result.
+    every row numpy does not read whole, and defines the result. An
+    error about the whole input names its file (`lines.name`).
     """
     for name in _REQUIRED_FIELDS:
         if name not in column_map:
@@ -596,14 +594,15 @@ def parse_fullstats(lines: Iterable[str], column_map: Mapping[str, str],
     if unknown:
         raise InvalidSpecError(f"unknown canonical fields in column_map: {sorted(unknown)}")
 
+    source = getattr(lines, "name", "fullstats input")
     blocks = _fullstats_blocks(lines)
     header = next(blocks)
     if header is None:
-        raise EmptyTraceError("fullstats input has no header row")
+        raise EmptyTraceError(f"{source}: no header row")
     header = [h.strip() for h in header]
     missing = [col for col in column_map.values() if col not in header]
     if missing:
-        raise MissingColumnError(f"mapped columns absent from header: {missing}")
+        raise MissingColumnError(f"{source}: mapped columns absent from header: {missing}")
     mapped = [name for name in FULLSTATS_FIELDS if name in column_map]
     cells = [(name, header.index(column_map[name]),
               _int_cell if name in SchedulerTrace.INTEGRAL else _float_cell)
@@ -646,7 +645,7 @@ def parse_fullstats(lines: Iterable[str], column_map: Mapping[str, str],
         # Uncapped on purpose, like the ping warnings above.
         log.warning("fullstats row %d skipped: %s", row_idx + 1, faults[row_idx])
     if not keep.any():
-        raise EmptyTraceError("no usable fullstats rows parsed")
+        raise EmptyTraceError(f"{source}: no usable fullstats rows parsed")
 
     snaps = SchedulerTrace(**{name: col[keep] for name, col in cols.items()})
     if "t_s" in column_map:

@@ -504,6 +504,26 @@ def test_ingest_fullstats_cell_past_the_csv_field_limit_exits_1(raw_dir, capsys,
     assert list((raw_dir / "out").iterdir()) == []
 
 
+# A raw log that yields no usable record, or a header without a mapped
+# column: the file the error names, and its bytes.
+UNUSABLE = {
+    "ping_without_reply": ("ping.log", b"PING h (h) 30(58) bytes of data.\n--- h ---\n"),
+    "empty_fullstats": ("full.csv", b""),
+    "fullstats_header_only": ("full.csv", b"rnti,dlsch_bler\n\n  \n\n"),
+    "fullstats_bom": ("full.csv", b"\xef\xbb\xbfrnti,dlsch_bler\n17,0.05\n"),
+}
+
+
+@pytest.mark.parametrize("name,data", UNUSABLE.values(), ids=UNUSABLE.keys())
+def test_ingest_of_an_unusable_raw_log_names_its_file(raw_dir, capsys, name, data):
+    (raw_dir / name).write_bytes(data)
+    assert main(["ingest", "--config", str(raw_dir / "c.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {raw_dir / name}: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
 # A time the parsers or consolidate_run derive past float64's range: the
 # fullstats CSV (None: raw_dir's) and run entry that make it, and the
 # layer the error names. Left to numpy, each overflows with a

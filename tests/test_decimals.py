@@ -164,7 +164,8 @@ def test_seeded_sweep_of_a_million_cells():
         assert ((got.view(np.int64) == x.view(np.int64)) | np.isnan(x))[ok].all()
         # A constant second column, so an empty x cell is no blank line.
         body = "".join(f"{cell},0\n" for cell in cells).encode()
-        table = canon._parse_text("x.csv", body, 0, ("x", "c"), optional=True)
+        table, index = canon._parse_text("x.csv", body, 0, ("x", "c"), optional=True)
+        assert index.tolist() == list(range(n))
         same = table[:, 0].view(np.int64) == x.view(np.int64)
         assert (same | np.isnan(x)).all()
         fixed_notation = np.array(["e" not in cell and cell != "" for cell in cells])
@@ -180,6 +181,8 @@ def test_powers_of_two_and_ten_and_their_neighbours_round_trip():
     for x in (powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf), -powers):
         _same(_column_text(x))
         trace = LatencyTrace(np.abs(x), np.arange(x.size), np.abs(x))
-        table = canon._parse_text("lat.csv", canon.table_text(trace).encode(),
-                                  len("t_s,seq,rtt_ms\n"), trace.names(), optional=False)
+        table, index = canon._parse_text("lat.csv", canon.table_text(trace).encode(),
+                                         len("t_s,seq,rtt_ms\n"), trace.names(),
+                                         optional=False)
+        assert index.tolist() == list(range(x.size))
         assert (table[:, 0].view(np.int64) == trace.t_s.view(np.int64)).all()

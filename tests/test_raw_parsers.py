@@ -343,7 +343,7 @@ def test_unstamped_reply_in_a_stamped_log_is_malformed(tmp_path):
     path = tmp_path / "ping.log"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     for chunk_bytes in (64, chunks._CHUNK_BYTES):
-        for source in (lines, chunks.RawLog(path)):
+        for source in (lines, chunks.RawLog(path), iter(lines)):
             with mock.patch.object(chunks, "_CHUNK_BYTES", chunk_bytes):
                 got, warned = _parse(parse_ping_log, 2, source, META)
             assert got.samples.t_s.tolist() == [0.0, 2.0]
