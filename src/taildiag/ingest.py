@@ -433,7 +433,8 @@ def parse_ping_log(lines: Iterable[str], meta: RunMetadata) -> PingParseResult:
         log.warning("ping line %d unparseable: %s", line_no, line)
     if not any(len(rtt) for *_, rtt in parts):
         raise EmptyTraceError(f"{source}: no ping reply lines parsed")
-    _, epoch, seq, rtt = map(np.concatenate, zip(*parts))
+    _, *columns = zip(*parts)      # line numbers are needed only up to the first epoch
+    epoch, seq, rtt = map(np.concatenate, columns)
     # Earliest epoch as base, not the first line's, so t_s stays >= 0
     # even when replies arrive out of order.
     if stamped:
