@@ -379,8 +379,10 @@ def parse_ping_log(lines: Iterable[str], meta: RunMetadata) -> PingParseResult:
         lines = list(lines)
     skipped = 0
     malformed: list[tuple[int, str]] = []
-    # Per piece: the line numbers, epochs, seqs and rtts of its replies.
+    # Per piece: the epochs, seqs and rtts of its replies, and until the
+    # first epoch (which makes them malformed) their line numbers.
     parts: list[tuple[np.ndarray, ...]] = []
+    numbers: list[np.ndarray] = []
     stamped = False
     first_no = 1
     probe = True                    # only after a piece without a strict reply
@@ -417,13 +419,15 @@ def parse_ping_log(lines: Iterable[str], meta: RunMetadata) -> PingParseResult:
         if not stamped and len(unstamped) < len(replies):
             stamped = True
             # The replies so far have no epoch: each is malformed.
-            malformed += _lines_at(lines, {no for numbers, *_ in parts
-                                           for no in numbers.tolist()})
+            malformed += _lines_at(lines, {no for part in numbers for no in part.tolist()})
             parts.clear()
+            numbers.clear()
         if stamped:
             malformed += ((first_no + i, text(i)) for i in unstamped)
             ok[unstamped] = False
-        parts.append((first_no + np.flatnonzero(ok), epoch[ok], seq[ok], rtt[ok]))
+        else:
+            numbers.append(first_no + replies)
+        parts.append((epoch[ok], seq[ok], rtt[ok]))
         first_no += len(ok)
     malformed.sort()
     for line_no, line in malformed:
@@ -433,8 +437,7 @@ def parse_ping_log(lines: Iterable[str], meta: RunMetadata) -> PingParseResult:
         log.warning("ping line %d unparseable: %s", line_no, line)
     if not any(len(rtt) for *_, rtt in parts):
         raise EmptyTraceError(f"{source}: no ping reply lines parsed")
-    _, *columns = zip(*parts)      # line numbers are needed only up to the first epoch
-    epoch, seq, rtt = map(np.concatenate, columns)
+    epoch, seq, rtt = map(np.concatenate, zip(*parts))
     # Earliest epoch as base, not the first line's, so t_s stays >= 0
     # even when replies arrive out of order.
     if stamped:
@@ -520,7 +523,8 @@ def _row_values(cells: list[tuple[str, int, object]], faults: dict[int, str], fi
 
 def _fullstats_blocks(lines: Iterable[str]) -> Iterator[list[str] | bytes | list[list[str]]]:
     """The rows of a fullstats input: its header row (None if it has no
-    line), then blocks of rows, a chunks.pieces piece at a time. A plain
+    line; a leading UTF-8 byte-order mark, as spreadsheet exports write,
+    dropped), then blocks of rows, a chunks.pieces piece at a time. A plain
     piece whose lines csv.reader would split on commas alone is a bytes
     block, each line a row; every other line goes to one csv.reader,
     whose rows up to the end of a piece are a list block, so a quoted
@@ -537,6 +541,8 @@ def _fullstats_blocks(lines: Iterable[str]) -> Iterator[list[str] | bytes | list
         cut = head.index(b"\n") + 1
         pieces = chain([head[cut:]] if cut < len(head) else [], pieces)
         head = [head[:cut].decode("ascii")]
+    elif head:
+        head[0] = head[0].removeprefix("\ufeff")
     pending.extend(head)
 
     def feed():

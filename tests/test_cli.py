@@ -4,9 +4,11 @@ import csv
 import json
 import logging
 import math
+import os
 import re
 import runpy
 import shutil
+import subprocess
 import sys
 import tracemalloc
 from collections import Counter
@@ -23,6 +25,23 @@ from taildiag.ingest import LatencySample
 
 from readers import read_manifest
 from runs import latency_trace
+
+# ------------------------------------------------------------- package
+
+@pytest.mark.parametrize("preset, want", [(None, "1"), ("3", "3")], ids=["unset", "preset"])
+def test_import_sets_one_blas_thread_before_numpy_loads(preset, want):
+    # OpenBLAS reads the count when numpy loads, so the default must be
+    # set before any import of numpy; a count the caller set wins.
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    child = ("import os, sys, taildiag; "
+             "print('numpy' in sys.modules, os.environ['OPENBLAS_NUM_THREADS'])")
+    done = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                          text=True, env=env, check=True)
+    assert done.stdout == f"False {want}\n"
+
 
 # ------------------------------------------------------------- formatting
 
@@ -510,7 +529,6 @@ UNUSABLE = {
     "ping_without_reply": ("ping.log", b"PING h (h) 30(58) bytes of data.\n--- h ---\n"),
     "empty_fullstats": ("full.csv", b""),
     "fullstats_header_only": ("full.csv", b"rnti,dlsch_bler\n\n  \n\n"),
-    "fullstats_bom": ("full.csv", b"\xef\xbb\xbfrnti,dlsch_bler\n17,0.05\n"),
 }
 
 
@@ -522,6 +540,21 @@ def test_ingest_of_an_unusable_raw_log_names_its_file(raw_dir, capsys, name, dat
     assert captured.out == ""
     assert captured.err.startswith(f"error: {raw_dir / name}: ")
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+@pytest.mark.parametrize("header", ["rnti,dlsch_bler", '"rnti",dlsch_bler'],
+                         ids=["bare", "quoted"])
+def test_ingest_drops_a_byte_order_mark_before_the_fullstats_header(raw_dir, header):
+    # Spreadsheet exports often begin a CSV with a UTF-8 byte-order mark.
+    full = raw_dir / "full.csv"
+    rows = full.read_bytes().split(b"\n", 1)[1]
+
+    def ingested(prefix: bytes) -> dict[str, bytes]:
+        full.write_bytes(prefix + header.encode() + b"\n" + rows)
+        assert main(["ingest", "--config", str(raw_dir / "c.json")]) == 0
+        return {p.name: p.read_bytes() for p in (raw_dir / "out").iterdir()}
+
+    assert ingested(b"\xef\xbb\xbf") == ingested(b"")
 
 
 # A time the parsers or consolidate_run derive past float64's range: the

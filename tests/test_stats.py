@@ -253,6 +253,25 @@ def test_spearman_matches_reference_random_ties(xs):
         assert got == pytest.approx(want, abs=1e-12)
 
 
+def test_spearman_sums_are_exact_on_a_day_of_tied_windows():
+    # About a 24 h run's window count, with MCS-like and BLER-like ties:
+    # every sum of rank products is exact, so rho is the fsum formula
+    # bit for bit, in any order of the points.
+    rng = np.random.default_rng(15)
+    n = 20_000
+    x = rng.integers(0, 29, n).astype(float)
+    y = np.round(rng.gamma(2.0, 0.02, n), 3)
+    rx, ry = stats._average_ranks(x), stats._average_ranks(y)
+    dx = (rx - math.fsum(rx) / n).tolist()
+    dy = (ry - math.fsum(ry) / n).tolist()
+    want = math.fsum(a * b for a, b in zip(dx, dy)) / math.sqrt(
+        math.fsum(a * a for a in dx) * math.fsum(b * b for b in dy))
+    assert 0.0 < abs(want) < 1.0
+    assert stats.spearman_rho(x, y) == want
+    order = rng.permutation(n)
+    assert stats.spearman_rho(x[order], y[order]) == want
+
+
 @given(st.lists(finite_floats, min_size=2, max_size=30, unique=True))
 @example(xs=[1e6, 999999.9999999999])
 @settings(max_examples=60)
