@@ -26,7 +26,8 @@ whole to the careful rule (`_careful`), which strips cells, skips blank
 lines, reads each cell in the canonical grammar by float() and names
 the first malformed line. A body that is not ASCII or holds a CR is
 decoded once (universal newlines) and re-encoded first, so a CRLF copy
-is read like its LF original.
+is read like its LF original. `chunks` and `decimals` load only when a
+CSV is read from its text.
 
 A column file `<name>.csv.cols` holds the SHA-256 of a format tag and
 the CSV's bytes, then the float64 table the text reader parses from
@@ -52,17 +53,14 @@ from typing import Iterable
 
 import numpy as np
 
-from . import decimals
-from .decimals import POW10 as _POW10
-from .decimals import TIE_MARGIN as _TIE_MARGIN
 from .errors import (
     EmptyTraceError,
     InvalidSpecError,
     MalformedRecordError,
     MissingColumnError,
+    decode_text,
 )
-from .chunks import decode_text, numeric_lines
-from .ingest import LatencyTrace, Run, SchedulerTrace
+from .model import LatencyTrace, Run, SchedulerTrace
 
 TRUTH_HEADER = "kind,t_s"
 
@@ -105,6 +103,27 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
+POW10 = 10.0 ** np.arange(23)      # exact up to 10**22
+# Dekker's split of a double into two halves of at most 26 bits.
+_SPLIT = 2.0 ** 27 + 1
+_POW10_HI = _SPLIT * POW10 - (_SPLIT * POW10 - POW10)
+_POW10_LO = POW10 - _POW10_HI
+# Relative margin within which a rounding tie counts as met: the cell is
+# then rendered by repr (here) or refused (decimals).
+TIE_MARGIN = 1e-9
+
+
+def two_product(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, err): p = fl(x * 10**k) and its error, x * 10**k == p + err
+    exactly, for k in 0..22 (Dekker's two-product, without FMA)."""
+    p = x * POW10[k]
+    split = _SPLIT * x
+    hi = split - (split - x)
+    lo = x - hi
+    s_hi, s_lo = _POW10_HI[k], _POW10_LO[k]
+    return p, ((hi * s_hi - p) + hi * s_lo + lo * s_hi) + lo * s_lo
+
+
 # Rows rendered at a time. A block's byte and digit matrices stay a few
 # MB; blocks of 2**14 rows already raised the quick start's peak RSS
 # above what one repr per cell took (45.5 against 44.0 MiB).
@@ -128,12 +147,12 @@ def _shortest(ax: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     are the candidates repr prefers when they lie strictly within half
     an ulp of ax. Not proven: an exponent floor(log10) misjudged (M17
     outside [10**16, 10**17)), or a tie or round-trip boundary within
-    _TIE_MARGIN. No candidate rounds up to 10**17 within half an ulp:
+    TIE_MARGIN. No candidate rounds up to 10**17 within half an ulp:
     the power of ten it stands for is a double, a whole ulp from ax."""
     exp10 = np.floor(np.log10(ax))
     k = (16 - exp10).astype(np.intp)
-    scale = _POW10[k]
-    p, err = decimals.two_product(ax, k)
+    scale = POW10[k]
+    p, err = two_product(ax, k)
     carry = np.rint(err)
     rho = err - carry                   # ax * 10**k == M17 + rho, exactly
     m17 = p.astype(np.int64) + carry.astype(np.int64)
@@ -147,13 +166,13 @@ def _shortest(ax: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     d15 = np.abs((c15 * 100 - m17) - rho)
     ulp = (ax.view(np.int64) + 1).view(np.float64) - ax   # the gap above = below
     half_ulp = ulp * scale * 0.5        # exact: 2**m * 10**k
-    inside, outside = half_ulp * (1 - _TIE_MARGIN), half_ulp * (1 + _TIE_MARGIN)
+    inside, outside = half_ulp * (1 - TIE_MARGIN), half_ulp * (1 + TIE_MARGIN)
     digits = np.where(d15 < inside, c15 * 100, np.where(d16 < inside, c16 * 10, m17))
     off_tie = np.abs(rho)
     proven = ((m17 >= 10 ** 16) & (m17 < 10 ** 17)
               & ((d15 < inside) | (d15 > outside)) & ((d16 < inside) | (d16 > outside))
-              & (off_tie < 0.5 - _TIE_MARGIN)
-              & ((off_tie > _TIE_MARGIN) | ((r16 != 5) & (r15 != 50))))
+              & (off_tie < 0.5 - TIE_MARGIN)
+              & ((off_tie > TIE_MARGIN) | ((r16 != 5) & (r15 != 50))))
     return digits, 16 - k, proven
 
 
@@ -301,6 +320,7 @@ def _parse_text(path: str | Path, data: bytes, start: int, names: tuple[str, ...
     With `optional`, an empty cell reads as NaN; otherwise it is
     malformed, as is a wrong field count or a cell that is not a
     decimal number, the first such line in the file raising."""
+    from .chunks import numeric_lines   # only a CSV without a bound column file is parsed
     body = memoryview(data)[start:]
     if not data.isascii() or b"\r" in data:
         body = decode_text(path, data[start:], line=2).encode("utf-8")

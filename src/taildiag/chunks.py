@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from . import decimals
-from .errors import MalformedRecordError
+from .errors import MalformedRecordError, decode_text
 
 # Bytes of a raw log read at a time, so a log is never held whole.
 _CHUNK_BYTES = 1 << 20
@@ -39,20 +39,6 @@ _EQ, _NL, _COMMA = ord("="), ord("\n"), ord(",")
 # chunk to be decoded together, so a log without that shape goes to the
 # per-line rules without paying for the numpy pass too.
 _PROBE_LINES = 64
-
-
-def decode_text(path: str | Path, data: bytes, line: int = 1) -> str:
-    """data, bytes of the file at path whose first line is line `line`,
-    as UTF-8 text with universal newlines (CRLF and CR read as LF). A
-    byte that is not UTF-8 raises MalformedRecordError naming its line."""
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = data[:exc.start]
-        line += head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-        raise MalformedRecordError(
-            path, line, f"not UTF-8 text: byte {data[exc.start]:#04x}") from None
-    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 class RawLog:

@@ -34,8 +34,7 @@ from .flags import (
     evaluate_flags,
     flag_rate,
 )
-from .chunks import RawLog
-from .ingest import Run, consolidate_run, parse_fullstats, parse_ping_log
+from .model import Run, consolidate_run
 from .windows import WindowTable, build_joined_windows
 
 log = logging.getLogger(__name__)
@@ -45,7 +44,8 @@ def load_run(cfg: CampaignConfig, rc: RunConfig) -> Run:
     """Materialize one run: canonical files win over raw logs; the
     nominal duration, when not configured, is taken from the data. An
     InvalidSpecError while reading the run (a derived time that
-    overflows, say) names the run."""
+    overflows, say) names the run. Only a raw source loads the raw
+    parsers (`ingest`, `chunks`)."""
     meta = rc.metadata()
     if not (rc.latency_file or rc.ping_log):
         raise InvalidSpecError(
@@ -55,14 +55,18 @@ def load_run(cfg: CampaignConfig, rc: RunConfig) -> Run:
         if rc.latency_file:
             latency = canon.read_latency_csv(rc.latency_file)
         else:
-            latency = parse_ping_log(RawLog(rc.ping_log), meta).samples
+            from . import ingest
+            from .chunks import RawLog
+            latency = ingest.parse_ping_log(RawLog(rc.ping_log), meta).samples
         snapshots = None
         if rc.scheduler_file:
             snapshots = canon.read_scheduler_csv(rc.scheduler_file)
         elif rc.fullstats:
+            from . import ingest
+            from .chunks import RawLog
             cmap = rc.column_map or cfg.column_map or DEFAULT_COLUMN_MAP
-            snapshots = parse_fullstats(RawLog(rc.fullstats), cmap, meta,
-                                        stats_period_s=rc.stats_period_s).snapshots
+            snapshots = ingest.parse_fullstats(RawLog(rc.fullstats), cmap, meta,
+                                               stats_period_s=rc.stats_period_s).snapshots
         nominal = rc.nominal_duration_s
         if nominal is None:
             nominal = float(latency.t_s.max()) + rc.ping_interval_s

@@ -29,10 +29,9 @@ import json
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import InvalidSpecError, check_fields, check_value
+from .errors import InvalidSpecError, check_fields, check_value, decode_text
 from .flags import FlagPolicy
-from .chunks import decode_text
-from .ingest import RunMetadata
+from .model import RunMetadata
 from .stats import DEFAULT_OUTLIER_MS, EXCEED_FAST_MS, EXCEED_STALL_MS
 from .windows import WindowSpec
 

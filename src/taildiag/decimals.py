@@ -19,7 +19,8 @@ mantissa M and the count k of digits after the point:
   doubles, and M / 10**k is float()'s value, rounded once (Clinger);
 - long path: M of 2**53 up to 9 * 10**18. The candidate x = fl(M) / 10**k
   lies within about an ulp of M / 10**k. Dekker's two-product
-  (`two_product`, which canon's renderer shares) gives the residual
+  (`canon.two_product`, which the renderer proves its digits with)
+  gives the residual
   M - x * 10**k exactly, and x, or failing that its neighbour
   towards the residual, is float()'s value when the residual lies
   strictly inside its half-ulp interval, with a margin. A near tie is
@@ -34,20 +35,11 @@ from __future__ import annotations
 
 import numpy as np
 
-# Integers float64 holds exactly and without a neighbour it rounds to
-# them: the one bound every reader applies to an integral value.
-MAX_EXACT_INT = 2.0 ** 53
+from .canon import POW10, TIE_MARGIN, two_product
+from .model import MAX_EXACT_INT
 
 # The longest cell decode reads, in bytes; a longer one is refused.
 MAX_CELL = 24
-POW10 = 10.0 ** np.arange(23)      # exact up to 10**22
-# Dekker's split of a double into two halves of at most 26 bits.
-_SPLIT = 2.0 ** 27 + 1
-_POW10_HI = _SPLIT * POW10 - (_SPLIT * POW10 - POW10)
-_POW10_LO = POW10 - _POW10_HI
-# Relative margin within which a rounding tie counts as met: the cell is
-# then refused (here) or rendered by repr (canon).
-TIE_MARGIN = 1e-9
 
 # Cells decoded at a time: a block's word and mask arrays stay in cache.
 _BLOCK = 1 << 15
@@ -111,17 +103,6 @@ def _inside(x: np.ndarray, residual: np.ndarray, scale: np.ndarray) -> np.ndarra
     down = x - (x.view(np.int64) - 1).view(np.float64)
     bound = (0.5 - 0.5 * TIE_MARGIN) * scale
     return (residual < up * bound) & (-residual < down * bound)
-
-
-def two_product(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(p, err): p = fl(x * 10**k) and its error, x * 10**k == p + err
-    exactly, for k in 0..22 (Dekker's two-product, without FMA)."""
-    p = x * POW10[k]
-    split = _SPLIT * x
-    hi = split - (split - x)
-    lo = x - hi
-    s_hi, s_lo = _POW10_HI[k], _POW10_LO[k]
-    return p, ((hi * s_hi - p) + hi * s_lo + lo * s_hi) + lo * s_lo
 
 
 def _long_path(m: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,9 +1,11 @@
-"""Shared exception types for the diagnostics toolkit, and the
-declared-type check every spec runs on its fields."""
+"""Shared exception types for the diagnostics toolkit, the
+declared-type check every spec runs on its fields, and the text decode
+that names the line of a byte that is not UTF-8."""
 
 import math
 import numbers
 from dataclasses import fields
+from pathlib import Path
 
 
 class ToolkitError(ValueError):
@@ -96,3 +98,17 @@ def check_fields(spec) -> None:
         value = getattr(spec, f.name)
         if declared in _DECLARED and not (optional == "None" and value is None):
             check_value(f.name, value, declared)
+
+
+def decode_text(path: str | Path, data: bytes, line: int = 1) -> str:
+    """data, bytes of the file at path whose first line is line `line`,
+    as UTF-8 text with universal newlines (CRLF and CR read as LF). A
+    byte that is not UTF-8 raises MalformedRecordError naming its line."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        line += head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise MalformedRecordError(
+            path, line, f"not UTF-8 text: byte {data[exc.start]:#04x}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text

@@ -8,7 +8,7 @@ co-occur; the AND rule is the default, OR exists for exploration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .errors import (
     InvalidSpecError,
     check_fields,
 )
-from .ingest import Run
+from .model import Run
 from .windows import PHASE_LABELS, WindowTable, split_phases
 
 COMBINE_AND = "AND"
@@ -42,8 +42,7 @@ class FlagPolicy:
             raise InvalidSpecError(f"combine must be AND or OR, got {self.combine!r}")
 
 
-@dataclass(frozen=True)
-class DegradationFlag:
+class DegradationFlag(NamedTuple):
     start_s: float
     raised: bool
     lat_evidence: bool
@@ -52,8 +51,7 @@ class DegradationFlag:
     bler_mean: float
 
 
-@dataclass(frozen=True)
-class PhaseComparison:
+class PhaseComparison(NamedTuple):
     """One phase of compare_phases; exceed_rate is the share of its
     latency samples above the threshold compare_phases was given."""
     phase_label: str
@@ -62,8 +60,7 @@ class PhaseComparison:
     bler_p95: float | None
 
 
-@dataclass(frozen=True)
-class CouplingReport:
+class CouplingReport(NamedTuple):
     rho_bler: float | None
     rho_mcs: float | None
     n_windows: int
@@ -78,9 +75,8 @@ def evaluate_flags(windows: WindowTable,
     lat = windows.lat_p95_ms > policy.lat_p95_threshold_ms
     sched = windows.bler_mean > policy.bler_mean_threshold
     raised = lat & sched if policy.combine == COMBINE_AND else lat | sched
-    return list(map(DegradationFlag, windows.start_s.tolist(), raised.tolist(),
-                    lat.tolist(), sched.tolist(), windows.lat_p95_ms.tolist(),
-                    windows.bler_mean.tolist()))
+    columns = (windows.start_s, raised, lat, sched, windows.lat_p95_ms, windows.bler_mean)
+    return list(map(DegradationFlag._make, zip(*(c.tolist() for c in columns))))
 
 
 def flag_rate(flags: Sequence[DegradationFlag]) -> float:

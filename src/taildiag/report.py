@@ -14,14 +14,14 @@ Two kinds of output, deliberately different:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import canon, stats
 from .flags import CouplingReport, DegradationFlag, PhaseComparison
-from .ingest import RunMetadata, SchedulerTrace
+from .model import RunMetadata, SchedulerTrace
 from .stats import KsResult, LatencySummary
 from .windows import WindowTable
 
@@ -54,8 +54,7 @@ def _fmt_threshold(t: float) -> str:
     return str(int(t)) if t == int(t) else repr(t)
 
 
-@dataclass(frozen=True)
-class SchedSummary:
+class SchedSummary(NamedTuple):
     """Raw-snapshot scheduler digest for one run."""
     n: int
     bler_median: float
@@ -116,9 +115,9 @@ def windows_table(windows: WindowTable) -> str:
 
 def flags_table(flags: Sequence[DegradationFlag]) -> str:
     names = FLAGS_HEADER.split(",")
-    columns = np.array([(f.start_s, f.raised, f.lat_evidence, f.sched_evidence,
-                         f.lat_p95_ms, f.bler_mean) for f in flags], dtype=float)
-    return canon.csv_bytes(names, columns.reshape(-1, len(names)).T,
+    # The flags' fields, in DegradationFlag order, read in one pass.
+    cells = np.fromiter(chain.from_iterable(flags), float, count=len(flags) * len(names))
+    return canon.csv_bytes(names, cells.reshape(-1, len(names)).T,
                            names[1:4]).decode("utf-8")
 
 

@@ -9,8 +9,7 @@ so a sample exactly at the threshold does not count as an excursion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,8 +26,7 @@ EXCEED_STALL_MS = 1000.0
 DEFAULT_OUTLIER_MS = 1000.0
 
 
-@dataclass(frozen=True)
-class LatencySummary:
+class LatencySummary(NamedTuple):
     """Per-run latency digest; all rates are fractions in [0, 1]."""
 
     n: int
@@ -40,8 +38,7 @@ class LatencySummary:
     outlier_rate: float
 
 
-@dataclass(frozen=True)
-class KsResult:
+class KsResult(NamedTuple):
     n1: int
     n2: int
     d_stat: float

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import canon
 from .errors import InvalidSpecError, check_fields
-from .ingest import (
+from .model import (
     LatencyTrace,
     Run,
     RunMetadata,

@@ -24,7 +24,7 @@ from .errors import (
     SplitOutOfRangeError,
     check_fields,
 )
-from .ingest import Run, _Table
+from .model import Run, _Table
 
 log = logging.getLogger(__name__)
 
@@ -85,7 +85,8 @@ class WindowTable(_Table):
 def make_windows(run_duration_s: float, spec: WindowSpec) -> list[tuple[float, float]]:
     """Window grid over [0, run_duration_s]: starts at multiples of the
     stride, only fully contained windows, count floor((T-w)/s)+1.
-    A count above MAX_WINDOWS raises InvalidSpecError."""
+    A count above MAX_WINDOWS raises InvalidSpecError, which gives the
+    count to 7 significant digits."""
     if run_duration_s < spec.width_s:
         raise RunTooShortError(
             f"run of {run_duration_s}s shorter than window width {spec.width_s}s")
@@ -94,7 +95,7 @@ def make_windows(run_duration_s: float, spec: WindowSpec) -> list[tuple[float, f
     if count > MAX_WINDOWS:
         raise InvalidSpecError(
             f"window width {spec.width_s}s and stride {spec.stride_s}s make "
-            f"{count} windows over {run_duration_s}s; the limit is {MAX_WINDOWS}")
+            f"{count:.7g} windows over {run_duration_s}s; the limit is {MAX_WINDOWS}")
     return [(k * spec.stride_s, k * spec.stride_s + spec.width_s)
             for k in range(count)]
 

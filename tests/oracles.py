@@ -246,3 +246,20 @@ def table_text_ref(table):
     columns = [["" if v is None else repr(v) for v in table.values(name)]
                for name in table.names()]
     return "\n".join([",".join(table.names()), *map(",".join, zip(*columns))]) + "\n"
+
+
+def consolidate_ref(samples, snapshots, offset):
+    """consolidate_run over rows (named tuples in field order): the latency
+    rows stably sorted by (t_s, seq); the snapshots of the RNTI with the
+    most of them (ties: the lowest), shifted by a nonzero offset with
+    those then below 0 dropped, stably sorted by t_s."""
+    latency = sorted(samples, key=lambda s: (s[0], s[1]))
+    counts = {}
+    for snap in snapshots:
+        counts[snap[1]] = counts.get(snap[1], 0) + 1
+    rnti = min(counts, key=lambda r: (-counts[r], r)) if counts else None
+    kept = [snap for snap in snapshots if snap[1] == rnti]
+    if offset:
+        kept = [type(snap)(snap[0] + offset, *snap[1:]) for snap in kept]
+        kept = [snap for snap in kept if not snap[0] < 0]
+    return latency, sorted(kept, key=lambda s: s[0])

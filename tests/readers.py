@@ -12,7 +12,7 @@ from pathlib import Path
 
 from taildiag.canon import _MANIFEST_META_KEYS, _NUMBER, TRUTH_HEADER
 from taildiag.errors import MalformedRecordError, MissingColumnError
-from taildiag.ingest import RunMetadata
+from taildiag.model import RunMetadata
 
 
 def read_truth_csv(path) -> tuple[list[float], list[float]]:

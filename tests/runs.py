@@ -6,7 +6,7 @@ test rows become trace columns. Absent optional fields (None) become
 NaN. Tests build a WindowTable from its columns directly.
 """
 
-from taildiag.ingest import LatencyTrace, SchedulerTrace, consolidate_run
+from taildiag.model import LatencyTrace, SchedulerTrace, consolidate_run
 
 
 def table(cls, rows):

@@ -31,7 +31,7 @@ import pytest
 from taildiag import canon, flags, report, stats, synthgen, windows
 from taildiag.cli import main
 from taildiag.flags import DegradationFlag, FlagPolicy
-from taildiag.ingest import LatencySample, RunMetadata, SchedulerSnapshot
+from taildiag.model import LatencySample, RunMetadata, SchedulerSnapshot
 from taildiag.windows import WindowSpec
 
 from oracles import ks_d_ref, percentile_ref, spearman_ref, window_members_ref

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from taildiag import canon
 from taildiag.errors import InvalidSpecError, MalformedRecordError
-from taildiag.ingest import LatencyTrace, SchedulerTrace
+from taildiag.model import LatencyTrace, SchedulerTrace
 
 LATENCY_HEADER = ",".join(LatencyTrace.names())
 IO = {LatencyTrace: (canon.write_latency_csv, canon.read_latency_csv),

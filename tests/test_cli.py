@@ -21,7 +21,7 @@ from taildiag.cli import main
 from taildiag.config import load_config
 from taildiag.errors import InvalidSpecError
 from taildiag.flags import CouplingReport
-from taildiag.ingest import LatencySample
+from taildiag.model import LatencySample
 
 from readers import read_manifest
 from runs import latency_trace
@@ -41,6 +41,28 @@ def test_import_sets_one_blas_thread_before_numpy_loads(preset, want):
     done = subprocess.run([sys.executable, "-c", child], capture_output=True,
                           text=True, env=env, check=True)
     assert done.stdout == f"False {want}\n"
+
+
+def test_analysis_of_bound_canonical_files_loads_no_parser(campaign, tmp_path):
+    # A fresh interpreter compiling from source, as a CLI process does:
+    # with each CSV's column file bound, summarize and flags load no raw
+    # parser, no text reader, no synthesis and no csv module.
+    assert sorted(p.name for p in campaign.glob("*.cols")) == [
+        "coupled_latency.csv.cols", "coupled_sched.csv.cols"]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    common = ["--config", _cfg(campaign), "--output-dir", str(tmp_path), "coupled"]
+    child = ("import sys\n"
+             "from taildiag.cli import main\n"
+             f"assert main(['summarize', *{common!r}]) == 0\n"
+             f"assert main(['flags', *{common!r}]) == 0\n"
+             "print([m for m in ('taildiag.chunks', 'taildiag.decimals', 'taildiag.synthgen',"
+             " 'taildiag.ingest', 'csv') if m in sys.modules])\n")
+    done = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                          text=True, env=env, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "coupled_summary.csv").exists()
+    assert (tmp_path / "coupled_flags.csv").exists()
 
 
 # ------------------------------------------------------------- formatting
@@ -350,6 +372,24 @@ def test_windows_grid_too_large_exits_1_without_allocating(
     assert "windows over 600.0s; the limit is 1000000" in err
     assert peak < 32 * 2**20
     assert not (tmp_path / "coupled_windows.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["windows", "flags"])
+def test_grid_count_of_a_huge_run_reads_in_g_form(campaign, tmp_path, capsys, command):
+    # floor((1e300 - 10) / 5) + 1 windows: a 300-digit integer.
+    config = json.loads((campaign / "campaign_config.json").read_text())
+    run = config["runs"][0]
+    for name in ("latency_file", "scheduler_file", "truth_file"):
+        run[name] = str(campaign / run[name])
+    run["nominal_duration_s"] = 1e300
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg_path), "--output-dir", str(tmp_path),
+                 "coupled"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200, err
+    assert "make 2e+299 windows over 1e+300s; the limit is 1000000" in err
+    assert not (tmp_path / f"coupled_{command}.csv").exists()
 
 
 def test_flags(campaign, tmp_path, capsys):

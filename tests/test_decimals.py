@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from taildiag import canon, decimals
-from taildiag.ingest import LatencyTrace
+from taildiag.model import LatencyTrace
 
 
 def _decode(cells, integral=False):

@@ -23,7 +23,7 @@ from taildiag.flags import (
     flag_rate,
 )
 from runs import make_run
-from taildiag.ingest import LatencySample, RunMetadata, SchedulerSnapshot
+from taildiag.model import LatencySample, RunMetadata, SchedulerSnapshot
 from taildiag.windows import WindowTable
 
 

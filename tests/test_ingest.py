@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from taildiag import canon, decimals, ingest, synthgen
+from taildiag import canon, decimals, synthgen
 from taildiag.errors import (
     EmptyTraceError,
     InvalidSpecError,
@@ -15,18 +15,18 @@ from taildiag.errors import (
     MissingColumnError,
     ToolkitError,
 )
-from taildiag.ingest import (
+from taildiag.ingest import parse_fullstats, parse_ping_log
+from taildiag.model import (
     LatencySample,
     LatencyTrace,
     RunMetadata,
     SchedulerSnapshot,
     SchedulerTrace,
     consolidate_run,
-    parse_fullstats,
-    parse_ping_log,
     select_dominant_rnti,
 )
 
+from oracles import consolidate_ref
 from readers import read_manifest, read_truth_csv
 from runs import latency_trace, sched_trace
 
@@ -328,6 +328,51 @@ def test_consolidate_offset_drops_negative_times():
     run = consolidate_run(latency_trace(lat), sched_trace(sched), meta(),
                           sched_offset_s=-2.0)
     assert [s.t_s for s in run.scheduler] == [3.0]
+
+
+def _bits(trace):
+    return [getattr(trace, name).tobytes() for name in trace.names()]
+
+
+# Few distinct times and seqs, so that ties are common.
+_LAT_ROWS = st.lists(st.builds(LatencySample, t_s=st.sampled_from([0.0, 0.2, 0.4, 3.0]),
+                               seq=st.integers(0, 3), rtt_ms=st.floats(1.0, 100.0)),
+                     max_size=30)
+_SCHED_ROWS = st.lists(st.builds(SchedulerSnapshot, t_s=st.sampled_from([0.0, 1.0, 2.0, 5.0]),
+                                 rnti=st.sampled_from([17, 17, 99]),
+                                 dl_bler=st.floats(0.0, 1.0),
+                                 dl_mcs=st.none() | st.integers(0, 28)),
+                       max_size=20)
+_ORDERED = [LatencySample(0.0, 0, 9.0), LatencySample(0.2, 1, 8.0), LatencySample(0.4, 2, 7.0)]
+_ONE_RNTI = [SchedulerSnapshot(0.0, 17, 0.1), SchedulerSnapshot(1.0, 17, 0.2),
+             SchedulerSnapshot(2.0, 17, 0.3)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_LAT_ROWS, st.booleans(), _SCHED_ROWS, st.booleans(), st.sampled_from([0.0, -1.5, 2.0]))
+@example(_ORDERED, False, _ONE_RNTI, False, 0.0)                   # already sorted
+@example([LatencySample(0.2, 1, 5.0), LatencySample(0.2, 1, 6.0),  # tie, equal seq
+          LatencySample(0.4, 2, 7.0), LatencySample(0.4, 1, 8.0)],  # tie, seq falls
+         False, _ONE_RNTI, False, 0.0)
+@example(_ORDERED[::-1], False, _ONE_RNTI[::-1], False, 0.0)       # unsorted
+@example(_ORDERED, False, [*_ONE_RNTI, SchedulerSnapshot(0.5, 99, 0.9)], False, 0.0)
+@example(_ORDERED, False, _ONE_RNTI, False, -1.5)                  # drops two rows
+def test_consolidate_matches_the_stable_sort_oracle(samples, presort, snapshots,
+                                                    presort_sched, offset):
+    # Bit for bit, whether or not the rows come in order already; a
+    # latency trace already in order is kept as it is.
+    if presort:
+        samples = sorted(samples, key=lambda s: (s.t_s, s.seq))
+    if presort_sched:
+        snapshots = sorted(snapshots, key=lambda s: (s.rnti, s.t_s))
+    lat = latency_trace(samples)
+    sched = sched_trace(snapshots) if snapshots else None
+    run = consolidate_run(lat, sched, meta(), sched_offset_s=offset)
+    ref_lat, ref_sched = consolidate_ref(samples, snapshots, offset)
+    assert _bits(run.latency) == _bits(latency_trace(ref_lat))
+    assert _bits(run.scheduler) == _bits(sched_trace(ref_sched))
+    if ref_lat == samples:
+        assert run.latency is lat
 
 
 # ---------------------------------------------------------- canonical files

@@ -16,11 +16,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from taildiag import chunks, ingest
+from taildiag import chunks, model
 from taildiag.cli import load_run
 from taildiag.config import load_config
 from taildiag.errors import EmptyTraceError, MalformedRecordError
-from taildiag.ingest import RunMetadata, consolidate_run, parse_fullstats, parse_ping_log
+from taildiag.ingest import parse_fullstats, parse_ping_log
+from taildiag.model import RunMetadata, consolidate_run
 
 from oracles import SCHED_FIELDS, parse_fullstats_ref, parse_ping_ref
 
@@ -161,7 +162,7 @@ def test_ping_parse_equals_the_line_by_line_oracle(lines):
         if not rows:
             assert isinstance(got, EmptyTraceError)
             continue
-        expected = ingest.LatencyTrace(*zip(*rows))
+        expected = model.LatencyTrace(*zip(*rows))
         assert _columns(got.samples) == _columns(expected)
         assert (got.skipped_lines, got.malformed) == (skipped, malformed)
 
@@ -288,7 +289,7 @@ def test_fullstats_parse_equals_the_row_by_row_oracle(lines, column_map, period)
         expected = [np.array(col, dtype=float).tobytes() for col in zip(*rows)]
         assert _columns(got.snapshots) == expected
         assert got.skipped_rows == len(faults)
-    assert SCHED_FIELDS == ingest.SchedulerTrace.names()
+    assert SCHED_FIELDS == model.SchedulerTrace.names()
 
 
 def test_fullstats_quoted_field_across_a_block_end():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from taildiag import canon, report
 from taildiag.flags import DegradationFlag
-from taildiag.ingest import LatencyTrace
+from taildiag.model import LatencyTrace
 from taildiag.windows import WindowTable
 
 from oracles import table_text_ref

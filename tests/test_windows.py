@@ -32,7 +32,7 @@ from taildiag.errors import (
 )
 from runs import make_run
 from taildiag.flags import FlagPolicy, compare_phases, evaluate_flags
-from taildiag.ingest import (
+from taildiag.model import (
     LatencySample,
     LatencyTrace,
     RunMetadata,
