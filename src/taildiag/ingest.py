@@ -19,7 +19,6 @@ import logging
 import math
 import re
 from collections import deque
-from dataclasses import replace
 from functools import partial
 from itertools import chain
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -410,7 +409,7 @@ def parse_fullstats(lines: Iterable[str], column_map: Mapping[str, str],
     if "t_s" in column_map:
         low, high = float(snaps.t_s.min()), float(snaps.t_s.max())
         _check_finite(high - low, "scheduler", f"t_s {high!r} less the earliest t_s {low!r}")
-        snaps = replace(snaps, t_s=snaps.t_s - low)
+        snaps = snaps.replace(t_s=snaps.t_s - low)
     return FullstatsParseResult(
         snapshots=snaps[np.lexsort((snaps.rnti, snaps.t_s))],
         skipped_rows=len(faults))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from typing import ClassVar, Mapping, NamedTuple
 
 import numpy as np
@@ -113,18 +113,28 @@ def _first_faults(checks) -> dict[int, str]:
 
 
 class _Table:
-    """Equal-length float64 numpy columns, one per dataclass field and
-    in its order, NaN where an optional field is absent. The fields
-    named in INTEGRAL hold integers. Columns are read-only views, so an
-    order a holder relies on (the time order of a Run's traces) cannot
-    change underneath it."""
+    """Equal-length float64 numpy columns, one per name in the class's
+    __slots__ and in its order, NaN where an optional field is absent.
+    The fields named in INTEGRAL hold integers. A table is built from
+    its columns by position or by name, and is read-only: no attribute
+    can be set, and columns are read-only views, so an order a holder
+    relies on (the time order of a Run's traces) cannot change
+    underneath it. A plain class rather than a frozen dataclass: every
+    process builds the table classes, and a dataclass costs about a
+    millisecond each to create."""
 
+    __slots__ = ()
     INTEGRAL: ClassVar[tuple[str, ...]]
 
-    def __post_init__(self):
+    def __init__(self, *columns, **named):
+        names = self.names()
+        rest = set(names[len(columns):])
+        if len(columns) + len(named) != len(names) or not named.keys() <= rest:
+            raise TypeError(f"{type(self).__name__} takes the columns {', '.join(names)}")
+        named.update(zip(names, columns))
         lengths = set()
-        for name in self.names():
-            col = np.asarray(getattr(self, name), dtype=float).view()
+        for name in names:
+            col = np.asarray(named[name], dtype=float).view()
             if col.ndim != 1:
                 raise InvalidSpecError(f"trace column {name} must be one-dimensional")
             col.flags.writeable = False
@@ -133,9 +143,19 @@ class _Table:
         if len(lengths) > 1:
             raise InvalidSpecError(f"trace columns differ in length: {sorted(lengths)}")
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
     @classmethod
     def names(cls) -> tuple[str, ...]:
-        return tuple(f.name for f in fields(cls))
+        return cls.__slots__
+
+    def replace(self, **columns):
+        """This table with the named columns replaced."""
+        return type(self)(**{name: getattr(self, name) for name in self.names()} | columns)
 
     def rendered(self, name: str) -> np.ndarray:
         """Column `name` as float64 holding what its cells render as: in
@@ -174,6 +194,10 @@ class _Table:
         return all(np.array_equal(getattr(self, n), getattr(other, n), equal_nan=True)
                    for n in self.names())
 
+    def __repr__(self) -> str:
+        return "{}({})".format(type(self).__name__, ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.names()))
+
 
 class _Trace(_Table):
     """One layer of a run. Its value rules are the static method
@@ -189,6 +213,7 @@ class _Trace(_Table):
     give traces of the same type.
     """
 
+    __slots__ = ()
     ROW: ClassVar[type]
     EMPTY_IS_NAN: ClassVar[bool]
 
@@ -208,11 +233,8 @@ class _Trace(_Table):
         return type(self)(*(getattr(self, name)[key] for name in self.names()))
 
 
-@dataclass(frozen=True, eq=False)
 class LatencyTrace(_Trace):
-    t_s: np.ndarray
-    seq: np.ndarray
-    rtt_ms: np.ndarray
+    __slots__ = ("t_s", "seq", "rtt_ms")
 
     ROW: ClassVar[type] = LatencySample
     INTEGRAL: ClassVar[tuple[str, ...]] = ("seq",)
@@ -228,18 +250,9 @@ class LatencyTrace(_Trace):
         ])
 
 
-@dataclass(frozen=True, eq=False)
 class SchedulerTrace(_Trace):
-    t_s: np.ndarray
-    rnti: np.ndarray
-    dl_bler: np.ndarray
-    ul_bler: np.ndarray
-    dl_mcs: np.ndarray
-    ul_mcs: np.ndarray
-    snr_db: np.ndarray
-    rsrp_dbm: np.ndarray
-    dl_retx: np.ndarray
-    dl_total: np.ndarray
+    __slots__ = ("t_s", "rnti", "dl_bler", "ul_bler", "dl_mcs", "ul_mcs", "snr_db", "rsrp_dbm",
+                 "dl_retx", "dl_total")
 
     ROW: ClassVar[type] = SchedulerSnapshot
     INTEGRAL: ClassVar[tuple[str, ...]] = ("rnti", "dl_mcs", "ul_mcs", "dl_retx",
@@ -315,7 +328,7 @@ def consolidate_run(latency: LatencyTrace, scheduler: SchedulerTrace | None,
             if dropped:
                 log.warning("sched offset %.3fs drops %d snapshots below t=0",
                             sched_offset_s, dropped)
-            sched = replace(sched, t_s=t)[~below]
+            sched = sched.replace(t_s=t)[~below]
         if not _in_time_order(sched.t_s):
             sched = sched[np.argsort(sched.t_s, kind="stable")]
     return Run(meta=meta, latency=lat, scheduler=sched)

@@ -62,23 +62,13 @@ class WindowSpec:
             raise InvalidSpecError("minimum sample counts must be >= 1")
 
 
-@dataclass(frozen=True, eq=False)
 class WindowTable(_Table):
     """The joined windows of a run, one column per aggregate, in start
     order; the columns are those of the windows CSV. An MCS or SNR
     median is NaN where no snapshot of the window carries the field."""
 
-    start_s: np.ndarray
-    lat_n: np.ndarray
-    lat_p95_ms: np.ndarray
-    lat_median_ms: np.ndarray
-    lat_exceed_100ms: np.ndarray
-    sched_n: np.ndarray
-    bler_mean: np.ndarray
-    bler_p95: np.ndarray
-    mcs_median: np.ndarray
-    snr_median_db: np.ndarray
-
+    __slots__ = ("start_s", "lat_n", "lat_p95_ms", "lat_median_ms", "lat_exceed_100ms",
+                 "sched_n", "bler_mean", "bler_p95", "mcs_median", "snr_median_db")
     INTEGRAL: ClassVar[tuple[str, ...]] = ("lat_n", "sched_n")
 
 

@@ -346,6 +346,7 @@ _SCHED_ROWS = st.lists(st.builds(SchedulerSnapshot, t_s=st.sampled_from([0.0, 1.
 _ORDERED = [LatencySample(0.0, 0, 9.0), LatencySample(0.2, 1, 8.0), LatencySample(0.4, 2, 7.0)]
 _ONE_RNTI = [SchedulerSnapshot(0.0, 17, 0.1), SchedulerSnapshot(1.0, 17, 0.2),
              SchedulerSnapshot(2.0, 17, 0.3)]
+_TWO_RNTIS = [*_ONE_RNTI, SchedulerSnapshot(0.5, 99, 0.9)]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -355,7 +356,7 @@ _ONE_RNTI = [SchedulerSnapshot(0.0, 17, 0.1), SchedulerSnapshot(1.0, 17, 0.2),
           LatencySample(0.4, 2, 7.0), LatencySample(0.4, 1, 8.0)],  # tie, seq falls
          False, _ONE_RNTI, False, 0.0)
 @example(_ORDERED[::-1], False, _ONE_RNTI[::-1], False, 0.0)       # unsorted
-@example(_ORDERED, False, [*_ONE_RNTI, SchedulerSnapshot(0.5, 99, 0.9)], False, 0.0)
+@example(_ORDERED, False, _TWO_RNTIS, False, 0.0)                 # two RNTIs
 @example(_ORDERED, False, _ONE_RNTI, False, -1.5)                  # drops two rows
 def test_consolidate_matches_the_stable_sort_oracle(samples, presort, snapshots,
                                                     presort_sched, offset):
@@ -660,6 +661,23 @@ def test_trace_slices_and_masks_are_traces():
         LatencyTrace([0.0], [0, 1], [9.0])
     with pytest.raises(ValueError):     # columns are read-only
         trace.t_s[0] = 7.0
+
+
+def test_trace_takes_its_columns_by_position_or_name_and_is_read_only():
+    trace = LatencyTrace([0.0, 0.2], seq=[0, 1], rtt_ms=[9.0, 8.0])
+    assert trace == LatencyTrace(t_s=[0.0, 0.2], seq=[0, 1], rtt_ms=[9.0, 8.0])
+    for columns, named in [(([0.0],) * 2, {}), (([0.0],) * 4, {}),
+                           (([0.0],) * 2, {"t_s": [0.0]}), ((), {"t": [0.0], "seq": [0],
+                                                                "rtt_ms": [9.0]})]:
+        with pytest.raises(TypeError, match="takes the columns t_s, seq, rtt_ms"):
+            LatencyTrace(*columns, **named)
+    with pytest.raises(AttributeError):
+        trace.t_s = np.zeros(2)
+    with pytest.raises(AttributeError):
+        del trace.seq
+    moved = trace.replace(t_s=[1.0, 1.2])
+    assert moved.t_s.tolist() == [1.0, 1.2] and np.shares_memory(moved.seq, trace.seq)
+    assert trace.t_s.tolist() == [0.0, 0.2]
 
 
 def _columns_strategy():
