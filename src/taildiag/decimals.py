@@ -20,11 +20,10 @@ mantissa M and the count k of digits after the point:
 - long path: M of 2**53 up to 9 * 10**18. The candidate x = fl(M) / 10**k
   lies within about an ulp of M / 10**k. Dekker's two-product
   (`canon.two_product`, which the renderer proves its digits with)
-  gives the residual
-  M - x * 10**k exactly, and x, or failing that its neighbour
-  towards the residual, is float()'s value when the residual lies
-  strictly inside its half-ulp interval, with a margin. A near tie is
-  refused.
+  gives the residual M - x * 10**k exactly, and x, or failing that its
+  neighbour towards the residual, is float()'s value when the residual
+  lies strictly inside its half-ulp interval, with a margin. A near tie
+  is refused.
 
 In an `integral` column a cell is a whole number below 2**53: decimal
 digits with an optional sign, or `0x` or `0X` followed by hex digits.
