@@ -44,6 +44,7 @@ from __future__ import annotations
 import hashlib
 import io
 import math
+import mmap
 import os
 import re
 import tempfile
@@ -75,6 +76,12 @@ _DIGEST_SIZE = hashlib.sha256().digest_size
 # files written before it stop matching and the text is read instead.
 _COLUMNS_TAG = b"taildiag columns 1\n"
 _FLOAT64 = np.dtype("<f8")
+# A CSV is read and hashed through one buffer of this size.
+_PIECE = 1 << 20
+# Rows of a column file's table checked against the value rules at a
+# time: a fault refuses the file at its block, and each block's
+# temporaries stay small.
+_CHECK_ROWS = 1 << 16
 
 # Manifest keys serialized for every run, in emission order.
 _MANIFEST_META_KEYS = ("run_id", "ue_type", "distance_m", "packet_size_b",
@@ -342,50 +349,96 @@ def _columns_digest(data: bytes) -> bytes:
     return digest.digest()
 
 
-def _stored_table(path: str | Path, data: bytes, kind: type) -> dict | None:
+def _csv_digest(csv, head: bytearray, size: int) -> bytes:
+    """_columns_digest of the CSV open as csv, whose first size bytes
+    are in head and the rest not yet read: hashed a piece at a time as
+    head is refilled, so the text is never held whole."""
+    digest = hashlib.sha256(_COLUMNS_TAG)
+    piece = memoryview(head)
+    while size:
+        digest.update(piece[:size])
+        size = csv.readinto(head)
+    return digest.digest()
+
+
+def _mapped_table(fh, width: int) -> np.ndarray | None:
+    """The float64 table of at least one row and `width` columns in the
+    .npy data that follows in fh, as a read-only view of a mapping of
+    the file; None unless the data is well-formed and exactly that
+    table. Its header is checked before the file is mapped, so no file
+    can make the read allocate more than the file holds, or unpickle
+    anything."""
+    if np.lib.format.read_magic(fh) != (1, 0):
+        return None
+    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+    offset = fh.tell()
+    size = os.fstat(fh.fileno()).st_size - offset
+    if (dtype != _FLOAT64 or len(shape) != 2 or shape[1] != width
+            or shape[0] < 1 or size != shape[0] * width * _FLOAT64.itemsize):
+        return None
+    mapping = mmap.mmap(fh.fileno(), offset + size, access=mmap.ACCESS_READ)
+    return np.ndarray(shape, _FLOAT64, mapping, offset,
+                      order="F" if fortran_order else "C")
+
+
+def _stored_table(path: str | Path, csv, head: bytearray, size: int,
+                  kind: type) -> dict | None:
     """The columns by name of the table in the column file beside CSV
-    path, whose bytes are data; None unless that file exists, is bound
-    to data, holds a float64 table of at least one row and one column
-    per field of `kind`, and every row keeps to kind.faults. Its header
-    is checked before any array is made, so no file can make the read
-    allocate more than the file holds, or unpickle anything."""
-    width = len(kind.names())
+    path, open as csv with its first size bytes in head; None unless
+    that file exists, is bound to the CSV's bytes, holds a float64 table
+    of at least one row and one column per field of `kind` (_mapped_table),
+    and every row keeps to kind.faults. The CSV is hashed only when the
+    column file opens; the rules are checked a block of rows at a time,
+    up to the first block with a fault."""
     try:
         with open(_columns_path(path), "rb") as fh:
-            if fh.read(_DIGEST_SIZE) != _columns_digest(data):
+            if fh.read(_DIGEST_SIZE) != _csv_digest(csv, head, size):
                 return None
-            if np.lib.format.read_magic(fh) != (1, 0):
-                return None
-            shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
-            size = os.fstat(fh.fileno()).st_size - fh.tell()
-            if (dtype != _FLOAT64 or len(shape) != 2 or shape[1] != width
-                    or shape[0] < 1 or size != shape[0] * width * _FLOAT64.itemsize):
-                return None
-            fh.seek(_DIGEST_SIZE)
-            table = np.lib.format.read_array(fh, allow_pickle=False)
+            table = _mapped_table(fh, len(kind.names()))
     except (OSError, ValueError):
         return None
+    if table is None:
+        return None
     columns = dict(zip(kind.names(), np.ascontiguousarray(table.T)))
-    return None if kind.faults(columns) else columns
+    for start in range(0, len(table), _CHECK_ROWS):
+        if kind.faults({name: col[start:start + _CHECK_ROWS] for name, col in columns.items()}):
+            return None
+    return columns
+
+
+def _header_end(path: str | Path, data, size: int, header: str) -> int:
+    """The end of the first line of CSV path, whose first size bytes are
+    in data, before its line end; MissingColumnError unless that line,
+    stripped of blanks, is header."""
+    end = data.find(b"\n", 0, size)
+    end = size if end < 0 else end
+    cr = data.find(b"\r", 0, end)
+    end = end if cr < 0 else cr
+    first = decode_text(path, data[:end]).strip()
+    if first != header:
+        raise MissingColumnError(f"{path}: expected header {header!r}, got {first!r}")
+    return end
 
 
 def _read_trace(path: str | Path, kind: type):
     """The `kind` trace of a canonical CSV, rows in file order: from its
     column file when _stored_table takes it, else from its text, where a
     row outside the value domains of `kind` raises MalformedRecordError
-    naming the CSV's path and the line _parse_text read the row from."""
+    naming the CSV's path and the line _parse_text read the row from.
+    The header is checked on the CSV's first piece; the whole text is
+    read only when the column file is not taken."""
     names = kind.names()
-    header = ",".join(names)
-    with open(path, "rb") as fh:
-        data = fh.read()
-    end = data.find(b"\n")
-    end = len(data) if end < 0 else end
-    cr = data.find(b"\r", 0, end)
-    end = end if cr < 0 else cr
-    first = decode_text(path, data[:end]).strip()
-    if first != header:
-        raise MissingColumnError(f"{path}: expected header {header!r}, got {first!r}")
-    columns = _stored_table(path, data, kind)
+    with open(path, "rb") as csv:
+        head = bytearray(_PIECE)
+        size = csv.readinto(head)
+        if size == _PIECE and b"\n" not in head:    # a first line longer than a piece
+            head += csv.read()
+            size = len(head)
+        end = _header_end(path, head, size, ",".join(names))
+        columns = _stored_table(path, csv, head, size, kind)
+        if columns is None:
+            csv.seek(0)
+            data = csv.read()
     if columns is None:
         start = end + (2 if data.startswith(b"\r\n", end) else 1)
         table, index = _parse_text(path, data, start, names, kind.EMPTY_IS_NAN)

@@ -38,8 +38,8 @@ PHASE_LABELS = ("LOS", "People")
 # Largest window grid, and largest total of samples over the joined
 # windows (both layers), that a window spec may ask for. The kernel holds
 # 16 B per member on the 24 h modem run (tracemalloc), 32 B at most if
-# nearly all are snapshots, and make_windows about 110 B per window: one
-# build stays under about 800 MB, and a tiny stride fails cleanly here.
+# nearly all are snapshots, and make_windows 16 B per window: one build
+# stays under about 800 MB, and a tiny stride fails cleanly here.
 MAX_WINDOWS = 1_000_000
 MAX_MEMBERS = 20_000_000
 
@@ -72,11 +72,12 @@ class WindowTable(_Table):
     INTEGRAL: ClassVar[tuple[str, ...]] = ("lat_n", "sched_n")
 
 
-def make_windows(run_duration_s: float, spec: WindowSpec) -> list[tuple[float, float]]:
-    """Window grid over [0, run_duration_s]: starts at multiples of the
-    stride, only fully contained windows, count floor((T-w)/s)+1.
-    A count above MAX_WINDOWS raises InvalidSpecError, which gives the
-    count to 7 significant digits."""
+def make_windows(run_duration_s: float, spec: WindowSpec) -> np.ndarray:
+    """Window grid over [0, run_duration_s] as a (count, 2) array of
+    (start, end) rows: starts at multiples of the stride, only fully
+    contained windows, count floor((T-w)/s)+1. A count above MAX_WINDOWS
+    raises InvalidSpecError, which gives the count to 7 significant
+    digits."""
     if run_duration_s < spec.width_s:
         raise RunTooShortError(
             f"run of {run_duration_s}s shorter than window width {spec.width_s}s")
@@ -86,8 +87,8 @@ def make_windows(run_duration_s: float, spec: WindowSpec) -> list[tuple[float, f
         raise InvalidSpecError(
             f"window width {spec.width_s}s and stride {spec.stride_s}s make "
             f"{count:.7g} windows over {run_duration_s}s; the limit is {MAX_WINDOWS}")
-    return [(k * spec.stride_s, k * spec.stride_s + spec.width_s)
-            for k in range(count)]
+    starts = np.arange(count, dtype=float) * spec.stride_s
+    return np.column_stack((starts, starts + spec.width_s))
 
 
 def _sorted_members(lo: np.ndarray, n: np.ndarray, columns, mean=None):
@@ -138,7 +139,7 @@ def build_joined_windows(run: Run, spec: WindowSpec) -> WindowTable:
     Reads the run's time-sorted columns as they are. More than
     MAX_MEMBERS samples over the joined windows raise InvalidSpecError.
     """
-    bounds = np.array(make_windows(run_duration(run), spec), dtype=float).reshape(-1, 2)
+    bounds = make_windows(run_duration(run), spec)
     lat_t, rtt = run.latency.t_s, run.latency.rtt_ms
     sched = run.scheduler
     sched_t, bler, mcs, snr = sched.t_s, sched.dl_bler, sched.dl_mcs, sched.snr_db

@@ -4,6 +4,8 @@ through."""
 
 import io
 import math
+import mmap
+import re
 import shutil
 
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from taildiag import canon
-from taildiag.errors import InvalidSpecError, MalformedRecordError
+from taildiag.errors import InvalidSpecError, MalformedRecordError, MissingColumnError
 from taildiag.model import LatencyTrace, SchedulerTrace
 
 LATENCY_HEADER = ",".join(LatencyTrace.names())
@@ -255,6 +257,92 @@ def test_crlf_copy_reads_as_the_lf_original(tmp_path, newline):
     with pytest.raises(MalformedRecordError) as exc:
         canon.read_latency_csv(bad)
     assert str(exc.value) == f"{bad}:4: expected 3 fields, got 2"
+
+
+# ------------------------------------------------------- the mapped column file
+
+def test_bound_c_order_table_reads_its_own_values(tmp_path, monkeypatch):
+    # The writer stores fields × rows (Fortran order); a table stored row
+    # by row must read as the same columns.
+    path = _latency(tmp_path)
+    table = np.ascontiguousarray(_as_table(canon.read_latency_csv(path)) * [1.0, 1.0, 2.0])
+    _bind(path, table)
+    monkeypatch.setattr(canon, "_parse_text", None)
+    trace = canon.read_latency_csv(path)
+    assert [getattr(trace, name).tolist() for name in trace.names()] == table.T.tolist()
+
+
+@pytest.mark.parametrize("row", [0, -1], ids=["first_block", "last_block"])
+def test_fault_in_one_block_of_a_long_column_file_reads_the_text(tmp_path, row):
+    rows = canon._CHECK_ROWS + 10
+    rtt = np.full(rows, 9.0)
+    rtt[row] = 0.0
+    path = tmp_path / "lat.csv"
+    trace = LatencyTrace(np.arange(rows) * 0.2, np.arange(rows), rtt)
+    canon.write_latency_csv(path, trace)
+    _bind(path, _as_table(trace))
+    expected = f"{path}:{rows + 1 if row else 2}: rtt_ms not finite and > 0"
+    assert _outcome(canon.read_latency_csv, path) == expected
+    assert _text_outcome(canon.read_latency_csv, path, tmp_path) == expected
+
+
+def _mapped(column):
+    """Whether numpy column is a view of a mapped file."""
+    while isinstance(column, np.ndarray):
+        column = column.base
+    return isinstance(column, mmap.mmap)
+
+
+def test_mapped_trace_outlives_a_rewrite_of_its_files(tmp_path):
+    path = _latency(tmp_path)
+    trace = canon.read_latency_csv(path)
+    assert all(_mapped(getattr(trace, name)) for name in trace.names())
+    before = _outcome(canon.read_latency_csv, path)
+    canon.write_latency_csv(path, LatencyTrace([1.0, 2.0], [5, 6], [3.0, 4.0]))
+    assert tuple(getattr(trace, name).tobytes() for name in trace.names()) == before
+    assert canon.read_latency_csv(path).rtt_ms.tolist() == [3.0, 4.0]
+    with pytest.raises(ValueError, match="read-only"):
+        trace.rtt_ms[0] = 1.0
+
+
+def test_failed_mapping_reads_the_text(tmp_path, monkeypatch):
+    path = _latency(tmp_path)
+    expected = _outcome(canon.read_latency_csv, path)
+
+    def refuse(*args, **kwargs):
+        raise OSError("too many open files")
+
+    monkeypatch.setattr(canon.mmap, "mmap", refuse)
+    parsed, parse = [], canon._parse_text
+    monkeypatch.setattr(canon, "_parse_text", lambda *args: parsed.append(1) or parse(*args))
+    assert _outcome(canon.read_latency_csv, path) == expected
+    assert parsed == [1]
+
+
+def test_empty_csv_beside_a_column_file_names_the_csv(tmp_path):
+    path = _latency(tmp_path)
+    path.write_bytes(b"")
+    with pytest.raises(MissingColumnError, match=f"^{re.escape(str(path))}: expected header"):
+        canon.read_latency_csv(path)
+
+
+def test_first_line_longer_than_a_read_piece(tmp_path, monkeypatch):
+    path = _latency(tmp_path)
+    expected = _outcome(canon.read_latency_csv, path)
+    head, body = path.read_bytes().split(b"\n", 1)
+    # Blanks around the header are stripped, however many there are.
+    path.write_bytes(head + b" " * canon._PIECE + b"\n" + body)
+    _bind(path, _as_table(canon.read_latency_csv(path)))
+    with monkeypatch.context() as patch:
+        patch.setattr(canon, "_parse_text", None)
+        assert _outcome(canon.read_latency_csv, path) == expected
+    # A line that is not the header is named whole, though a character
+    # of it straddles the end of the first piece.
+    line = "x" + "é" * canon._PIECE
+    path.write_bytes(line.encode() + b"\n" + body)
+    with pytest.raises(MissingColumnError) as exc:
+        canon.read_latency_csv(path)
+    assert str(exc.value) == f"{path}: expected header {LATENCY_HEADER!r}, got {line!r}"
 
 
 # -------------------------------------------------------------- atomic writes

@@ -111,17 +111,17 @@ def test_window_spec_validation():
 # ------------------------------------------------------------------- grid
 
 def test_grid_60_10_5():
-    grid = make_windows(60.0, WindowSpec())
+    grid = make_windows(60.0, WindowSpec()).tolist()
     assert [s for s, _ in grid] == [5.0 * k for k in range(11)]
     assert all(e - s == 10.0 for s, e in grid)
 
 
 def test_grid_duration_equals_width():
-    assert make_windows(10.0, WindowSpec()) == [(0.0, 10.0)]
+    assert make_windows(10.0, WindowSpec()).tolist() == [[0.0, 10.0]]
 
 
 def test_grid_no_partial_windows():
-    assert make_windows(10.0, WindowSpec(width_s=10.0, stride_s=3.0)) == [(0.0, 10.0)]
+    assert make_windows(10.0, WindowSpec(width_s=10.0, stride_s=3.0)).tolist() == [[0.0, 10.0]]
 
 
 def test_grid_beyond_max_windows_raises(monkeypatch):
@@ -163,7 +163,7 @@ def test_grid_closed_form_matches_enumeration(duration, width, stride):
         return
     spec = WindowSpec(width_s=float(width), stride_s=float(stride),
                       min_latency_samples=1)
-    grid = make_windows(float(duration), spec)
+    grid = make_windows(float(duration), spec).tolist()
     assert len(grid) == math.floor((duration - width) / stride) + 1
     assert [s for s, _ in grid] == window_starts_ref(
         float(duration), float(width), float(stride))
@@ -353,7 +353,7 @@ def test_membership_conservation(duration, width, stride, times):
                       min_latency_samples=1)
     samples = sorted((lat(t, 5.0, seq=i) for i, t in enumerate(times)),
                      key=lambda s: s.t_s)
-    grid = make_windows(float(duration), spec)
+    grid = make_windows(float(duration), spec).tolist()
     windows = latency_windows(samples, spec, float(duration))
     total_members = sum(windows[start]["lat_n"] for start, _ in grid if start in windows)
     multiplicity = sum(
@@ -383,7 +383,7 @@ def test_join_identical_grids_full_length():
     samples = [lat(t * 0.2, seq=t) for t in range(300)]
     snaps = [snap(float(t)) for t in range(60)]
     joined = build_joined_windows(run_of(samples, snaps), WindowSpec())
-    grid = make_windows(60.0, WindowSpec())
+    grid = make_windows(60.0, WindowSpec()).tolist()
     assert len(joined) == len(grid) == 11
     assert joined.start_s.tolist() == [start for start, _ in grid]
 
