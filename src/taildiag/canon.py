@@ -37,6 +37,18 @@ CSV it has just read, the file is well-formed and every row keeps to
 the value rules; otherwise it parses the text, which alone names the
 line of a fault. The CSV is the record: the column file is derived
 from it, and deleting it changes nothing but the time a read takes.
+
+Neither file is copied whole on that read. The CSV's header is
+checked on its first 1 MiB piece, then the CSV is hashed as a stream
+through that buffer; the whole text is read only for the text reader.
+The column file is mapped read-only, and the trace's columns are
+read-only views of the mapping, so each live trace read from a column
+file holds one file descriptor. A mapping that fails (no descriptor
+left, say) reads the text. The value rules are checked a block of
+rows at a time, up to the first block with a fault. Truncating a
+mapped column file in place can end the process with SIGBUS; the
+writers here never do that, since every file is replaced by a rename,
+and a trace mapped before the rename keeps its values.
 """
 
 from __future__ import annotations
