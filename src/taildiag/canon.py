@@ -361,15 +361,16 @@ def _columns_digest(data: bytes) -> bytes:
     return digest.digest()
 
 
-def _csv_digest(csv, head: bytearray, size: int) -> bytes:
-    """_columns_digest of the CSV open as csv, whose first size bytes
-    are in head and the rest not yet read: hashed a piece at a time as
-    head is refilled, so the text is never held whole."""
+def _csv_digest(csv, first: bytes) -> bytes:
+    """_columns_digest of the CSV open as csv, whose first line, first,
+    is read and the rest not yet: the rest hashed through one buffer a
+    piece at a time, so the text is never held whole."""
     digest = hashlib.sha256(_COLUMNS_TAG)
-    piece = memoryview(head)
-    while size:
+    digest.update(first)
+    buf = bytearray(_PIECE)
+    piece = memoryview(buf)
+    while size := csv.readinto(buf):
         digest.update(piece[:size])
-        size = csv.readinto(head)
     return digest.digest()
 
 
@@ -393,10 +394,9 @@ def _mapped_table(fh, width: int) -> np.ndarray | None:
                       order="F" if fortran_order else "C")
 
 
-def _stored_table(path: str | Path, csv, head: bytearray, size: int,
-                  kind: type) -> dict | None:
+def _stored_table(path: str | Path, csv, first: bytes, kind: type) -> dict | None:
     """The columns by name of the table in the column file beside CSV
-    path, open as csv with its first size bytes in head; None unless
+    path, open as csv with its first line, first, read; None unless
     that file exists, is bound to the CSV's bytes, holds a float64 table
     of at least one row and one column per field of `kind` (_mapped_table),
     and every row keeps to kind.faults. The CSV is hashed only when the
@@ -404,7 +404,7 @@ def _stored_table(path: str | Path, csv, head: bytearray, size: int,
     up to the first block with a fault."""
     try:
         with open(_columns_path(path), "rb") as fh:
-            if fh.read(_DIGEST_SIZE) != _csv_digest(csv, head, size):
+            if fh.read(_DIGEST_SIZE) != _csv_digest(csv, first):
                 return None
             table = _mapped_table(fh, len(kind.names()))
     except (OSError, ValueError):
@@ -418,18 +418,15 @@ def _stored_table(path: str | Path, csv, head: bytearray, size: int,
     return columns
 
 
-def _header_end(path: str | Path, data, size: int, header: str) -> int:
-    """The end of the first line of CSV path, whose first size bytes are
-    in data, before its line end; MissingColumnError unless that line,
-    stripped of blanks, is header."""
-    end = data.find(b"\n", 0, size)
-    end = size if end < 0 else end
-    cr = data.find(b"\r", 0, end)
-    end = end if cr < 0 else cr
-    first = decode_text(path, data[:end]).strip()
-    if first != header:
-        raise MissingColumnError(f"{path}: expected header {header!r}, got {first!r}")
-    return end
+def _header_end(path: str | Path, first: bytes, header: str) -> int:
+    """The length of first, the first line of CSV path as read up to an
+    LF, before its line end (an LF, a CR or CRLF); MissingColumnError
+    unless that line, stripped of blanks, is header."""
+    line = first.removesuffix(b"\n").partition(b"\r")[0]
+    text = decode_text(path, line).strip()
+    if text != header:
+        raise MissingColumnError(f"{path}: expected header {header!r}, got {text!r}")
+    return len(line)
 
 
 def _read_trace(path: str | Path, kind: type):
@@ -437,17 +434,14 @@ def _read_trace(path: str | Path, kind: type):
     column file when _stored_table takes it, else from its text, where a
     row outside the value domains of `kind` raises MalformedRecordError
     naming the CSV's path and the line _parse_text read the row from.
-    The header is checked on the CSV's first piece; the whole text is
-    read only when the column file is not taken."""
+    The header is checked on the CSV's first line, before anything else
+    is read; the whole text is read only when the column file is not
+    taken."""
     names = kind.names()
     with open(path, "rb") as csv:
-        head = bytearray(_PIECE)
-        size = csv.readinto(head)
-        if size == _PIECE and b"\n" not in head:    # a first line longer than a piece
-            head += csv.read()
-            size = len(head)
-        end = _header_end(path, head, size, ",".join(names))
-        columns = _stored_table(path, csv, head, size, kind)
+        first = csv.readline()
+        end = _header_end(path, first, ",".join(names))
+        columns = _stored_table(path, csv, first, kind)
         if columns is None:
             csv.seek(0)
             data = csv.read()

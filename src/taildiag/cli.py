@@ -7,14 +7,17 @@ Analysis: `ingest`, or an analysis command's renderer, whose one file
 it writes before printing. `main` builds one Analysis per invocation.
 
 Data goes to files in the output directory (written atomically),
-warnings go to stderr, stdout carries short human-readable summaries.
-Exit status is 0 exactly when every requested output file was written.
+stdout carries short human-readable summaries, and stderr carries
+`WARNING: <message>` lines from errors.warn (one per malformed ping
+line or skipped fullstats row, uncapped) and, for a failing command,
+one `error: <message>` line. No command imports the standard
+library's log package. Exit status is 0 exactly when every requested
+output file was written.
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 from collections.abc import Callable
 from dataclasses import replace
@@ -27,7 +30,7 @@ from .config import (
     RunConfig,
     load_config,
 )
-from .errors import InvalidSpecError, ToolkitError
+from .errors import InvalidSpecError, ToolkitError, warn
 from .flags import (
     compare_phases,
     coupling_report,
@@ -36,8 +39,6 @@ from .flags import (
 )
 from .model import Run, consolidate_run
 from .windows import WindowTable, build_joined_windows
-
-log = logging.getLogger(__name__)
 
 
 def load_run(cfg: CampaignConfig, rc: RunConfig) -> Run:
@@ -133,8 +134,8 @@ def _summarize(an: Analysis, args: argparse.Namespace) -> tuple[str, str, str]:
 def _compare(an: Analysis, args: argparse.Namespace) -> tuple[str, str, str]:
     a, b = an.run(args.run_a), an.run(args.run_b)
     if a.meta.packet_size_b != b.meta.packet_size_b:
-        log.warning("packet sizes differ: %s has %d B, %s has %d B",
-                    args.run_a, a.meta.packet_size_b, args.run_b, b.meta.packet_size_b)
+        warn(f"packet sizes differ: {args.run_a} has {a.meta.packet_size_b} B, "
+             f"{args.run_b} has {b.meta.packet_size_b} B")
     rtts_a, rtts_b = a.latency.rtt_ms, b.latency.rtt_ms
     ks = stats.ks_two_sample(rtts_a, rtts_b)
     text = report.compare_table(a.meta.packet_size_b, ks,
@@ -282,7 +283,6 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(stream=sys.stderr, format="%(levelname)s: %(message)s")
     return guarded(_dispatch, build_parser().parse_args(argv))
 
 

@@ -1,9 +1,16 @@
-"""Shared exception types for the diagnostics toolkit, the
-declared-type check every spec runs on its fields, and the text decode
-that names the line of a byte that is not UTF-8."""
+"""Shared exception types for the diagnostics toolkit, its one warning
+sink (`warn`), the declared-type check every spec runs on its fields,
+and the text decode that names the line of a byte that is not UTF-8.
+
+Each fault is reported once: a skipped record or questionable input as
+one `WARNING: <message>` line on stderr from `warn` (so no command
+imports the standard library's log package), and an error as one
+ToolkitError, which the CLI prints as one `error: <message>` line (an
+empty phase names its run)."""
 
 import math
 import numbers
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -62,6 +69,16 @@ class EmptyPhaseError(ToolkitError):
 class InvalidSpecError(ToolkitError):
     """A scenario, window, policy, or config declaration violates its
     constraints."""
+
+
+def warn(message: str) -> None:
+    """Write `WARNING: message` and a newline to sys.stderr, looked up
+    at call time. Every warning of the toolkit comes through here: one
+    per malformed ping line and per skipped fullstats row, among others.
+    They are uncapped: perfbench's raw_ingest check reads those line and
+    row numbers from stderr, so a cap (and a quiet flag) waits for the
+    diagnostics sidecar (ROADMAP item 4)."""
+    print(f"WARNING: {message}", file=sys.stderr)
 
 
 # Declared field types a value is checked against: the type it must

@@ -89,11 +89,13 @@ def compare_phases(run: Run, split_s: float | None = None,
                    exceed_threshold_ms: float = 100.0,
                    ) -> tuple[PhaseComparison, PhaseComparison]:
     """Latency tail and raw-snapshot BLER p95 for the two phases of a
-    run split at split_s (default: half the nominal duration)."""
+    run split at split_s (default: half the nominal duration). A phase
+    without latency samples raises EmptyPhaseError naming the run."""
     rows = []
     for label, phase in zip(PHASE_LABELS, split_phases(run, split_s)):
         if not len(phase.latency):
-            raise EmptyPhaseError(f"phase {label!r} has no latency samples")
+            raise EmptyPhaseError(
+                f"run {run.meta.run_id!r}: phase {label!r} has no latency samples")
         rtts, blers = phase.latency.rtt_ms, phase.scheduler.dl_bler
         rows.append(PhaseComparison(
             phase_label=label,

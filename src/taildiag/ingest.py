@@ -15,7 +15,6 @@ module also binds.
 from __future__ import annotations
 
 import csv
-import logging
 import math
 import re
 from collections import deque
@@ -31,6 +30,7 @@ from .errors import (
     InvalidSpecError,
     MalformedRecordError,
     MissingColumnError,
+    warn,
 )
 from .model import (
     MAX_EXACT_INT,
@@ -41,8 +41,6 @@ from .model import (
     consolidate_run,
     select_dominant_rnti,
 )
-
-log = logging.getLogger(__name__)
 
 
 class PingParseResult(NamedTuple):
@@ -130,11 +128,9 @@ def parse_ping_log(lines: Iterable[str], meta: RunMetadata) -> PingParseResult:
         lines = list(lines)
     skipped = 0
     malformed: list[tuple[int, str]] = []
-    # Per piece: the epochs, seqs and rtts of its replies, and until the
-    # first epoch (which makes them malformed) their line numbers.
-    parts: list[tuple[np.ndarray, ...]] = []
-    numbers: list[np.ndarray] = []
-    stamped = False
+    # Per piece: the line numbers of its replies without an epoch, and
+    # the epochs, seqs and rtts of all its replies.
+    parts = [(np.empty(0, np.int64),) + (np.empty(0),) * 3]
     first_no = 1
     probe = True                    # only after a piece without a strict reply
     for piece in chunks.pieces(lines):
@@ -165,30 +161,21 @@ def parse_ping_log(lines: Iterable[str], meta: RunMetadata) -> PingParseResult:
             # Exact: _reply_fields bounds seq by 2**53.
             epoch[at], seq[at], rtt[at] = np.array(read).T
             ok[at] = True
-        replies = np.flatnonzero(ok)
-        unstamped = replies[np.isnan(epoch[replies])].tolist()
-        if not stamped and len(unstamped) < len(replies):
-            stamped = True
-            # The replies so far have no epoch: each is malformed.
-            malformed += _lines_at(lines, {no for part in numbers for no in part.tolist()})
-            parts.clear()
-            numbers.clear()
-        if stamped:
-            malformed += ((first_no + i, text(i)) for i in unstamped)
-            ok[unstamped] = False
-        else:
-            numbers.append(first_no + replies)
-        parts.append((epoch[ok], seq[ok], rtt[ok]))
+        bare = np.flatnonzero(ok & np.isnan(epoch))
+        parts.append((first_no + bare, epoch[ok], seq[ok], rtt[ok]))
         first_no += len(ok)
+    bare, epoch, seq, rtt = map(np.concatenate, zip(*parts))
+    stamped = len(bare) < len(rtt)
+    if stamped:
+        # In a log where some reply has an epoch, one without is malformed.
+        malformed += _lines_at(lines, set(bare.tolist()))
+        keep = ~np.isnan(epoch)
+        epoch, seq, rtt = epoch[keep], seq[keep], rtt[keep]
     malformed.sort()
     for line_no, line in malformed:
-        # One warning per line, uncapped: perfbench's raw_ingest check
-        # reads these line numbers from stderr. Capping them waits for
-        # the diagnostics sidecar (ROADMAP item 4).
-        log.warning("ping line %d unparseable: %s", line_no, line)
-    if not any(len(rtt) for *_, rtt in parts):
+        warn(f"ping line {line_no} unparseable: {line}")
+    if not len(rtt):
         raise EmptyTraceError(f"{source}: no ping reply lines parsed")
-    epoch, seq, rtt = map(np.concatenate, zip(*parts))
     # Earliest epoch as base, not the first line's, so t_s stays >= 0
     # even when replies arrive out of order.
     if stamped:
@@ -400,8 +387,7 @@ def parse_fullstats(lines: Iterable[str], column_map: Mapping[str, str],
         keep[pos] = False
         faults[int(row_idx_of[pos])] = reason
     for row_idx in sorted(faults):
-        # Uncapped on purpose, like the ping warnings above.
-        log.warning("fullstats row %d skipped: %s", row_idx + 1, faults[row_idx])
+        warn(f"fullstats row {row_idx + 1} skipped: {faults[row_idx]}")
     if not keep.any():
         raise EmptyTraceError(f"{source}: no usable fullstats rows parsed")
 

@@ -12,16 +12,13 @@ gives.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import ClassVar, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import EmptyTraceError, InvalidSpecError, check_fields
-
-log = logging.getLogger(__name__)
+from .errors import EmptyTraceError, InvalidSpecError, check_fields, warn
 
 SCENARIO_BASELINE = "baseline"
 SCENARIO_DYNAMIC_PEOPLE = "dynamic_people"
@@ -326,8 +323,7 @@ def consolidate_run(latency: LatencyTrace, scheduler: SchedulerTrace | None,
             below = t < 0
             dropped = int(np.count_nonzero(below))
             if dropped:
-                log.warning("sched offset %.3fs drops %d snapshots below t=0",
-                            sched_offset_s, dropped)
+                warn(f"sched offset {sched_offset_s:.3f}s drops {dropped} snapshots below t=0")
             sched = sched.replace(t_s=t)[~below]
         if not _in_time_order(sched.t_s):
             sched = sched[np.argsort(sched.t_s, kind="stable")]

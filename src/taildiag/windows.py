@@ -10,7 +10,6 @@ error).
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import ClassVar
@@ -25,8 +24,6 @@ from .errors import (
     check_fields,
 )
 from .model import Run, _Table
-
-log = logging.getLogger(__name__)
 
 # Tolerance used when a duration is an exact multiple of the stride, so
 # float dust cannot drop the last window.
@@ -185,7 +182,7 @@ def run_duration(run: Run) -> float:
 def split_phases(run: Run, split_s: float | None = None) -> tuple[Run, Run]:
     """Partition a run at split_s (default: half the nominal duration)
     into two subruns with its metadata, the phases PHASE_LABELS name:
-    t_s < split vs t_s >= split."""
+    t_s < split vs t_s >= split. Either may be empty."""
     if split_s is None:
         split_s = run.meta.nominal_duration_s / 2.0
     if not 0.0 < split_s < run_duration(run):
@@ -193,11 +190,5 @@ def split_phases(run: Run, split_s: float | None = None) -> tuple[Run, Run]:
             f"split at {split_s}s outside (0, {run_duration(run)}s)")
     lat_k = int(np.searchsorted(run.latency.t_s, split_s))
     sched_k = int(np.searchsorted(run.scheduler.t_s, split_s))
-    lat_a, lat_b = run.latency[:lat_k], run.latency[lat_k:]
-    sched_a, sched_b = run.scheduler[:sched_k], run.scheduler[sched_k:]
-    for label, lat in zip(PHASE_LABELS, (lat_a, lat_b)):
-        if not len(lat):
-            log.warning("phase %r of run %s has no latency samples",
-                        label, run.meta.run_id)
-    return (Run(meta=run.meta, latency=lat_a, scheduler=sched_a),
-            Run(meta=run.meta, latency=lat_b, scheduler=sched_b))
+    return (Run(meta=run.meta, latency=run.latency[:lat_k], scheduler=run.scheduler[:sched_k]),
+            Run(meta=run.meta, latency=run.latency[lat_k:], scheduler=run.scheduler[sched_k:]))

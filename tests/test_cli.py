@@ -2,7 +2,6 @@
 
 import csv
 import json
-import logging
 import math
 import os
 import re
@@ -46,7 +45,7 @@ def test_import_sets_one_blas_thread_before_numpy_loads(preset, want):
 def test_analysis_of_bound_canonical_files_loads_no_parser(campaign, tmp_path):
     # A fresh interpreter compiling from source, as a CLI process does:
     # with each CSV's column file bound, summarize and flags load no raw
-    # parser, no text reader, no synthesis and no csv module.
+    # parser, no text reader, no synthesis, no csv module and no logging.
     assert sorted(p.name for p in campaign.glob("*.cols")) == [
         "coupled_latency.csv.cols", "coupled_sched.csv.cols"]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
@@ -57,7 +56,7 @@ def test_analysis_of_bound_canonical_files_loads_no_parser(campaign, tmp_path):
              f"assert main(['summarize', *{common!r}]) == 0\n"
              f"assert main(['flags', *{common!r}]) == 0\n"
              "print([m for m in ('taildiag.chunks', 'taildiag.decimals', 'taildiag.synthgen',"
-             " 'taildiag.ingest', 'csv') if m in sys.modules])\n")
+             " 'taildiag.ingest', 'csv', 'logging') if m in sys.modules])\n")
     done = subprocess.run([sys.executable, "-c", child], capture_output=True,
                           text=True, env=env, check=True)
     assert done.stdout.splitlines()[-1] == "[]"
@@ -281,7 +280,7 @@ def test_compare_self_is_null(campaign, tmp_path, capsys):
     assert cells[5] == cells[6]
 
 
-def test_compare_packet_mismatch_warns(campaign, tmp_path, caplog):
+def test_compare_packet_mismatch_warns(campaign, tmp_path, capsys):
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps({
         "runs": [
@@ -292,9 +291,9 @@ def test_compare_packet_mismatch_warns(campaign, tmp_path, caplog):
         ],
         "output_dir": str(tmp_path),
     }))
-    with caplog.at_level(logging.WARNING):
-        assert main(["compare", "--config", str(cfg_path), "small", "big"]) == 0
-    assert "packet sizes differ" in caplog.text
+    assert main(["compare", "--config", str(cfg_path), "small", "big"]) == 0
+    assert capsys.readouterr().err == \
+        "WARNING: packet sizes differ: small has 30 B, big has 1000 B\n"
     assert (tmp_path / "compare_small_vs_big.csv").exists()
 
 
@@ -425,6 +424,22 @@ def test_phases(campaign, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_phases_with_an_empty_phase_prints_one_error_naming_the_run(tmp_path, capsys):
+    lat_path = tmp_path / "early.csv"
+    canon.write_latency_csv(lat_path, latency_trace([
+        LatencySample(t_s=i * 0.2, seq=i, rtt_ms=9.0) for i in range(50)]))
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({
+        "runs": [{"run_id": "early", "latency_file": str(lat_path),
+                  "nominal_duration_s": 60.0}],
+        "output_dir": str(tmp_path),
+    }))
+    assert main(["phases", "--config", str(cfg_path), "early"]) == 1
+    assert capsys.readouterr().err == \
+        "error: run 'early': phase 'People' has no latency samples\n"
+    assert not (tmp_path / "early_phases.csv").exists()
+
+
 def _two_run_config(campaign, tmp_path):
     """The coupled campaign's run twice, as runs `a` and `b`."""
     run = json.loads((campaign / "campaign_config.json").read_text())["runs"][0]
@@ -513,16 +528,16 @@ def test_ingested_run_feeds_analysis(raw_dir, capsys):
     assert (raw_dir / "out" / "raw1_summary.csv").exists()
 
 
-def test_ingest_counts_replies_no_canonical_file_can_hold(raw_dir, capsys, caplog):
+def test_ingest_counts_replies_no_canonical_file_can_hold(raw_dir, capsys):
     # An icmp_seq past int64, an rtt and an epoch of over 308 digits.
     with open(raw_dir / "ping.log", "a") as fh:
         fh.write("[1.2] 64 bytes from h: icmp_seq=99999999999999999999999 ttl=64 "
                  "time=5.0 ms\n")
         fh.write("64 bytes from h: icmp_seq=100 ttl=64 time=" + "9" * 400 + ".5 ms\n")
         fh.write("[" + "9" * 400 + "] 64 bytes from h: icmp_seq=101 ttl=64 time=5.0 ms\n")
-    with caplog.at_level(logging.WARNING):
-        assert main(["ingest", "--config", str(raw_dir / "c.json")]) == 0
-    assert [int(n) for n in re.findall(r"ping line (\d+) unparseable", caplog.text)] == \
+    assert main(["ingest", "--config", str(raw_dir / "c.json")]) == 0
+    assert [int(n) for n in re.findall(r"ping line (\d+) unparseable",
+                                       capsys.readouterr().err)] == \
         [103, 104, 105]
     cfg2 = raw_dir / "c2.json"
     cfg2.write_text(json.dumps({

@@ -3,7 +3,6 @@ oracles.py, on messy logs, with blocks cut everywhere."""
 
 import hashlib
 import json
-import logging
 import os
 import subprocess
 import sys
@@ -16,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from taildiag import chunks, model
+from taildiag import chunks, ingest, model
 from taildiag.cli import load_run
 from taildiag.config import load_config
 from taildiag.errors import EmptyTraceError, MalformedRecordError
@@ -31,16 +30,12 @@ META = RunMetadata(run_id="r1", ue_type="modem", distance_m=6.0, packet_size_b=3
 
 @contextmanager
 def warnings_logged():
-    """The messages the ingest logger emits inside the block."""
+    """The messages the ingest parsers warn of inside the block, each
+    as given to errors.warn (a str input line may hold a newline, so
+    stderr is not split into lines)."""
     messages = []
-    handler = logging.Handler()
-    handler.emit = lambda record: messages.append(record.getMessage())
-    logger = logging.getLogger("taildiag.ingest")
-    logger.addHandler(handler)
-    try:
+    with mock.patch.object(ingest, "warn", messages.append):
         yield messages
-    finally:
-        logger.removeHandler(handler)
 
 
 def _parse(parse, block_lines, lines, *args, **kwargs):
