@@ -7,17 +7,27 @@ write -> read -> write is byte-identical and no precision is lost.
 All files are UTF-8 with LF line endings and are written atomically
 (temp file in the target directory, then rename).
 
-Data tables are rendered by one kernel (`csv_bytes`), a block of rows
-at a time. It finds the digits repr picks with numpy: an exact scaled
-product (Dekker's two-product) gives the 17-digit decimal of each float
-and its residual, and the shortest of the 15-, 16- and 17-digit
-roundings that lies within half an ulp is the one repr prints. A cell
-it cannot prove that way (a power of two, a near tie or round-trip
-boundary, an exponent outside fixed notation) is rendered by repr
-itself, so the output is repr's byte for byte. Each character position
-of a cell is one byte vector over the block's rows, NUL where a cell
-has no character; the block is transposed to rows and the NULs
+Data tables are rendered by one kernel (`_csv_blocks`), which yields
+the header and then each block of `_BLOCK_ROWS` rows as CSV bytes;
+`csv_bytes` joins them. It finds the digits repr picks with numpy: an
+exact scaled product (Dekker's two-product) gives the 17-digit decimal
+of each float and its residual, and the shortest of the 15-, 16- and
+17-digit roundings that lies within half an ulp is the one repr
+prints. A cell it cannot prove that way (a power of two, a near tie or
+round-trip boundary, an exponent outside fixed notation) is rendered
+by repr itself, so the output is repr's byte for byte. Each character
+position of a cell is one byte vector over the block's rows, NUL where
+a cell has no character; the block is transposed to rows and the NULs
 dropped.
+
+The trace writers stream. They render each column once (`rendered`),
+which raises for a value no cell can show before any file is touched,
+then send each block to the CSV's temp file and into the column file's
+SHA-256 as it is rendered. So a writer holds the rendered columns and
+one block, never the whole text. Every file is written through one
+helper (`_atomic_write`): a temp file in the target directory, created
+with mode 0o666 less the umask, then a rename; an exception, from a
+render as from the disk, leaves the old file and no temp file.
 
 The text reader reads a CSV's body with `chunks.numeric_lines`: a line
 of the header's width whose every cell the exact decimal reader
@@ -31,7 +41,12 @@ CSV is read from its text.
 
 A column file `<name>.csv.cols` holds the SHA-256 of a format tag and
 the CSV's bytes, then the float64 table the text reader parses from
-them, in .npy form.
+them, in .npy form. It is written after the CSV, once that digest is
+known: the digest, the .npy 1.0 header `np.lib.format.write_array`
+gives the rows × fields table in Fortran order, then each rendered
+column's bytes in turn. A trace whose CSV the reader refuses (no rows,
+or a row outside its value rules) gets no column file and loses any
+older one.
 The reader takes the table from it only while the digest matches the
 CSV it has just read, the file is well-formed and every row keeps to
 the value rules; otherwise it parses the text, which alone names the
@@ -39,8 +54,8 @@ line of a fault. The CSV is the record: the column file is derived
 from it, and deleting it changes nothing but the time a read takes.
 
 Neither file is copied whole on that read. The CSV's header is
-checked on its first 1 MiB piece, then the CSV is hashed as a stream
-through that buffer; the whole text is read only for the text reader.
+checked on its first line, then the rest is hashed as a stream through
+one 1 MiB buffer; the whole text is read only for the text reader.
 The column file is mapped read-only, and the trace's columns are
 read-only views of the mapping, so each live trace read from a column
 file holds one file descriptor. A mapping that fails (no descriptor
@@ -54,15 +69,13 @@ and a trace mapped before the rename keeps its values.
 from __future__ import annotations
 
 import hashlib
-import io
 import math
 import mmap
 import os
 import re
-import tempfile
 from functools import partial
 from pathlib import Path
-from typing import Iterable
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -100,14 +113,24 @@ _MANIFEST_META_KEYS = ("run_id", "ue_type", "distance_m", "packet_size_b",
                        "scenario", "ping_interval_s", "nominal_duration_s")
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write data to path via a temp file and rename, so readers never
-    observe a partially written file."""
+def _atomic_write(path: str | Path, write: Callable[[BinaryIO], object]) -> None:
+    """Call write with a temp file in path's directory, then rename it to
+    path, so readers never observe a partially written file, and an
+    exception leaves the old file and no temp file. The temp file is
+    created with mode 0o666 less the umask, the mode open() gives a new
+    file."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    while True:
+        tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL
+                         | getattr(os, "O_BINARY", 0), 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -115,6 +138,11 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
         except OSError:
             pass
         raise
+
+
+def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    """Write data to path atomically (_atomic_write)."""
+    _atomic_write(path, lambda fh: fh.write(data))
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -283,14 +311,15 @@ def _int_slots(x: np.ndarray) -> list[np.ndarray]:
     return slots
 
 
-def csv_bytes(names: Iterable[str], columns: Iterable[np.ndarray],
-              integral: Iterable[str] = ()) -> bytes:
-    """Equal-length float64 columns as UTF-8 CSV: `names` as the header,
-    then one line per row, each cell the repr of its float and NaN an
-    empty cell. The columns named in `integral` hold whole numbers that
-    int64 holds, written as integers."""
+def _csv_blocks(names: Iterable[str], columns: Iterable[np.ndarray],
+               integral: Iterable[str] = ()) -> Iterator[bytes]:
+    """Equal-length float64 columns as UTF-8 CSV, in pieces: `names` as
+    the header, then one piece per _BLOCK_ROWS rows, one line per row,
+    each cell the repr of its float and NaN an empty cell. The columns
+    named in `integral` hold whole numbers that int64 holds, written as
+    integers."""
     names, columns, integral = list(names), list(columns), set(integral)
-    parts = [(",".join(names) + "\n").encode("utf-8")]
+    yield (",".join(names) + "\n").encode("utf-8")
     rows = len(columns[0]) if columns else 0
     for start in range(0, rows, _BLOCK_ROWS):
         slots = []
@@ -299,8 +328,13 @@ def csv_bytes(names: Iterable[str], columns: Iterable[np.ndarray],
             slots += (_int_slots if name in integral else _float_slots)(block)
             slots.append(np.full((1, block.size), 10 if i == len(names) - 1 else 44,
                                  np.uint8))
-        parts.append(np.concatenate(slots).T.tobytes().translate(None, b"\0"))
-    return b"".join(parts)
+        yield np.concatenate(slots).T.tobytes().translate(None, b"\0")
+
+
+def csv_bytes(names: Iterable[str], columns: Iterable[np.ndarray],
+              integral: Iterable[str] = ()) -> bytes:
+    """The CSV of _csv_blocks, whole."""
+    return b"".join(_csv_blocks(names, columns, integral))
 
 
 def table_text(table) -> str:
@@ -456,33 +490,44 @@ def _read_trace(path: str | Path, kind: type):
     return kind(**columns)
 
 
-def _table_as_read(trace, columns: np.ndarray) -> np.ndarray | None:
-    """The rows × fields table the text reader parses from the canonical
-    CSV of trace, whose fields × rows `columns` are trace.rendered of
-    each field, or None when the reader refuses that CSV. No value
-    domain admits an infinity, nor a latency column NaN, so the faults
-    also cover the text only the careful rule reads ("inf", an empty
-    latency cell), where it names the line with other words."""
-    if not len(trace) or trace.faults(dict(zip(trace.names(), columns))):
-        return None
-    return columns.T    # column by column on disk: fields × rows contiguous
-
-
 def _write_trace(path: str | Path, trace) -> None:
     """Write trace as a canonical CSV, then its column file; a trace
-    whose CSV the reader refuses gets none, and loses any older one."""
+    whose CSV the reader refuses gets none, and loses any older one.
+    The columns are rendered first, so a value no cell can show raises
+    before any file is touched. Each block of the CSV goes to the temp
+    file and into the column file's digest as it is rendered, and the
+    column file's table is written column by column from the rendered
+    columns, so the writer holds them and one block at a time."""
     names = trace.names()
-    columns = np.array([trace.rendered(name) for name in names])
-    data = csv_bytes(names, columns, trace.INTEGRAL)
-    atomic_write_bytes(path, data)
-    table = _table_as_read(trace, columns)
-    if table is None:
+    columns = [trace.rendered(name) for name in names]
+    digest = hashlib.sha256(_COLUMNS_TAG)
+
+    def write_csv(fh):
+        for block in _csv_blocks(names, columns, trace.INTEGRAL):
+            digest.update(block)
+            fh.write(block)
+
+    def write_columns(fh):
+        # The .npy header np.lib.format.write_array gives the rows ×
+        # fields table in Fortran order, fields × rows contiguous (in C
+        # order for one row, where the two are the same bytes).
+        fh.write(digest.digest())
+        np.lib.format.write_array_header_1_0(fh, {
+            "descr": _FLOAT64.str, "fortran_order": len(trace) > 1,
+            "shape": (len(trace), len(names))})
+        for column in columns:
+            fh.write(column.astype(_FLOAT64, copy=False))
+
+    _atomic_write(path, write_csv)
+    # The rows × fields table the text reader parses from that CSV is the
+    # rendered columns', unless the reader refuses it. No value domain
+    # admits an infinity, nor a latency column NaN, so the faults also
+    # cover the text only the careful rule reads ("inf", an empty latency
+    # cell), where it names the line with other words.
+    if not len(trace) or trace.faults(dict(zip(names, columns))):
         _columns_path(path).unlink(missing_ok=True)
-        return
-    buf = io.BytesIO()
-    buf.write(_columns_digest(data))
-    np.lib.format.write_array(buf, table, allow_pickle=False)
-    atomic_write_bytes(_columns_path(path), buf.getvalue())
+    else:
+        _atomic_write(_columns_path(path), write_columns)
 
 
 def write_latency_csv(path: str | Path, samples: LatencyTrace) -> None:

@@ -217,6 +217,35 @@ def gen_latency_trace(spec: ScenarioSpec) -> tuple[LatencyTrace, GroundTruth]:
     return LatencyTrace(seq * spec.ping_interval_s, seq, base + elevation), truth
 
 
+def _mcs_walk(bler: np.ndarray) -> np.ndarray:
+    """The MCS of each of one or more snapshots with these BLERs, by the
+    rule gen_sched_trace states. The streak of snapshots below 0.05 does
+    not depend on the MCS, so every step is one array expression; only
+    the walk that saturates at MCS_MIN and MCS_MAX is sequential, and it
+    goes once per stretch of equal nonzero steps."""
+    prev = bler[:-1]
+    low = prev < 0.05
+    lows = np.cumsum(low)
+    streak = lows - np.maximum.accumulate(np.where(low, 0, lows))
+    step = np.where(prev > 0.10, -1, low & (streak % K_RECOVER == 0))
+    at = np.flatnonzero(step)
+    moves = step[at]
+    first = np.flatnonzero(np.diff(moves, prepend=0))
+    length = np.diff(first, append=moves.size)
+    taken, mcs = [], MCS_INIT
+    for move, count in zip(moves[first].tolist(), length.tolist()):
+        new = min(MCS_MAX, max(MCS_MIN, mcs + move * count))
+        taken.append(abs(new - mcs))
+        mcs = new
+    # The first `taken` steps of a stretch move the MCS; the rest press
+    # against a bound.
+    rank = np.arange(moves.size) - np.repeat(first, length)
+    delta = np.zeros(bler.size, dtype=int)
+    delta[0] = MCS_INIT
+    delta[at + 1] = moves * (rank < np.repeat(taken, length))
+    return np.cumsum(delta)
+
+
 def gen_sched_trace(spec: ScenarioSpec, truth: GroundTruth) -> SchedulerTrace:
     """Scheduler snapshots coupled to the latency trace through `truth`.
 
@@ -255,24 +284,7 @@ def gen_sched_trace(spec: ScenarioSpec, truth: GroundTruth) -> SchedulerTrace:
     bler[active] = np.clip(spec.bler_baseline + lift[active], 0.0, 1.0)
     truth.excursion_times_s = {float(t) for t in times[active]}
 
-    mcs = np.empty(n, dtype=int)
-    mcs[0] = MCS_INIT
-    streak = 0
-    for k in range(1, n):
-        prev = bler[k - 1]
-        step = 0
-        if prev > 0.10:
-            streak = 0
-            step = -1
-        elif prev < 0.05:
-            streak += 1
-            if streak >= K_RECOVER:
-                streak = 0
-                step = 1
-        else:
-            streak = 0
-        mcs[k] = min(MCS_MAX, max(MCS_MIN, mcs[k - 1] + step))
-
+    mcs = _mcs_walk(bler)
     snr = (spec.snr_base_db
            + _SNR_NOISE_DB * _stream(spec.seed, _STREAM_SNR_NOISE).standard_normal(n)
            - _SNR_DIP_DB * active)

@@ -263,3 +263,25 @@ def consolidate_ref(samples, snapshots, offset):
         kept = [type(snap)(snap[0] + offset, *snap[1:]) for snap in kept]
         kept = [snap for snap in kept if not snap[0] < 0]
     return latency, sorted(kept, key=lambda s: s[0])
+
+
+def mcs_walk_ref(bler, init, lo, hi, k_recover):
+    """The MCS of each snapshot, one at a time: it starts at init, drops
+    one step after a snapshot with BLER above 0.10, rises one step after
+    k_recover consecutive snapshots below 0.05, and stays in [lo, hi]."""
+    mcs = [init]
+    streak = 0
+    for prev in bler[:-1]:
+        step = 0
+        if prev > 0.10:
+            streak = 0
+            step = -1
+        elif prev < 0.05:
+            streak += 1
+            if streak >= k_recover:
+                streak = 0
+                step = 1
+        else:
+            streak = 0
+        mcs.append(min(hi, max(lo, mcs[-1] + step)))
+    return mcs

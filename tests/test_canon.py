@@ -5,8 +5,10 @@ through."""
 import io
 import math
 import mmap
+import os
 import re
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -345,6 +347,107 @@ def test_first_line_longer_than_a_read_piece(tmp_path, monkeypatch):
     assert str(exc.value) == f"{path}: expected header {LATENCY_HEADER!r}, got {line!r}"
 
 
+# ------------------------------------------------------------- streamed writes
+
+LATENCY_7 = LatencyTrace([0.0, 0.2, 0.2, 0.6, 1e-5, 123456.789, 2.0 ** 40],
+                         [0, 1, 3, 2, 4, 5, 2 ** 40], [9.0, 1e-3, 0.1, 250.5, 1e5, 7.0, 3.0])
+SCHED_7 = SchedulerTrace([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [17] * 7,
+                         [0.05, 0.5, -0.0, 1.0, 0.3, 0.0, 0.125],
+                         [None, 0.1, 0.2, None, 1.0, 0.0, 0.5],
+                         [9, None, 28, 0, 1, 2, 3], [None, 3, 4, 5, 6, 7, 8],
+                         [-0.0, 30.5, None, -7.25, 1e-4, 200.0, 3.0],
+                         [None, -80.0, -90.5, -100.0, None, -85.0, -84.0],
+                         [2, None, 0, 1, 2, 3, 4], [50, None, 60, 70, 80, 90, 2 ** 40])
+
+
+def _head(trace, rows):
+    return type(trace)(*(getattr(trace, name)[:rows] for name in trace.names()))
+
+
+def _whole_table_files(trace):
+    """The CSV and column file bytes (None for no column file) of trace,
+    rendered whole: csv_bytes, then the digest and write_array of the
+    rows × fields table stacked from the rendered columns."""
+    names = trace.names()
+    columns = np.array([trace.rendered(name) for name in names])
+    data = canon.csv_bytes(names, columns, trace.INTEGRAL)
+    if not len(trace):
+        return data, None
+    buf = io.BytesIO()
+    buf.write(canon._columns_digest(data))
+    np.lib.format.write_array(buf, columns.T, allow_pickle=False)
+    return data, buf.getvalue()
+
+
+@pytest.mark.parametrize("block", [1, 3])
+@pytest.mark.parametrize("rows", [0, 1, 2, 7])
+@pytest.mark.parametrize("trace", [LATENCY_7, SCHED_7], ids=["latency", "scheduler"])
+def test_streamed_files_equal_the_whole_table_ones(tmp_path, monkeypatch, trace, rows, block):
+    trace = _head(trace, rows)
+    data, cols = _whole_table_files(trace)
+    monkeypatch.setattr(canon, "_BLOCK_ROWS", block)
+    path = tmp_path / "trace.csv"
+    IO[type(trace)][0](path, trace)
+    assert path.read_bytes() == data
+    assert (_columns(path).read_bytes() if _columns(path).exists() else None) == cols
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["trace.csv"] + ["trace.csv.cols"] * (cols is not None)
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_streamed_rewrite_the_reader_refuses_drops_the_column_file(tmp_path, monkeypatch,
+                                                                   block):
+    monkeypatch.setattr(canon, "_BLOCK_ROWS", block)
+    path = tmp_path / "lat.csv"
+    canon.write_latency_csv(path, LATENCY_7)
+    assert _columns(path).exists()
+    refused = LATENCY_7.replace(rtt_ms=np.r_[LATENCY_7.rtt_ms[:-1], 0.0])
+    canon.write_latency_csv(path, refused)
+    assert path.read_bytes() == _whole_table_files(refused)[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["lat.csv"]
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_render_failing_after_its_first_block_leaves_the_old_files(tmp_path, monkeypatch,
+                                                                   block):
+    path = _latency(tmp_path)
+    before = path.read_bytes(), _columns(path).read_bytes()
+    monkeypatch.setattr(canon, "_BLOCK_ROWS", block)
+    calls, render = [], canon._float_slots
+
+    def fail_in_the_second_block(x):
+        calls.append(1)
+        if len(calls) > 2:          # t_s and rtt_ms of the first block rendered
+            raise MemoryError("render failed")
+        return render(x)
+
+    monkeypatch.setattr(canon, "_float_slots", fail_in_the_second_block)
+    with pytest.raises(MemoryError, match="render failed"):
+        canon.write_latency_csv(path, LATENCY_7)
+    assert (path.read_bytes(), _columns(path).read_bytes()) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["lat.csv", "lat.csv.cols"]
+
+
+def test_writer_holds_the_rendered_columns_and_one_block(tmp_path):
+    rows = 100_000
+    rng = np.random.default_rng(19)
+    trace = LatencyTrace(np.arange(rows) * 0.2, np.arange(rows),
+                         1.0 + 250.0 * rng.random(rows))
+    canon.write_latency_csv(tmp_path / "warm.csv", _head(trace, 2))
+    columns = len(trace.names()) * rows * 8
+    tracemalloc.start()
+    try:
+        canon.write_latency_csv(tmp_path / "lat.csv", trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A block's byte and digit matrices take some 2.5 MB at 8,192 rows;
+    # each whole-trace copy (CSV text, stacked table) would add 2.4 MB.
+    assert peak < columns + (3 << 20)
+    assert _outcome(canon.read_latency_csv, tmp_path / "lat.csv") == \
+        _text_outcome(canon.read_latency_csv, tmp_path / "lat.csv", tmp_path)
+
+
 # -------------------------------------------------------------- atomic writes
 
 def test_atomic_writes_leave_no_temp_file(tmp_path, monkeypatch):
@@ -370,3 +473,17 @@ def test_atomic_writes_leave_no_temp_file(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "a.bin", "b.txt", "lat.csv", "lat.csv.cols"]
     assert (tmp_path / "a.bin").read_bytes() == b"\x00\xff"
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o002, 0o077], ids=["022", "002", "077"])
+def test_written_files_take_the_umask(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        canon.atomic_write_bytes(tmp_path / "a.bin", b"\x00")
+        canon.atomic_write_text(tmp_path / "b.txt", "b\n")
+        _latency(tmp_path)
+    finally:
+        os.umask(old)
+    modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
+    assert modes == dict.fromkeys(["a.bin", "b.txt", "lat.csv", "lat.csv.cols"],
+                                  0o666 & ~umask)

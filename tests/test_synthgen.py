@@ -4,8 +4,9 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from taildiag import canon, stats, synthgen
@@ -27,6 +28,7 @@ from taildiag.synthgen import (
 )
 from taildiag.windows import WindowSpec, build_joined_windows
 
+from oracles import mcs_walk_ref
 from readers import read_manifest, read_truth_csv
 
 
@@ -244,6 +246,48 @@ def test_excursion_values_lift_bler_above_half():
             assert s.dl_bler >= 0.6
         else:
             assert s.dl_bler == 0.05
+
+
+# BLERs on both sides of, and exactly at, the 0.05 and 0.10 lines, in
+# stretches long enough for runs of K_RECOVER lows.
+BLER = st.sampled_from([0.0, 0.01, 0.05 - 2 ** -50, 0.05, 0.07, 0.10,
+                        0.10 + 2 ** -50, 0.5, 1.0, math.nan])
+STRETCHES = st.lists(st.tuples(BLER, st.integers(1, 3 * synthgen.K_RECOVER + 1)),
+                     min_size=1, max_size=40)
+# Lows and highs enough to take the MCS from either bound to the other.
+_UP = synthgen.K_RECOVER * (synthgen.MCS_MAX - synthgen.MCS_MIN) + 2
+_DOWN = synthgen.MCS_MAX - synthgen.MCS_MIN + 2
+LONG_STRETCHES = st.lists(st.tuples(st.sampled_from([0.0, 0.5]), st.integers(1, _UP)),
+                          min_size=1, max_size=6)
+SATURATING = [
+    [(0.0, _UP), (0.05, 1), (0.0, 5), (0.5, _DOWN), (0.10, 2), (0.0, 7)],
+    [(0.5, _DOWN), (0.0, _UP), (0.5, 3), (0.04, 3), (0.06, 1), (0.0, 3)],
+]
+
+
+def _bler(stretches):
+    return [value for value, count in stretches for _ in range(count)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(STRETCHES | LONG_STRETCHES)
+@example([(0.0, 1)])
+@example(SATURATING[0])
+@example(SATURATING[1])
+def test_mcs_walk_equals_the_step_by_step_rule(stretches):
+    want = mcs_walk_ref(_bler(stretches), synthgen.MCS_INIT, synthgen.MCS_MIN,
+                        synthgen.MCS_MAX, synthgen.K_RECOVER)
+    got = synthgen._mcs_walk(np.array(_bler(stretches)))
+    assert got.dtype == np.int64
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("stretches", SATURATING)
+def test_mcs_walk_examples_saturate_at_both_bounds(stretches):
+    mcs = mcs_walk_ref(_bler(stretches), synthgen.MCS_INIT, synthgen.MCS_MIN,
+                       synthgen.MCS_MAX, synthgen.K_RECOVER)
+    # Each bound is reached and held.
+    assert mcs.count(synthgen.MCS_MIN) > 1 and mcs.count(synthgen.MCS_MAX) > 1
 
 
 def test_sched_rejects_foreign_truth():
