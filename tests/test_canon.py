@@ -56,6 +56,38 @@ def _bind(path, table, allow_pickle=False):
     _columns(path).write_bytes(buf.getvalue())
 
 
+# Seven rows of each kind, to write a block or a few rows at a time: tied
+# times, fixed and exponent forms, a 2**40 integer, absent cells, -0.0.
+LATENCY_7 = LatencyTrace([0.0, 0.2, 0.2, 0.6, 1e-5, 123456.789, 2.0 ** 40],
+                         [0, 1, 3, 2, 4, 5, 2 ** 40], [9.0, 1e-3, 0.1, 250.5, 1e5, 7.0, 3.0])
+SCHED_7 = SchedulerTrace([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [17] * 7,
+                         [0.05, 0.5, -0.0, 1.0, 0.3, 0.0, 0.125],
+                         [None, 0.1, 0.2, None, 1.0, 0.0, 0.5],
+                         [9, None, 28, 0, 1, 2, 3], [None, 3, 4, 5, 6, 7, 8],
+                         [-0.0, 30.5, None, -7.25, 1e-4, 200.0, 3.0],
+                         [None, -80.0, -90.5, -100.0, None, -85.0, -84.0],
+                         [2, None, 0, 1, 2, 3, 4], [50, None, 60, 70, 80, 90, 2 ** 40])
+
+
+def _head(trace, rows):
+    return type(trace)(*(getattr(trace, name)[:rows] for name in trace.names()))
+
+
+def _whole_table_files(trace):
+    """The CSV and column file bytes (None for no column file) of trace,
+    rendered whole: csv_bytes, then the digest and write_array of the
+    rows × fields table stacked from the rendered columns."""
+    names = trace.names()
+    columns = np.array([trace.rendered(name) for name in names])
+    data = canon.csv_bytes(names, columns, trace.INTEGRAL)
+    if not len(trace):
+        return data, None
+    buf = io.BytesIO()
+    buf.write(canon._columns_digest(data))
+    np.lib.format.write_array(buf, columns.T, allow_pickle=False)
+    return data, buf.getvalue()
+
+
 # ------------------------------------------------ column file == text read
 
 # Values a writer may be handed that the reader refuses, or that take a
@@ -228,13 +260,21 @@ def test_fault_read_from_the_column_file_names_path_and_line(tmp_path):
     assert str(exc.value) == f"{path}:4: rtt_ms not finite and > 0"
 
 
-def test_rewrite_the_reader_refuses_drops_the_column_file(tmp_path):
+def test_rewrite_the_reader_refuses_drops_the_column_file(tmp_path, monkeypatch):
     path = _latency(tmp_path)
     assert _columns(path).exists()
     canon.write_latency_csv(path, LatencyTrace([0.0], [0], [0.0]))
     assert not _columns(path).exists()
     with pytest.raises(MalformedRecordError, match=":2: rtt_ms not finite and > 0"):
         canon.read_latency_csv(path)
+    refused = LATENCY_7.replace(rtt_ms=np.r_[LATENCY_7.rtt_ms[:-1], 0.0])
+    for block in (1, 3):            # streamed in blocks of these many rows
+        monkeypatch.setattr(canon, "_BLOCK_ROWS", block)
+        canon.write_latency_csv(path, LATENCY_7)
+        assert _columns(path).exists()
+        canon.write_latency_csv(path, refused)
+        assert path.read_bytes() == _whole_table_files(refused)[0]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["lat.csv"]
 
 
 @pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
@@ -349,36 +389,6 @@ def test_first_line_longer_than_a_read_piece(tmp_path, monkeypatch):
 
 # ------------------------------------------------------------- streamed writes
 
-LATENCY_7 = LatencyTrace([0.0, 0.2, 0.2, 0.6, 1e-5, 123456.789, 2.0 ** 40],
-                         [0, 1, 3, 2, 4, 5, 2 ** 40], [9.0, 1e-3, 0.1, 250.5, 1e5, 7.0, 3.0])
-SCHED_7 = SchedulerTrace([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [17] * 7,
-                         [0.05, 0.5, -0.0, 1.0, 0.3, 0.0, 0.125],
-                         [None, 0.1, 0.2, None, 1.0, 0.0, 0.5],
-                         [9, None, 28, 0, 1, 2, 3], [None, 3, 4, 5, 6, 7, 8],
-                         [-0.0, 30.5, None, -7.25, 1e-4, 200.0, 3.0],
-                         [None, -80.0, -90.5, -100.0, None, -85.0, -84.0],
-                         [2, None, 0, 1, 2, 3, 4], [50, None, 60, 70, 80, 90, 2 ** 40])
-
-
-def _head(trace, rows):
-    return type(trace)(*(getattr(trace, name)[:rows] for name in trace.names()))
-
-
-def _whole_table_files(trace):
-    """The CSV and column file bytes (None for no column file) of trace,
-    rendered whole: csv_bytes, then the digest and write_array of the
-    rows × fields table stacked from the rendered columns."""
-    names = trace.names()
-    columns = np.array([trace.rendered(name) for name in names])
-    data = canon.csv_bytes(names, columns, trace.INTEGRAL)
-    if not len(trace):
-        return data, None
-    buf = io.BytesIO()
-    buf.write(canon._columns_digest(data))
-    np.lib.format.write_array(buf, columns.T, allow_pickle=False)
-    return data, buf.getvalue()
-
-
 @pytest.mark.parametrize("block", [1, 3])
 @pytest.mark.parametrize("rows", [0, 1, 2, 7])
 @pytest.mark.parametrize("trace", [LATENCY_7, SCHED_7], ids=["latency", "scheduler"])
@@ -392,19 +402,6 @@ def test_streamed_files_equal_the_whole_table_ones(tmp_path, monkeypatch, trace,
     assert (_columns(path).read_bytes() if _columns(path).exists() else None) == cols
     assert sorted(p.name for p in tmp_path.iterdir()) == \
         ["trace.csv"] + ["trace.csv.cols"] * (cols is not None)
-
-
-@pytest.mark.parametrize("block", [1, 3])
-def test_streamed_rewrite_the_reader_refuses_drops_the_column_file(tmp_path, monkeypatch,
-                                                                   block):
-    monkeypatch.setattr(canon, "_BLOCK_ROWS", block)
-    path = tmp_path / "lat.csv"
-    canon.write_latency_csv(path, LATENCY_7)
-    assert _columns(path).exists()
-    refused = LATENCY_7.replace(rtt_ms=np.r_[LATENCY_7.rtt_ms[:-1], 0.0])
-    canon.write_latency_csv(path, refused)
-    assert path.read_bytes() == _whole_table_files(refused)[0]
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["lat.csv"]
 
 
 @pytest.mark.parametrize("block", [1, 3])
