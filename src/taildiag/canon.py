@@ -491,13 +491,11 @@ def _read_trace(path: str | Path, kind: type):
 
 
 def _write_trace(path: str | Path, trace) -> None:
-    """Write trace as a canonical CSV, then its column file; a trace
-    whose CSV the reader refuses gets none, and loses any older one.
-    The columns are rendered first, so a value no cell can show raises
-    before any file is touched. Each block of the CSV goes to the temp
-    file and into the column file's digest as it is rendered, and the
-    column file's table is written column by column from the rendered
-    columns, so the writer holds them and one block at a time."""
+    """Write trace as a canonical CSV, then its column file, a block of
+    the CSV at a time; a trace whose CSV the reader refuses gets no
+    column file, and loses any older one. The columns are rendered
+    first, so a value no cell can show raises before any file is
+    touched."""
     names = trace.names()
     columns = [trace.rendered(name) for name in names]
     digest = hashlib.sha256(_COLUMNS_TAG)
