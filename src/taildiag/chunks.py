@@ -1,16 +1,18 @@
 """Raw logs and CSV text read as bytes.
 
-A RawLog is a raw log file read a chunk of whole lines at a time, so a
-log is never held whole. The raw parsers take its chunks, or blocks of
-any iterable of str lines, as pieces (`pieces`): a plain piece, ASCII
-without CR, NUL or a double quote, is bytes that numpy decoders read as
-they are; any other is a list of str lines.
+A RawLog is a raw log read a chunk of whole lines at a time: a file,
+so that it is never held whole, or str lines given from code, held as
+the UTF-8 text they join to. The raw parsers read it in pieces
+(`pieces`), one per chunk, each bytes of UTF-8 lines ending in LF: a
+chunk that is `_plain`, ASCII without CR, as it is, and any other
+decoded with universal newlines and encoded again.
 
 Two numpy decoders read the bytes, each through the exact decimal
 reader (`decimals.decode`) and each leaving every line it cannot prove
 whole to its caller's rules: `decode_replies` the ping replies of a
-plain piece, and `numeric_lines` the numeric cells of CSV lines (the
-plain fullstats pieces and the canonical CSV bodies).
+piece, and `numeric_lines` the numeric cells of CSV lines (the
+fullstats pieces without a double quote or NUL, and the canonical CSV
+bodies).
 """
 
 from __future__ import annotations
@@ -24,13 +26,10 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from . import decimals
-from .errors import MalformedRecordError, decode_text
+from .errors import MalformedRecordError, count_line_ends, decode_text
 
 # Bytes of a raw log read at a time, so a log is never held whole.
 _CHUNK_BYTES = 1 << 20
-# Lines (ping) or rows (fullstats) an iterable of str lines is read in
-# at a time.
-_BLOCK_LINES = 16384
 # Bytes of padding around a block, so every word the decoders read lies
 # inside the buffer, and decimals.decode need not copy it to pad it.
 PAD = b"\0" * 64
@@ -42,16 +41,42 @@ _PROBE_LINES = 64
 
 
 class RawLog:
-    """A raw log file read as bytes, a chunk of whole lines of about
-    _CHUNK_BYTES at a time (a longer line is one chunk). The raw parsers
-    decode a plain chunk without making a str of any line; iterating
-    the log yields its lines as UTF-8 text with universal newlines, a
-    byte that is not UTF-8 raising MalformedRecordError at its line."""
+    """A raw log read as bytes, a chunk of whole lines of about
+    _CHUNK_BYTES at a time (a longer line is one chunk): the file at
+    `path`, or `blocks`, chunks already held (`RawLog.of`). The raw
+    parsers decode a plain chunk without making a str of any line;
+    iterating the log yields its lines as UTF-8 text with universal
+    newlines, a byte that is not UTF-8 raising MalformedRecordError at
+    its line."""
 
-    def __init__(self, path: str | Path) -> None:
+    def __init__(self, path: str | Path, blocks: list[bytes] | None = None) -> None:
         self.name = str(path)
+        self._blocks = blocks
+
+    @classmethod
+    def of(cls, lines: RawLog | Iterable[str], name: str) -> RawLog:
+        """lines as it is if a RawLog; else a RawLog named `name` of the
+        UTF-8 text the str lines join to, an LF added where a line has
+        none, built a block of about _CHUNK_BYTES at a time. A lone
+        surrogate is encoded as it is (`surrogatepass`): bytes that are
+        not UTF-8, which the parsers refuse at its line."""
+        if isinstance(lines, RawLog):
+            return lines
+        blocks, block, size = [], [], 0
+        for line in lines:
+            block.append(line if line.endswith("\n") else line + "\n")
+            size += len(line)
+            if size >= _CHUNK_BYTES:
+                blocks.append("".join(block).encode("utf-8", "surrogatepass"))
+                block, size = [], 0
+        if block:
+            blocks.append("".join(block).encode("utf-8", "surrogatepass"))
+        return cls(name, blocks)
 
     def chunks(self) -> Iterator[bytes]:
+        if self._blocks is not None:        # each of whole lines already
+            yield from self._blocks
+            return
         with open(self.name, "rb") as fh:
             rest = b""
             while block := fh.read(_CHUNK_BYTES):
@@ -65,70 +90,47 @@ class RawLog:
             if rest:
                 yield rest
 
-    def lines(self, chunk: bytes, index: int) -> list[str]:
-        """The lines of chunk, chunk `index` of the log, as text."""
+    def text(self, chunk: bytes, index: int) -> str:
+        """chunk, chunk `index` of the log, as UTF-8 text with universal
+        newlines."""
         try:
-            return io.StringIO(decode_text(self.name, chunk)).readlines()
-        except MalformedRecordError:    # name the line in the file, not in chunk
-            line = 1
-            for before in islice(self.chunks(), index):
-                line += before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
+            return decode_text(self.name, chunk)
+        except MalformedRecordError:    # name the line in the log, not in chunk
+            line = 1 + sum(map(count_line_ends, islice(self.chunks(), index)))
             decode_text(self.name, chunk, line)
             raise
 
     def __iter__(self) -> Iterator[str]:
         for index, chunk in enumerate(self.chunks()):
-            yield from self.lines(chunk, index)
+            yield from io.StringIO(self.text(chunk, index)).readlines()
 
 
 def _plain(data: bytes) -> bool:
-    """Whether data is ASCII without CR, NUL or a double quote: text the
-    block decoders read as it is, one line per LF."""
-    return (data.isascii() and b"\r" not in data and b"\0" not in data
-            and b'"' not in data)
+    """Whether data is ASCII without CR: UTF-8 text with one line per
+    LF, as it is."""
+    return data.isascii() and b"\r" not in data
 
 
-def _piece(block: list[str]) -> bytes | list[str]:
-    """block, lines each one str, as bytes where they are _plain text
-    with one LF at the end of each (one added where a line has none);
-    else block itself."""
-    text = "".join(line if line.endswith("\n") else line + "\n" for line in block)
-    if text.isascii() and text.count("\n") == len(block) and _plain(data := text.encode()):
-        return data
-    return block
+def pieces(log: RawLog) -> Iterator[bytes]:
+    """The lines of log in pieces of whole lines, one per chunk, each
+    line UTF-8 text ending in LF (one added to a last line without):
+    the chunk itself if _plain, else its text (RawLog.text) encoded
+    again, so a chunk of CRLF lines reads as LF lines."""
+    for index, chunk in enumerate(log.chunks()):
+        if not _plain(chunk):
+            chunk = log.text(chunk, index).encode()
+        yield chunk if chunk.endswith(b"\n") else chunk + b"\n"
 
 
-def pieces(lines: Iterable[str]) -> Iterator[bytes | list[str]]:
-    """The lines of a raw log in pieces of whole lines: bytes of _plain
-    text, each line ending in LF, or else a list of the lines as str. A
-    RawLog gives one piece per chunk: the chunk itself if plain, else
-    the _piece of its lines as text (so a chunk of CRLF lines is plain
-    once decoded). Any other iterable of str lines gives the _piece of
-    each _BLOCK_LINES of its lines."""
-    if isinstance(lines, RawLog):
-        for index, chunk in enumerate(lines.chunks()):
-            if _plain(chunk):
-                yield chunk if chunk.endswith(b"\n") else chunk + b"\n"
-            else:
-                yield _piece(lines.lines(chunk, index))
-        return
-    line_iter = iter(lines)
-    while block := list(islice(line_iter, _BLOCK_LINES)):
-        yield _piece(block)
+def text_lines(piece: bytes) -> list[str]:
+    """The lines of a piece as str, each with its LF."""
+    return io.StringIO(piece.decode()).readlines()
 
 
-def text_lines(piece: bytes | list[str]) -> list[str]:
-    """The lines of a piece as str."""
-    return piece if isinstance(piece, list) else io.StringIO(piece.decode("ascii")).readlines()
-
-
-def line_at(piece: bytes | list[str], bounds: tuple[np.ndarray, np.ndarray] | None,
-            i: int) -> str:
-    """Line i of a piece, without its line end: piece[i] of a
-    list, and of bytes the ASCII text from bounds[0][i] to bounds[1][i]."""
-    if bounds is None:
-        return piece[i].rstrip("\n")
-    return piece[bounds[0][i]:bounds[1][i]].decode("ascii")
+def line_at(piece: bytes, bounds: tuple[np.ndarray, np.ndarray], i: int) -> str:
+    """Line i of a piece, without its LF: the text from bounds[0][i] to
+    bounds[1][i]."""
+    return piece[bounds[0][i]:bounds[1][i]].decode()
 
 
 def _holds(at: np.ndarray, pos: np.ndarray, *texts: bytes) -> np.ndarray:
@@ -166,9 +168,10 @@ def _digit(buf: np.ndarray, pos: np.ndarray) -> np.ndarray:
 
 
 def decode_replies(chunk: bytes, probe: bool = True) -> tuple[np.ndarray, ...]:
-    """(start, end, ok, epoch, seq, rtt_ms): per line of chunk, _plain
-    text whose every line ends in LF, the line's bytes chunk[start:end]
-    without its LF, whether it has the strict reply shape
+    """(start, end, ok, epoch, seq, rtt_ms): per line of chunk, a piece
+    (UTF-8 text whose every line ends in LF), the line's bytes
+    chunk[start:end] without its LF, whether it has the strict reply
+    shape
 
         [EPOCH] N bytes from HOST: icmp_seq=S ttl=T time=R ms
 
@@ -176,9 +179,10 @@ def decode_replies(chunk: bytes, probe: bool = True) -> tuple[np.ndarray, ...]:
     N below 8 without spaces, HOST and T free of '=', each number one
     the kernel reads) and values the per-line rules of the ping parser
     accept, and if so its fields, epoch NaN when absent. Those rules
-    give the same fields for every such line, and every other line is
-    left to them, as is, with `probe`, every line of a chunk whose first
-    _PROBE_LINES lines hold none."""
+    give the same fields for every such line: a byte outside ASCII, or
+    a NUL, can lie only in N, HOST and T, which they read past. Every
+    other line is left to them, as is, with `probe`, every line of a
+    chunk whose first _PROBE_LINES lines hold none."""
     buf = np.frombuffer(PAD + chunk + PAD, np.uint8)
     head = np.flatnonzero(buf[len(PAD):len(PAD) + (1 << 14)] == _NL)
     if (probe and len(head) > _PROBE_LINES

@@ -41,6 +41,13 @@ DEFAULT_EXCEED_MS = (EXCEED_FAST_MS, EXCEED_STALL_MS)
 _PATH_KEYS = ("latency_file", "scheduler_file", "truth_file", "ping_log", "fullstats")
 
 
+def _check_path(key: str, path: str | None) -> None:
+    """Raise InvalidSpecError naming key if path holds a NUL, which no
+    file name can hold."""
+    if path is not None and "\0" in path:
+        raise InvalidSpecError(f"{key} must not hold a NUL character, got {path!r}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One run: its metadata plus where its data lives. Canonical files
@@ -64,6 +71,8 @@ class RunConfig:
 
     def __post_init__(self):
         check_fields(self)
+        for key in _PATH_KEYS:
+            _check_path(key, getattr(self, key))
         if self.stats_period_s <= 0:
             raise InvalidSpecError(
                 f"stats_period_s must be > 0, got {self.stats_period_s}")
@@ -93,6 +102,7 @@ class CampaignConfig:
 
     def __post_init__(self):
         check_fields(self)
+        _check_path("output_dir", self.output_dir)
         ids = [r.run_id for r in self.runs]
         if len(set(ids)) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})

@@ -1,6 +1,7 @@
 """Shared exception types for the diagnostics toolkit, its one warning
 sink (`warn`), the declared-type check every spec runs on its fields,
-and the text decode that names the line of a byte that is not UTF-8.
+and the text decode that names the line of a byte that is not UTF-8
+(lines counted by `count_line_ends`).
 
 Each fault is reported once: a skipped record or questionable input as
 one `WARNING: <message>` line on stderr from `warn` (so no command
@@ -117,6 +118,11 @@ def check_fields(spec) -> None:
             check_value(f.name, value, declared)
 
 
+def count_line_ends(data: bytes) -> int:
+    """The line ends in data, each LF, CR and CRLF counted once."""
+    return data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
+
+
 def decode_text(path: str | Path, data: bytes, line: int = 1) -> str:
     """data, bytes of the file at path whose first line is line `line`,
     as UTF-8 text with universal newlines (CRLF and CR read as LF). A
@@ -124,8 +130,7 @@ def decode_text(path: str | Path, data: bytes, line: int = 1) -> str:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        head = data[:exc.start]
-        line += head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        line += count_line_ends(data[:exc.start])
         raise MalformedRecordError(
             path, line, f"not UTF-8 text: byte {data[exc.start]:#04x}") from None
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text

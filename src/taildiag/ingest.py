@@ -1,15 +1,16 @@
 """Raw log ingestion: ping logs and fullstats CSVs into traces.
 
-Both parsers read a chunks.RawLog, a raw log file read as bytes a
-chunk of whole lines at a time, or any iterable of str lines. They are
-tolerant: lines or rows that cannot be used are counted and reported,
-never silently dropped, and never abort the parse. An input that yields zero
-usable records raises EmptyTraceError, and a fullstats file the CSV
-reader cannot split, or a byte that is not UTF-8, raises
-MalformedRecordError at its line. The traces they give obey the value
-rules of the run model (`model`), whose `consolidate_run` and
-`select_dominant_rnti`, which take parsed traces on to a run, this
-module also binds.
+Both parsers read a chunks.RawLog, a raw log read as bytes a chunk of
+whole lines at a time, in pieces of UTF-8 lines (chunks.pieces); str
+lines given from code are read as the file holding the text they join
+to would be (chunks.RawLog.of). They are tolerant: lines or rows that
+cannot be used are counted and reported, never silently dropped, and
+never abort the parse. An input that yields zero usable records
+raises EmptyTraceError, and a fullstats file the CSV reader cannot
+split, or a byte that is not UTF-8, raises MalformedRecordError at its
+line. The traces they give obey the value rules of the run model
+(`model`), whose `consolidate_run` and `select_dominant_rnti`, which
+take parsed traces on to a run, this module also binds.
 """
 
 from __future__ import annotations
@@ -115,17 +116,15 @@ def parse_ping_log(lines: Iterable[str], meta: RunMetadata) -> PingParseResult:
     InvalidSpecError. In a log where any reply carries an epoch, a reply
     without one is malformed. The seq column keeps the printed value.
 
-    lines is a RawLog, or an iterable of str lines, which is read into
-    a list once; either is read in pieces (chunks.pieces). The lines of
-    a plain piece that have the strict reply shape
-    (chunks.decode_replies) are decoded together; every other line is
-    read by the per-line rules, which define the result for every line.
-    Warnings, one per malformed line, come in line order. A log without
-    a reply raises EmptyTraceError naming its file (`lines.name`).
+    lines is a RawLog, or str lines, read as one (chunks.RawLog.of), in
+    pieces (chunks.pieces). The lines of a piece that have the strict
+    reply shape (chunks.decode_replies) are decoded together; every
+    other line is read by the per-line rules, which define the result
+    for every line. Warnings, one per malformed line, come in line
+    order. A log without a reply raises EmptyTraceError naming its file
+    (`lines.name`).
     """
-    source = getattr(lines, "name", "ping log")
-    if not isinstance(lines, chunks.RawLog):
-        lines = list(lines)
+    log = chunks.RawLog.of(lines, getattr(lines, "name", "ping log"))
     skipped = 0
     malformed: list[tuple[int, str]] = []
     # Per piece: the line numbers of its replies without an epoch, and
@@ -133,22 +132,15 @@ def parse_ping_log(lines: Iterable[str], meta: RunMetadata) -> PingParseResult:
     parts = [(np.empty(0, np.int64),) + (np.empty(0),) * 3]
     first_no = 1
     probe = True                    # only after a piece without a strict reply
-    for piece in chunks.pieces(lines):
-        if isinstance(piece, bytes):
-            start, end, ok, epoch, seq, rtt = chunks.decode_replies(piece, probe)
-            probe = not ok.any()
-            text = partial(chunks.line_at, piece, (start, end))
-        else:
-            n = len(piece)
-            ok, epoch, seq, rtt = (np.zeros(n, dtype=bool), np.full(n, math.nan),
-                                   np.zeros(n), np.zeros(n))
-            text = partial(chunks.line_at, piece, None)
-        at, read = [], []           # lines the per-line rules read, and their fields
+    for piece in chunks.pieces(log):
+        start, end, ok, epoch, seq, rtt = chunks.decode_replies(piece, probe)
+        probe = not ok.any()
         odd = np.flatnonzero(~ok).tolist()
-        if isinstance(piece, bytes) and not ok.any():
-            odd_lines = piece.decode("ascii").split("\n")   # all lines, at once
+        if probe:                   # no strict reply: all lines, at once
+            odd_lines = piece.decode().split("\n")
         else:
-            odd_lines = map(text, odd)
+            odd_lines = map(partial(chunks.line_at, piece, (start, end)), odd)
+        at, read = [], []           # lines the per-line rules read, and their fields
         for i, line in zip(odd, odd_lines):
             if not _is_reply_candidate(line):
                 skipped += 1
@@ -168,14 +160,14 @@ def parse_ping_log(lines: Iterable[str], meta: RunMetadata) -> PingParseResult:
     stamped = len(bare) < len(rtt)
     if stamped:
         # In a log where some reply has an epoch, one without is malformed.
-        malformed += _lines_at(lines, set(bare.tolist()))
+        malformed += _lines_at(log, set(bare.tolist()))
         keep = ~np.isnan(epoch)
         epoch, seq, rtt = epoch[keep], seq[keep], rtt[keep]
     malformed.sort()
     for line_no, line in malformed:
         warn(f"ping line {line_no} unparseable: {line}")
     if not len(rtt):
-        raise EmptyTraceError(f"{source}: no ping reply lines parsed")
+        raise EmptyTraceError(f"{log.name}: no ping reply lines parsed")
     # Earliest epoch as base, not the first line's, so t_s stays >= 0
     # even when replies arrive out of order.
     if stamped:
@@ -192,10 +184,9 @@ def parse_ping_log(lines: Iterable[str], meta: RunMetadata) -> PingParseResult:
         skipped_lines=skipped, malformed=malformed)
 
 
-def _lines_at(log: chunks.RawLog | list[str], numbers) -> Iterator[tuple[int, str]]:
-    """(number, line without its line end) of each of the lines of log,
-    a RawLog or a list of str lines, numbered in numbers, read again
-    from its start."""
+def _lines_at(log: chunks.RawLog, numbers) -> Iterator[tuple[int, str]]:
+    """(number, line without its line end) of each of the lines of log
+    numbered in numbers, read again from its start."""
     last = max(numbers, default=0)
     for line_no, line in zip(range(1, last + 1), log):
         if line_no in numbers:
@@ -259,29 +250,27 @@ def _row_values(cells: list[tuple[str, int, object]], faults: dict[int, str], fi
         return None
 
 
-def _fullstats_blocks(lines: Iterable[str]) -> Iterator[list[str] | bytes | list[list[str]]]:
-    """The rows of a fullstats input: its header row (None if it has no
+def _fullstats_blocks(log: chunks.RawLog) -> Iterator:
+    """The rows of a fullstats log: its header row (None if it has no
     line; a leading UTF-8 byte-order mark, as spreadsheet exports write,
-    dropped), then blocks of rows, a chunks.pieces piece at a time. A plain
-    piece whose lines csv.reader would split on commas alone is a bytes
-    block, each line a row; every other line goes to one csv.reader,
-    whose rows up to the end of a piece are a list block, so a quoted
-    field may run on into the next piece (which it then reads too). A
-    line csv.reader cannot split (an unterminated quote, a field past
+    dropped), then a (piece, rows) block per chunks.pieces piece. A
+    piece without a double quote or NUL, whose lines csv.reader would
+    therefore split on commas alone, is read by numpy: (piece, None),
+    each line a row. Every other line goes to one csv.reader (whose
+    rules define the rows; it refuses a NUL), whose rows up to the end
+    of a piece are a (None, rows) block, so a quoted field may run on
+    into the next piece (which it then reads too). A line csv.reader
+    cannot split (an unterminated quote, a field past
     csv.field_size_limit()) raises MalformedRecordError naming it: after
-    the lines yielded in bytes blocks, line reader.line_num of those
+    the lines of the numpy blocks, line reader.line_num of those
     csv.reader has read."""
-    pieces = chunks.pieces(lines)
-    pending: deque[str] = deque()   # lines for csv.reader
-    in_blocks = 0                   # lines yielded in bytes blocks
-    head = next(pieces, [])
-    if isinstance(head, bytes):     # the header line goes to csv.reader
-        cut = head.index(b"\n") + 1
-        pieces = chain([head[cut:]] if cut < len(head) else [], pieces)
-        head = [head[:cut].decode("ascii")]
-    elif head:
-        head[0] = head[0].removeprefix("\ufeff")
-    pending.extend(head)
+    pieces = chunks.pieces(log)
+    head = next(pieces, b"")
+    cut = head.find(b"\n") + 1         # the header line goes to csv.reader
+    if cut < len(head):
+        pieces = chain([head[cut:]], pieces)
+    pending = deque([head[:cut].decode().removeprefix("\ufeff")] if head else [])
+    in_blocks = 0                   # lines yielded in numpy blocks
 
     def feed():
         while True:
@@ -297,20 +286,20 @@ def _fullstats_blocks(lines: Iterable[str]) -> Iterator[list[str] | bytes | list
         yield next(reader, None)
         while pending or (piece := next(pieces, None)) is not None:
             if not pending:
-                if isinstance(piece, bytes):
+                if b'"' not in piece and b"\0" not in piece:
                     ends = np.flatnonzero(np.frombuffer(piece, np.uint8) == _NL)
                     if np.diff(ends, prepend=-1).max() <= csv.field_size_limit():
                         in_blocks += len(ends)
-                        yield piece
+                        yield piece, None
                         continue
                 pending.extend(chunks.text_lines(piece))
             rows = [next(reader)]
             while pending:
                 rows.append(next(reader))
-            yield rows
+            yield None, rows
     except csv.Error as exc:
-        raise MalformedRecordError(getattr(lines, "name", "fullstats input"),
-                                   in_blocks + reader.line_num, f"not CSV: {exc}") from None
+        raise MalformedRecordError(log.name, in_blocks + reader.line_num,
+                                   f"not CSV: {exc}") from None
 
 
 def parse_fullstats(lines: Iterable[str], column_map: Mapping[str, str],
@@ -325,12 +314,13 @@ def parse_fullstats(lines: Iterable[str], column_map: Mapping[str, str],
     float64 cannot hold it, raises InvalidSpecError. Rows with values
     outside the documented domains are skipped and counted.
 
-    lines is a RawLog or an iterable of str lines, read in blocks of
-    rows (_fullstats_blocks): a plain block is read by
-    chunks.numeric_lines, and any other rows come from csv.reader,
-    which defines them. Either way the row rule (_row_values) reads
-    every row numpy does not read whole, and defines the result. An
-    error about the whole input names its file (`lines.name`).
+    lines is a RawLog, or str lines, read as one (chunks.RawLog.of), in
+    blocks of rows (_fullstats_blocks): a piece without a double quote
+    or NUL is read by chunks.numeric_lines, and any other rows come from
+    csv.reader, which defines them. Either way the row rule
+    (_row_values) reads every row numpy does not read whole, and
+    defines the result. An error about the whole input names its file
+    (`lines.name`).
     """
     for name in _REQUIRED_FIELDS:
         if name not in column_map:
@@ -339,15 +329,15 @@ def parse_fullstats(lines: Iterable[str], column_map: Mapping[str, str],
     if unknown:
         raise InvalidSpecError(f"unknown canonical fields in column_map: {sorted(unknown)}")
 
-    source = getattr(lines, "name", "fullstats input")
-    blocks = _fullstats_blocks(lines)
+    log = chunks.RawLog.of(lines, getattr(lines, "name", "fullstats input"))
+    blocks = _fullstats_blocks(log)
     header = next(blocks)
     if header is None:
-        raise EmptyTraceError(f"{source}: no header row")
+        raise EmptyTraceError(f"{log.name}: no header row")
     header = [h.strip() for h in header]
     missing = [col for col in column_map.values() if col not in header]
     if missing:
-        raise MissingColumnError(f"{source}: mapped columns absent from header: {missing}")
+        raise MissingColumnError(f"{log.name}: mapped columns absent from header: {missing}")
     mapped = [name for name in FULLSTATS_FIELDS if name in column_map]
     cells = [(name, header.index(column_map[name]),
               _int_cell if name in SchedulerTrace.INTEGRAL else _float_cell)
@@ -358,20 +348,20 @@ def parse_fullstats(lines: Iterable[str], column_map: Mapping[str, str],
     kept_idx = [np.empty(0, dtype=np.int64)]
     faults: dict[int, str] = {}     # row index -> why the row is skipped
     first = 0
-    for block in blocks:
+    for piece, rows in blocks:
         rule = partial(_row_values, cells, faults, first)
-        if isinstance(block, bytes):
-            table, row_idx = chunks.numeric_lines(block, len(header), columns, True,
+        if rows is None:
+            table, row_idx = chunks.numeric_lines(piece, len(header), columns, True,
                                                   lambda k, line: rule(k, line.split(",")))
-            rows = block.count(b"\n")
+            count = piece.count(b"\n")
         else:
-            values = list(map(rule, range(len(block)), block))
+            values = list(map(rule, range(len(rows)), rows))
             row_idx = np.flatnonzero([v is not None for v in values])
             table = np.reshape([v for v in values if v is not None], (len(row_idx), len(cells)))
-            rows = len(block)
+            count = len(rows)
         tables.append(table)
         kept_idx.append(first + row_idx)
-        first += rows
+        first += count
     table = np.concatenate(tables)
     row_idx_of = np.concatenate(kept_idx)   # row index of each row of table
 
@@ -389,7 +379,7 @@ def parse_fullstats(lines: Iterable[str], column_map: Mapping[str, str],
     for row_idx in sorted(faults):
         warn(f"fullstats row {row_idx + 1} skipped: {faults[row_idx]}")
     if not keep.any():
-        raise EmptyTraceError(f"{source}: no usable fullstats rows parsed")
+        raise EmptyTraceError(f"{log.name}: no usable fullstats rows parsed")
 
     snaps = SchedulerTrace(**{name: col[keep] for name, col in cols.items()})
     if "t_s" in column_map:

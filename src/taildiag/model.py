@@ -41,6 +41,12 @@ class RunMetadata:
         check_fields(self)
         if not self.run_id:
             raise InvalidSpecError("run_id must be non-empty")
+        # It names the run's output files and fills a cell of its CSV rows.
+        if self.run_id in (".", "..") or any(
+                c in "/\\," or c < " " or "\x7f" <= c <= "\x9f" for c in self.run_id):
+            raise InvalidSpecError(
+                "run_id must be a plain file name, without '/', '\\', ',' or a "
+                f"control character, got {self.run_id!r}")
         if not self.ue_type or not self.scenario:
             raise InvalidSpecError("ue_type and scenario must be non-empty")
         if self.distance_m < 0:

@@ -147,6 +147,25 @@ def test_load_config_rejects_unknown_keys(tmp_path):
             load_config(tmp_path / "c.json")
 
 
+@pytest.mark.parametrize("key", ["latency_file", "scheduler_file", "truth_file",
+                                 "ping_log", "fullstats", "output_dir"])
+def test_load_config_refuses_a_nul_in_a_path(tmp_path, key):
+    run = {"run_id": "a", "latency_file": "a_latency.csv"}
+    config = {"runs": [run]}
+    (config if key == "output_dir" else run)[key] = "x\0y"
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    with pytest.raises(InvalidSpecError, match=f"{key} must not hold a NUL character"):
+        load_config(tmp_path / "c.json")
+
+
+@pytest.mark.parametrize("run_id", ["a\0b", "../esc", "a/b", "a\\b", "x\ny", "a,b", "a\x7fb",
+                                    ".", ".."])
+def test_load_config_refuses_a_run_id_that_is_no_plain_file_name(tmp_path, run_id):
+    (tmp_path / "c.json").write_text(json.dumps({"runs": [{"run_id": run_id}]}))
+    with pytest.raises(InvalidSpecError, match=r"bad runs\[0\]: run_id must be a plain file"):
+        load_config(tmp_path / "c.json")
+
+
 def test_load_config_bad_json(tmp_path):
     (tmp_path / "c.json").write_text("{not json")
     with pytest.raises(InvalidSpecError):
@@ -790,6 +809,38 @@ def test_bad_config_or_cli_value_exits_1_naming_the_key(
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert key in err
     assert not (tmp_path / "out").exists()
+
+
+# A config value no file name can hold: the run entry's and the config's
+# keys, and the key the error must name.
+BAD_NAMES = {
+    "latency_file_nul": ({"latency_file": "lat\0.csv"}, {}, "latency_file"),
+    "output_dir_nul": ({}, {"output_dir": "o\0x"}, "output_dir"),
+    "run_id_nul": ({"run_id": "a\0b"}, {}, "run_id"),
+    "run_id_parent": ({"run_id": "../esc"}, {}, "run_id"),
+    "run_id_newline": ({"run_id": "x\ny"}, {}, "run_id"),
+    "run_id_comma": ({"run_id": "a,b"}, {}, "run_id"),
+}
+
+
+@pytest.mark.parametrize("run_patch, top_patch, key", BAD_NAMES.values(), ids=BAD_NAMES.keys())
+def test_a_name_no_file_can_take_exits_1_writing_nothing(
+        campaign, tmp_path, capsys, run_patch, top_patch, key):
+    config = json.loads((campaign / "campaign_config.json").read_text())
+    run = config["runs"][0]
+    for name in ("latency_file", "scheduler_file", "truth_file"):
+        run[name] = str(campaign / run[name])
+    run.update(run_patch)
+    config.update(top_patch)
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "o" / "sub"
+    assert main(["summarize", "--config", str(cfg_path), "--output-dir", str(out),
+                 run["run_id"]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert key in err
+    assert [p.name for p in tmp_path.rglob("*")] == ["c.json"]
 
 
 # ------------------------------------------------------------ paperlike demo

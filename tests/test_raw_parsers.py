@@ -2,6 +2,7 @@
 oracles.py, on messy logs, with blocks cut everywhere."""
 
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -38,10 +39,10 @@ def warnings_logged():
         yield messages
 
 
-def _parse(parse, block_lines, lines, *args, **kwargs):
+def _parse(parse, chunk_bytes, lines, *args, **kwargs):
     """(result or EmptyTraceError, warnings) of parse over lines, read in
-    blocks of block_lines."""
-    with mock.patch.object(chunks, "_BLOCK_LINES", block_lines), warnings_logged() as warned:
+    chunks of about chunk_bytes."""
+    with mock.patch.object(chunks, "_CHUNK_BYTES", chunk_bytes), warnings_logged() as warned:
         try:
             return parse(lines, *args, **kwargs), warned
         except EmptyTraceError as exc:
@@ -149,10 +150,14 @@ def _columns(trace):
 @example(["[1.2] 64 bytes from h: icmp_seq=99999999999999999999999 ttl=64 time=5.0 ms\n",
           "[1.4] 64 bytes from h: icmp_seq=2 ttl=64 time=5.0 ms\n"])
 def test_ping_parse_equals_the_line_by_line_oracle(lines):
-    rows, skipped, malformed = parse_ping_ref(lines, META.ping_interval_s)
+    # The parser reads str lines as a file holding them, so the oracle
+    # reads the lines that file yields: a line with an LF inside is two.
+    as_read = io.StringIO("".join(line if line.endswith("\n") else line + "\n"
+                                  for line in lines), newline=None).readlines()
+    rows, skipped, malformed = parse_ping_ref(as_read, META.ping_interval_s)
     expected_warnings = [f"ping line {n} unparseable: {line}" for n, line in malformed]
-    for block_lines in (3, chunks._BLOCK_LINES):
-        got, warned = _parse(parse_ping_log, block_lines, iter(lines), META)
+    for chunk_bytes in (120, chunks._CHUNK_BYTES):
+        got, warned = _parse(parse_ping_log, chunk_bytes, iter(lines), META)
         assert warned == expected_warnings
         if not rows:
             assert isinstance(got, EmptyTraceError)
@@ -174,8 +179,8 @@ def test_ping_replies_past_2_53_or_infinite_are_malformed():
     assert res.samples.seq.tolist() == [2.0 ** 53 - 1]
 
 
-@pytest.mark.parametrize("block_lines", [2, 65536])
-def test_ping_digits_are_ascii(block_lines):
+@pytest.mark.parametrize("chunk_bytes", [2, 65536])
+def test_ping_digits_are_ascii(chunk_bytes):
     # float() and int() read any Unicode digit, and \d matches them.
     lines = ["64 bytes from h: icmp_seq=\u0663 ttl=1 time=\u0663 ms",
              "64 bytes from h: icmp_seq=4 ttl=1 time=3.\u0665 ms",
@@ -183,7 +188,7 @@ def test_ping_digits_are_ascii(block_lines):
              "64 bytes from h: icmp_seq=1\u0663 ttl=1 time=3 ms",
              "[\u0661\u0667.5] 64 bytes from h: icmp_seq=5 ttl=1 time=3 ms",
              "64 bytes from h: icmp_seq=6 ttl=1 time=3 ms"]
-    got, warned = _parse(parse_ping_log, block_lines, iter(lines), META)
+    got, warned = _parse(parse_ping_log, chunk_bytes, iter(lines), META)
     assert [n for n, _ in got.malformed] == [1, 2, 3, 4] and len(warned) == 4
     assert got.samples.seq.tolist() == [5, 6]
     # The bracket holds no epoch, so times come from the sequence count.
@@ -272,8 +277,8 @@ GOOD_ROW = "0.5,17,0.05,0.1,9,29.5,2,50\n"
           "2,17,nan,0.1,9,29.5,2,50\n", GOOD_ROW], MAPS[1], 0.25)
 def test_fullstats_parse_equals_the_row_by_row_oracle(lines, column_map, period):
     ref = parse_fullstats_ref(lines, column_map, period)
-    for block_lines in (3, chunks._BLOCK_LINES):
-        got, warned = _parse(parse_fullstats, block_lines, iter(lines), column_map, META,
+    for chunk_bytes in (60, chunks._CHUNK_BYTES):
+        got, warned = _parse(parse_fullstats, chunk_bytes, iter(lines), column_map, META,
                              stats_period_s=period)
         if ref is None:
             assert isinstance(got, EmptyTraceError)
@@ -290,17 +295,17 @@ def test_fullstats_parse_equals_the_row_by_row_oracle(lines, column_map, period)
 def test_fullstats_quoted_field_across_a_block_end():
     lines = ["rnti,dl_bler,note\n", "17,0.1,a\n", '17,0.2,"b\n', 'c"\n', "18,0.3,d\n"]
     cmap = {"rnti": "rnti", "dl_bler": "dl_bler"}
-    for block_lines in (1, 2, 3):
-        got, warned = _parse(parse_fullstats, block_lines, iter(lines), cmap, META)
+    for chunk_bytes in (1, 10, 20):
+        got, warned = _parse(parse_fullstats, chunk_bytes, iter(lines), cmap, META)
         assert got.snapshots.t_s.tolist() == [0.0, 1.0, 2.0]
         assert got.snapshots.dl_bler.tolist() == [0.1, 0.2, 0.3] and warned == []
 
 
-@pytest.mark.parametrize("block_lines", [1, 2, 65536])
-def test_fullstats_columns_refused_by_the_bulk_pass_name_each_row(block_lines):
+@pytest.mark.parametrize("chunk_bytes", [1, 2, 65536])
+def test_fullstats_columns_refused_by_the_bulk_pass_name_each_row(chunk_bytes):
     lines = ["rnti,dl_bler,mcs", "0x11,0.1,9", "17,nan,9", "17,0.1,", "0x,0.1,9", "17"]
     cmap = {"rnti": "rnti", "dl_bler": "dl_bler", "dl_mcs": "mcs"}
-    got, warned = _parse(parse_fullstats, block_lines, iter(lines), cmap, META)
+    got, warned = _parse(parse_fullstats, chunk_bytes, iter(lines), cmap, META)
     assert got.snapshots.rnti.tolist() == [17.0, 17.0]
     assert warned == [
         "fullstats row 2 skipped: not a number: 'nan'",
@@ -308,13 +313,13 @@ def test_fullstats_columns_refused_by_the_bulk_pass_name_each_row(block_lines):
         "fullstats row 5 skipped: dl_bler is field 2, but the row has 1"]
 
 
-@pytest.mark.parametrize("block_lines", [1, 2, 65536])
-def test_fullstats_cells_with_underscores_or_non_ascii_are_skipped(block_lines):
+@pytest.mark.parametrize("chunk_bytes", [1, 2, 65536])
+def test_fullstats_cells_with_underscores_or_non_ascii_are_skipped(chunk_bytes):
     # float() reads "1_0" as 10 and "\u0663" as 3, int(cell, 16) "0x_5" as 5.
     lines = ["rnti,dl_bler,mcs", "17,0.1,9", "17,0.1,1_0", "17,\u0660.5,9", "0x_11,0.1,9",
              "\u0661\u0667,0.1,9", "17,0.1,\u00a09", "17,0.3,10"]
     cmap = {"rnti": "rnti", "dl_bler": "dl_bler", "dl_mcs": "mcs"}
-    got, warned = _parse(parse_fullstats, block_lines, iter(lines), cmap, META)
+    got, warned = _parse(parse_fullstats, chunk_bytes, iter(lines), cmap, META)
     assert got.snapshots.dl_mcs.tolist() == [9.0, 10.0] and got.skipped_rows == 5
     assert warned == [
         "fullstats row 2 skipped: not a number: '1_0'",
@@ -340,8 +345,7 @@ def test_unstamped_reply_in_a_stamped_log_is_malformed(tmp_path):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     for chunk_bytes in (64, chunks._CHUNK_BYTES):
         for source in (lines, chunks.RawLog(path), iter(lines)):
-            with mock.patch.object(chunks, "_CHUNK_BYTES", chunk_bytes):
-                got, warned = _parse(parse_ping_log, 2, source, META)
+            got, warned = _parse(parse_ping_log, chunk_bytes, source, META)
             assert got.samples.t_s.tolist() == [0.0, 2.0]
             assert got.samples.seq.tolist() == [5000, 5002]
             assert [n for n, _ in got.malformed] == [1, 2, 4, 5, 6]
@@ -352,6 +356,34 @@ def test_unstamped_reply_in_a_stamped_log_is_malformed(tmp_path):
     assert got.samples.seq.tolist() == [4999] and len(got.malformed) == 1
 
 
+def test_str_lines_read_as_the_file_holding_their_bytes(tmp_path):
+    # CRLF ends on a stretch, no final LF, a NUL and a host outside ASCII.
+    lines = [f"[{1_700_000_000 + i}.5] 64 bytes from {'hé' if i % 5 == 1 else 'h'}: "
+             f"icmp_seq={i} ttl=64 time={i % 7 + 1}.5 ms" + ("\r\n" if i < 20 else "\n")
+             for i in range(40)]
+    lines[3] = "[1700000003.5] 64 bytes from h: icmp_seq=3 ttl=64 time=\r\n"
+    lines[7] = "64 bytes from h\0: icmp_seq=7 ttl=64 time=2.5 ms\r\n"
+    lines[12] = "[1700000012.5] 64 bytes from h\0st: icmp_seq=12 ttl=64 time=6.5 ms\r\n"
+    lines[-1] = lines[-1].rstrip("\n")
+    path = tmp_path / "ping.log"
+    path.write_bytes("".join(lines).encode("utf-8"))
+    want, want_log = _parse(parse_ping_log, 100, chunks.RawLog(path), META)
+    assert [n for n, _ in want.malformed] == [4, 8] and len(want.samples) == 38
+    assert want_log == [f"ping line {n} unparseable: {lines[n - 1].rstrip()}" for n in (4, 8)]
+    for chunk_bytes in (100, chunks._CHUNK_BYTES):
+        for source in (lines, iter(lines)):
+            got, got_log = _parse(parse_ping_log, chunk_bytes, source, META)
+            assert _columns(got.samples) == _columns(want.samples)
+            assert (got.skipped_lines, got.malformed) == (want.skipped_lines, want.malformed)
+            assert got_log == want_log
+        # A lone surrogate is no UTF-8 text, as its bytes in a file are not.
+        odd = lines[:30] + [lines[30].replace("from h", "from \ud800")] + lines[31:]
+        with mock.patch.object(chunks, "_CHUNK_BYTES", chunk_bytes), \
+                pytest.raises(MalformedRecordError) as exc:
+            parse_ping_log(odd, META)
+        assert str(exc.value) == "ping log:31: not UTF-8 text: byte 0xed"
+
+
 def test_fullstats_integral_cells_past_2_53_are_skipped():
     # float() reads 2**53 + 1 as 2**53: from 2**53 on, a float64 integer
     # stands for more than one integer.
@@ -359,8 +391,8 @@ def test_fullstats_integral_cells_past_2_53_are_skipped():
              "17,0.1,9007199254740993", "9007199254740992,0.1,5", "9007199254740991,0.2,5",
              "0x1fffffffffffff,0.3,9007199254740991"]
     cmap = {"rnti": "rnti", "dl_bler": "dl_bler", "dl_total": "tx"}
-    for block_lines in (2, 65536):
-        got, warned = _parse(parse_fullstats, block_lines, lines, cmap, META)
+    for chunk_bytes in (40, 1 << 20):
+        got, warned = _parse(parse_fullstats, chunk_bytes, lines, cmap, META)
         assert got.skipped_rows == 4 and got.snapshots.rnti.tolist() == [2.0 ** 53 - 1] * 2
         assert warned == ["fullstats row 1 skipped: rnti missing or not an integer",
                           "fullstats row 2 skipped: rnti missing or not an integer",
@@ -426,9 +458,10 @@ def test_logs_read_by_chunk_equal_the_str_line_parse(tmp_path, chunk_bytes):
         plain = [chunks._plain(chunk) for chunk in chunks.RawLog(ping_path).chunks()]
         assert not all(plain) and (any(plain) or len(plain) == 1)
         assert list(chunks.RawLog(ping_path)) == ping_lines
-        got_ping, got_ping_log = _parse(parse_ping_log, 16, chunks.RawLog(ping_path), META)
-        got_fs, got_fs_log = _parse(parse_fullstats, 16, chunks.RawLog(fullstats_path),
-                                    cmap, META)
+        got_ping, got_ping_log = _parse(parse_ping_log, chunk_bytes, chunks.RawLog(ping_path),
+                                        META)
+        got_fs, got_fs_log = _parse(parse_fullstats, chunk_bytes,
+                                    chunks.RawLog(fullstats_path), cmap, META)
         config = tmp_path / "campaign.json"
         config.write_text(json.dumps({"runs": [{
             "run_id": "r1", "ue_type": "modem", "scenario": "baseline", "distance_m": 6.0,
