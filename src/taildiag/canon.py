@@ -29,15 +29,15 @@ helper (`_atomic_write`): a temp file in the target directory, created
 with mode 0o666 less the umask, then a rename; an exception, from a
 render as from the disk, leaves the old file and no temp file.
 
-The text reader reads a CSV's body with `chunks.numeric_lines`: a line
-of the header's width whose every cell the exact decimal reader
+The text reader reads a CSV's body with `decimals.numeric_lines`: a
+line of the header's width whose every cell the exact decimal reader
 (`decimals.decode`) proves is read by numpy, and every other line goes
 whole to the careful rule (`_careful`), which strips cells, skips blank
 lines, reads each cell in the canonical grammar by float() and names
 the first malformed line. A body that is not ASCII or holds a CR is
 decoded once (universal newlines) and re-encoded first, so a CRLF copy
-is read like its LF original. `chunks` and `decimals` load only when a
-CSV is read from its text.
+is read like its LF original. `decimals` loads only when a CSV is read
+from its text.
 
 A column file `<name>.csv.cols` holds the SHA-256 of a format tag and
 the CSV's bytes, then the float64 table the text reader parses from
@@ -140,14 +140,10 @@ def _atomic_write(path: str | Path, write: Callable[[BinaryIO], object]) -> None
         raise
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write data to path atomically (_atomic_write)."""
-    _atomic_write(path, lambda fh: fh.write(data))
-
-
 def atomic_write_text(path: str | Path, text: str) -> None:
-    """atomic_write_bytes of text in UTF-8."""
-    atomic_write_bytes(path, text.encode("utf-8"))
+    """Write text to path in UTF-8, atomically (_atomic_write)."""
+    data = text.encode("utf-8")
+    _atomic_write(path, lambda fh: fh.write(data))
 
 
 POW10 = 10.0 ** np.arange(23)      # exact up to 10**22
@@ -367,13 +363,13 @@ def _parse_text(path: str | Path, data: bytes, start: int, names: tuple[str, ...
                 optional: bool) -> tuple[np.ndarray, np.ndarray]:
     """The rows × fields table of the CSV text data[start:], below the
     header, and each row's line k in it (line k + 2 of the file), read
-    by chunks.numeric_lines with _careful as its rule: a body that is
+    by decimals.numeric_lines with _careful as its rule: a body that is
     not ASCII or holds a CR is decoded once (universal newlines) and
     re-encoded first. Blank lines are skipped and '#' is not a comment.
     With `optional`, an empty cell reads as NaN; otherwise it is
     malformed, as is a wrong field count or a cell that is not a
     decimal number, the first such line in the file raising."""
-    from .chunks import numeric_lines   # only a CSV without a bound column file is parsed
+    from .decimals import numeric_lines   # only a CSV without a bound column file is parsed
     body = memoryview(data)[start:]
     if not data.isascii() or b"\r" in data:
         body = decode_text(path, data[start:], line=2).encode("utf-8")
@@ -388,16 +384,10 @@ def _columns_path(path: str | Path) -> Path:
     return Path(f"{path}.cols")
 
 
-def _columns_digest(data: bytes) -> bytes:
-    """The digest that binds a column file to the CSV bytes data."""
-    digest = hashlib.sha256(_COLUMNS_TAG)
-    digest.update(data)
-    return digest.digest()
-
-
 def _csv_digest(csv, first: bytes) -> bytes:
-    """_columns_digest of the CSV open as csv, whose first line, first,
-    is read and the rest not yet: the rest hashed through one buffer a
+    """The digest that binds a column file to the CSV open as csv, the
+    SHA-256 of _COLUMNS_TAG and its bytes. Its first line, first, is
+    read and the rest not yet: the rest is hashed through one buffer a
     piece at a time, so the text is never held whole."""
     digest = hashlib.sha256(_COLUMNS_TAG)
     digest.update(first)

@@ -46,7 +46,7 @@ def load_run(cfg: CampaignConfig, rc: RunConfig) -> Run:
     nominal duration, when not configured, is taken from the data. An
     InvalidSpecError while reading the run (a derived time that
     overflows, say) names the run. Only a raw source loads the raw
-    parsers (`ingest`, `chunks`)."""
+    parsers (`ingest`)."""
     meta = rc.metadata()
     if not (rc.latency_file or rc.ping_log):
         raise InvalidSpecError(
@@ -57,16 +57,14 @@ def load_run(cfg: CampaignConfig, rc: RunConfig) -> Run:
             latency = canon.read_latency_csv(rc.latency_file)
         else:
             from . import ingest
-            from .chunks import RawLog
-            latency = ingest.parse_ping_log(RawLog(rc.ping_log), meta).samples
+            latency = ingest.parse_ping_log(ingest.RawLog(rc.ping_log), meta).samples
         snapshots = None
         if rc.scheduler_file:
             snapshots = canon.read_scheduler_csv(rc.scheduler_file)
         elif rc.fullstats:
             from . import ingest
-            from .chunks import RawLog
             cmap = rc.column_map or cfg.column_map or DEFAULT_COLUMN_MAP
-            snapshots = ingest.parse_fullstats(RawLog(rc.fullstats), cmap, meta,
+            snapshots = ingest.parse_fullstats(ingest.RawLog(rc.fullstats), cmap, meta,
                                                stats_period_s=rc.stats_period_s).snapshots
         nominal = rc.nominal_duration_s
         if nominal is None:

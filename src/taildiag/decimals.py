@@ -1,13 +1,14 @@
 """The exact decimal reader: numeric cells of a byte buffer as float64.
 
 `decode` is the read-side twin of `canon.csv_bytes`. It reads the
-numbers of the bytes the two numpy line readers split
-(`chunks.decode_replies` the ping fields, `chunks.numeric_lines` the
-fullstats and canonical CSV cells); a row csv.reader splits (a quoted
-fullstats stretch) is read by its format's rule alone. Its values are
-float()'s bit for bit. A cell it cannot prove that way is refused, and
-its caller reads the whole line with its own rule, which stays the
-definition of the result.
+numbers of the bytes two numpy line readers split: `numeric_lines`,
+here, the cells of CSV lines (the fullstats pieces without a double
+quote or NUL, and the canonical CSV bodies), and
+`ingest.decode_replies` the ping fields. A row csv.reader splits (a
+quoted fullstats stretch) is read by its format's rule alone. Its
+values are float()'s bit for bit. A cell it cannot prove that way is
+refused, and its caller reads the whole line with its own rule, which
+stays the definition of the result.
 
 Cells are read eight bytes to a word (SWAR). Each cell is gathered
 right-aligned into one to three little-endian uint64 words; the bytes
@@ -32,6 +33,8 @@ An empty cell reads as NaN.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from .canon import POW10, TIE_MARGIN, two_product
@@ -39,6 +42,10 @@ from .model import MAX_EXACT_INT
 
 # The longest cell decode reads, in bytes; a longer one is refused.
 MAX_CELL = 24
+# Bytes of padding around a block, so every word the line readers read
+# lies inside the buffer, and decode need not copy it to pad it.
+PAD = b"\0" * 64
+_NL, _COMMA = ord("\n"), ord(",")
 
 # Cells decoded at a time: a block's word and mask arrays stay in cache.
 _BLOCK = 1 << 15
@@ -209,3 +216,53 @@ def decode(buf: np.ndarray, start: np.ndarray, end: np.ndarray,
     if integral and hexa.size:
         ok[hexa], value[hexa] = _hex(hex_words, cover[hexa] + 2)
     return ok, value
+
+
+def numeric_lines(piece: bytes | memoryview, width: int, columns: list[tuple[int, bool]],
+                  optional: bool, rule: Callable[[int, str], list[float] | None]
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(table, line_index): the values of the selected cells of the lines
+    of piece, each a table row, and the index of each row's line in
+    piece. piece is bytes, or a view of them, whose lines each end in
+    LF (the last may not) and hold UTF-8 text; columns holds (cell,
+    integral) per selected cell. A line is read wholly with numpy, split
+    on `,` and its selected cells read by decode, when it has `width`
+    cells and every selected cell is proven, not all of them empty and,
+    unless `optional`, none empty. Every other line k goes wholly to
+    rule(k, line), the line as text without its LF, in line order; the
+    rule returns the line's values, or None to leave it out. The rule
+    defines the result: decode gives float() of every cell it proves."""
+    padded = b"".join((PAD, b"\n", piece, b"" if piece[-1:] == b"\n" else b"\n", PAD))
+    buf = np.frombuffer(padded, np.uint8)
+    # Cell c of the piece starts after bounds[c] (bounds[0] is the LF
+    # put before the piece) and ends at bounds[c + 1].
+    bounds = np.flatnonzero((buf == _COMMA) | (buf == _NL))
+    last = np.flatnonzero(buf[bounds[1:]] == _NL)   # the last cell c of each line
+    count = len(last)                           # lines
+    lines = np.flatnonzero(np.diff(last, prepend=-1) == width)   # only these are read here
+    first = last[lines] - (width - 1)
+    table = np.empty((len(lines), len(columns)))
+    keep = np.ones(len(lines), dtype=bool)
+    empty = np.ones(len(lines), dtype=bool)     # every selected cell empty
+    for j, (i, integral) in enumerate(columns):
+        ok, table[:, j] = decode(buf, bounds[first + i] + 1, bounds[first + i + 1], integral)
+        blank = np.isnan(table[:, j])           # where ok, an empty cell
+        keep &= ok if optional else ok & ~blank
+        empty &= blank
+    keep &= ~empty
+    if len(lines) == count and keep.all():
+        return table, lines
+    lines = lines[keep]
+    left = np.ones(count, dtype=bool)
+    left[lines] = False
+    breaks = bounds[np.concatenate(([0], last + 1))].tolist()   # line k: after k, to k + 1
+    at, values = [], []
+    for k in np.flatnonzero(left).tolist():
+        row = rule(k, padded[breaks[k] + 1:breaks[k + 1]].decode())
+        if row is not None:
+            at.append(k)
+            values.append(row)
+    index = np.concatenate((lines, np.array(at, dtype=lines.dtype)))
+    order = np.argsort(index, kind="stable")
+    table = np.concatenate((table[keep], np.reshape(values, (len(at), len(columns)))))
+    return table[order], index[order]

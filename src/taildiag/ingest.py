@@ -1,36 +1,47 @@
 """Raw log ingestion: ping logs and fullstats CSVs into traces.
 
-Both parsers read a chunks.RawLog, a raw log read as bytes a chunk of
-whole lines at a time, in pieces of UTF-8 lines (chunks.pieces); str
-lines given from code are read as the file holding the text they join
-to would be (chunks.RawLog.of). They are tolerant: lines or rows that
-cannot be used are counted and reported, never silently dropped, and
-never abort the parse. An input that yields zero usable records
-raises EmptyTraceError, and a fullstats file the CSV reader cannot
-split, or a byte that is not UTF-8, raises MalformedRecordError at its
-line. The traces they give obey the value rules of the run model
-(`model`), whose `consolidate_run` and `select_dominant_rnti`, which
-take parsed traces on to a run, this module also binds.
+Both parsers read a RawLog, a raw log read as bytes a chunk of whole
+lines at a time, so that a file is never held whole; str lines given
+from code are read as the file holding the text they join to would be
+(RawLog.of). A parser reads the log in pieces (`pieces`), one per
+chunk, each bytes of UTF-8 lines ending in LF: a chunk that is
+`_plain`, ASCII without CR, as it is, and any other decoded with
+universal newlines and encoded again. Lines numpy can prove whole are
+read together, through the exact decimal reader (`decode_replies` the
+ping replies, `decimals.numeric_lines` the fullstats cells); every
+other line goes to its format's per-line rules, which define the
+result. The parsers are tolerant: lines or rows that cannot be used
+are counted and reported, never silently dropped, and never abort the
+parse. An input that yields zero usable records raises
+EmptyTraceError, and a fullstats file the CSV reader cannot split, or
+a byte that is not UTF-8, raises MalformedRecordError at its line. The
+traces they give obey the value rules of the run model (`model`),
+whose `consolidate_run` and `select_dominant_rnti`, which take parsed
+traces on to a run, this module also binds.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 import re
 from collections import deque
 from functools import partial
-from itertools import chain
+from itertools import chain, islice
+from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from . import chunks
+from . import decimals
 from .errors import (
     EmptyTraceError,
     InvalidSpecError,
     MalformedRecordError,
     MissingColumnError,
+    count_line_ends,
+    decode_text,
     warn,
 )
 from .model import (
@@ -42,6 +53,101 @@ from .model import (
     consolidate_run,
     select_dominant_rnti,
 )
+
+# Bytes of a raw log read at a time, so a log is never held whole.
+_CHUNK_BYTES = 1 << 20
+_EQ, _NL = ord("="), ord("\n")
+# Lines at the head of a chunk that must hold a strict reply for the
+# chunk to be decoded together, so a log without that shape goes to the
+# per-line rules without paying for the numpy pass too.
+_PROBE_LINES = 64
+
+
+class RawLog:
+    """A raw log read as bytes, a chunk of whole lines of about
+    _CHUNK_BYTES at a time (a longer line is one chunk): the file at
+    `path`, or `blocks`, chunks already held (`RawLog.of`). The raw
+    parsers decode a plain chunk without making a str of any line;
+    iterating the log yields its lines as UTF-8 text with universal
+    newlines, a byte that is not UTF-8 raising MalformedRecordError at
+    its line."""
+
+    def __init__(self, path: str | Path, blocks: list[bytes] | None = None) -> None:
+        self.name = str(path)
+        self._blocks = blocks
+
+    @classmethod
+    def of(cls, lines: RawLog | Iterable[str], name: str) -> RawLog:
+        """lines as it is if a RawLog; else a RawLog named `name` of the
+        UTF-8 text the str lines join to, an LF added where a line has
+        none, built a block of about _CHUNK_BYTES at a time. A lone
+        surrogate is encoded as it is (`surrogatepass`): bytes that are
+        not UTF-8, which the parsers refuse at its line."""
+        if isinstance(lines, RawLog):
+            return lines
+        blocks, block, size = [], [], 0
+        for line in lines:
+            block.append(line if line.endswith("\n") else line + "\n")
+            size += len(line)
+            if size >= _CHUNK_BYTES:
+                blocks.append("".join(block).encode("utf-8", "surrogatepass"))
+                block, size = [], 0
+        if block:
+            blocks.append("".join(block).encode("utf-8", "surrogatepass"))
+        return cls(name, blocks)
+
+    def chunks(self) -> Iterator[bytes]:
+        if self._blocks is not None:        # each of whole lines already
+            yield from self._blocks
+            return
+        with open(self.name, "rb") as fh:
+            rest = b""
+            while block := fh.read(_CHUNK_BYTES):
+                data = rest + block
+                # After the last LF, or in a log without one after the
+                # last CR but a final one, which may begin a CRLF.
+                cut = data.rfind(b"\n") + 1 or data.rfind(b"\r", 0, len(data) - 1) + 1
+                rest = data[cut:]
+                if cut:
+                    yield data[:cut]
+            if rest:
+                yield rest
+
+    def text(self, chunk: bytes, index: int) -> str:
+        """chunk, chunk `index` of the log, as UTF-8 text with universal
+        newlines."""
+        try:
+            return decode_text(self.name, chunk)
+        except MalformedRecordError:    # name the line in the log, not in chunk
+            line = 1 + sum(map(count_line_ends, islice(self.chunks(), index)))
+            decode_text(self.name, chunk, line)
+            raise
+
+    def __iter__(self) -> Iterator[str]:
+        for index, chunk in enumerate(self.chunks()):
+            yield from io.StringIO(self.text(chunk, index)).readlines()
+
+
+def _plain(data: bytes) -> bool:
+    """Whether data is ASCII without CR: UTF-8 text with one line per
+    LF, as it is."""
+    return data.isascii() and b"\r" not in data
+
+
+def pieces(log: RawLog) -> Iterator[bytes]:
+    """The lines of log in pieces of whole lines, one per chunk, each
+    line UTF-8 text ending in LF (one added to a last line without):
+    the chunk itself if _plain, else its text (RawLog.text) encoded
+    again, so a chunk of CRLF lines reads as LF lines."""
+    for index, chunk in enumerate(log.chunks()):
+        if not _plain(chunk):
+            chunk = log.text(chunk, index).encode()
+        yield chunk if chunk.endswith(b"\n") else chunk + b"\n"
+
+
+def text_lines(piece: bytes) -> list[str]:
+    """The lines of a piece as str, each with its LF."""
+    return io.StringIO(piece.decode()).readlines()
 
 
 class PingParseResult(NamedTuple):
@@ -63,7 +169,6 @@ class FullstatsParseResult(NamedTuple):
     skipped_rows: int
 
 
-_NL = ord("\n")
 _EPOCH_RE = re.compile(r"^\[([0-9]+(?:\.[0-9]+)?)\]")
 _REPLY_RE = re.compile(r"icmp_[sr]eq=([0-9]+)\b.*?\btime=([0-9]+(?:\.[0-9]+)?)\s*ms")
 _SEQ_MOD = 1 << 16
@@ -93,6 +198,102 @@ def _reply_fields(line: str) -> tuple[float, int, float] | None:
     return epoch, seq, rtt
 
 
+def _holds(at: np.ndarray, pos: np.ndarray, *texts: bytes) -> np.ndarray:
+    """Mask of the positions in pos at which one of texts, of at most 16
+    bytes, begins in the buffer whose words_at is `at`."""
+    found = np.zeros(len(pos), dtype=bool)
+    for text in texts:
+        here = np.ones(len(pos), dtype=bool)
+        for off in range(0, len(text), 8):
+            part = text[off:off + 8]
+            mask = np.uint64((1 << 8 * len(part)) - 1)
+            here &= (at[pos + off] & mask) == np.uint64(int.from_bytes(part, "little"))
+        found |= here
+    return found
+
+
+# Byte k holds 7 - k: the top byte of (1 << 8i) * _BYTE_INDEX is i.
+_BYTE_INDEX = np.uint64(0x0001020304050607)
+
+
+def _find(at: np.ndarray, pos: np.ndarray, byte: int, words: int) -> np.ndarray:
+    """The position of the first `byte` in the 8 * words bytes from each
+    position in pos, in the buffer whose words_at is `at`; the end of
+    those bytes where none is."""
+    found = pos + 8 * words
+    for j in range(words - 1, -1, -1):
+        first = decimals.first_byte(at[pos + 8 * j], byte)
+        index = (first * _BYTE_INDEX) >> np.uint64(56)
+        found = np.where(first != 0, pos + 8 * j + index.astype(np.int64), found)
+    return found
+
+
+def _digit(buf: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    return (buf[pos] - 48) < 10
+
+
+def decode_replies(chunk: bytes, probe: bool = True) -> tuple[np.ndarray, ...]:
+    """(start, end, ok, epoch, seq, rtt_ms): per line of chunk, a piece
+    (UTF-8 text whose every line ends in LF), the line's bytes
+    chunk[start:end] without its LF, whether it has the strict reply
+    shape
+
+        [EPOCH] N bytes from HOST: icmp_seq=S ttl=T time=R ms
+
+    (epoch optional, icmp_req= also accepted, EPOCH below 24 bytes and
+    N below 8 without spaces, HOST and T free of '=', each number one
+    the kernel reads) and values the per-line rules of the ping parser
+    accept, and if so its fields, epoch NaN when absent. Those rules
+    give the same fields for every such line: a byte outside ASCII, or
+    a NUL, can lie only in N, HOST and T, which they read past. Every
+    other line is left to them, as is, with `probe`, every line of a
+    chunk whose first _PROBE_LINES lines hold none."""
+    pad = len(decimals.PAD)
+    buf = np.frombuffer(decimals.PAD + chunk + decimals.PAD, np.uint8)
+    head = np.flatnonzero(buf[pad:pad + (1 << 14)] == _NL)
+    if (probe and len(head) > _PROBE_LINES
+            and not decode_replies(chunk[:head[_PROBE_LINES - 1] + 1])[2].any()):
+        end = np.flatnonzero(buf == _NL) - pad
+        n = len(end)
+        return (np.concatenate(([0], end[:-1] + 1)), end, np.zeros(n, dtype=bool),
+                np.full(n, math.nan), np.zeros(n), np.zeros(n))
+    at = decimals.words_at(buf)
+    # The three '=' of a reply (icmp_seq=, ttl=, time=), found between
+    # the newlines, which end the lines.
+    marks = np.flatnonzero((buf == _EQ) | (buf == _NL))
+    newlines = np.flatnonzero(buf[marks] == _NL)
+    end = marks[newlines]
+    start = np.concatenate(([pad], end[:-1] + 1))
+    n = len(end)
+    epoch, seq, rtt = np.full(n, math.nan), np.zeros(n), np.zeros(n)
+    before = np.concatenate(([-1], newlines[:-1]))
+    ok = newlines - before == 4
+    e_seq, e_ttl, e_time = (marks[np.minimum(before + k, len(marks) - 1)] for k in (1, 2, 3))
+    ok &= (_holds(at, e_seq - 10, b": icmp_seq=", b": icmp_req=")
+           & _holds(at, e_ttl - 4, b" ttl=") & _holds(at, e_time - 5, b" time=")
+           & _holds(at, end - 3, b" ms"))
+    stamped = buf[start] == ord("[")
+    stamp_end = _find(at, start + 1, ord("]"), 3)
+    ok &= ~stamped | _holds(at, stamp_end, b"] ")
+    size = np.where(stamped, stamp_end + 2, start)
+    size_end = _find(at, size, ord(" "), 1)
+    ok &= _holds(at, size_end, b" bytes from ") & (size_end + 12 <= e_seq - 10)
+    bounds = start - pad, end - pad
+    if not ok.any():
+        return *bounds, ok, epoch, seq, rtt
+    stamp_ok, stamp = decimals.decode(buf, start + 1, stamp_end)
+    ok &= ~stamped | (stamp_ok & _digit(buf, start + 1) & _digit(buf, stamp_end - 1))
+    # A digit first, and second if any: no sign, and no 0x prefix.
+    seq_ok, seq_value = decimals.decode(buf, e_seq + 1, e_ttl - 4, integral=True)
+    ok &= seq_ok & _digit(buf, e_seq + 1) & (_digit(buf, e_seq + 2) | (e_ttl - 4 == e_seq + 2))
+    rtt_ok, rtt_value = decimals.decode(buf, e_time + 1, end - 3)
+    ok &= rtt_ok & _digit(buf, e_time + 1) & _digit(buf, end - 4) & (rtt_value > 0.0)
+    epoch[ok & stamped] = stamp[ok & stamped]
+    seq[ok] = seq_value[ok]
+    rtt[ok] = rtt_value[ok]
+    return *bounds, ok, epoch, seq, rtt
+
+
 def _unwrap_seq(seq: np.ndarray) -> np.ndarray:
     """Sequence count behind 16-bit icmp_seq values in file order: each
     step is taken to the nearest value modulo 2**16 (half-range rule),
@@ -116,15 +317,14 @@ def parse_ping_log(lines: Iterable[str], meta: RunMetadata) -> PingParseResult:
     InvalidSpecError. In a log where any reply carries an epoch, a reply
     without one is malformed. The seq column keeps the printed value.
 
-    lines is a RawLog, or str lines, read as one (chunks.RawLog.of), in
-    pieces (chunks.pieces). The lines of a piece that have the strict
-    reply shape (chunks.decode_replies) are decoded together; every
-    other line is read by the per-line rules, which define the result
-    for every line. Warnings, one per malformed line, come in line
-    order. A log without a reply raises EmptyTraceError naming its file
-    (`lines.name`).
+    lines is a RawLog, or str lines, read as one (RawLog.of), in
+    pieces. The lines of a piece that have the strict reply shape
+    (decode_replies) are decoded together; every other line is read by
+    the per-line rules, which define the result for every line.
+    Warnings, one per malformed line, come in line order. A log without
+    a reply raises EmptyTraceError naming its file (`lines.name`).
     """
-    log = chunks.RawLog.of(lines, getattr(lines, "name", "ping log"))
+    log = RawLog.of(lines, getattr(lines, "name", "ping log"))
     skipped = 0
     malformed: list[tuple[int, str]] = []
     # Per piece: the line numbers of its replies without an epoch, and
@@ -132,14 +332,14 @@ def parse_ping_log(lines: Iterable[str], meta: RunMetadata) -> PingParseResult:
     parts = [(np.empty(0, np.int64),) + (np.empty(0),) * 3]
     first_no = 1
     probe = True                    # only after a piece without a strict reply
-    for piece in chunks.pieces(log):
-        start, end, ok, epoch, seq, rtt = chunks.decode_replies(piece, probe)
+    for piece in pieces(log):
+        start, end, ok, epoch, seq, rtt = decode_replies(piece, probe)
         probe = not ok.any()
         odd = np.flatnonzero(~ok).tolist()
         if probe:                   # no strict reply: all lines, at once
             odd_lines = piece.decode().split("\n")
         else:
-            odd_lines = map(partial(chunks.line_at, piece, (start, end)), odd)
+            odd_lines = (piece[start[i]:end[i]].decode() for i in odd)
         at, read = [], []           # lines the per-line rules read, and their fields
         for i, line in zip(odd, odd_lines):
             if not _is_reply_candidate(line):
@@ -184,7 +384,7 @@ def parse_ping_log(lines: Iterable[str], meta: RunMetadata) -> PingParseResult:
         skipped_lines=skipped, malformed=malformed)
 
 
-def _lines_at(log: chunks.RawLog, numbers) -> Iterator[tuple[int, str]]:
+def _lines_at(log: RawLog, numbers) -> Iterator[tuple[int, str]]:
     """(number, line without its line end) of each of the lines of log
     numbered in numbers, read again from its start."""
     last = max(numbers, default=0)
@@ -250,10 +450,10 @@ def _row_values(cells: list[tuple[str, int, object]], faults: dict[int, str], fi
         return None
 
 
-def _fullstats_blocks(log: chunks.RawLog) -> Iterator:
+def _fullstats_blocks(log: RawLog) -> Iterator:
     """The rows of a fullstats log: its header row (None if it has no
     line; a leading UTF-8 byte-order mark, as spreadsheet exports write,
-    dropped), then a (piece, rows) block per chunks.pieces piece. A
+    dropped), then a (piece, rows) block per piece of the log. A
     piece without a double quote or NUL, whose lines csv.reader would
     therefore split on commas alone, is read by numpy: (piece, None),
     each line a row. Every other line goes to one csv.reader (whose
@@ -264,11 +464,11 @@ def _fullstats_blocks(log: chunks.RawLog) -> Iterator:
     csv.field_size_limit()) raises MalformedRecordError naming it: after
     the lines of the numpy blocks, line reader.line_num of those
     csv.reader has read."""
-    pieces = chunks.pieces(log)
-    head = next(pieces, b"")
+    source = pieces(log)
+    head = next(source, b"")
     cut = head.find(b"\n") + 1         # the header line goes to csv.reader
     if cut < len(head):
-        pieces = chain([head[cut:]], pieces)
+        source = chain([head[cut:]], source)
     pending = deque([head[:cut].decode().removeprefix("\ufeff")] if head else [])
     in_blocks = 0                   # lines yielded in numpy blocks
 
@@ -276,15 +476,15 @@ def _fullstats_blocks(log: chunks.RawLog) -> Iterator:
         while True:
             while pending:
                 yield pending.popleft()
-            piece = next(pieces, None)
+            piece = next(source, None)
             if piece is None:
                 return
-            pending.extend(chunks.text_lines(piece))
+            pending.extend(text_lines(piece))
 
     reader = csv.reader(feed())
     try:
         yield next(reader, None)
-        while pending or (piece := next(pieces, None)) is not None:
+        while pending or (piece := next(source, None)) is not None:
             if not pending:
                 if b'"' not in piece and b"\0" not in piece:
                     ends = np.flatnonzero(np.frombuffer(piece, np.uint8) == _NL)
@@ -292,7 +492,7 @@ def _fullstats_blocks(log: chunks.RawLog) -> Iterator:
                         in_blocks += len(ends)
                         yield piece, None
                         continue
-                pending.extend(chunks.text_lines(piece))
+                pending.extend(text_lines(piece))
             rows = [next(reader)]
             while pending:
                 rows.append(next(reader))
@@ -314,10 +514,10 @@ def parse_fullstats(lines: Iterable[str], column_map: Mapping[str, str],
     float64 cannot hold it, raises InvalidSpecError. Rows with values
     outside the documented domains are skipped and counted.
 
-    lines is a RawLog, or str lines, read as one (chunks.RawLog.of), in
+    lines is a RawLog, or str lines, read as one (RawLog.of), in
     blocks of rows (_fullstats_blocks): a piece without a double quote
-    or NUL is read by chunks.numeric_lines, and any other rows come from
-    csv.reader, which defines them. Either way the row rule
+    or NUL is read by decimals.numeric_lines, and any other rows come
+    from csv.reader, which defines them. Either way the row rule
     (_row_values) reads every row numpy does not read whole, and
     defines the result. An error about the whole input names its file
     (`lines.name`).
@@ -329,7 +529,7 @@ def parse_fullstats(lines: Iterable[str], column_map: Mapping[str, str],
     if unknown:
         raise InvalidSpecError(f"unknown canonical fields in column_map: {sorted(unknown)}")
 
-    log = chunks.RawLog.of(lines, getattr(lines, "name", "fullstats input"))
+    log = RawLog.of(lines, getattr(lines, "name", "fullstats input"))
     blocks = _fullstats_blocks(log)
     header = next(blocks)
     if header is None:
@@ -351,8 +551,8 @@ def parse_fullstats(lines: Iterable[str], column_map: Mapping[str, str],
     for piece, rows in blocks:
         rule = partial(_row_values, cells, faults, first)
         if rows is None:
-            table, row_idx = chunks.numeric_lines(piece, len(header), columns, True,
-                                                  lambda k, line: rule(k, line.split(",")))
+            table, row_idx = decimals.numeric_lines(piece, len(header), columns, True,
+                                                    lambda k, line: rule(k, line.split(",")))
             count = piece.count(b"\n")
         else:
             values = list(map(rule, range(len(rows)), rows))

@@ -25,6 +25,11 @@ SCENARIO_DYNAMIC_PEOPLE = "dynamic_people"
 SCENARIO_STATIC_LONG = "static_long"
 
 
+def _has_control(text: str) -> bool:
+    """Whether text holds a C0 or C1 control character, or DEL."""
+    return any(c < " " or "\x7f" <= c <= "\x9f" for c in text)
+
+
 @dataclass(frozen=True)
 class RunMetadata:
     """Experimental context of one measurement run."""
@@ -42,13 +47,17 @@ class RunMetadata:
         if not self.run_id:
             raise InvalidSpecError("run_id must be non-empty")
         # It names the run's output files and fills a cell of its CSV rows.
-        if self.run_id in (".", "..") or any(
-                c in "/\\," or c < " " or "\x7f" <= c <= "\x9f" for c in self.run_id):
+        if self.run_id in (".", "..") or _has_control(self.run_id) or any(
+                c in "/\\," for c in self.run_id):
             raise InvalidSpecError(
                 "run_id must be a plain file name, without '/', '\\', ',' or a "
                 f"control character, got {self.run_id!r}")
         if not self.ue_type or not self.scenario:
             raise InvalidSpecError("ue_type and scenario must be non-empty")
+        # Each is one `key=value` line of the run's manifest.
+        for name, value in (("ue_type", self.ue_type), ("scenario", self.scenario)):
+            if _has_control(value):
+                raise InvalidSpecError(f"{name} must hold no control character, got {value!r}")
         if self.distance_m < 0:
             raise InvalidSpecError(f"distance_m must be >= 0, got {self.distance_m}")
         if self.packet_size_b < 1:

@@ -2,6 +2,7 @@
 text reader it stands in for, and the atomic writer every file goes
 through."""
 
+import hashlib
 import io
 import math
 import mmap
@@ -47,11 +48,17 @@ def _text_outcome(read, path, tmp_path):
     return got.replace(str(copy), str(path)) if isinstance(got, str) else got
 
 
+def _digest(data):
+    """The digest that binds a column file to the CSV bytes data: the
+    SHA-256 of the format tag and the bytes."""
+    return hashlib.sha256(canon._COLUMNS_TAG + data).digest()
+
+
 def _bind(path, table, allow_pickle=False):
     """Write, beside CSV path, a column file bound to its current bytes
     that holds `table`."""
     buf = io.BytesIO()
-    buf.write(canon._columns_digest(path.read_bytes()))
+    buf.write(_digest(path.read_bytes()))
     np.lib.format.write_array(buf, table, allow_pickle=allow_pickle)
     _columns(path).write_bytes(buf.getvalue())
 
@@ -83,7 +90,7 @@ def _whole_table_files(trace):
     if not len(trace):
         return data, None
     buf = io.BytesIO()
-    buf.write(canon._columns_digest(data))
+    buf.write(_digest(data))
     np.lib.format.write_array(buf, columns.T, allow_pickle=False)
     return data, buf.getvalue()
 
@@ -448,39 +455,38 @@ def test_writer_holds_the_rendered_columns_and_one_block(tmp_path):
 # -------------------------------------------------------------- atomic writes
 
 def test_atomic_writes_leave_no_temp_file(tmp_path, monkeypatch):
-    canon.atomic_write_bytes(tmp_path / "a.bin", b"\x00\xff")
+    canon.atomic_write_text(tmp_path / "a.txt", "\x00\xff")
     canon.atomic_write_text(tmp_path / "b.txt", "café\n")
     _latency(tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "a.bin", "b.txt", "lat.csv", "lat.csv.cols"]
+        "a.txt", "b.txt", "lat.csv", "lat.csv.cols"]
     assert (tmp_path / "b.txt").read_bytes() == b"caf\xc3\xa9\n"
 
-    with pytest.raises(TypeError):
-        canon.atomic_write_bytes(tmp_path / "c.bin", "not bytes")
+    with pytest.raises(UnicodeEncodeError):   # a lone surrogate is no UTF-8
+        canon.atomic_write_text(tmp_path / "c.txt", "lone \udcff")
 
     def refuse(src, dst):
         raise OSError("rename refused")
 
     monkeypatch.setattr(canon.os, "replace", refuse)
     with pytest.raises(OSError, match="rename refused"):
-        canon.atomic_write_bytes(tmp_path / "a.bin", b"new")
+        canon.atomic_write_text(tmp_path / "a.txt", "new")
     with pytest.raises(OSError, match="rename refused"):
         canon.write_latency_csv(tmp_path / "d.csv", LatencyTrace([0.0], [0], [9.0]))
     monkeypatch.undo()
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "a.bin", "b.txt", "lat.csv", "lat.csv.cols"]
-    assert (tmp_path / "a.bin").read_bytes() == b"\x00\xff"
+        "a.txt", "b.txt", "lat.csv", "lat.csv.cols"]
+    assert (tmp_path / "a.txt").read_bytes() == b"\x00\xc3\xbf"
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o002, 0o077], ids=["022", "002", "077"])
 def test_written_files_take_the_umask(tmp_path, umask):
     old = os.umask(umask)
     try:
-        canon.atomic_write_bytes(tmp_path / "a.bin", b"\x00")
         canon.atomic_write_text(tmp_path / "b.txt", "b\n")
         _latency(tmp_path)
     finally:
         os.umask(old)
     modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
-    assert modes == dict.fromkeys(["a.bin", "b.txt", "lat.csv", "lat.csv.cols"],
+    assert modes == dict.fromkeys(["b.txt", "lat.csv", "lat.csv.cols"],
                                   0o666 & ~umask)

@@ -42,26 +42,45 @@ def test_import_sets_one_blas_thread_before_numpy_loads(preset, want):
     assert done.stdout == f"False {want}\n"
 
 
+def _loaded_after(*argvs):
+    """Which of the text reader, the raw parsers, synthesis, csv and
+    logging a fresh interpreter compiling from source, as a CLI process
+    does, has loaded after main(argv) exits 0 for each of argvs."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    child = ("import sys\n"
+             "from taildiag.cli import main\n"
+             + "".join(f"assert main({argv!r}) == 0\n" for argv in argvs)
+             + "print([m for m in ('taildiag.decimals', 'taildiag.synthgen', 'taildiag.ingest',"
+             " 'csv', 'logging') if m in sys.modules])\n")
+    done = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                          text=True, env=env, check=True)
+    return done.stdout.splitlines()[-1]
+
+
 def test_analysis_of_bound_canonical_files_loads_no_parser(campaign, tmp_path):
-    # A fresh interpreter compiling from source, as a CLI process does:
-    # with each CSV's column file bound, summarize and flags load no raw
+    # With each CSV's column file bound, summarize and flags load no raw
     # parser, no text reader, no synthesis, no csv module and no logging.
     assert sorted(p.name for p in campaign.glob("*.cols")) == [
         "coupled_latency.csv.cols", "coupled_sched.csv.cols"]
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
-               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     common = ["--config", _cfg(campaign), "--output-dir", str(tmp_path), "coupled"]
-    child = ("import sys\n"
-             "from taildiag.cli import main\n"
-             f"assert main(['summarize', *{common!r}]) == 0\n"
-             f"assert main(['flags', *{common!r}]) == 0\n"
-             "print([m for m in ('taildiag.chunks', 'taildiag.decimals', 'taildiag.synthgen',"
-             " 'taildiag.ingest', 'csv', 'logging') if m in sys.modules])\n")
-    done = subprocess.run([sys.executable, "-c", child], capture_output=True,
-                          text=True, env=env, check=True)
-    assert done.stdout.splitlines()[-1] == "[]"
+    assert _loaded_after(["summarize", *common], ["flags", *common]) == "[]"
     assert (tmp_path / "coupled_summary.csv").exists()
     assert (tmp_path / "coupled_flags.csv").exists()
+
+
+def test_analysis_of_canonical_text_loads_the_decimal_reader_alone(campaign, tmp_path):
+    # Without column files each CSV is read from its text, by the
+    # decimal reader's line reader: still no raw parser, no synthesis,
+    # no csv module and no logging.
+    bare = tmp_path / "bare"
+    shutil.copytree(campaign, bare)
+    for path in bare.glob("*.cols"):
+        path.unlink()
+    argv = ["summarize", "--config", _cfg(bare), "--output-dir", str(tmp_path), "coupled"]
+    assert _loaded_after(argv) == "['taildiag.decimals']"
+    assert (tmp_path / "coupled_summary.csv").exists()
+    assert not list(bare.glob("*.cols"))
 
 
 # ------------------------------------------------------------- formatting
@@ -164,6 +183,19 @@ def test_load_config_refuses_a_run_id_that_is_no_plain_file_name(tmp_path, run_i
     (tmp_path / "c.json").write_text(json.dumps({"runs": [{"run_id": run_id}]}))
     with pytest.raises(InvalidSpecError, match=r"bad runs\[0\]: run_id must be a plain file"):
         load_config(tmp_path / "c.json")
+
+
+CONTROL = ["base\nline_file=x", "a\rb", "a\tb", "a\0b", "a\x7fb", "a\x85b"]
+
+
+@pytest.mark.parametrize("value", CONTROL)
+@pytest.mark.parametrize("key", ["ue_type", "scenario"])
+def test_load_config_refuses_a_control_character_in_ue_type_or_scenario(tmp_path, key, value):
+    # Each is one `key=value` line of the manifest: a newline would add one.
+    (tmp_path / "c.json").write_text(json.dumps({"runs": [{"run_id": "a", key: value}]}))
+    with pytest.raises(InvalidSpecError) as exc:
+        load_config(tmp_path / "c.json")
+    assert str(exc.value) == f"bad runs[0]: {key} must hold no control character, got {value!r}"
 
 
 def test_load_config_bad_json(tmp_path):
@@ -579,6 +611,21 @@ def test_ingest_writes_nothing_when_a_later_run_fails(raw_dir, capsys):
     assert captured.err.startswith("error: ") and "missing.log" in captured.err
     assert not (raw_dir / "out" / "a_latency.csv").exists()
     assert not (raw_dir / "out" / "a.manifest").exists()
+
+
+@pytest.mark.parametrize("value", CONTROL[:2])
+@pytest.mark.parametrize("key", ["ue_type", "scenario"])
+def test_ingest_of_a_control_character_in_ue_type_or_scenario_writes_nothing(
+        raw_dir, capsys, key, value):
+    config = json.loads((raw_dir / "c.json").read_text())
+    config["runs"][0][key] = value
+    (raw_dir / "c.json").write_text(json.dumps(config))
+    assert main(["ingest", "--config", str(raw_dir / "c.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: bad runs[0]: {key} must hold no control character, "
+                            f"got {value!r}\n")
+    assert not (raw_dir / "out").exists()
 
 
 @pytest.mark.parametrize("line", [1, 22], ids=["header", "row"])

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from taildiag import chunks, ingest, model
+from taildiag import ingest, model
 from taildiag.cli import load_run
 from taildiag.config import load_config
 from taildiag.errors import EmptyTraceError, MalformedRecordError
@@ -42,7 +42,7 @@ def warnings_logged():
 def _parse(parse, chunk_bytes, lines, *args, **kwargs):
     """(result or EmptyTraceError, warnings) of parse over lines, read in
     chunks of about chunk_bytes."""
-    with mock.patch.object(chunks, "_CHUNK_BYTES", chunk_bytes), warnings_logged() as warned:
+    with mock.patch.object(ingest, "_CHUNK_BYTES", chunk_bytes), warnings_logged() as warned:
         try:
             return parse(lines, *args, **kwargs), warned
         except EmptyTraceError as exc:
@@ -156,7 +156,7 @@ def test_ping_parse_equals_the_line_by_line_oracle(lines):
                                   for line in lines), newline=None).readlines()
     rows, skipped, malformed = parse_ping_ref(as_read, META.ping_interval_s)
     expected_warnings = [f"ping line {n} unparseable: {line}" for n, line in malformed]
-    for chunk_bytes in (120, chunks._CHUNK_BYTES):
+    for chunk_bytes in (120, ingest._CHUNK_BYTES):
         got, warned = _parse(parse_ping_log, chunk_bytes, iter(lines), META)
         assert warned == expected_warnings
         if not rows:
@@ -200,7 +200,7 @@ def test_ping_block_decoder_takes_the_common_replies():
              f"time={i % 97}.{i % 7} ms\n" for i in range(1, 200)]
     lines[9] = lines[9].replace("time=10.3", "time=0.000")      # left to the line rules
     chunk = "".join(lines).encode()
-    start, end, ok, epoch, seq, rtt = chunks.decode_replies(chunk)
+    start, end, ok, epoch, seq, rtt = ingest.decode_replies(chunk)
     assert [chunk[a:b] for a, b in zip(start, end)] == [line.rstrip("\n").encode()
                                                         for line in lines]
     assert np.flatnonzero(~ok).tolist() == [9]
@@ -210,7 +210,7 @@ def test_ping_block_decoder_takes_the_common_replies():
     # rules, and a last line cut short reads no byte past the block.
     odd = b"64 bytes from h: icmp_seq=1 ttl=64 time=5ms\n" * 200
     for block in (odd + chunk, odd + b"[\n", b"[\n", b"[1.5] 64 bytes from h: icmp_seq=1\n"):
-        start, end, ok = chunks.decode_replies(block)[:3]
+        start, end, ok = ingest.decode_replies(block)[:3]
         assert not ok.any()
         assert [block[a:b] for a, b in zip(start, end)] == block.split(b"\n")[:-1]
 
@@ -277,7 +277,7 @@ GOOD_ROW = "0.5,17,0.05,0.1,9,29.5,2,50\n"
           "2,17,nan,0.1,9,29.5,2,50\n", GOOD_ROW], MAPS[1], 0.25)
 def test_fullstats_parse_equals_the_row_by_row_oracle(lines, column_map, period):
     ref = parse_fullstats_ref(lines, column_map, period)
-    for chunk_bytes in (60, chunks._CHUNK_BYTES):
+    for chunk_bytes in (60, ingest._CHUNK_BYTES):
         got, warned = _parse(parse_fullstats, chunk_bytes, iter(lines), column_map, META,
                              stats_period_s=period)
         if ref is None:
@@ -343,8 +343,8 @@ def test_unstamped_reply_in_a_stamped_log_is_malformed(tmp_path):
              "[1700000002.0] 64 bytes from h: icmp_seq=5002 ttl=64 time=5 ms"]
     path = tmp_path / "ping.log"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    for chunk_bytes in (64, chunks._CHUNK_BYTES):
-        for source in (lines, chunks.RawLog(path), iter(lines)):
+    for chunk_bytes in (64, ingest._CHUNK_BYTES):
+        for source in (lines, ingest.RawLog(path), iter(lines)):
             got, warned = _parse(parse_ping_log, chunk_bytes, source, META)
             assert got.samples.t_s.tolist() == [0.0, 2.0]
             assert got.samples.seq.tolist() == [5000, 5002]
@@ -367,10 +367,10 @@ def test_str_lines_read_as_the_file_holding_their_bytes(tmp_path):
     lines[-1] = lines[-1].rstrip("\n")
     path = tmp_path / "ping.log"
     path.write_bytes("".join(lines).encode("utf-8"))
-    want, want_log = _parse(parse_ping_log, 100, chunks.RawLog(path), META)
+    want, want_log = _parse(parse_ping_log, 100, ingest.RawLog(path), META)
     assert [n for n, _ in want.malformed] == [4, 8] and len(want.samples) == 38
     assert want_log == [f"ping line {n} unparseable: {lines[n - 1].rstrip()}" for n in (4, 8)]
-    for chunk_bytes in (100, chunks._CHUNK_BYTES):
+    for chunk_bytes in (100, ingest._CHUNK_BYTES):
         for source in (lines, iter(lines)):
             got, got_log = _parse(parse_ping_log, chunk_bytes, source, META)
             assert _columns(got.samples) == _columns(want.samples)
@@ -378,7 +378,7 @@ def test_str_lines_read_as_the_file_holding_their_bytes(tmp_path):
             assert got_log == want_log
         # A lone surrogate is no UTF-8 text, as its bytes in a file are not.
         odd = lines[:30] + [lines[30].replace("from h", "from \ud800")] + lines[31:]
-        with mock.patch.object(chunks, "_CHUNK_BYTES", chunk_bytes), \
+        with mock.patch.object(ingest, "_CHUNK_BYTES", chunk_bytes), \
                 pytest.raises(MalformedRecordError) as exc:
             parse_ping_log(odd, META)
         assert str(exc.value) == "ping log:31: not UTF-8 text: byte 0xed"
@@ -454,14 +454,14 @@ def test_logs_read_by_chunk_equal_the_str_line_parse(tmp_path, chunk_bytes):
         fullstats_lines = list(fh)
     want_ping, want_ping_log = _parse(parse_ping_log, 16, ping_lines, META)
     want_fs, want_fs_log = _parse(parse_fullstats, 16, fullstats_lines, cmap, META)
-    with mock.patch.object(chunks, "_CHUNK_BYTES", chunk_bytes):
-        plain = [chunks._plain(chunk) for chunk in chunks.RawLog(ping_path).chunks()]
+    with mock.patch.object(ingest, "_CHUNK_BYTES", chunk_bytes):
+        plain = [ingest._plain(chunk) for chunk in ingest.RawLog(ping_path).chunks()]
         assert not all(plain) and (any(plain) or len(plain) == 1)
-        assert list(chunks.RawLog(ping_path)) == ping_lines
-        got_ping, got_ping_log = _parse(parse_ping_log, chunk_bytes, chunks.RawLog(ping_path),
+        assert list(ingest.RawLog(ping_path)) == ping_lines
+        got_ping, got_ping_log = _parse(parse_ping_log, chunk_bytes, ingest.RawLog(ping_path),
                                         META)
         got_fs, got_fs_log = _parse(parse_fullstats, chunk_bytes,
-                                    chunks.RawLog(fullstats_path), cmap, META)
+                                    ingest.RawLog(fullstats_path), cmap, META)
         config = tmp_path / "campaign.json"
         config.write_text(json.dumps({"runs": [{
             "run_id": "r1", "ue_type": "modem", "scenario": "baseline", "distance_m": 6.0,
@@ -503,7 +503,7 @@ def test_ingest_of_the_messy_logs_writes_the_recorded_bytes(tmp_path, chunk_byte
         "packet_size_b": 30, "ping_interval_s": 0.2, "ping_log": "ping.log",
         "fullstats": "fullstats.csv"}]}))
     # A child process, so that stderr holds the CLI's own warning lines.
-    child = (f"import sys; from taildiag import chunks, cli; chunks._CHUNK_BYTES = {chunk_bytes}; "
+    child = (f"import sys; from taildiag import cli, ingest; ingest._CHUNK_BYTES = {chunk_bytes}; "
              "sys.exit(cli.main(sys.argv[1:]))")
     done = subprocess.run([sys.executable, "-c", child, "ingest", "--config", str(config)],
                           capture_output=True, env={**os.environ, "PYTHONPATH": str(SRC)})
@@ -524,9 +524,9 @@ def test_a_byte_that_is_not_utf8_names_its_line_in_the_file(tmp_path, chunk_byte
         path = tmp_path / "log"
         path.write_bytes("\r\n".join(text[:10]).encode() + b"\r\n"
                          + "\n".join(text[10:]).encode("utf-8", "surrogateescape"))
-        with mock.patch.object(chunks, "_CHUNK_BYTES", chunk_bytes), \
+        with mock.patch.object(ingest, "_CHUNK_BYTES", chunk_bytes), \
                 pytest.raises(MalformedRecordError) as exc:
-            parse(chunks.RawLog(path), *args)
+            parse(ingest.RawLog(path), *args)
         line = len(head) + 21
         assert exc.value.line == line
         assert str(exc.value) == f"{path}:{line}: not UTF-8 text: byte 0xff"
