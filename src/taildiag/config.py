@@ -111,8 +111,10 @@ class CampaignConfig:
             raise InvalidSpecError("exceed_ms must list at least one threshold")
         for t in self.exceed_thresholds_ms:
             check_value("exceed_ms", t, "float")
-        if any(t <= 0 for t in self.exceed_thresholds_ms) or self.outlier_ms <= 0:
-            raise InvalidSpecError("thresholds must be positive")
+            if t <= 0:
+                raise InvalidSpecError(f"exceed_ms must be > 0, got {t}")
+        if self.outlier_ms <= 0:
+            raise InvalidSpecError(f"outlier_ms must be > 0, got {self.outlier_ms}")
 
     def run(self, run_id: str) -> RunConfig:
         for r in self.runs:

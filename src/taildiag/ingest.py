@@ -1,23 +1,24 @@
 """Raw log ingestion: ping logs and fullstats CSVs into traces.
 
-Both parsers read a RawLog, a raw log read as bytes a chunk of whole
-lines at a time, so that a file is never held whole; str lines given
-from code are read as the file holding the text they join to would be
-(RawLog.of). A parser reads the log in pieces (`pieces`), one per
-chunk, each bytes of UTF-8 lines ending in LF: a chunk that is
-`_plain`, ASCII without CR, as it is, and any other decoded with
-universal newlines and encoded again. Lines numpy can prove whole are
-read together, through the exact decimal reader (`decode_replies` the
-ping replies, `decimals.numeric_lines` the fullstats cells); every
-other line goes to its format's per-line rules, which define the
-result. The parsers are tolerant: lines or rows that cannot be used
-are counted and reported, never silently dropped, and never abort the
-parse. An input that yields zero usable records raises
-EmptyTraceError, and a fullstats file the CSV reader cannot split, or
-a byte that is not UTF-8, raises MalformedRecordError at its line. The
-traces they give obey the value rules of the run model (`model`),
-whose `consolidate_run` and `select_dominant_rnti`, which take parsed
-traces on to a run, this module also binds.
+Both parsers read a RawLog, a file or the bytes str lines given from
+code join to (RawLog.of), cut into chunks of whole lines by one rule,
+so that a file is never held whole and str lines read as the file
+holding their bytes. A parser reads the log in pieces
+(`RawLog.pieces`), one per chunk, each bytes of UTF-8 lines ending in
+LF (the last line of the log may not): a chunk that is ASCII without
+CR as it is, and any other decoded with universal newlines and encoded
+again. Lines numpy can prove whole are read together, through the
+exact decimal reader (`decode_replies` the ping replies,
+`decimals.numeric_lines` the fullstats cells); every other line goes
+to its format's per-line rules, which define the result. The parsers
+are tolerant: lines or rows that cannot be used are counted and
+reported, never silently dropped, and never abort the parse. An input
+that yields zero usable records raises EmptyTraceError, and a
+fullstats file the CSV reader cannot split, or a byte that is not
+UTF-8, raises MalformedRecordError at its line. The traces they give
+obey the value rules of the run model (`model`), whose
+`consolidate_run` and `select_dominant_rnti`, which take parsed traces
+on to a run, this module also binds.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import math
 import re
 from collections import deque
 from functools import partial
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -40,7 +41,6 @@ from .errors import (
     InvalidSpecError,
     MalformedRecordError,
     MissingColumnError,
-    count_line_ends,
     decode_text,
     warn,
 )
@@ -64,89 +64,63 @@ _PROBE_LINES = 64
 
 
 class RawLog:
-    """A raw log read as bytes, a chunk of whole lines of about
-    _CHUNK_BYTES at a time (a longer line is one chunk): the file at
-    `path`, or `blocks`, chunks already held (`RawLog.of`). The raw
-    parsers decode a plain chunk without making a str of any line;
-    iterating the log yields its lines as UTF-8 text with universal
-    newlines, a byte that is not UTF-8 raising MalformedRecordError at
-    its line."""
+    """A raw log, UTF-8 text read as bytes: the file at `path`, or `data`,
+    the bytes str lines join to (`RawLog.of`). Both are read by one
+    rule, _CHUNK_BYTES at a time and cut after the last line end read
+    (`RawLog.pieces`), so a file is never held whole. The raw parsers
+    decode a plain piece without making a str of any line; iterating the
+    log yields its lines as a text file does, with universal newlines. A
+    byte that is not UTF-8 raises MalformedRecordError at its line."""
 
-    def __init__(self, path: str | Path, blocks: list[bytes] | None = None) -> None:
+    def __init__(self, path: str | Path, data: bytes | None = None) -> None:
         self.name = str(path)
-        self._blocks = blocks
+        self._data = data
 
     @classmethod
     def of(cls, lines: RawLog | Iterable[str], name: str) -> RawLog:
         """lines as it is if a RawLog; else a RawLog named `name` of the
         UTF-8 text the str lines join to, an LF added where a line has
-        none, built a block of about _CHUNK_BYTES at a time. A lone
-        surrogate is encoded as it is (`surrogatepass`): bytes that are
-        not UTF-8, which the parsers refuse at its line."""
+        none. A lone surrogate is encoded as it is (`surrogatepass`):
+        bytes that are not UTF-8, which the parsers refuse at its line."""
         if isinstance(lines, RawLog):
             return lines
-        blocks, block, size = [], [], 0
-        for line in lines:
-            block.append(line if line.endswith("\n") else line + "\n")
-            size += len(line)
-            if size >= _CHUNK_BYTES:
-                blocks.append("".join(block).encode("utf-8", "surrogatepass"))
-                block, size = [], 0
-        if block:
-            blocks.append("".join(block).encode("utf-8", "surrogatepass"))
-        return cls(name, blocks)
+        text = "".join(line if line.endswith("\n") else line + "\n" for line in lines)
+        return cls(name, text.encode("utf-8", "surrogatepass"))
 
-    def chunks(self) -> Iterator[bytes]:
-        if self._blocks is not None:        # each of whole lines already
-            yield from self._blocks
-            return
-        with open(self.name, "rb") as fh:
-            rest = b""
-            while block := fh.read(_CHUNK_BYTES):
+    def pieces(self) -> Iterator[bytes]:
+        """The log in pieces of whole lines, one per chunk of about
+        _CHUNK_BYTES (a longer line is one chunk), each UTF-8 text whose
+        lines end in LF, the last line of the log without one if it has
+        none: a chunk that is ASCII without CR as it is, any other
+        decoded with universal newlines and encoded again. Lines are
+        counted as the pieces pass, to name a byte that is not UTF-8."""
+        line, rest = 1, b""
+        with open(self.name, "rb") if self._data is None else io.BytesIO(self._data) as fh:
+            while True:
+                block = fh.read(_CHUNK_BYTES)
                 data = rest + block
-                # After the last LF, or in a log without one after the
-                # last CR but a final one, which may begin a CRLF.
-                cut = data.rfind(b"\n") + 1 or data.rfind(b"\r", 0, len(data) - 1) + 1
-                rest = data[cut:]
-                if cut:
-                    yield data[:cut]
-            if rest:
-                yield rest
-
-    def text(self, chunk: bytes, index: int) -> str:
-        """chunk, chunk `index` of the log, as UTF-8 text with universal
-        newlines."""
-        try:
-            return decode_text(self.name, chunk)
-        except MalformedRecordError:    # name the line in the log, not in chunk
-            line = 1 + sum(map(count_line_ends, islice(self.chunks(), index)))
-            decode_text(self.name, chunk, line)
-            raise
+                # After the last LF, or in a log without one after the last
+                # CR but a final one, which may begin a CRLF; at the end,
+                # after all that is left.
+                cut = (data.rfind(b"\n") + 1 or data.rfind(b"\r", 0, len(data) - 1) + 1
+                       if block else len(data))
+                data, rest = data[:cut], data[cut:]
+                if data:
+                    if not data.isascii() or b"\r" in data:
+                        data = decode_text(self.name, data, line).encode()
+                    line += data.count(b"\n")
+                    yield data
+                if not block:
+                    return
 
     def __iter__(self) -> Iterator[str]:
-        for index, chunk in enumerate(self.chunks()):
-            yield from io.StringIO(self.text(chunk, index)).readlines()
-
-
-def _plain(data: bytes) -> bool:
-    """Whether data is ASCII without CR: UTF-8 text with one line per
-    LF, as it is."""
-    return data.isascii() and b"\r" not in data
-
-
-def pieces(log: RawLog) -> Iterator[bytes]:
-    """The lines of log in pieces of whole lines, one per chunk, each
-    line UTF-8 text ending in LF (one added to a last line without):
-    the chunk itself if _plain, else its text (RawLog.text) encoded
-    again, so a chunk of CRLF lines reads as LF lines."""
-    for index, chunk in enumerate(log.chunks()):
-        if not _plain(chunk):
-            chunk = log.text(chunk, index).encode()
-        yield chunk if chunk.endswith(b"\n") else chunk + b"\n"
+        for piece in self.pieces():
+            yield from text_lines(piece)
 
 
 def text_lines(piece: bytes) -> list[str]:
-    """The lines of a piece as str, each with its LF."""
+    """The lines of a piece as str, each with its LF (the last line of
+    the log without one if it has none)."""
     return io.StringIO(piece.decode()).readlines()
 
 
@@ -234,8 +208,8 @@ def _digit(buf: np.ndarray, pos: np.ndarray) -> np.ndarray:
 
 def decode_replies(chunk: bytes, probe: bool = True) -> tuple[np.ndarray, ...]:
     """(start, end, ok, epoch, seq, rtt_ms): per line of chunk, a piece
-    (UTF-8 text whose every line ends in LF), the line's bytes
-    chunk[start:end] without its LF, whether it has the strict reply
+    (UTF-8 text whose lines end in LF, the last may not), the line's
+    bytes chunk[start:end] without its LF, whether it has the strict reply
     shape
 
         [EPOCH] N bytes from HOST: icmp_seq=S ttl=T time=R ms
@@ -249,7 +223,8 @@ def decode_replies(chunk: bytes, probe: bool = True) -> tuple[np.ndarray, ...]:
     other line is left to them, as is, with `probe`, every line of a
     chunk whose first _PROBE_LINES lines hold none."""
     pad = len(decimals.PAD)
-    buf = np.frombuffer(decimals.PAD + chunk + decimals.PAD, np.uint8)
+    buf = np.frombuffer(b"".join((decimals.PAD, chunk, b"" if chunk[-1:] == b"\n" else b"\n",
+                                  decimals.PAD)), np.uint8)
     head = np.flatnonzero(buf[pad:pad + (1 << 14)] == _NL)
     if (probe and len(head) > _PROBE_LINES
             and not decode_replies(chunk[:head[_PROBE_LINES - 1] + 1])[2].any()):
@@ -332,7 +307,7 @@ def parse_ping_log(lines: Iterable[str], meta: RunMetadata) -> PingParseResult:
     parts = [(np.empty(0, np.int64),) + (np.empty(0),) * 3]
     first_no = 1
     probe = True                    # only after a piece without a strict reply
-    for piece in pieces(log):
+    for piece in log.pieces():
         start, end, ok, epoch, seq, rtt = decode_replies(piece, probe)
         probe = not ok.any()
         odd = np.flatnonzero(~ok).tolist()
@@ -454,19 +429,19 @@ def _fullstats_blocks(log: RawLog) -> Iterator:
     """The rows of a fullstats log: its header row (None if it has no
     line; a leading UTF-8 byte-order mark, as spreadsheet exports write,
     dropped), then a (piece, rows) block per piece of the log. A
-    piece without a double quote or NUL, whose lines csv.reader would
-    therefore split on commas alone, is read by numpy: (piece, None),
-    each line a row. Every other line goes to one csv.reader (whose
-    rules define the rows; it refuses a NUL), whose rows up to the end
-    of a piece are a (None, rows) block, so a quoted field may run on
-    into the next piece (which it then reads too). A line csv.reader
-    cannot split (an unterminated quote, a field past
-    csv.field_size_limit()) raises MalformedRecordError naming it: after
-    the lines of the numpy blocks, line reader.line_num of those
-    csv.reader has read."""
-    source = pieces(log)
+    piece of lines ending in LF without a double quote or NUL, whose
+    lines csv.reader would therefore split on commas alone, is read by
+    numpy: (piece, None), each line a row. Every other line goes to one
+    strict csv.reader (whose rules define the rows; it refuses a NUL),
+    whose rows up to the end of a piece are a (None, rows) block, so a
+    quoted field may run on into the next piece (which it then reads
+    too). A line csv.reader cannot split (an unterminated quote, text
+    after a closing quote, a field past csv.field_size_limit()) raises
+    MalformedRecordError naming it: after the lines of the numpy blocks,
+    line reader.line_num of those csv.reader has read."""
+    source = log.pieces()
     head = next(source, b"")
-    cut = head.find(b"\n") + 1         # the header line goes to csv.reader
+    cut = head.find(b"\n") + 1 or len(head)   # the header line goes to csv.reader
     if cut < len(head):
         source = chain([head[cut:]], source)
     pending = deque([head[:cut].decode().removeprefix("\ufeff")] if head else [])
@@ -481,12 +456,12 @@ def _fullstats_blocks(log: RawLog) -> Iterator:
                 return
             pending.extend(text_lines(piece))
 
-    reader = csv.reader(feed())
+    reader = csv.reader(feed(), strict=True)
     try:
         yield next(reader, None)
         while pending or (piece := next(source, None)) is not None:
             if not pending:
-                if b'"' not in piece and b"\0" not in piece:
+                if piece.endswith(b"\n") and b'"' not in piece and b"\0" not in piece:
                     ends = np.flatnonzero(np.frombuffer(piece, np.uint8) == _NL)
                     if np.diff(ends, prepend=-1).max() <= csv.field_size_limit():
                         in_blocks += len(ends)

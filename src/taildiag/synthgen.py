@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -146,11 +146,11 @@ class ScenarioSpec:
             raise InvalidSpecError("rnti must be nonnegative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroundTruth:
     """Oracle labels: stall event centers and excursion snapshot times."""
-    stall_times_s: set[float] = field(default_factory=set)
-    excursion_times_s: set[float] = field(default_factory=set)
+    stall_times_s: set[float]
+    excursion_times_s: set[float]
 
 
 @dataclass(frozen=True)
@@ -195,8 +195,9 @@ def _stall_events(spec: ScenarioSpec) -> list[_StallEvent]:
     return events
 
 
-def gen_latency_trace(spec: ScenarioSpec) -> tuple[LatencyTrace, GroundTruth]:
-    """Ping samples at the configured cadence plus stall ground truth."""
+def gen_latency_trace(spec: ScenarioSpec) -> tuple[LatencyTrace, set[float]]:
+    """Ping samples at the configured cadence, and the stall event
+    centers (ground truth)."""
     n = _grid_count(spec.duration_s, spec.ping_interval_s)
     if n == 0:
         raise InvalidSpecError("duration shorter than one ping interval")
@@ -205,16 +206,16 @@ def gen_latency_trace(spec: ScenarioSpec) -> tuple[LatencyTrace, GroundTruth]:
     base = ue.base_median_ms * np.exp(ue.jitter_scale * np.clip(z, -_Z_CLIP, _Z_CLIP))
 
     elevation = np.zeros(n)
-    truth = GroundTruth()
+    stalls = set()
     for ev in _stall_events(spec):
         count = int(math.ceil(ev.duration_s / spec.ping_interval_s - 1e-12))
         hi = min(n, ev.index + count)
         mags = ue.stall_scale_ms * (1.0 - ev.rng.random(hi - ev.index)) ** (-1.0 / _PARETO_ALPHA)
         np.maximum(elevation[ev.index:hi], mags, out=elevation[ev.index:hi])
-        truth.stall_times_s.add(ev.start_s + ev.duration_s / 2.0)
+        stalls.add(ev.start_s + ev.duration_s / 2.0)
 
     seq = np.arange(n)
-    return LatencyTrace(seq * spec.ping_interval_s, seq, base + elevation), truth
+    return LatencyTrace(seq * spec.ping_interval_s, seq, base + elevation), stalls
 
 
 def _mcs_walk(bler: np.ndarray) -> np.ndarray:
@@ -246,20 +247,13 @@ def _mcs_walk(bler: np.ndarray) -> np.ndarray:
     return np.cumsum(delta)
 
 
-def gen_sched_trace(spec: ScenarioSpec, truth: GroundTruth) -> SchedulerTrace:
-    """Scheduler snapshots coupled to the latency trace through `truth`.
-
-    Must be called with the GroundTruth from gen_latency_trace on the
-    same spec; fills truth.excursion_times_s as a side effect. MCS
-    starts at MCS_INIT, drops one step after any snapshot with BLER
-    above 0.10 and rises one step after K_RECOVER consecutive snapshots
-    below 0.05.
+def gen_sched_trace(spec: ScenarioSpec) -> tuple[SchedulerTrace, set[float]]:
+    """Scheduler snapshots, coupled to gen_latency_trace's through the
+    spec's stall events, and the times of the excursion snapshots
+    (ground truth). MCS starts at MCS_INIT, drops one step after any
+    snapshot with BLER above 0.10 and rises one step after K_RECOVER
+    consecutive snapshots below 0.05.
     """
-    events = _stall_events(spec)
-    expect_stalls = {ev.start_s + ev.duration_s / 2.0 for ev in events}
-    if truth.stall_times_s != expect_stalls:
-        raise InvalidSpecError("ground truth does not match this spec's stalls")
-
     n = _grid_count(spec.duration_s, spec.stats_period_s)
     if n == 0:
         raise InvalidSpecError("duration shorter than one stats period")
@@ -271,7 +265,7 @@ def gen_sched_trace(spec: ScenarioSpec, truth: GroundTruth) -> SchedulerTrace:
     if spec.obstruction_start_s is not None:
         indep &= times >= spec.obstruction_start_s
     lift[indep] = _EXC_BLER_MIN + _EXC_BLER_SPAN * draws[1][indep]
-    for ev in events:
+    for ev in _stall_events(spec):
         if not ev.coupled:
             continue
         lo = int(math.ceil(ev.start_s / spec.stats_period_s - 1e-9))
@@ -282,7 +276,6 @@ def gen_sched_trace(spec: ScenarioSpec, truth: GroundTruth) -> SchedulerTrace:
     active = lift > 0.0
     bler = np.full(n, float(spec.bler_baseline))
     bler[active] = np.clip(spec.bler_baseline + lift[active], 0.0, 1.0)
-    truth.excursion_times_s = {float(t) for t in times[active]}
 
     mcs = _mcs_walk(bler)
     snr = (spec.snr_base_db
@@ -293,7 +286,7 @@ def gen_sched_trace(spec: ScenarioSpec, truth: GroundTruth) -> SchedulerTrace:
     return SchedulerTrace(
         t_s=times, rnti=np.full(n, spec.rnti), dl_bler=bler, ul_bler=bler,
         dl_mcs=mcs, ul_mcs=mcs, snr_db=snr, rsrp_dbm=snr - 110.0,
-        dl_retx=retx, dl_total=np.full(n, _DL_TOTAL))
+        dl_retx=retx, dl_total=np.full(n, _DL_TOTAL)), {float(t) for t in times[active]}
 
 
 # --------------------------------------------------------------- campaigns
@@ -315,14 +308,14 @@ class GeneratedRun:
 
 def gen_run(preset: RunPreset) -> tuple[Run, GroundTruth]:
     spec = preset.spec
-    latency, truth = gen_latency_trace(spec)
-    scheduler = gen_sched_trace(spec, truth)
+    latency, stalls = gen_latency_trace(spec)
+    scheduler, excursions = gen_sched_trace(spec)
     meta = RunMetadata(
         run_id=preset.run_id, ue_type=spec.ue.label,
         distance_m=preset.distance_m, packet_size_b=preset.packet_size_b,
         scenario=spec.scenario, nominal_duration_s=spec.duration_s,
         ping_interval_s=spec.ping_interval_s)
-    return consolidate_run(latency, scheduler, meta), truth
+    return consolidate_run(latency, scheduler, meta), GroundTruth(stalls, excursions)
 
 
 def paperlike_presets(seed: int = DEFAULT_SEED) -> tuple[RunPreset, ...]:

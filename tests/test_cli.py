@@ -204,6 +204,13 @@ def test_load_config_bad_json(tmp_path):
         load_config(tmp_path / "c.json")
 
 
+def test_load_config_refuses_a_top_level_that_is_no_object(tmp_path):
+    (tmp_path / "c.json").write_text("[1, 2]")
+    with pytest.raises(InvalidSpecError) as exc:
+        load_config(tmp_path / "c.json")
+    assert str(exc.value) == f"{tmp_path / 'c.json'}: top level must be an object"
+
+
 # -------------------------------------------------------------- CLI: synth
 
 @pytest.fixture(scope="module")
@@ -644,6 +651,22 @@ def test_ingest_fullstats_cell_past_the_csv_field_limit_exits_1(raw_dir, capsys,
     assert list((raw_dir / "out").iterdir()) == []
 
 
+@pytest.mark.parametrize("row, line, reason", [
+    ('17,"0.1"2\n', 5, "',' expected after '\"'"),
+    ('17,"0.3', 22, "unexpected end of data"),
+], ids=["text_after_quote", "unterminated"])
+def test_ingest_fullstats_with_malformed_quoting_exits_1(raw_dir, capsys, row, line, reason):
+    full = raw_dir / "full.csv"
+    rows = full.read_text().splitlines(keepends=True)     # a header and 20 rows
+    rows.insert(line - 1, row)
+    full.write_text("".join(rows))
+    assert main(["ingest", "--config", str(raw_dir / "c.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {full}:{line}: not CSV: {reason}\n"
+    assert list((raw_dir / "out").iterdir()) == []
+
+
 # A raw log that yields no usable record, or a header without a mapped
 # column: the file the error names, and its bytes.
 UNUSABLE = {
@@ -800,7 +823,8 @@ def test_non_utf8_input_exits_1_naming_file_and_line(tmp_path, capsys, kind):
 
 # A bad config value or CLI override, the subcommand run with it, and
 # the key the error must name. "run" patches the first run entry; any
-# other section is merged into (runs: replaced in) the config.
+# other section is merged into the config (runs, or a value that is no
+# object: replaced in it).
 BAD_INPUTS = {
     "outlier_ms_text": ({"thresholds": {"outlier_ms": "high"}}, [], "summarize", "outlier_ms"),
     "ping_interval_text": ({"run": {"ping_interval_s": "fast"}}, [], "summarize",
@@ -830,6 +854,18 @@ BAD_INPUTS = {
                              "min_latency_samples"),
     "min_sched_bool": ({"window": {"min_sched_samples": True}}, [], "windows",
                        "min_sched_samples"),
+    "stats_period_zero": ({"run": {"stats_period_s": 0}}, [], "summarize",
+                          "stats_period_s must be > 0, got 0"),
+    "outlier_ms_zero": ({"thresholds": {"outlier_ms": 0}}, [], "summarize",
+                        "outlier_ms must be > 0, got 0"),
+    "exceed_negative": ({"thresholds": {"exceed_ms": [100, -5]}}, [], "summarize",
+                        "exceed_ms must be > 0, got -5"),
+    "thresholds_list": ({"thresholds": [100]}, [], "summarize",
+                        "thresholds must be an object"),
+    "ue_type_empty": ({"run": {"ue_type": ""}}, [], "summarize", "ue_type"),
+    "scenario_empty": ({"run": {"scenario": ""}}, [], "summarize", "scenario"),
+    "packet_size_huge": ({"run": {"packet_size_b": 10**400}}, [], "summarize",
+                         "packet_size_b must be an integer"),
 }
 
 
@@ -845,8 +881,8 @@ def test_bad_config_or_cli_value_exits_1_naming_the_key(
     for section, values in patch.items():
         if section == "run":
             run.update(values)
-        elif section == "runs":
-            config["runs"] = values
+        elif section == "runs" or not isinstance(values, dict):
+            config[section] = values
         else:
             config.setdefault(section, {}).update(values)
     cfg_path = tmp_path / "c.json"

@@ -659,6 +659,8 @@ def test_trace_slices_and_masks_are_traces():
     assert trace[trace.seq % 2 == 0].seq.tolist() == [0, 2, 4]
     with pytest.raises(InvalidSpecError):
         LatencyTrace([0.0], [0, 1], [9.0])
+    with pytest.raises(InvalidSpecError, match="t_s must be one-dimensional"):
+        LatencyTrace([[0.0]], [0], [9.0])
     with pytest.raises(ValueError):     # columns are read-only
         trace.t_s[0] = 7.0
 

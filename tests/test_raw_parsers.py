@@ -301,6 +301,22 @@ def test_fullstats_quoted_field_across_a_block_end():
         assert got.snapshots.dl_bler.tolist() == [0.1, 0.2, 0.3] and warned == []
 
 
+@pytest.mark.parametrize("chunk_bytes", [1, 20, 65536])
+@pytest.mark.parametrize("rows, line, reason", [
+    (["17,0.1", '17,"0.1"2', "17,0.3"], 3, "',' expected after '\"'"),
+    (["17,0.1", '17,"0.3'], 3, "unexpected end of data"),
+    (["17,0.1", '17,"0.3', "17,0.2", "18,0.1"], 5, "unexpected end of data"),
+], ids=["text_after_quote", "unterminated", "unterminated_early"])
+def test_fullstats_malformed_quoting_is_refused_at_a_line(chunk_bytes, rows, line, reason):
+    # The csv.reader default would read '"0.1"2' as 0.12, and close an
+    # open quote at the end of the data without a word.
+    cmap = {"rnti": "rnti", "dl_bler": "b"}
+    with mock.patch.object(ingest, "_CHUNK_BYTES", chunk_bytes), \
+            pytest.raises(MalformedRecordError) as exc:
+        parse_fullstats(["rnti,b"] + rows, cmap, META)
+    assert str(exc.value) == f"fullstats input:{line}: not CSV: {reason}"
+
+
 @pytest.mark.parametrize("chunk_bytes", [1, 2, 65536])
 def test_fullstats_columns_refused_by_the_bulk_pass_name_each_row(chunk_bytes):
     lines = ["rnti,dl_bler,mcs", "0x11,0.1,9", "17,nan,9", "17,0.1,", "0x,0.1,9", "17"]
@@ -455,7 +471,9 @@ def test_logs_read_by_chunk_equal_the_str_line_parse(tmp_path, chunk_bytes):
     want_ping, want_ping_log = _parse(parse_ping_log, 16, ping_lines, META)
     want_fs, want_fs_log = _parse(parse_fullstats, 16, fullstats_lines, cmap, META)
     with mock.patch.object(ingest, "_CHUNK_BYTES", chunk_bytes):
-        plain = [ingest._plain(chunk) for chunk in ingest.RawLog(ping_path).chunks()]
+        # A piece is the chunk itself when it is ASCII without CR.
+        raw = ping_path.read_bytes()
+        plain = [piece.isascii() and piece in raw for piece in ingest.RawLog(ping_path).pieces()]
         assert not all(plain) and (any(plain) or len(plain) == 1)
         assert list(ingest.RawLog(ping_path)) == ping_lines
         got_ping, got_ping_log = _parse(parse_ping_log, chunk_bytes, ingest.RawLog(ping_path),
@@ -513,6 +531,21 @@ def test_ingest_of_the_messy_logs_writes_the_recorded_bytes(tmp_path, chunk_byte
     assert {**written, "stderr": hashlib.sha256(done.stderr).hexdigest()} == INGEST_DIGESTS
 
 
+@pytest.mark.parametrize("chunk_bytes", [1, 50, 173, 1024, 1 << 20])
+def test_str_lines_and_the_file_holding_their_bytes_are_cut_alike(tmp_path, chunk_bytes):
+    ping_path, fullstats_path = _messy_logs(tmp_path)
+    for path in (ping_path, fullstats_path):
+        with open(path, encoding="utf-8") as fh:
+            lines = list(fh)
+        # The bytes the str lines join to, each line ending in LF.
+        path.write_bytes("".join(line.rstrip("\n") + "\n" for line in lines).encode())
+        with mock.patch.object(ingest, "_CHUNK_BYTES", chunk_bytes):
+            from_file = list(ingest.RawLog(path).pieces())
+            assert list(ingest.RawLog.of(lines, "log").pieces()) == from_file
+            assert list(ingest.RawLog.of(iter(lines), "log")) == list(ingest.RawLog(path))
+        assert len(from_file) > 1 or chunk_bytes == 1 << 20
+
+
 @pytest.mark.parametrize("chunk_bytes", [40, 1 << 20])
 def test_a_byte_that_is_not_utf8_names_its_line_in_the_file(tmp_path, chunk_bytes):
     lines = [f"[{i}.5] 64 bytes from h: icmp_seq={i} ttl=64 time=5 ms" for i in range(30)]
@@ -525,8 +558,11 @@ def test_a_byte_that_is_not_utf8_names_its_line_in_the_file(tmp_path, chunk_byte
         path.write_bytes("\r\n".join(text[:10]).encode() + b"\r\n"
                          + "\n".join(text[10:]).encode("utf-8", "surrogateescape"))
         with mock.patch.object(ingest, "_CHUNK_BYTES", chunk_bytes), \
+                mock.patch("builtins.open", side_effect=open) as opened, \
                 pytest.raises(MalformedRecordError) as exc:
             parse(ingest.RawLog(path), *args)
         line = len(head) + 21
         assert exc.value.line == line
         assert str(exc.value) == f"{path}:{line}: not UTF-8 text: byte 0xff"
+        # Named as the pieces pass: the log is not read a second time.
+        assert [c.args[0] for c in opened.call_args_list] == [str(path)]

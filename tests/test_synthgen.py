@@ -15,7 +15,6 @@ from taildiag.flags import FlagPolicy, evaluate_flags, flag_rate
 from taildiag.synthgen import (
     MODEM,
     SMARTPHONE,
-    GroundTruth,
     RunPreset,
     ScenarioSpec,
     UeProfile,
@@ -76,6 +75,16 @@ def test_scenario_spec_validation():
     with pytest.raises(InvalidSpecError):
         ScenarioSpec("dynamic_people", 600.0, 7, SMARTPHONE,
                      obstruction_start_s=600.0)
+    with pytest.raises(InvalidSpecError, match="cadences"):
+        modem_spec(ping_interval_s=0.0)
+    with pytest.raises(InvalidSpecError, match="cadences"):
+        modem_spec(stats_period_s=-1.0)
+    with pytest.raises(InvalidSpecError, match="rnti"):
+        modem_spec(rnti=-1)
+    with pytest.raises(InvalidSpecError, match="one ping interval"):
+        gen_latency_trace(modem_spec(duration_s=0.1))
+    with pytest.raises(InvalidSpecError, match="one stats period"):
+        gen_sched_trace(modem_spec(duration_s=0.5))
 
 
 @pytest.mark.parametrize("make, name, value, words", [
@@ -101,18 +110,15 @@ def test_specs_check_their_declared_types(make, name, value, words):
 
 def test_latency_trace_deterministic():
     spec = modem_spec()
-    a, truth_a = gen_latency_trace(spec)
-    b, truth_b = gen_latency_trace(spec)
+    a, stalls_a = gen_latency_trace(spec)
+    b, stalls_b = gen_latency_trace(spec)
     assert a == b
-    assert truth_a.stall_times_s == truth_b.stall_times_s
+    assert stalls_a == stalls_b
 
 
 def test_sched_trace_deterministic():
     spec = modem_spec(stall_bler_coupling=1.0, bler_excursion_prob=0.02)
-    _, truth = gen_latency_trace(spec)
-    a = gen_sched_trace(spec, truth)
-    b = gen_sched_trace(spec, truth)
-    assert a == b
+    assert gen_sched_trace(spec) == gen_sched_trace(spec)
 
 
 def test_different_seeds_differ():
@@ -125,11 +131,11 @@ def test_different_seeds_differ():
 
 def test_no_stalls_bounded_support():
     spec = ScenarioSpec("baseline", 600.0, 3, SMARTPHONE)
-    samples, truth = gen_latency_trace(spec)
+    samples, stalls = gen_latency_trace(spec)
     bound = SMARTPHONE.base_median_ms * math.exp(SMARTPHONE.jitter_scale * 4.0)
     assert max(s.rtt_ms for s in samples) <= bound
     assert stats.summary_stats([s.rtt_ms for s in samples]).exceed_1s == 0.0
-    assert truth.stall_times_s == set()
+    assert stalls == set()
 
 
 def test_sample_grid_and_fields():
@@ -143,14 +149,14 @@ def test_sample_grid_and_fields():
 
 def test_stall_samples_exceed_scale():
     spec = modem_spec(seed=11)
-    samples, truth = gen_latency_trace(spec)
-    assert truth.stall_times_s, "seed 11 must trigger at least one stall"
-    assert all(0.0 <= t < spec.duration_s for t in truth.stall_times_s)
+    samples, stalls = gen_latency_trace(spec)
+    assert stalls, "seed 11 must trigger at least one stall"
+    assert all(0.0 <= t < spec.duration_s for t in stalls)
     # every truth center sits inside a visible elevation: the sample at
     # the center is at least stall_scale above the base-model ceiling
     ceiling = MODEM.base_median_ms * math.exp(MODEM.jitter_scale * 4.0)
     by_t = {round(s.t_s, 6): s.rtt_ms for s in samples}
-    for c in truth.stall_times_s:
+    for c in stalls:
         i = int(c / spec.ping_interval_s)
         rtt = by_t[round(i * spec.ping_interval_s, 6)]
         assert rtt >= MODEM.stall_scale_ms
@@ -181,29 +187,26 @@ def test_separation_smartphone_vs_modem():
 
 def test_clean_sched_rises_to_cap_and_stays():
     spec = ScenarioSpec("static_long", 120.0, 3, SMARTPHONE)
-    _, truth = gen_latency_trace(spec)
-    snaps = gen_sched_trace(spec, truth)
+    snaps, excursions = gen_sched_trace(spec)
     assert len(snaps) == 120
     assert all(s.dl_bler == 0.0 for s in snaps)
     assert snaps[0].dl_mcs == 9
     assert max(s.dl_mcs for s in snaps) == 28
     tail = [s.dl_mcs for s in snaps if s.t_s >= 60.0]
     assert all(m == 28 for m in tail)
-    assert truth.excursion_times_s == set()
+    assert excursions == set()
 
 
 def test_constant_baseline_means_constant_bler():
     spec = ScenarioSpec("baseline", 120.0, 3, SMARTPHONE, bler_baseline=0.05)
-    _, truth = gen_latency_trace(spec)
-    snaps = gen_sched_trace(spec, truth)
+    snaps, _ = gen_sched_trace(spec)
     assert {s.dl_bler for s in snaps} == {0.05}
 
 
 def test_excursion_drops_mcs_next_snapshot():
     spec = modem_spec(seed=11, stall_bler_coupling=1.0)
-    _, truth = gen_latency_trace(spec)
-    snaps = gen_sched_trace(spec, truth)
-    ks = sorted(truth.excursion_times_s)
+    snaps, excursions = gen_sched_trace(spec)
+    ks = sorted(excursions)
     assert ks, "coupled stalls must force excursions"
     k = int(ks[0])
     assert snaps[k].dl_bler > 0.10
@@ -212,8 +215,7 @@ def test_excursion_drops_mcs_next_snapshot():
 
 def test_adaptation_sanity_bounds_and_steps():
     spec = modem_spec(seed=13, stall_bler_coupling=1.0, bler_excursion_prob=0.1)
-    _, truth = gen_latency_trace(spec)
-    snaps = gen_sched_trace(spec, truth)
+    snaps, _ = gen_sched_trace(spec)
     mcs = [s.dl_mcs for s in snaps]
     assert all(0 <= m <= 28 for m in mcs)
     assert all(abs(a - b) <= 1 for a, b in zip(mcs, mcs[1:]))
@@ -221,8 +223,7 @@ def test_adaptation_sanity_bounds_and_steps():
 
 def test_snapshot_fields_consistent():
     spec = modem_spec(seed=13, bler_excursion_prob=0.1)
-    _, truth = gen_latency_trace(spec)
-    snaps = gen_sched_trace(spec, truth)
+    snaps, exc = gen_sched_trace(spec)
     for s in snaps:
         assert s.rnti == 17
         assert s.ul_bler == s.dl_bler and s.ul_mcs == s.dl_mcs
@@ -230,7 +231,6 @@ def test_snapshot_fields_consistent():
         assert s.rsrp_dbm == pytest.approx(s.snr_db - 110.0)
     assert [s.t_s for s in snaps] == [float(k) for k in range(600)]
     # SNR dips during excursions
-    exc = truth.excursion_times_s
     if exc:
         quiet = [s.snr_db for s in snaps if s.t_s not in exc]
         dipped = [s.snr_db for s in snaps if s.t_s in exc]
@@ -239,10 +239,9 @@ def test_snapshot_fields_consistent():
 
 def test_excursion_values_lift_bler_above_half():
     spec = modem_spec(seed=13, bler_excursion_prob=0.2)
-    _, truth = gen_latency_trace(spec)
-    snaps = gen_sched_trace(spec, truth)
+    snaps, excursions = gen_sched_trace(spec)
     for s in snaps:
-        if s.t_s in truth.excursion_times_s:
+        if s.t_s in excursions:
             assert s.dl_bler >= 0.6
         else:
             assert s.dl_bler == 0.05
@@ -290,22 +289,16 @@ def test_mcs_walk_examples_saturate_at_both_bounds(stretches):
     assert mcs.count(synthgen.MCS_MIN) > 1 and mcs.count(synthgen.MCS_MAX) > 1
 
 
-def test_sched_rejects_foreign_truth():
-    spec = modem_spec(seed=11)
-    with pytest.raises(InvalidSpecError):
-        gen_sched_trace(spec, GroundTruth(stall_times_s={1.0}))
-
-
 def test_obstruction_gates_stalls_and_excursions():
     ue = dataclasses.replace(SMARTPHONE, stall_prob=0.01)
     spec = ScenarioSpec("dynamic_people", 600.0, 21, ue,
                         bler_baseline=0.03, bler_excursion_prob=0.1,
                         obstruction_start_s=300.0, stall_bler_coupling=1.0)
-    samples, truth = gen_latency_trace(spec)
-    gen_sched_trace(spec, truth)
-    assert truth.stall_times_s and truth.excursion_times_s
-    assert all(t >= 300.0 for t in truth.stall_times_s)
-    assert all(t >= 300.0 for t in truth.excursion_times_s)
+    samples, stalls = gen_latency_trace(spec)
+    _, excursions = gen_sched_trace(spec)
+    assert stalls and excursions
+    assert all(t >= 300.0 for t in stalls)
+    assert all(t >= 300.0 for t in excursions)
     first_half = [s.rtt_ms for s in samples if s.t_s < 300.0]
     assert max(first_half) < 100.0
 
