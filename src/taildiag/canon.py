@@ -20,11 +20,19 @@ position of a cell is one byte vector over the block's rows, NUL where
 a cell has no character; the block is transposed to rows and the NULs
 dropped.
 
-The trace writers stream. They render each column once (`rendered`),
-which raises for a value no cell can show before any file is touched,
-then send each block to the CSV's temp file and into the column file's
+The trace writers stream. They render each column once (`rendered`:
+the column itself where it already holds what its cells show), which
+raises for a value no cell can show before any file is touched, then
+send each block to the CSV's temp file and into the column file's
 SHA-256 as it is rendered. So a writer holds the rendered columns and
-one block, never the whole text. Every file is written through one
+one block, never the whole text. A trace of at least _SPLIT_ROWS
+rows, where `may_split` holds, is rendered in two halves, cut at a
+block boundary near its middle row (`split_work`): a forked child
+renders the tail's blocks into an anonymous temp file while this
+process renders the head into the CSV's temp file and the SHA-256,
+then streams the child's bytes into both through one _PIECE buffer.
+If the child fails, this process renders the tail itself. The bytes
+written are the same either way. Every file is written through one
 helper (`_atomic_write`): a temp file in the target directory, created
 with mode 0o666 less the umask, then a rename; an exception, from a
 render as from the disk, leaves the old file and no temp file.
@@ -73,7 +81,11 @@ import math
 import mmap
 import os
 import re
+import tempfile
+import threading
+from contextlib import suppress
 from functools import partial
+from itertools import islice
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator
 
@@ -108,6 +120,10 @@ _PIECE = 1 << 20
 # temporaries stay small.
 _CHECK_ROWS = 1 << 16
 
+# A trace of at least this many rows is written in two halves, the
+# second rendered by a forked child (split_work) where may_split holds.
+_SPLIT_ROWS = 1 << 16
+
 # Manifest keys serialized for every run, in emission order.
 _MANIFEST_META_KEYS = ("run_id", "ue_type", "distance_m", "packet_size_b",
                        "scenario", "ping_interval_s", "nominal_duration_s")
@@ -138,6 +154,61 @@ def _atomic_write(path: str | Path, write: Callable[[BinaryIO], object]) -> None
         except OSError:
             pass
         raise
+
+
+def may_split() -> bool:
+    """Whether a forked child can work beside this process: it may run
+    on at least two CPUs, and runs no thread but its main one."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this system
+        return False
+    return cpus >= 2 and threading.active_count() == 1
+
+
+def split_work(first: Callable[[], object], second: Callable[[BinaryIO], object],
+               join: Callable[[object, BinaryIO], object]):
+    """join(first(), a file holding what second wrote to it, read from
+    its start): second writes to an anonymous temp file in a forked
+    child while first runs here, then the child is reaped. A child that
+    cannot be forked, exits non-zero or is killed is recovered here:
+    second runs again, after first, into the emptied file, to give the
+    same result or raise the same error. The child prints nothing and
+    ends with os._exit, so no atexit handler or stdio buffer of this
+    process runs twice; an exception here, a KeyboardInterrupt too,
+    kills and reaps it."""
+    with tempfile.TemporaryFile(buffering=0) as out:
+        def fill() -> None:
+            out.seek(0)
+            out.truncate()
+            with open(out.fileno(), "wb", closefd=False) as fh:
+                second(fh)
+
+        try:
+            pid = os.fork()
+        except OSError:
+            pid = -1
+        if pid == 0:
+            code = 1
+            try:
+                fill()
+                code = 0
+            finally:
+                os._exit(code)
+        try:
+            head = first()
+            failed = pid < 0 or os.waitpid(pid, 0)[1] != 0
+        except BaseException:
+            if pid > 0:
+                from signal import SIGKILL
+                with suppress(ProcessLookupError, ChildProcessError):
+                    os.kill(pid, SIGKILL)
+                    os.waitpid(pid, 0)
+            raise
+        if failed:
+            fill()
+        out.seek(0)
+        return join(head, out)
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -391,11 +462,18 @@ def _csv_digest(csv, first: bytes) -> bytes:
     piece at a time, so the text is never held whole."""
     digest = hashlib.sha256(_COLUMNS_TAG)
     digest.update(first)
-    buf = bytearray(_PIECE)
-    piece = memoryview(buf)
-    while size := csv.readinto(buf):
-        digest.update(piece[:size])
+    for piece in _pieces(csv):
+        digest.update(piece)
     return digest.digest()
+
+
+def _pieces(fh: BinaryIO) -> Iterator[memoryview]:
+    """The rest of fh, read through one buffer of _PIECE bytes: each
+    piece is a view of it, valid until the next is read."""
+    buf = bytearray(_PIECE)
+    view = memoryview(buf)
+    while size := fh.readinto(buf):
+        yield view[:size]
 
 
 def _mapped_table(fh, width: int) -> np.ndarray | None:
@@ -490,10 +568,25 @@ def _write_trace(path: str | Path, trace) -> None:
     columns = [trace.rendered(name) for name in names]
     digest = hashlib.sha256(_COLUMNS_TAG)
 
+    def blocks(rows: slice) -> Iterator[bytes]:
+        return _csv_blocks(names, [column[rows] for column in columns], trace.INTEGRAL)
+
     def write_csv(fh):
-        for block in _csv_blocks(names, columns, trace.INTEGRAL):
-            digest.update(block)
-            fh.write(block)
+        def send(pieces):
+            for piece in pieces:
+                digest.update(piece)
+                fh.write(piece)
+
+        # Split at a block boundary, so each half renders the blocks the
+        # whole would: the head here, the tail's blocks after its header
+        # in a child, whose bytes then follow through one buffer.
+        half = len(trace) // 2 // _BLOCK_ROWS * _BLOCK_ROWS
+        if len(trace) < _SPLIT_ROWS or not half or not may_split():
+            send(blocks(slice(None)))
+        else:
+            split_work(lambda: send(blocks(slice(half))),
+                       lambda out: out.writelines(islice(blocks(slice(half, None)), 1, None)),
+                       lambda _, tail: send(_pieces(tail)))
 
     def write_columns(fh):
         # The .npy header np.lib.format.write_array gives the rows ×
@@ -504,7 +597,7 @@ def _write_trace(path: str | Path, trace) -> None:
             "descr": _FLOAT64.str, "fortran_order": len(trace) > 1,
             "shape": (len(trace), len(names))})
         for column in columns:
-            fh.write(column.astype(_FLOAT64, copy=False))
+            fh.write(np.ascontiguousarray(column, _FLOAT64))
 
     _atomic_write(path, write_csv)
     # The rows × fields table the text reader parses from that CSV is the

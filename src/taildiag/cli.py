@@ -105,12 +105,13 @@ def _ingest(an: Analysis, out_dir: Path, run_ids: list[str]) -> int:
     """Normalize the named runs (default: every run with a raw source)
     into canonical files plus a manifest under the output directory.
     Every target is loaded before any file is written, so a bad source
-    leaves no output behind."""
+    leaves no output behind, not even the output directory."""
     targets = run_ids or [r.run_id for r in an.cfg.runs if r.ping_log or r.fullstats]
     if not targets:
         print("nothing to ingest: no runs with raw sources in config")
         return 0
     runs = [an.run(run_id) for run_id in targets]
+    out_dir.mkdir(parents=True, exist_ok=True)
     for run_id, run in zip(targets, runs):
         manifest, _ = canon.write_run(out_dir, run)
         print(f"{run_id}: {len(run.latency)} latency samples, "
@@ -178,10 +179,12 @@ _RENDERERS = {
 def execute(an: Analysis, out_dir: Path, args: argparse.Namespace) -> int:
     """Run the parsed command args over an: ingest, or an analysis
     command, whose one file is written atomically under out_dir before
-    its summary is printed."""
+    its summary is printed. out_dir is created just before the first
+    file is written, so a command that fails before then leaves none."""
     if args.command == "ingest":
         return _ingest(an, out_dir, args.run_ids)
     name, text, printed = _RENDERERS[args.command](an, args)
+    out_dir.mkdir(parents=True, exist_ok=True)
     canon.atomic_write_text(out_dir / name, text)
     print(printed, end="")
     return 0
@@ -251,9 +254,7 @@ def _campaign(args: argparse.Namespace, required: bool = True) -> CampaignConfig
 
 
 def _out_dir(args: argparse.Namespace, cfg: CampaignConfig) -> Path:
-    out = Path(args.output_dir) if args.output_dir else Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return Path(args.output_dir) if args.output_dir else Path(cfg.output_dir)
 
 
 def guarded(render: Callable[..., int], *args) -> int:

@@ -10,15 +10,16 @@ CR as it is, and any other decoded with universal newlines and encoded
 again. Lines numpy can prove whole are read together, through the
 exact decimal reader (`decode_replies` the ping replies,
 `decimals.numeric_lines` the fullstats cells); every other line goes
-to its format's per-line rules, which define the result. The parsers
-are tolerant: lines or rows that cannot be used are counted and
-reported, never silently dropped, and never abort the parse. An input
-that yields zero usable records raises EmptyTraceError, and a
-fullstats file the CSV reader cannot split, or a byte that is not
-UTF-8, raises MalformedRecordError at its line. The traces they give
-obey the value rules of the run model (`model`), whose
-`consolidate_run` and `select_dominant_rnti`, which take parsed traces
-on to a run, this module also binds.
+to its format's per-line rules, which define the result. A large ping
+log is read in two halves, the second by a forked child
+(`parse_ping_log`). The parsers are tolerant: lines or rows that
+cannot be used are counted and reported, never silently dropped, and
+never abort the parse. An input that yields zero usable records
+raises EmptyTraceError, and a fullstats file the CSV reader cannot
+split, or a byte that is not UTF-8, raises MalformedRecordError at its
+line. The traces they give obey the value rules of the run model
+(`model`), whose `consolidate_run` and `select_dominant_rnti`, which
+take parsed traces on to a run, this module also binds.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
+import pickle
 import re
 from collections import deque
 from functools import partial
@@ -35,7 +38,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from . import decimals
+from . import canon, decimals
 from .errors import (
     EmptyTraceError,
     InvalidSpecError,
@@ -57,6 +60,9 @@ from .model import (
 # Bytes of a raw log read at a time, so a log is never held whole.
 _CHUNK_BYTES = 1 << 20
 _EQ, _NL = ord("="), ord("\n")
+# A ping log of at least this many bytes is parsed in two halves, the
+# second by a forked child (canon.split_work) where canon.may_split holds.
+_SPLIT_BYTES = 1 << 22
 # Lines at the head of a chunk that must hold a strict reply for the
 # chunk to be decoded together, so a log without that shape goes to the
 # per-line rules without paying for the numpy pass too.
@@ -87,17 +93,40 @@ class RawLog:
         text = "".join(line if line.endswith("\n") else line + "\n" for line in lines)
         return cls(name, text.encode("utf-8", "surrogatepass"))
 
-    def pieces(self) -> Iterator[bytes]:
-        """The log in pieces of whole lines, one per chunk of about
-        _CHUNK_BYTES (a longer line is one chunk), each UTF-8 text whose
-        lines end in LF, the last line of the log without one if it has
-        none: a chunk that is ASCII without CR as it is, any other
-        decoded with universal newlines and encoded again. Lines are
-        counted as the pieces pass, to name a byte that is not UTF-8."""
-        line, rest = 1, b""
-        with open(self.name, "rb") if self._data is None else io.BytesIO(self._data) as fh:
+    def _open(self):
+        return open(self.name, "rb") if self._data is None else io.BytesIO(self._data)
+
+    def size(self) -> int:
+        """The log's length in bytes."""
+        return os.path.getsize(self.name) if self._data is None else len(self._data)
+
+    def line_start(self, at: int) -> int:
+        """The offset just past the first LF at or after byte `at`; the
+        log's size if there is none."""
+        with self._open() as fh:
+            fh.seek(at)
+            while block := fh.read(_CHUNK_BYTES):
+                if (i := block.find(b"\n")) >= 0:
+                    return at + i + 1
+                at += len(block)
+        return at
+
+    def pieces(self, start: int = 0, stop: int | None = None, line: int = 1) -> Iterator[bytes]:
+        """The log's bytes from start to stop (to its end if None), both
+        at the start of a line, in pieces of whole lines, one per chunk
+        of about _CHUNK_BYTES (a longer line is one chunk), each UTF-8
+        text whose lines end in LF, the last line of the log without one
+        if it has none: a chunk that is ASCII without CR as it is, any
+        other decoded with universal newlines and encoded again. Lines
+        are counted as the pieces pass, the first numbered `line`, to
+        name a byte that is not UTF-8."""
+        rest = b""
+        with self._open() as fh:
+            fh.seek(start)
+            left = math.inf if stop is None else stop - start
             while True:
-                block = fh.read(_CHUNK_BYTES)
+                block = fh.read(min(_CHUNK_BYTES, left))
+                left -= len(block)
                 data = rest + block
                 # After the last LF, or in a log without one after the last
                 # CR but a final one, which may begin a CRLF; at the end,
@@ -282,24 +311,11 @@ def _unwrap_seq(seq: np.ndarray) -> np.ndarray:
     return count - (low // _SEQ_MOD) * _SEQ_MOD if low < 0 else count
 
 
-def parse_ping_log(lines: Iterable[str], meta: RunMetadata) -> PingParseResult:
-    """Parse standard ping reply output into time-ordered latency samples.
-
-    Reply lines may carry a leading bracketed epoch timestamp; when they
-    do, t_s is the offset from the earliest such epoch, otherwise
-    t_s = count * meta.ping_interval_s, where count is icmp_seq with
-    its 16-bit wraps undone; a t_s float64 cannot hold raises
-    InvalidSpecError. In a log where any reply carries an epoch, a reply
-    without one is malformed. The seq column keeps the printed value.
-
-    lines is a RawLog, or str lines, read as one (RawLog.of), in
-    pieces. The lines of a piece that have the strict reply shape
-    (decode_replies) are decoded together; every other line is read by
-    the per-line rules, which define the result for every line.
-    Warnings, one per malformed line, come in line order. A log without
-    a reply raises EmptyTraceError naming its file (`lines.name`).
-    """
-    log = RawLog.of(lines, getattr(lines, "name", "ping log"))
+def _read_replies(pieces: Iterable[bytes]) -> tuple:
+    """What the ping parse reads from pieces, its lines numbered from 1:
+    (lines, skipped, malformed, bare, epoch, seq, rtt), where bare holds
+    the line numbers of the replies without an epoch, and epoch, seq and
+    rtt the fields of every reply, in line order."""
     skipped = 0
     malformed: list[tuple[int, str]] = []
     # Per piece: the line numbers of its replies without an epoch, and
@@ -307,7 +323,7 @@ def parse_ping_log(lines: Iterable[str], meta: RunMetadata) -> PingParseResult:
     parts = [(np.empty(0, np.int64),) + (np.empty(0),) * 3]
     first_no = 1
     probe = True                    # only after a piece without a strict reply
-    for piece in log.pieces():
+    for piece in pieces:
         start, end, ok, epoch, seq, rtt = decode_replies(piece, probe)
         probe = not ok.any()
         odd = np.flatnonzero(~ok).tolist()
@@ -331,7 +347,65 @@ def parse_ping_log(lines: Iterable[str], meta: RunMetadata) -> PingParseResult:
         bare = np.flatnonzero(ok & np.isnan(epoch))
         parts.append((first_no + bare, epoch[ok], seq[ok], rtt[ok]))
         first_no += len(ok)
-    bare, epoch, seq, rtt = map(np.concatenate, zip(*parts))
+    return first_no - 1, skipped, malformed, *map(np.concatenate, zip(*parts))
+
+
+def _read_halves(log: RawLog, cut: int) -> tuple:
+    """_read_replies of the whole log, which is read in two halves: the
+    lines before byte cut here, and the rest in a forked child
+    (canon.split_work), whose line numbers then follow the first's."""
+    head_lines = 0                  # once the first half is read here
+
+    def first() -> tuple:
+        nonlocal head_lines
+        head = _read_replies(log.pieces(0, cut))
+        head_lines = head[0]
+        return head
+
+    def second(out) -> None:
+        # Lines numbered within the half; only a retry here, after the
+        # first half, names a byte that is not UTF-8 at its line in the log.
+        pickle.dump(_read_replies(log.pieces(cut, line=head_lines + 1)), out,
+                    pickle.HIGHEST_PROTOCOL)
+
+    def join(head: tuple, out) -> tuple:
+        lines, skipped, malformed, bare, *fields = head
+        more, more_skipped, more_malformed, more_bare, *more_fields = pickle.load(out)
+        malformed += [(lines + n, line) for n, line in more_malformed]
+        return (lines + more, skipped + more_skipped, malformed,
+                np.concatenate((bare, lines + more_bare)),
+                *map(np.concatenate, zip(fields, more_fields)))
+
+    return canon.split_work(first, second, join)
+
+
+def parse_ping_log(lines: Iterable[str], meta: RunMetadata) -> PingParseResult:
+    """Parse standard ping reply output into time-ordered latency samples.
+
+    Reply lines may carry a leading bracketed epoch timestamp; when they
+    do, t_s is the offset from the earliest such epoch, otherwise
+    t_s = count * meta.ping_interval_s, where count is icmp_seq with
+    its 16-bit wraps undone; a t_s float64 cannot hold raises
+    InvalidSpecError. In a log where any reply carries an epoch, a reply
+    without one is malformed. The seq column keeps the printed value.
+
+    lines is a RawLog, or str lines, read as one (RawLog.of), in
+    pieces. The lines of a piece that have the strict reply shape
+    (decode_replies) are decoded together; every other line is read by
+    the per-line rules, which define the result for every line. A log of
+    at least _SPLIT_BYTES, where canon.may_split holds, is read in two
+    halves, cut at the first LF at or after its middle byte: a forked
+    child reads the second while this process reads the first
+    (_read_halves), with the same result, warnings and errors; if the
+    child fails, this process reads the second half itself.
+    Warnings, one per malformed line, come in line order. A log without
+    a reply raises EmptyTraceError naming its file (`lines.name`).
+    """
+    log = RawLog.of(lines, getattr(lines, "name", "ping log"))
+    size = log.size()
+    cut = log.line_start(size // 2) if size >= _SPLIT_BYTES and canon.may_split() else size
+    read = _read_halves(log, cut) if cut < size else _read_replies(log.pieces())
+    _, skipped, malformed, bare, epoch, seq, rtt = read
     stamped = len(bare) < len(rtt)
     if stamped:
         # In a log where some reply has an epoch, one without is malformed.
@@ -435,10 +509,11 @@ def _fullstats_blocks(log: RawLog) -> Iterator:
     strict csv.reader (whose rules define the rows; it refuses a NUL),
     whose rows up to the end of a piece are a (None, rows) block, so a
     quoted field may run on into the next piece (which it then reads
-    too). A line csv.reader cannot split (an unterminated quote, text
+    too). A record csv.reader cannot split (an unterminated quote, text
     after a closing quote, a field past csv.field_size_limit()) raises
-    MalformedRecordError naming it: after the lines of the numpy blocks,
-    line reader.line_num of those csv.reader has read."""
+    MalformedRecordError naming the line it starts on: after the lines
+    of the numpy blocks, the line after the reader.line_num lines
+    csv.reader had read before it."""
     source = log.pieces()
     head = next(source, b"")
     cut = head.find(b"\n") + 1 or len(head)   # the header line goes to csv.reader
@@ -457,6 +532,7 @@ def _fullstats_blocks(log: RawLog) -> Iterator:
             pending.extend(text_lines(piece))
 
     reader = csv.reader(feed(), strict=True)
+    before = 0                      # lines csv.reader read before its record
     try:
         yield next(reader, None)
         while pending or (piece := next(source, None)) is not None:
@@ -468,12 +544,14 @@ def _fullstats_blocks(log: RawLog) -> Iterator:
                         yield piece, None
                         continue
                 pending.extend(text_lines(piece))
+            before = reader.line_num
             rows = [next(reader)]
             while pending:
+                before = reader.line_num
                 rows.append(next(reader))
             yield None, rows
     except csv.Error as exc:
-        raise MalformedRecordError(log.name, in_blocks + reader.line_num,
+        raise MalformedRecordError(log.name, in_blocks + before + 1,
                                    f"not CSV: {exc}") from None
 
 

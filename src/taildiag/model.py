@@ -174,7 +174,8 @@ class _Table:
         an integral column each value cast to int64, and one NaN (the
         one an empty cell reads as) wherever a value is absent. An
         integral value that int64 cannot hold (an infinity, or 2**63 or
-        more in magnitude) raises InvalidSpecError naming its row."""
+        more in magnitude) raises InvalidSpecError naming its row. The
+        column itself, not a copy, where it already holds exactly that."""
         col = getattr(self, name)
         absent = np.isnan(col)
         if name in self.INTEGRAL:
@@ -183,8 +184,11 @@ class _Table:
                 row = int(beyond[0])
                 raise InvalidSpecError(f"cannot write {name} {float(col[row])!r} of "
                                        f"trace row {row}: int64 cannot hold it")
-            col = np.where(absent, 0.0, col).astype(np.int64).astype(float)
-        return np.where(absent, np.nan, col)
+            whole = np.where(absent, 0.0, col).astype(np.int64).astype(float)
+            # Bit for bit: a -0.0 renders as 0.0.
+            if not np.array_equal(whole.view(np.int64), col.view(np.int64)):
+                col = whole
+        return np.where(absent, np.nan, col) if absent.any() else col
 
     def values(self, name: str) -> list:
         """Column `name` as built-in Python values, None where absent."""

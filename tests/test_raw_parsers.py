@@ -305,7 +305,7 @@ def test_fullstats_quoted_field_across_a_block_end():
 @pytest.mark.parametrize("rows, line, reason", [
     (["17,0.1", '17,"0.1"2', "17,0.3"], 3, "',' expected after '\"'"),
     (["17,0.1", '17,"0.3'], 3, "unexpected end of data"),
-    (["17,0.1", '17,"0.3', "17,0.2", "18,0.1"], 5, "unexpected end of data"),
+    (["17,0.1", '17,"0.3', "17,0.2", "18,0.1"], 3, "unexpected end of data"),
 ], ids=["text_after_quote", "unterminated", "unterminated_early"])
 def test_fullstats_malformed_quoting_is_refused_at_a_line(chunk_bytes, rows, line, reason):
     # The csv.reader default would read '"0.1"2' as 0.12, and close an

@@ -1,0 +1,308 @@
+"""A large ping parse and a large trace write, split in two halves with
+the second in a forked child (canon.split_work): the same results,
+warnings, errors and bytes as one process gives, whatever the child
+does, and no child left behind. The minimums are patched down, so the
+split runs on small inputs."""
+
+import os
+import runpy
+import signal
+import sys
+import time
+from contextlib import ExitStack, contextmanager
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from taildiag import canon, ingest
+from taildiag.cli import main
+from taildiag.errors import MalformedRecordError
+from taildiag.ingest import parse_ping_log
+from taildiag.model import LatencyTrace, RunMetadata, SchedulerTrace
+
+META = RunMetadata(run_id="r1", ue_type="modem", distance_m=6.0, packet_size_b=30,
+                   scenario="baseline", nominal_duration_s=1800.0, ping_interval_s=0.2)
+PARENT = os.getpid()
+
+
+@contextmanager
+def forks(split: bool):
+    """os.fork, counted, inside the block; with split, the ping log and
+    trace minimums down to one byte and one row, on any host."""
+    with ExitStack() as stack:
+        fork = stack.enter_context(mock.patch.object(os, "fork", wraps=os.fork))
+        if split:
+            for module, name, value in ((ingest, "_SPLIT_BYTES", 1), (canon, "_SPLIT_ROWS", 1),
+                                        (canon, "may_split", lambda: True)):
+                stack.enter_context(mock.patch.object(module, name, value))
+        yield fork
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def in_child(fail, real):
+    """real, but in a forked child it fails by `fail`: raising, exiting
+    non-zero, or killed by a signal."""
+    def call(*args, **kwargs):
+        if os.getpid() != PARENT:
+            if fail == "raise":
+                raise MemoryError("in the child")
+            if fail == "exit":
+                os._exit(3)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args, **kwargs)
+    return call
+
+
+def in_parent(exc, real):
+    """real, but it raises exc in this process, and in a forked child
+    hangs for a minute first: only a child killed ends in time."""
+    def call(*args, **kwargs):
+        if os.getpid() == PARENT:
+            raise exc
+        time.sleep(60)
+        return real(*args, **kwargs)
+    return call
+
+
+# ---------------------------------------------------------------- ping parse
+
+def _ping_lines(stamped, odd, odd_half, n=400):
+    """A ping log of n replies: malformed and bare replies (an epoch
+    missing in a stamped log) and timeouts all through it, seq wrapping
+    at 65,536, and a stretch of CRLF ends or of non-ASCII hosts (`odd`)
+    in the first or the second half (`odd_half`), no final LF."""
+    lines = ["PING h (h) 30(58) bytes of data.\n"]
+    stretch = range(n // 8, n // 4) if odd_half == 0 else range(5 * n // 8, 3 * n // 4)
+    for i in range(n):
+        stamp = f"[{1_700_000_000 + 0.2 * i:.6f}] " if stamped else ""
+        host = "hé" if odd == "nonascii" and i in stretch else "10.45.0.1"
+        line = (f"{stamp}38 bytes from {host}: icmp_seq={(65_400 + i) % 65_536} ttl=64 "
+                f"time={i % 97}.{i % 3 + 1} ms")
+        if i % 17 == 5:
+            line = line[:line.index("time=") + 5]               # no rtt: malformed
+        elif i % 23 == 7 and stamped:
+            line = line.replace(stamp, "")                      # no epoch: malformed
+        elif i % 29 == 3:
+            line = f"{stamp}no answer yet for icmp_seq={i}"
+        lines.append(line + ("\r\n" if odd == "crlf" and i in stretch else "\n"))
+    lines += ["\n", "--- h ping statistics ---\n", f"{n} packets transmitted"]
+    return lines
+
+
+def _ping_outcome(source, chunk_bytes):
+    """(columns, skipped, malformed, warnings) of the ping parse of
+    source, or the text of the MalformedRecordError it raises."""
+    messages = []
+    with mock.patch.object(ingest, "_CHUNK_BYTES", chunk_bytes), \
+            mock.patch.object(ingest, "warn", messages.append):
+        try:
+            got = parse_ping_log(source, META)
+        except MalformedRecordError as exc:
+            return str(exc)
+    columns = [getattr(got.samples, name).tobytes() for name in got.samples.names()]
+    return columns, got.skipped_lines, got.malformed, messages
+
+
+@pytest.mark.parametrize("chunk_bytes", [97, 1 << 20])
+@pytest.mark.parametrize("odd_half", [0, 1])
+@pytest.mark.parametrize("odd", ["crlf", "nonascii"])
+@pytest.mark.parametrize("stamped", [True, False], ids=["stamped", "unstamped"])
+def test_split_ping_parse_equals_the_whole(tmp_path, stamped, odd, odd_half, chunk_bytes):
+    lines = _ping_lines(stamped, odd, odd_half)
+    path = tmp_path / "ping.log"
+    path.write_bytes("".join(lines).encode("utf-8"))
+    with forks(False) as fork:
+        want = _ping_outcome(ingest.RawLog(path), chunk_bytes)
+    fork.assert_not_called()
+    columns, skipped, malformed, messages = want
+    assert skipped > 0 and len(messages) == len(malformed) > 20
+    # Malformed replies, bare ones too in a stamped log, on both sides.
+    numbers = [n for n, _ in malformed]
+    assert min(numbers) < len(lines) // 2 < max(numbers)
+    for source in (ingest.RawLog(path), lines):
+        with forks(True) as fork:
+            assert _ping_outcome(source, chunk_bytes) == want
+        fork.assert_called_once()
+        assert_no_child_left()
+
+
+@pytest.mark.parametrize("half", ["first", "second"])
+def test_split_ping_parse_names_a_byte_that_is_not_utf8_at_its_line(tmp_path, half):
+    lines = _ping_lines(True, "crlf", 0)
+    at = 50 if half == "first" else 350
+    lines[at] = lines[at].replace("from 10", "from \udcff10")
+    path = tmp_path / "ping.log"
+    path.write_bytes("".join(lines).encode("utf-8", "surrogateescape"))
+    want = f"{path}:{at + 1}: not UTF-8 text: byte 0xff"
+    for chunk_bytes in (97, 1 << 20):
+        with forks(False):
+            assert _ping_outcome(ingest.RawLog(path), chunk_bytes) == want
+        with forks(True) as fork:
+            assert _ping_outcome(ingest.RawLog(path), chunk_bytes) == want
+        fork.assert_called_once()
+        assert_no_child_left()
+
+
+@pytest.mark.parametrize("fail", ["raise", "exit", "kill", "no_fork"])
+def test_a_failed_ping_child_is_recovered(tmp_path, fail):
+    path = tmp_path / "ping.log"
+    path.write_bytes("".join(_ping_lines(True, "nonascii", 1)).encode("utf-8"))
+    want = _ping_outcome(ingest.RawLog(path), 97)
+    with forks(True) as fork:
+        if fail == "no_fork":
+            fork.side_effect = OSError("no fork")
+            got = _ping_outcome(ingest.RawLog(path), 97)
+        else:
+            with mock.patch.object(ingest, "_read_replies",
+                                   in_child(fail, ingest._read_replies)):
+                got = _ping_outcome(ingest.RawLog(path), 97)
+    assert got == want
+    fork.assert_called_once()
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("exc", [ValueError("in the parent"), KeyboardInterrupt()],
+                         ids=["error", "interrupt"])
+def test_an_error_in_the_parents_half_reaps_the_ping_child(tmp_path, exc):
+    path = tmp_path / "ping.log"
+    path.write_bytes("".join(_ping_lines(False, "crlf", 1)).encode("utf-8"))
+    with forks(True) as fork, \
+            mock.patch.object(ingest, "_read_replies", in_parent(exc, ingest._read_replies)), \
+            pytest.raises(type(exc)):
+        started = time.monotonic()
+        parse_ping_log(ingest.RawLog(path), META)
+    assert time.monotonic() - started < 30
+    fork.assert_called_once()
+    assert_no_child_left()
+
+
+# --------------------------------------------------------------- trace write
+
+def _traces(rows=300):
+    """A latency and a scheduler trace of `rows` rows, with cells the
+    digit kernel leaves to repr, whole and absent values, and a -0.0."""
+    rng = np.random.default_rng(7)
+    t = np.cumsum(rng.uniform(0.01, 0.3, rows))
+    rtt = rng.lognormal(3.0, 1.0, rows)
+    rtt[::37] = 2.0 ** rng.integers(-3, 8, len(rtt[::37]))
+    rtt[5::41] = 1e16 + rng.integers(0, 9, len(rtt[5::41])) * 2.0
+    latency = LatencyTrace(t, rng.integers(0, 65_536, rows), rtt)
+    blanks = rng.random(rows) < 0.2
+    sched = SchedulerTrace(
+        t_s=t, rnti=np.where(np.arange(rows) % 50 == 3, -0.0, 17.0),
+        dl_bler=rng.random(rows), ul_bler=np.where(blanks, np.nan, rng.random(rows)),
+        dl_mcs=rng.integers(0, 29, rows), ul_mcs=np.where(blanks, np.nan, 9.0),
+        snr_db=rng.normal(20.0, 5.0, rows), rsrp_dbm=np.where(blanks, np.nan, -80.5),
+        dl_retx=rng.integers(0, 3, rows), dl_total=np.full(rows, 50.0))
+    return latency, sched
+
+
+def _written(path, trace):
+    """The bytes of the CSV and column file canon writes for trace."""
+    canon._write_trace(path, trace)
+    return path.read_bytes(), Path(f"{path}.cols").read_bytes()
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 64, 149, 8192])
+@pytest.mark.parametrize("kind", [0, 1], ids=["latency", "scheduler"])
+def test_split_trace_write_gives_the_same_bytes(tmp_path, block_rows, kind):
+    trace = _traces()[kind]
+    with mock.patch.object(canon, "_BLOCK_ROWS", block_rows):
+        with forks(False) as fork:
+            want = _written(tmp_path / "whole.csv", trace)
+        fork.assert_not_called()
+        with forks(True) as fork:
+            assert _written(tmp_path / "split.csv", trace) == want
+    # A trace of fewer than two blocks is written whole.
+    assert fork.call_count == (len(trace) >= 2 * block_rows)
+    assert_no_child_left()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "split.csv", "split.csv.cols", "whole.csv", "whole.csv.cols"]
+
+
+@pytest.mark.parametrize("fail", ["raise", "exit", "kill", "no_fork"])
+def test_a_failed_writer_child_is_recovered(tmp_path, fail):
+    trace = _traces()[1]
+    with mock.patch.object(canon, "_BLOCK_ROWS", 16):
+        want = _written(tmp_path / "whole.csv", trace)
+        with forks(True) as fork:
+            if fail == "no_fork":
+                fork.side_effect = OSError("no fork")
+                got = _written(tmp_path / "split.csv", trace)
+            else:
+                with mock.patch.object(canon, "_csv_blocks", in_child(fail, canon._csv_blocks)):
+                    got = _written(tmp_path / "split.csv", trace)
+    assert got == want
+    fork.assert_called_once()
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("exc", [ValueError("in the parent"), KeyboardInterrupt()],
+                         ids=["error", "interrupt"])
+def test_an_error_in_the_parents_half_reaps_the_writer_child(tmp_path, exc):
+    trace = _traces()[0]
+    with mock.patch.object(canon, "_BLOCK_ROWS", 16), forks(True) as fork, \
+            mock.patch.object(canon, "_csv_blocks", in_parent(exc, canon._csv_blocks)), \
+            pytest.raises(type(exc)):
+        started = time.monotonic()
+        canon._write_trace(tmp_path / "lat.csv", trace)
+    assert time.monotonic() - started < 30
+    fork.assert_called_once()
+    assert_no_child_left()
+    assert list(tmp_path.iterdir()) == []       # no CSV, no temp file
+
+
+def test_rendered_copies_no_column_that_renders_as_it_is():
+    latency, sched = _traces()
+    assert latency.rendered("t_s") is latency.t_s
+    assert latency.rendered("seq") is latency.seq
+    assert sched.rendered("dl_total") is sched.dl_total
+    for trace in (latency, sched):
+        for name in trace.names():
+            # What rendered gave when it copied every column.
+            col = getattr(trace, name)
+            absent = np.isnan(col)
+            want = col
+            if name in trace.INTEGRAL:
+                want = np.where(absent, 0.0, col).astype(np.int64).astype(float)
+            want = np.where(absent, np.nan, want)
+            assert trace.rendered(name).tobytes() == want.tobytes(), name
+    # A -0.0 renders as 0.0, and an absent value as the one NaN.
+    assert sched.rendered("rnti") is not sched.rnti
+    assert sched.rendered("ul_bler") is not sched.ul_bler
+
+
+# ------------------------------------------------------------ what never forks
+
+@pytest.fixture(scope="module")
+def campaign(tmp_path_factory):
+    d = tmp_path_factory.mktemp("campaign")
+    assert main(["synth", "coupled", "--output-dir", str(d)]) == 0
+    return d
+
+
+def test_analysis_commands_never_fork(campaign, tmp_path, capsys):
+    common = ["--config", str(campaign / "campaign_config.json"),
+              "--output-dir", str(tmp_path)]
+    with forks(True) as fork:
+        fork.side_effect = OSError("no fork")
+        for command in ("summarize", "windows", "flags", "phases"):
+            assert main([command, *common, "coupled"]) == 0
+    fork.assert_not_called()
+    assert len(list(tmp_path.iterdir())) == 4
+
+
+def test_the_paperlike_demo_never_forks(tmp_path, monkeypatch, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_paperlike.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--output-dir", str(tmp_path)])
+    with forks(False) as fork:
+        fork.side_effect = OSError("no fork")
+        runpy.run_path(str(script), run_name="__main__")
+    fork.assert_not_called()
+    assert len(list(tmp_path.iterdir())) == 40
