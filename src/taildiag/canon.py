@@ -77,6 +77,7 @@ and a trace mapped before the rename keeps its values.
 from __future__ import annotations
 
 import hashlib
+import io
 import math
 import mmap
 import os
@@ -173,11 +174,17 @@ def split_work(first: Callable[[], object], second: Callable[[BinaryIO], object]
     child while first runs here, then the child is reaped. A child that
     cannot be forked, exits non-zero or is killed is recovered here:
     second runs again, after first, into the emptied file, to give the
-    same result or raise the same error. The child prints nothing and
-    ends with os._exit, so no atexit handler or stdio buffer of this
-    process runs twice; an exception here, a KeyboardInterrupt too,
-    kills and reaps it."""
-    with tempfile.TemporaryFile(buffering=0) as out:
+    same result or raise the same error. Where the temp file cannot be
+    made, or written by that retry (a full disk, say), second runs here
+    after first into a buffer in memory instead, as the work unsplit
+    needs no file. The child prints nothing and ends with os._exit, so
+    no atexit handler or stdio buffer of this process runs twice; an
+    exception here, a KeyboardInterrupt too, kills and reaps it."""
+    try:
+        out = tempfile.TemporaryFile(buffering=0)
+    except OSError:
+        return join(first(), _in_memory(second))
+    with out:
         def fill() -> None:
             out.seek(0)
             out.truncate()
@@ -206,9 +213,20 @@ def split_work(first: Callable[[], object], second: Callable[[BinaryIO], object]
                     os.waitpid(pid, 0)
             raise
         if failed:
-            fill()
+            try:
+                fill()
+            except OSError:
+                return join(head, _in_memory(second))
         out.seek(0)
         return join(head, out)
+
+
+def _in_memory(second: Callable[[BinaryIO], object]) -> BinaryIO:
+    """A buffer holding what second wrote to it, read from its start."""
+    buf = io.BytesIO()
+    second(buf)
+    buf.seek(0)
+    return buf
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

@@ -46,24 +46,32 @@ def load_run(cfg: CampaignConfig, rc: RunConfig) -> Run:
     nominal duration, when not configured, is taken from the data. An
     InvalidSpecError while reading the run (a derived time that
     overflows, say) names the run. Only a raw source loads the raw
-    parsers (`ingest`)."""
+    parsers (`ingest`). A run whose two layers are both raw logs has
+    them read side by side (`ingest.parse_raw_logs`), with the outcome
+    of the ping parse followed by the fullstats parse."""
     meta = rc.metadata()
     if not (rc.latency_file or rc.ping_log):
         raise InvalidSpecError(
             f"run {rc.run_id!r} names no latency source "
             "(latency_file or ping_log)")
+    cmap = rc.column_map or cfg.column_map or DEFAULT_COLUMN_MAP
     try:
+        snapshots = None
         if rc.latency_file:
             latency = canon.read_latency_csv(rc.latency_file)
+        elif rc.fullstats and not rc.scheduler_file:
+            from . import ingest
+            ping, stats = ingest.parse_raw_logs(
+                ingest.RawLog(rc.ping_log), ingest.RawLog(rc.fullstats), cmap, meta,
+                stats_period_s=rc.stats_period_s)
+            latency, snapshots = ping.samples, stats.snapshots
         else:
             from . import ingest
             latency = ingest.parse_ping_log(ingest.RawLog(rc.ping_log), meta).samples
-        snapshots = None
         if rc.scheduler_file:
             snapshots = canon.read_scheduler_csv(rc.scheduler_file)
-        elif rc.fullstats:
+        elif rc.fullstats and snapshots is None:
             from . import ingest
-            cmap = rc.column_map or cfg.column_map or DEFAULT_COLUMN_MAP
             snapshots = ingest.parse_fullstats(ingest.RawLog(rc.fullstats), cmap, meta,
                                                stats_period_s=rc.stats_period_s).snapshots
         nominal = rc.nominal_duration_s

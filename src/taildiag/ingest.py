@@ -10,16 +10,20 @@ CR as it is, and any other decoded with universal newlines and encoded
 again. Lines numpy can prove whole are read together, through the
 exact decimal reader (`decode_replies` the ping replies,
 `decimals.numeric_lines` the fullstats cells); every other line goes
-to its format's per-line rules, which define the result. A large ping
-log is read in two halves, the second by a forked child
-(`parse_ping_log`). The parsers are tolerant: lines or rows that
-cannot be used are counted and reported, never silently dropped, and
-never abort the parse. An input that yields zero usable records
-raises EmptyTraceError, and a fullstats file the CSV reader cannot
-split, or a byte that is not UTF-8, raises MalformedRecordError at its
-line. The traces they give obey the value rules of the run model
-(`model`), whose `consolidate_run` and `select_dominant_rnti`, which
-take parsed traces on to a run, this module also binds.
+to its format's per-line rules, which define the result. Each parser
+runs as a parse of one log (`_PingParse`, `_FullstatsParse`) in the
+steps one reader takes (`_parse`), and `parse_raw_logs` runs both
+parses of a run through it at once: where a log is large, the second
+half of each log is read by one forked child while this process reads
+the first halves, with the outcome of reading the logs whole one after
+the other. The parsers are tolerant: lines or rows that cannot be used
+are counted and reported, never silently dropped, and never abort the
+parse. An input that yields zero usable records raises
+EmptyTraceError, and a fullstats file the CSV reader cannot split, or
+a byte that is not UTF-8, raises MalformedRecordError at its line. The
+traces they give obey the value rules of the run model (`model`),
+whose `consolidate_run` and `select_dominant_rnti`, which take parsed
+traces on to a run, this module also binds.
 """
 
 from __future__ import annotations
@@ -57,10 +61,12 @@ from .model import (
     select_dominant_rnti,
 )
 
-# Bytes of a raw log read at a time, so a log is never held whole.
+# Bytes of a raw log read at a time, so a log is never held whole, and
+# read at a time in a search for one byte (RawLog.find).
 _CHUNK_BYTES = 1 << 20
+_FIND_BYTES = 1 << 16
 _EQ, _NL = ord("="), ord("\n")
-# A ping log of at least this many bytes is parsed in two halves, the
+# A raw log of at least this many bytes is parsed in two halves, the
 # second by a forked child (canon.split_work) where canon.may_split holds.
 _SPLIT_BYTES = 1 << 22
 # Lines at the head of a chunk that must hold a strict reply for the
@@ -100,26 +106,40 @@ class RawLog:
         """The log's length in bytes."""
         return os.path.getsize(self.name) if self._data is None else len(self._data)
 
-    def line_start(self, at: int) -> int:
-        """The offset just past the first LF at or after byte `at`; the
-        log's size if there is none."""
+    def find(self, byte: bytes, start: int = 0, stop: int | None = None) -> int:
+        """The offset of the first `byte` (one byte) from start to stop
+        (to the log's end if None); -1 if there is none. Read in blocks
+        of _FIND_BYTES, as a line end is mostly near."""
         with self._open() as fh:
-            fh.seek(at)
-            while block := fh.read(_CHUNK_BYTES):
-                if (i := block.find(b"\n")) >= 0:
-                    return at + i + 1
-                at += len(block)
-        return at
+            fh.seek(start)
+            left = math.inf if stop is None else stop - start
+            while block := fh.read(min(_FIND_BYTES, left)):
+                if (i := block.find(byte)) >= 0:
+                    return start + i
+                start += len(block)
+                left -= len(block)
+        return -1
 
-    def pieces(self, start: int = 0, stop: int | None = None, line: int = 1) -> Iterator[bytes]:
+    def middle(self) -> int | None:
+        """Where a log of at least _SPLIT_BYTES is cut in two halves: just
+        past the first LF at or after its middle byte. None for a smaller
+        log, and where no line begins after that LF."""
+        size = self.size()
+        if size < _SPLIT_BYTES:
+            return None
+        cut = self.find(b"\n", size // 2) + 1
+        return cut if 0 < cut < size else None
+
+    def pieces(self, start: int = 0, stop: int | None = None) -> Iterator[bytes]:
         """The log's bytes from start to stop (to its end if None), both
         at the start of a line, in pieces of whole lines, one per chunk
         of about _CHUNK_BYTES (a longer line is one chunk), each UTF-8
         text whose lines end in LF, the last line of the log without one
         if it has none: a chunk that is ASCII without CR as it is, any
         other decoded with universal newlines and encoded again. Lines
-        are counted as the pieces pass, the first numbered `line`, to
+        are counted as the pieces pass, the one at start numbered 1, to
         name a byte that is not UTF-8."""
+        line = 1
         rest = b""
         with self._open() as fh:
             fh.seek(start)
@@ -137,7 +157,7 @@ class RawLog:
                 if data:
                     if not data.isascii() or b"\r" in data:
                         data = decode_text(self.name, data, line).encode()
-                    line += data.count(b"\n")
+                    line += _line_ends(data)
                     yield data
                 if not block:
                     return
@@ -145,6 +165,12 @@ class RawLog:
     def __iter__(self) -> Iterator[str]:
         for piece in self.pieces():
             yield from text_lines(piece)
+
+
+def _line_ends(data: bytes) -> int:
+    """The LFs in data, counted by numpy, which is faster than
+    bytes.count."""
+    return int(np.count_nonzero(np.frombuffer(data, np.uint8) == _NL))
 
 
 def text_lines(piece: bytes) -> list[str]:
@@ -350,87 +376,75 @@ def _read_replies(pieces: Iterable[bytes]) -> tuple:
     return first_no - 1, skipped, malformed, *map(np.concatenate, zip(*parts))
 
 
-def _read_halves(log: RawLog, cut: int) -> tuple:
-    """_read_replies of the whole log, which is read in two halves: the
-    lines before byte cut here, and the rest in a forked child
-    (canon.split_work), whose line numbers then follow the first's."""
-    head_lines = 0                  # once the first half is read here
+def _sort_order(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
+    """np.lexsort((minor, major)), the stable order by major, then minor,
+    for a major without NaN: a stable sort by major, fast on the nearly
+    sorted times the parsers give, then the few runs of equal major
+    values sorted by minor."""
+    order = np.argsort(major, kind="stable")
+    ranked = major[order]
+    tied = ranked[1:] == ranked[:-1]
+    if tied.any():
+        # The positions in a run of equal values.
+        at = np.flatnonzero(np.concatenate((tied, [False])) | np.concatenate(([False], tied)))
+        runs = order[at]
+        order[at] = runs[np.lexsort((minor[runs], ranked[at]))]
+    return order
 
-    def first() -> tuple:
-        nonlocal head_lines
-        head = _read_replies(log.pieces(0, cut))
-        head_lines = head[0]
-        return head
 
-    def second(out) -> None:
-        # Lines numbered within the half; only a retry here, after the
-        # first half, names a byte that is not UTF-8 at its line in the log.
-        pickle.dump(_read_replies(log.pieces(cut, line=head_lines + 1)), out,
-                    pickle.HIGHEST_PROTOCOL)
+class _PingParse:
+    """The ping parse of one log, in the steps `_parse` takes: where the
+    log is cut in two (`cut`), what a byte range of it reads (`read`,
+    lines numbered from the range's start), two adjacent reads as one
+    (`join`), and the result of the whole log's read (`finish`), which
+    alone warns."""
 
-    def join(head: tuple, out) -> tuple:
+    def __init__(self, log: RawLog, meta: RunMetadata) -> None:
+        self.log, self.meta = log, meta
+
+    def cut(self) -> int | None:
+        return self.log.middle()
+
+    def read(self, start: int = 0, stop: int | None = None) -> tuple:
+        return _read_replies(self.log.pieces(start, stop))
+
+    @staticmethod
+    def join(head: tuple, tail: tuple) -> tuple:
         lines, skipped, malformed, bare, *fields = head
-        more, more_skipped, more_malformed, more_bare, *more_fields = pickle.load(out)
+        more, more_skipped, more_malformed, more_bare, *more_fields = tail
         malformed += [(lines + n, line) for n, line in more_malformed]
         return (lines + more, skipped + more_skipped, malformed,
                 np.concatenate((bare, lines + more_bare)),
                 *map(np.concatenate, zip(fields, more_fields)))
 
-    return canon.split_work(first, second, join)
-
-
-def parse_ping_log(lines: Iterable[str], meta: RunMetadata) -> PingParseResult:
-    """Parse standard ping reply output into time-ordered latency samples.
-
-    Reply lines may carry a leading bracketed epoch timestamp; when they
-    do, t_s is the offset from the earliest such epoch, otherwise
-    t_s = count * meta.ping_interval_s, where count is icmp_seq with
-    its 16-bit wraps undone; a t_s float64 cannot hold raises
-    InvalidSpecError. In a log where any reply carries an epoch, a reply
-    without one is malformed. The seq column keeps the printed value.
-
-    lines is a RawLog, or str lines, read as one (RawLog.of), in
-    pieces. The lines of a piece that have the strict reply shape
-    (decode_replies) are decoded together; every other line is read by
-    the per-line rules, which define the result for every line. A log of
-    at least _SPLIT_BYTES, where canon.may_split holds, is read in two
-    halves, cut at the first LF at or after its middle byte: a forked
-    child reads the second while this process reads the first
-    (_read_halves), with the same result, warnings and errors; if the
-    child fails, this process reads the second half itself.
-    Warnings, one per malformed line, come in line order. A log without
-    a reply raises EmptyTraceError naming its file (`lines.name`).
-    """
-    log = RawLog.of(lines, getattr(lines, "name", "ping log"))
-    size = log.size()
-    cut = log.line_start(size // 2) if size >= _SPLIT_BYTES and canon.may_split() else size
-    read = _read_halves(log, cut) if cut < size else _read_replies(log.pieces())
-    _, skipped, malformed, bare, epoch, seq, rtt = read
-    stamped = len(bare) < len(rtt)
-    if stamped:
-        # In a log where some reply has an epoch, one without is malformed.
-        malformed += _lines_at(log, set(bare.tolist()))
-        keep = ~np.isnan(epoch)
-        epoch, seq, rtt = epoch[keep], seq[keep], rtt[keep]
-    malformed.sort()
-    for line_no, line in malformed:
-        warn(f"ping line {line_no} unparseable: {line}")
-    if not len(rtt):
-        raise EmptyTraceError(f"{log.name}: no ping reply lines parsed")
-    # Earliest epoch as base, not the first line's, so t_s stays >= 0
-    # even when replies arrive out of order.
-    if stamped:
-        t = epoch - epoch.min()
-    else:
-        t = _unwrap_seq(seq)                # the sequence count
-        _check_finite(float(t.max()) * meta.ping_interval_s, "latency",
-                      f"seq count {int(t.max())} times ping_interval_s "
-                      f"{meta.ping_interval_s!r}")
-        t = t * meta.ping_interval_s
-    order = np.lexsort((seq, t))
-    return PingParseResult(
-        samples=LatencyTrace(t[order], seq[order], rtt[order]),
-        skipped_lines=skipped, malformed=malformed)
+    def finish(self, read: tuple) -> PingParseResult:
+        log, meta = self.log, self.meta
+        _, skipped, malformed, bare, epoch, seq, rtt = read
+        stamped = len(bare) < len(rtt)
+        if stamped and len(bare):
+            # In a log where some reply has an epoch, one without is malformed.
+            malformed += _lines_at(log, set(bare.tolist()))
+            keep = ~np.isnan(epoch)
+            epoch, seq, rtt = epoch[keep], seq[keep], rtt[keep]
+        malformed.sort()
+        for line_no, line in malformed:
+            warn(f"ping line {line_no} unparseable: {line}")
+        if not len(rtt):
+            raise EmptyTraceError(f"{log.name}: no ping reply lines parsed")
+        # Earliest epoch as base, not the first line's, so t_s stays >= 0
+        # even when replies arrive out of order.
+        if stamped:
+            t = epoch - epoch.min()
+        else:
+            t = _unwrap_seq(seq)                # the sequence count
+            _check_finite(float(t.max()) * meta.ping_interval_s, "latency",
+                          f"seq count {int(t.max())} times ping_interval_s "
+                          f"{meta.ping_interval_s!r}")
+            t = t * meta.ping_interval_s
+        order = _sort_order(t, seq)
+        return PingParseResult(
+            samples=LatencyTrace(t[order], seq[order], rtt[order]),
+            skipped_lines=skipped, malformed=malformed)
 
 
 def _lines_at(log: RawLog, numbers) -> Iterator[tuple[int, str]]:
@@ -499,27 +513,32 @@ def _row_values(cells: list[tuple[str, int, object]], faults: dict[int, str], fi
         return None
 
 
-def _fullstats_blocks(log: RawLog) -> Iterator:
-    """The rows of a fullstats log: its header row (None if it has no
-    line; a leading UTF-8 byte-order mark, as spreadsheet exports write,
-    dropped), then a (piece, rows) block per piece of the log. A
-    piece of lines ending in LF without a double quote or NUL, whose
-    lines csv.reader would therefore split on commas alone, is read by
-    numpy: (piece, None), each line a row. Every other line goes to one
-    strict csv.reader (whose rules define the rows; it refuses a NUL),
-    whose rows up to the end of a piece are a (None, rows) block, so a
-    quoted field may run on into the next piece (which it then reads
-    too). A record csv.reader cannot split (an unterminated quote, text
-    after a closing quote, a field past csv.field_size_limit()) raises
-    MalformedRecordError naming the line it starts on: after the lines
-    of the numpy blocks, the line after the reader.line_num lines
-    csv.reader had read before it."""
-    source = log.pieces()
-    head = next(source, b"")
-    cut = head.find(b"\n") + 1 or len(head)   # the header line goes to csv.reader
-    if cut < len(head):
-        source = chain([head[cut:]], source)
-    pending = deque([head[:cut].decode().removeprefix("\ufeff")] if head else [])
+def _fullstats_blocks(log: RawLog, start: int = 0, stop: int | None = None) -> Iterator:
+    """The rows of a fullstats log from byte start to stop (to its end
+    if None), both at the start of a record: from the log's start, its
+    header row first (None if it has no line; a leading UTF-8 byte-order
+    mark, as spreadsheet exports write, dropped), then a (piece, rows)
+    block per piece. A piece of lines ending in LF without a double
+    quote or NUL, whose lines csv.reader would therefore split on commas
+    alone, is read by numpy: (piece, None), each line a row. Every other
+    line goes to one strict csv.reader (whose rules define the rows, and
+    what a NUL is), whose rows up to the end of a piece are a (None,
+    rows) block, so a quoted field may run on into the next piece (which
+    it then reads too). A record csv.reader cannot split (an
+    unterminated quote, text after a closing quote, a field past
+    csv.field_size_limit()) raises MalformedRecordError naming the line
+    it starts on, lines numbered from start: after the lines of the
+    numpy blocks, the line after the reader.line_num lines csv.reader
+    had read before it."""
+    source = log.pieces(start, stop)
+    pending: deque[str] = deque()
+    if not start:
+        head = next(source, b"")
+        cut = head.find(b"\n") + 1 or len(head)   # the header line goes to csv.reader
+        if cut < len(head):
+            source = chain([head[cut:]], source)
+        if head:
+            pending.append(head[:cut].decode().removeprefix("\ufeff"))
     in_blocks = 0                   # lines yielded in numpy blocks
 
     def feed():
@@ -534,7 +553,8 @@ def _fullstats_blocks(log: RawLog) -> Iterator:
     reader = csv.reader(feed(), strict=True)
     before = 0                      # lines csv.reader read before its record
     try:
-        yield next(reader, None)
+        if not start:
+            yield next(reader, None)
         while pending or (piece := next(source, None)) is not None:
             if not pending:
                 if piece.endswith(b"\n") and b'"' not in piece and b"\0" not in piece:
@@ -555,6 +575,197 @@ def _fullstats_blocks(log: RawLog) -> Iterator:
                                    f"not CSV: {exc}") from None
 
 
+class _FullstatsParse:
+    """The fullstats parse of one log, in the steps `_parse` takes, as
+    `_PingParse`: a read of a byte range numbers its rows from the
+    range's start, and runs the row rule (_row_values) and the value
+    rules (SchedulerTrace.faults) on them."""
+
+    def __init__(self, log: RawLog, column_map: Mapping[str, str],
+                 stats_period_s: float) -> None:
+        self.log, self.column_map, self.period = log, column_map, stats_period_s
+        self.width = 0
+        self.cells: list[tuple[str, int, object]] = []   # (field, column, parser)
+
+    def _header(self, blocks: Iterator) -> None:
+        """Check the column map, then read the header row from blocks and
+        find the mapped columns in it."""
+        for name in _REQUIRED_FIELDS:
+            if name not in self.column_map:
+                raise MissingColumnError(f"column_map must map {name!r}")
+        unknown = set(self.column_map) - set(FULLSTATS_FIELDS)
+        if unknown:
+            raise InvalidSpecError(f"unknown canonical fields in column_map: {sorted(unknown)}")
+        header = next(blocks)
+        if header is None:
+            raise EmptyTraceError(f"{self.log.name}: no header row")
+        header = [h.strip() for h in header]
+        missing = [col for col in self.column_map.values() if col not in header]
+        if missing:
+            raise MissingColumnError(
+                f"{self.log.name}: mapped columns absent from header: {missing}")
+        self.width = len(header)
+        self.cells = [(name, header.index(self.column_map[name]),
+                       _int_cell if name in SchedulerTrace.INTEGRAL else _float_cell)
+                      for name in FULLSTATS_FIELDS if name in self.column_map]
+
+    def cut(self) -> int | None:
+        # Only a head without a double quote is cut: each of its lines is
+        # then one row, and the tail's csv.reader starts outside a quote.
+        cut = self.log.middle()
+        if cut is None or self.log.find(b'"', 0, cut) >= 0:
+            return None
+        # The tail's columns, from the header, which is the first line.
+        self._header(_fullstats_blocks(self.log, 0, self.log.find(b"\n") + 1))
+        return cut
+
+    def _columns(self, table: np.ndarray, t_s: np.ndarray | None) -> dict[str, np.ndarray]:
+        """The trace's columns of a table of the mapped cells, NaN where
+        no column is mapped, and t_s where none is mapped to it."""
+        cols = {name: table[:, j] for j, (name, _, _) in enumerate(self.cells)}
+        if "t_s" not in self.column_map:
+            cols["t_s"] = t_s
+        return {name: cols[name] if name in cols else np.full(len(table), np.nan)
+                for name in FULLSTATS_FIELDS}
+
+    def read(self, start: int = 0, stop: int | None = None) -> tuple:
+        """(rows, table, row_idx, keep, faults): the rows read, the
+        mapped values of those the row rule reads and their row indices,
+        which of them keep to the value rules, and why each other row is
+        skipped, by row index."""
+        blocks = _fullstats_blocks(self.log, start, stop)
+        if not start:
+            self._header(blocks)
+        columns = [(i, parse is _int_cell) for _, i, parse in self.cells]
+        tables = [np.empty((0, len(self.cells)))]
+        kept_idx = [np.empty(0, dtype=np.int64)]
+        faults: dict[int, str] = {}     # row index -> why the row is skipped
+        first = 0
+        for piece, rows in blocks:
+            rule = partial(_row_values, self.cells, faults, first)
+            if rows is None:
+                table, row_idx = decimals.numeric_lines(piece, self.width, columns, True,
+                                                        lambda k, line: rule(k, line.split(",")))
+                count = _line_ends(piece)
+            else:
+                values = list(map(rule, range(len(rows)), rows))
+                row_idx = np.flatnonzero([v is not None for v in values])
+                table = np.reshape([v for v in values if v is not None],
+                                   (len(row_idx), len(self.cells)))
+                count = len(rows)
+            tables.append(table)
+            kept_idx.append(first + row_idx)
+            first += count
+        table = np.concatenate(tables)
+        row_idx = np.concatenate(kept_idx)      # row index of each row of table
+        keep = np.ones(len(table), dtype=bool)
+        # A t_s from the row index is finite wherever finish lets it be.
+        cols = self._columns(table, np.zeros(len(table)))
+        for pos, reason in SchedulerTrace.faults(cols).items():
+            keep[pos] = False
+            faults[int(row_idx[pos])] = reason
+        return first, table, row_idx, keep, faults
+
+    @staticmethod
+    def join(head: tuple, tail: tuple) -> tuple:
+        rows, table, row_idx, keep, faults = head
+        more, more_table, more_idx, more_keep, more_faults = tail
+        faults.update((rows + k, reason) for k, reason in more_faults.items())
+        return (rows + more, np.concatenate((table, more_table)),
+                np.concatenate((row_idx, rows + more_idx)), np.concatenate((keep, more_keep)),
+                faults)
+
+    def finish(self, read: tuple) -> FullstatsParseResult:
+        _, table, row_idx, keep, faults = read
+        t_s = None
+        if "t_s" not in self.column_map:
+            last = int(row_idx.max(initial=0))
+            _check_finite(last * self.period, "scheduler",
+                          f"row index {last} times stats_period_s {self.period!r}")
+            t_s = row_idx * self.period
+        cols = self._columns(table, t_s)
+        for row in sorted(faults):
+            warn(f"fullstats row {row + 1} skipped: {faults[row]}")
+        if not keep.any():
+            raise EmptyTraceError(f"{self.log.name}: no usable fullstats rows parsed")
+        # The kept rows, in the order of their times, each column gathered once.
+        kept = np.flatnonzero(keep)
+        t_s = cols["t_s"][kept]
+        if "t_s" in self.column_map:
+            low, high = float(t_s.min()), float(t_s.max())
+            _check_finite(high - low, "scheduler", f"t_s {high!r} less the earliest t_s {low!r}")
+            t_s = t_s - low
+        order = _sort_order(t_s, cols["rnti"][kept])
+        rows = kept[order]
+        cols = {name: col[rows] for name, col in cols.items() if name != "t_s"}
+        return FullstatsParseResult(snapshots=SchedulerTrace(t_s=t_s[order], **cols),
+                                    skipped_rows=len(faults))
+
+
+def _read_halves(parses: tuple) -> list | None:
+    """The read of each parse's whole log, in one fork where some log has
+    a cut: this process reads the head of each log, in turn, while a
+    forked child (canon.split_work) reads the tail of each and pickles
+    its reads back; each pair is then joined. None where no log has a
+    cut."""
+    cuts = [parse.cut() for parse in parses]
+    if all(cut is None for cut in cuts):
+        return None
+
+    def tails(out) -> None:
+        pickle.dump([None if cut is None else parse.read(cut)
+                     for parse, cut in zip(parses, cuts)], out, pickle.HIGHEST_PROTOCOL)
+
+    def join(heads: list, out) -> list:
+        return [head if tail is None else parse.join(head, tail)
+                for parse, head, tail in zip(parses, heads, pickle.load(out))]
+
+    return canon.split_work(lambda: [parse.read(0, cut) for parse, cut in zip(parses, cuts)],
+                            tails, join)
+
+
+def _parse(*parses) -> list:
+    """The result of each parse, the same as reading each log whole and
+    finishing its parse before the next log is read gives, warnings and
+    errors included. Where canon.may_split holds, the logs are read in
+    halves first (_read_halves); an error there, in either half or a
+    child retried here, sends every log back to that whole read, which
+    raises the error the serial order meets first (a fault in the ping
+    log's tail before one in the fullstats log's head)."""
+    reads = None
+    if canon.may_split():
+        try:
+            reads = _read_halves(parses)
+        except Exception:           # raised again, in order, by the whole reads
+            reads = None
+    if reads is None:
+        return [parse.finish(parse.read()) for parse in parses]
+    return [parse.finish(read) for parse, read in zip(parses, reads)]
+
+
+def parse_ping_log(lines: Iterable[str], meta: RunMetadata) -> PingParseResult:
+    """Parse standard ping reply output into time-ordered latency samples.
+
+    Reply lines may carry a leading bracketed epoch timestamp; when they
+    do, t_s is the offset from the earliest such epoch, otherwise
+    t_s = count * meta.ping_interval_s, where count is icmp_seq with
+    its 16-bit wraps undone; a t_s float64 cannot hold raises
+    InvalidSpecError. In a log where any reply carries an epoch, a reply
+    without one is malformed. The seq column keeps the printed value.
+
+    lines is a RawLog, or str lines, read as one (RawLog.of), in
+    pieces. The lines of a piece that have the strict reply shape
+    (decode_replies) are decoded together; every other line is read by
+    the per-line rules, which define the result for every line. A log of
+    at least _SPLIT_BYTES is read in two halves, the second by a forked
+    child, as parse_raw_logs reads it. Warnings, one per malformed line,
+    come in line order. A log without a reply raises EmptyTraceError
+    naming its file (`lines.name`).
+    """
+    log = RawLog.of(lines, getattr(lines, "name", "ping log"))
+    return _parse(_PingParse(log, meta))[0]
+
+
 def parse_fullstats(lines: Iterable[str], column_map: Mapping[str, str],
                     meta: RunMetadata, *,
                     stats_period_s: float = 1.0) -> FullstatsParseResult:
@@ -565,80 +776,41 @@ def parse_fullstats(lines: Iterable[str], column_map: Mapping[str, str],
     times stats_period_s is used as the snapshot time; a mapped t_s is
     rebased so the earliest kept snapshot lies at 0. Either time, if
     float64 cannot hold it, raises InvalidSpecError. Rows with values
-    outside the documented domains are skipped and counted.
+    outside the documented domains are skipped and counted, and warned
+    of in row order. meta is not read.
 
     lines is a RawLog, or str lines, read as one (RawLog.of), in
     blocks of rows (_fullstats_blocks): a piece without a double quote
     or NUL is read by decimals.numeric_lines, and any other rows come
     from csv.reader, which defines them. Either way the row rule
     (_row_values) reads every row numpy does not read whole, and
-    defines the result. An error about the whole input names its file
-    (`lines.name`).
+    defines the result. A log of at least _SPLIT_BYTES whose first half
+    holds no double quote is read in two halves, the second by a forked
+    child, as parse_raw_logs reads it. An error about the whole input
+    names its file (`lines.name`).
     """
-    for name in _REQUIRED_FIELDS:
-        if name not in column_map:
-            raise MissingColumnError(f"column_map must map {name!r}")
-    unknown = set(column_map) - set(FULLSTATS_FIELDS)
-    if unknown:
-        raise InvalidSpecError(f"unknown canonical fields in column_map: {sorted(unknown)}")
-
     log = RawLog.of(lines, getattr(lines, "name", "fullstats input"))
-    blocks = _fullstats_blocks(log)
-    header = next(blocks)
-    if header is None:
-        raise EmptyTraceError(f"{log.name}: no header row")
-    header = [h.strip() for h in header]
-    missing = [col for col in column_map.values() if col not in header]
-    if missing:
-        raise MissingColumnError(f"{log.name}: mapped columns absent from header: {missing}")
-    mapped = [name for name in FULLSTATS_FIELDS if name in column_map]
-    cells = [(name, header.index(column_map[name]),
-              _int_cell if name in SchedulerTrace.INTEGRAL else _float_cell)
-             for name in mapped]
+    return _parse(_FullstatsParse(log, column_map, stats_period_s))[0]
 
-    columns = [(i, parse is _int_cell) for _, i, parse in cells]
-    tables = [np.empty((0, len(mapped)))]
-    kept_idx = [np.empty(0, dtype=np.int64)]
-    faults: dict[int, str] = {}     # row index -> why the row is skipped
-    first = 0
-    for piece, rows in blocks:
-        rule = partial(_row_values, cells, faults, first)
-        if rows is None:
-            table, row_idx = decimals.numeric_lines(piece, len(header), columns, True,
-                                                    lambda k, line: rule(k, line.split(",")))
-            count = piece.count(b"\n")
-        else:
-            values = list(map(rule, range(len(rows)), rows))
-            row_idx = np.flatnonzero([v is not None for v in values])
-            table = np.reshape([v for v in values if v is not None], (len(row_idx), len(cells)))
-            count = len(rows)
-        tables.append(table)
-        kept_idx.append(first + row_idx)
-        first += count
-    table = np.concatenate(tables)
-    row_idx_of = np.concatenate(kept_idx)   # row index of each row of table
 
-    cols = {name: np.full(len(table), np.nan) for name in FULLSTATS_FIELDS}
-    cols.update((name, table[:, j]) for j, name in enumerate(mapped))
-    if "t_s" not in column_map:
-        last = int(row_idx_of.max(initial=0))
-        _check_finite(last * stats_period_s, "scheduler",
-                      f"row index {last} times stats_period_s {stats_period_s!r}")
-        cols["t_s"] = row_idx_of * stats_period_s
-    keep = np.ones(len(table), dtype=bool)
-    for pos, reason in SchedulerTrace.faults(cols).items():
-        keep[pos] = False
-        faults[int(row_idx_of[pos])] = reason
-    for row_idx in sorted(faults):
-        warn(f"fullstats row {row_idx + 1} skipped: {faults[row_idx]}")
-    if not keep.any():
-        raise EmptyTraceError(f"{log.name}: no usable fullstats rows parsed")
-
-    snaps = SchedulerTrace(**{name: col[keep] for name, col in cols.items()})
-    if "t_s" in column_map:
-        low, high = float(snaps.t_s.min()), float(snaps.t_s.max())
-        _check_finite(high - low, "scheduler", f"t_s {high!r} less the earliest t_s {low!r}")
-        snaps = snaps.replace(t_s=snaps.t_s - low)
-    return FullstatsParseResult(
-        snapshots=snaps[np.lexsort((snaps.rnti, snaps.t_s))],
-        skipped_rows=len(faults))
+def parse_raw_logs(ping_log: RawLog, fullstats: RawLog, column_map: Mapping[str, str],
+                   meta: RunMetadata, *, stats_period_s: float = 1.0
+                   ) -> tuple[PingParseResult, FullstatsParseResult]:
+    """parse_ping_log(ping_log, meta), then parse_fullstats(fullstats,
+    column_map, meta, stats_period_s=stats_period_s): the same results,
+    warnings (the ping log's, then the fullstats log's) and first error,
+    with the two logs read side by side. Where canon.may_split holds,
+    each log of at least _SPLIT_BYTES is cut at the first LF at or after
+    its middle byte (RawLog.middle), the fullstats log only if its first
+    half holds no double quote, so that no quoted field straddles the
+    cut. This process reads the first half of each log, the ping log's
+    then the fullstats log's, while one forked child reads the second
+    half of each (canon.split_work). Each half numbers its lines and rows
+    from its start and runs the per-line, row and value rules; this
+    process shifts the child's numbers by its own counts, joins each
+    pair, and then finishes the parses in turn: the warnings, the times
+    and the sorts. An error while the halves are read sends both logs
+    back to that serial order, which raises it at its line in the whole
+    log."""
+    return tuple(_parse(_PingParse(ping_log, meta),
+                        _FullstatsParse(fullstats, column_map, stats_period_s)))

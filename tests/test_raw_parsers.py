@@ -167,6 +167,16 @@ def test_ping_parse_equals_the_line_by_line_oracle(lines):
         assert (got.skipped_lines, got.malformed) == (skipped, malformed)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([0.0, -0.0, 0.2, 0.4, 1e300, 5e-324]),
+                          st.sampled_from([0.0, 1.0, 65_535.0, 3.0])), max_size=40))
+def test_the_parsers_sort_orders_as_lexsort_over_tied_times(rows):
+    # Times tied in runs of every length, and equal but for their sign.
+    major = np.array([t for t, _ in rows], dtype=float)
+    minor = np.array([seq for _, seq in rows], dtype=float)
+    assert ingest._sort_order(major, minor).tolist() == np.lexsort((minor, major)).tolist()
+
+
 def test_ping_replies_past_2_53_or_infinite_are_malformed():
     lines = ["[1.2] 64 bytes from h: icmp_seq=99999999999999999999999 ttl=64 time=5.0 ms",
              "[1.3] 64 bytes from h: icmp_seq=9007199254740993 ttl=64 time=5.0 ms",
@@ -520,15 +530,22 @@ def test_ingest_of_the_messy_logs_writes_the_recorded_bytes(tmp_path, chunk_byte
         "run_id": "r1", "ue_type": "modem", "scenario": "baseline", "distance_m": 6.0,
         "packet_size_b": 30, "ping_interval_s": 0.2, "ping_log": "ping.log",
         "fullstats": "fullstats.csv"}]}))
-    # A child process, so that stderr holds the CLI's own warning lines.
-    child = (f"import sys; from taildiag import cli, ingest; ingest._CHUNK_BYTES = {chunk_bytes}; "
-             "sys.exit(cli.main(sys.argv[1:]))")
-    done = subprocess.run([sys.executable, "-c", child, "ingest", "--config", str(config)],
-                          capture_output=True, env={**os.environ, "PYTHONPATH": str(SRC)})
-    assert done.returncode == 0, done.stderr
-    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in (tmp_path / "out").iterdir()}
-    assert {**written, "stderr": hashlib.sha256(done.stderr).hexdigest()} == INGEST_DIGESTS
+    # Whole, and split with the minimums down to one byte, one row and
+    # blocks of 16 rows on any host: the ping log and both traces split,
+    # and the fullstats log, whose first half holds a quoted cell, is
+    # read whole.
+    for out, forced in (("out", ""), ("split", "ingest._SPLIT_BYTES = canon._SPLIT_ROWS = 1; "
+                                       "canon._BLOCK_ROWS = 16; canon.may_split = lambda: True; ")):
+        # A child process, so that stderr holds the CLI's own warning lines.
+        child = (f"import sys; from taildiag import canon, cli, ingest; {forced}"
+                 f"ingest._CHUNK_BYTES = {chunk_bytes}; sys.exit(cli.main(sys.argv[1:]))")
+        done = subprocess.run([sys.executable, "-c", child, "ingest", "--config", str(config),
+                               "--output-dir", str(tmp_path / out)],
+                              capture_output=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert done.returncode == 0, done.stderr
+        written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in (tmp_path / out).iterdir()}
+        assert {**written, "stderr": hashlib.sha256(done.stderr).hexdigest()} == INGEST_DIGESTS
 
 
 @pytest.mark.parametrize("chunk_bytes", [1, 50, 173, 1024, 1 << 20])

@@ -1,15 +1,21 @@
-"""A large ping parse and a large trace write, split in two halves with
-the second in a forked child (canon.split_work): the same results,
-warnings, errors and bytes as one process gives, whatever the child
-does, and no child left behind. The minimums are patched down, so the
-split runs on small inputs."""
+"""A large raw parse and a large trace write, split in two halves with
+the second in a forked child (canon.split_work), both raw logs of a run
+in one fork: the same results, warnings, errors and bytes as one
+process gives reading each whole in turn, whatever the child does, and
+no child left behind. The minimums are patched down, so the split runs
+on small inputs."""
 
+import csv
+import errno
+import io
+import json
 import os
 import runpy
 import signal
 import sys
+import tempfile
 import time
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, contextmanager, redirect_stderr
 from pathlib import Path
 from unittest import mock
 
@@ -18,8 +24,8 @@ import pytest
 
 from taildiag import canon, ingest
 from taildiag.cli import main
-from taildiag.errors import MalformedRecordError
-from taildiag.ingest import parse_ping_log
+from taildiag.errors import MalformedRecordError, ToolkitError
+from taildiag.ingest import parse_fullstats, parse_ping_log
 from taildiag.model import LatencyTrace, RunMetadata, SchedulerTrace
 
 META = RunMetadata(run_id="r1", ue_type="modem", distance_m=6.0, packet_size_b=30,
@@ -180,6 +186,230 @@ def test_an_error_in_the_parents_half_reaps_the_ping_child(tmp_path, exc):
     assert time.monotonic() - started < 30
     fork.assert_called_once()
     assert_no_child_left()
+
+
+# ------------------------------------------------- both raw logs of a run
+
+FS_MAP = {"rnti": "RNTI", "dl_bler": "DL_BLER", "ul_bler": "UL_BLER", "dl_mcs": "DL_MCS",
+          "snr_db": "SNR_dB", "dl_retx": "DL_HARQ_RETX", "dl_total": "DL_HARQ_TX"}
+TIMED_MAP = {**FS_MAP, "t_s": "TIME"}
+
+
+def _fullstats_lines(odd, odd_half, quoted, n=300):
+    """A fullstats CSV of n rows, row k on line k + 2 unless a quoted cell
+    holds a line break: RNTIs in hex and decimal, and all through it
+    rows skipped (too short, an RNTI missing, a value outside its domain,
+    a cell that is no number), blank rows and empty lines; a stretch of
+    CRLF ends or of non-ASCII cells (`odd`) in the first or the second
+    half (`odd_half`); and quoted cells, one holding a line break, in
+    the "head" or the "tail" (`quoted`, None for none)."""
+    lines = ["TIME,RNTI,DL_BLER,UL_BLER,DL_MCS,SNR_dB,DL_HARQ_RETX,DL_HARQ_TX,NOTE\n"]
+    stretch = range(n // 8, n // 4) if odd_half == 0 else range(5 * n // 8, 3 * n // 4)
+    at = {"head": n // 5, "tail": 4 * n // 5}.get(quoted)
+    for k in range(n):
+        row = [f"{0.5 * k}", "0x4601" if k % 3 else "17921", repr(0.01 * (k % 50)), "0.05",
+               str(k % 30), repr(29.0 + k / 7), str(k % 5), "50", "ok"]
+        if k % 31 == 4:
+            row = row[:3]
+        elif k % 37 == 9:
+            row = [""] * len(row)
+        elif k % 41 == 11:
+            row[2] = "1.5"                                      # dl_bler outside [0, 1]
+        elif k % 43 == 13:
+            row[4] = "nan"
+        elif k % 47 == 15:
+            row = []
+        elif k % 53 == 17:
+            row[1] = ""
+        if odd == "nonascii" and k in stretch and len(row) == 9:
+            row[8] = "hé"
+        if k == at:
+            row[7], row[8] = '"50"', '"a, b"'
+        elif at is not None and k == at + 3:
+            row[8] = '"two\nlines"'
+        lines.append(",".join(row) + ("\r\n" if odd == "crlf" and k in stretch else "\n"))
+    return lines
+
+
+def _columns(trace):
+    return [getattr(trace, name).tobytes() for name in trace.names()]
+
+
+def _joint_outcome(parse, chunk_bytes=97):
+    """(ping columns, skipped lines, malformed lines, fullstats columns,
+    skipped rows, warnings) of the two parses parse gives, or the type
+    and text of the error it raises and the warnings before it."""
+    messages = []
+    with mock.patch.object(ingest, "_CHUNK_BYTES", chunk_bytes), \
+            mock.patch.object(ingest, "warn", messages.append):
+        try:
+            ping, stats = parse()
+        except ToolkitError as exc:
+            return type(exc).__name__, str(exc), messages
+    return (_columns(ping.samples), ping.skipped_lines, ping.malformed,
+            _columns(stats.snapshots), stats.skipped_rows, messages)
+
+
+def _write_logs(tmp_path, ping_lines, fullstats_lines):
+    ping_path, fs_path = tmp_path / "ping.log", tmp_path / "fullstats.csv"
+    ping_path.write_bytes("".join(ping_lines).encode("utf-8", "surrogateescape"))
+    fs_path.write_bytes("".join(fullstats_lines).encode("utf-8", "surrogateescape"))
+    return ping_path, fs_path
+
+
+def _serial(ping_path, fs_path, cmap):
+    """The ping parse, then the fullstats parse, each of its whole log."""
+    def parse():
+        ping = parse_ping_log(ingest.RawLog(ping_path), META)
+        return ping, parse_fullstats(ingest.RawLog(fs_path), cmap, META, stats_period_s=0.5)
+    with forks(False) as fork:
+        got = _joint_outcome(parse)
+    fork.assert_not_called()
+    return got
+
+
+def _joint(ping_path, fs_path, cmap):
+    return _joint_outcome(lambda: ingest.parse_raw_logs(
+        ingest.RawLog(ping_path), ingest.RawLog(fs_path), cmap, META, stats_period_s=0.5))
+
+
+@pytest.mark.parametrize("cmap", [FS_MAP, TIMED_MAP], ids=["row_times", "t_s_column"])
+@pytest.mark.parametrize("quoted", ["tail", "head", None])
+@pytest.mark.parametrize("odd_half", [0, 1])
+@pytest.mark.parametrize("odd", ["crlf", "nonascii"])
+def test_joint_split_parse_equals_the_serial_parse(tmp_path, odd, odd_half, quoted, cmap):
+    paths = _write_logs(tmp_path, _ping_lines(True, odd, 1 - odd_half),
+                        _fullstats_lines(odd, odd_half, quoted))
+    want = _serial(*paths, cmap)
+    *_, skipped_rows, messages = want
+    # Rows skipped on both sides of the middle.
+    rows = [int(m.split()[2]) for m in messages if m.startswith("fullstats row")]
+    assert skipped_rows == len(rows) > 20 and min(rows) < 150 < max(rows)
+    reads = []                                  # (log, start, stop) of each read here
+    with forks(True) as fork, ExitStack() as stack:
+        for kind in (ingest._PingParse, ingest._FullstatsParse):
+            def read(self, start=0, stop=None, real=kind.read):
+                reads.append((self.log.name, start, stop))
+                return real(self, start, stop)
+            stack.enter_context(mock.patch.object(kind, "read", read))
+        assert _joint(*paths, cmap) == want
+    fork.assert_called_once()
+    assert_no_child_left()
+    # The head of each log, and no log whole; a fullstats head that holds a
+    # double quote is read whole, and only the ping log splits.
+    (ping, start, ping_cut), (fs, fs_start, fs_cut) = reads
+    assert (ping, fs, start, fs_start) == (str(paths[0]), str(paths[1]), 0, 0)
+    assert ping_cut > 0 and (fs_cut is None) == (quoted == "head")
+
+
+@pytest.mark.parametrize("fault", ["nul", "not_utf8", "overlong", "ping_tail_and_head",
+                                   "no_usable_row", "no_reply"])
+def test_joint_split_parse_meets_a_fault_as_the_serial_parse(tmp_path, fault):
+    ping, fullstats = _ping_lines(True, "crlf", 0), _fullstats_lines("nonascii", 0, None)
+    row = 251                                   # in the tail, on line 253
+    if fault == "nul":
+        fullstats[row + 1] = fullstats[row + 1].replace(",0.05,", ",0.05\0,")
+    elif fault == "not_utf8":
+        fullstats[row + 1] = fullstats[row + 1].replace("ok", "o\udcffk")
+    elif fault == "overlong":
+        fullstats[row + 1] = fullstats[row + 1].replace("ok", "k" * 300)
+    elif fault == "ping_tail_and_head":
+        ping[350] = ping[350].replace("from 10", "from \udcff10")
+        fullstats[21] = fullstats[21].replace("ok", "o\udcffk")
+    elif fault == "no_usable_row":
+        fullstats[1:] = [line.replace(",0.05,", ",2.0,") for line in fullstats[1:]]
+    else:
+        ping = [line for line in ping if "bytes from" not in line]
+    paths = _write_logs(tmp_path, ping, fullstats)
+    limit = csv.field_size_limit(200)
+    try:
+        want = _serial(*paths, FS_MAP)
+        with forks(True) as fork:
+            assert _joint(*paths, FS_MAP) == want
+    finally:
+        csv.field_size_limit(limit)
+    fork.assert_called_once()
+    assert_no_child_left()
+    if fault == "nul":                          # a cell that is no number: the row is skipped
+        assert f"fullstats row {row + 1} skipped: could not convert string to float: " \
+               "'0.05\\x00'" in want[-1]
+        return
+    kind, text, messages = want
+    if fault in ("not_utf8", "overlong"):
+        assert text.startswith(f"{paths[1]}:{row + 2}: ")
+    elif fault == "ping_tail_and_head":
+        assert text == f"{paths[0]}:351: not UTF-8 text: byte 0xff" and messages == []
+    elif fault == "no_usable_row":
+        assert kind == "EmptyTraceError" and len(messages) > 300
+    else:
+        assert kind == "EmptyTraceError" and str(paths[0]) in text
+
+
+@pytest.mark.parametrize("fail", ["raise", "exit", "kill", "no_fork"])
+def test_a_failed_joint_child_is_recovered(tmp_path, fail):
+    paths = _write_logs(tmp_path, _ping_lines(True, "nonascii", 1),
+                        _fullstats_lines("crlf", 1, "tail"))
+    want = _serial(*paths, FS_MAP)
+    with forks(True) as fork:
+        if fail == "no_fork":
+            fork.side_effect = OSError("no fork")
+            got = _joint(*paths, FS_MAP)
+        else:
+            read = ingest._FullstatsParse.read
+            with mock.patch.object(ingest._FullstatsParse, "read", in_child(fail, read)):
+                got = _joint(*paths, FS_MAP)
+    assert got == want
+    fork.assert_called_once()
+    assert_no_child_left()
+
+
+def _ingest(tmp_path, out):
+    """The files `taildiag ingest` writes from the logs in tmp_path into
+    tmp_path / out, by name, and its stderr."""
+    config = tmp_path / "campaign.json"
+    config.write_text(json.dumps({"column_map": FS_MAP, "runs": [{
+        "run_id": "r1", "ue_type": "modem", "scenario": "baseline", "distance_m": 6.0,
+        "packet_size_b": 30, "ping_interval_s": 0.2, "ping_log": "ping.log",
+        "fullstats": "fullstats.csv"}]}))
+    with redirect_stderr(io.StringIO()) as err:
+        assert main(["ingest", "--config", str(config), "--output-dir", str(tmp_path / out)]) == 0
+    return {p.name: p.read_bytes() for p in (tmp_path / out).iterdir()}, err.getvalue()
+
+
+class _FullDisk(io.FileIO):
+    """/dev/full, which refuses every write for want of space; its
+    truncate does nothing, so the write is what fails."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__("/dev/full", "w+")
+
+    def truncate(self, size=None):
+        return 0
+
+
+@pytest.mark.parametrize("temp_file", ["made", "not_made", "not_written"])
+def test_ingest_of_a_large_run_forks_three_times_or_writes_the_same_bytes_without(
+        tmp_path, capsys, temp_file):
+    if temp_file == "not_written" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    _write_logs(tmp_path, _ping_lines(True, "crlf", 1), _fullstats_lines("nonascii", 0, "tail"))
+    with mock.patch.object(canon, "_BLOCK_ROWS", 16):
+        with forks(False) as fork:
+            want = _ingest(tmp_path, "whole")
+        fork.assert_not_called()
+        with forks(True) as fork, ExitStack() as stack:
+            if temp_file == "not_made":
+                stack.enter_context(mock.patch.object(
+                    tempfile, "TemporaryFile",
+                    side_effect=OSError(errno.ENOSPC, "No space left on device")))
+            elif temp_file == "not_written":
+                stack.enter_context(mock.patch.object(tempfile, "TemporaryFile", _FullDisk))
+            assert _ingest(tmp_path, "split") == want
+    # One fork reads both logs, then one writes each trace; without a
+    # temp file the second halves are done here, and no child is forked.
+    assert fork.call_count == (0 if temp_file == "not_made" else 3)
+    assert_no_child_left()
+    assert len(want[0]) == 5 and want[1].count("WARNING") > 40
 
 
 # --------------------------------------------------------------- trace write
