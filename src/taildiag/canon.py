@@ -25,17 +25,20 @@ the column itself where it already holds what its cells show), which
 raises for a value no cell can show before any file is touched, then
 send each block to the CSV's temp file and into the column file's
 SHA-256 as it is rendered. So a writer holds the rendered columns and
-one block, never the whole text. A trace of at least _SPLIT_ROWS
-rows, where `may_split` holds, is rendered in two halves, cut at a
-block boundary near its middle row (`split_work`): a forked child
-renders the tail's blocks into an anonymous temp file while this
-process renders the head into the CSV's temp file and the SHA-256,
-then streams the child's bytes into both through one _PIECE buffer.
-If the child fails, this process renders the tail itself. The bytes
-written are the same either way. Every file is written through one
-helper (`_atomic_write`): a temp file in the target directory, created
-with mode 0o666 less the umask, then a rename; an exception, from a
-render as from the disk, leaves the old file and no temp file.
+one block, never the whole text. A trace of at least _SPLIT_ROWS rows,
+where `may_split` holds, is rendered in two halves, cut at a block
+boundary near its middle row (`split_work`): a forked child renders
+the tail's blocks into an anonymous temp file while this process
+renders the head into the CSV's temp file and the SHA-256, then
+streams the child's bytes into both through one _PIECE buffer. If the
+split fails at any step (no temp file or child to be had, a child that
+fails, an error streaming its bytes), this process empties the CSV's
+temp file, starts the SHA-256 afresh and renders every block itself.
+The bytes written are the same either way. Every file is written
+through one helper (`_atomic_write`): a temp file in the target
+directory, created with mode 0o666 less the umask, then a rename; an
+exception, from a render as from the disk, leaves the old file and no
+temp file.
 
 The text reader reads a CSV's body with `decimals.numeric_lines`: a
 line of the header's width whose every cell the exact decimal reader
@@ -77,7 +80,6 @@ and a trace mapped before the rename keeps its values.
 from __future__ import annotations
 
 import hashlib
-import io
 import math
 import mmap
 import os
@@ -171,62 +173,35 @@ def split_work(first: Callable[[], object], second: Callable[[BinaryIO], object]
                join: Callable[[object, BinaryIO], object]):
     """join(first(), a file holding what second wrote to it, read from
     its start): second writes to an anonymous temp file in a forked
-    child while first runs here, then the child is reaped. A child that
-    cannot be forked, exits non-zero or is killed is recovered here:
-    second runs again, after first, into the emptied file, to give the
-    same result or raise the same error. Where the temp file cannot be
-    made, or written by that retry (a full disk, say), second runs here
-    after first into a buffer in memory instead, as the work unsplit
-    needs no file. The child prints nothing and ends with os._exit, so
+    child while first runs here, then the child is reaped. Nothing is
+    recovered here: a temp file or child that cannot be made, or a
+    child that exits non-zero or is killed, raises, and the caller does
+    the work whole. The child prints nothing and ends with os._exit, so
     no atexit handler or stdio buffer of this process runs twice; an
     exception here, a KeyboardInterrupt too, kills and reaps it."""
-    try:
-        out = tempfile.TemporaryFile(buffering=0)
-    except OSError:
-        return join(first(), _in_memory(second))
-    with out:
-        def fill() -> None:
-            out.seek(0)
-            out.truncate()
-            with open(out.fileno(), "wb", closefd=False) as fh:
-                second(fh)
-
-        try:
-            pid = os.fork()
-        except OSError:
-            pid = -1
+    with tempfile.TemporaryFile(buffering=0) as out:
+        pid = os.fork()
         if pid == 0:
             code = 1
             try:
-                fill()
+                with open(out.fileno(), "wb", closefd=False) as fh:
+                    second(fh)
                 code = 0
             finally:
                 os._exit(code)
         try:
             head = first()
-            failed = pid < 0 or os.waitpid(pid, 0)[1] != 0
+            status = os.waitpid(pid, 0)[1]
         except BaseException:
-            if pid > 0:
-                from signal import SIGKILL
-                with suppress(ProcessLookupError, ChildProcessError):
-                    os.kill(pid, SIGKILL)
-                    os.waitpid(pid, 0)
+            from signal import SIGKILL
+            with suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
             raise
-        if failed:
-            try:
-                fill()
-            except OSError:
-                return join(head, _in_memory(second))
+        if status:
+            raise ChildProcessError(f"split child {pid} ended with wait status {status}")
         out.seek(0)
         return join(head, out)
-
-
-def _in_memory(second: Callable[[BinaryIO], object]) -> BinaryIO:
-    """A buffer holding what second wrote to it, read from its start."""
-    buf = io.BytesIO()
-    second(buf)
-    buf.seek(0)
-    return buf
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -581,7 +556,8 @@ def _write_trace(path: str | Path, trace) -> None:
     the CSV at a time; a trace whose CSV the reader refuses gets no
     column file, and loses any older one. The columns are rendered
     first, so a value no cell can show raises before any file is
-    touched."""
+    touched. A split write (split_work) that fails is done again
+    whole."""
     names = trace.names()
     columns = [trace.rendered(name) for name in names]
     digest = hashlib.sha256(_COLUMNS_TAG)
@@ -590,6 +566,7 @@ def _write_trace(path: str | Path, trace) -> None:
         return _csv_blocks(names, [column[rows] for column in columns], trace.INTEGRAL)
 
     def write_csv(fh):
+        nonlocal digest
         def send(pieces):
             for piece in pieces:
                 digest.update(piece)
@@ -599,12 +576,17 @@ def _write_trace(path: str | Path, trace) -> None:
         # whole would: the head here, the tail's blocks after its header
         # in a child, whose bytes then follow through one buffer.
         half = len(trace) // 2 // _BLOCK_ROWS * _BLOCK_ROWS
-        if len(trace) < _SPLIT_ROWS or not half or not may_split():
-            send(blocks(slice(None)))
-        else:
-            split_work(lambda: send(blocks(slice(half))),
-                       lambda out: out.writelines(islice(blocks(slice(half, None)), 1, None)),
-                       lambda _, tail: send(_pieces(tail)))
+        if len(trace) >= _SPLIT_ROWS and half and may_split():
+            try:
+                split_work(lambda: send(blocks(slice(half))),
+                           lambda out: out.writelines(islice(blocks(slice(half, None)), 1, None)),
+                           lambda _, tail: send(_pieces(tail)))
+                return
+            except Exception:           # written again, whole: an empty file, a fresh digest
+                fh.seek(0)
+                fh.truncate()
+                digest = hashlib.sha256(_COLUMNS_TAG)
+        send(blocks(slice(None)))
 
     def write_columns(fh):
         # The .npy header np.lib.format.write_array gives the rows ×

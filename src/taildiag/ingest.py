@@ -702,16 +702,17 @@ class _FullstatsParse:
                                     skipped_rows=len(faults))
 
 
-def _read_halves(parses: tuple) -> list | None:
-    """The read of each parse's whole log, in one fork where some log has
-    a cut: this process reads the head of each log, in turn, while a
-    forked child (canon.split_work) reads the tail of each and pickles
-    its reads back; each pair is then joined. None where no log has a
-    cut."""
-    cuts = [parse.cut() for parse in parses]
-    if all(cut is None for cut in cuts):
-        return None
-
+def _parse(*parses) -> list:
+    """The result of each parse, the same as reading each log whole and
+    finishing its parse before the next log is read gives, warnings and
+    errors included. Where canon.may_split holds and some log has a cut,
+    one fork (canon.split_work) reads the logs in halves: this process
+    reads the head of each log in turn while the child reads the tail of
+    each and pickles its reads back, and each pair is then joined. Any
+    error there, in either half, the fork or the join, sends every log
+    back to that whole read, which raises the error the serial order
+    meets first (a fault in the ping log's tail before one in the
+    fullstats log's head)."""
     def tails(out) -> None:
         pickle.dump([None if cut is None else parse.read(cut)
                      for parse, cut in zip(parses, cuts)], out, pickle.HIGHEST_PROTOCOL)
@@ -720,24 +721,15 @@ def _read_halves(parses: tuple) -> list | None:
         return [head if tail is None else parse.join(head, tail)
                 for parse, head, tail in zip(parses, heads, pickle.load(out))]
 
-    return canon.split_work(lambda: [parse.read(0, cut) for parse, cut in zip(parses, cuts)],
-                            tails, join)
-
-
-def _parse(*parses) -> list:
-    """The result of each parse, the same as reading each log whole and
-    finishing its parse before the next log is read gives, warnings and
-    errors included. Where canon.may_split holds, the logs are read in
-    halves first (_read_halves); an error there, in either half or a
-    child retried here, sends every log back to that whole read, which
-    raises the error the serial order meets first (a fault in the ping
-    log's tail before one in the fullstats log's head)."""
     reads = None
     if canon.may_split():
         try:
-            reads = _read_halves(parses)
+            cuts = [parse.cut() for parse in parses]
+            if any(cut is not None for cut in cuts):
+                reads = canon.split_work(
+                    lambda: [parse.read(0, cut) for parse, cut in zip(parses, cuts)], tails, join)
         except Exception:           # raised again, in order, by the whole reads
-            reads = None
+            pass
     if reads is None:
         return [parse.finish(parse.read()) for parse in parses]
     return [parse.finish(read) for parse, read in zip(parses, reads)]
@@ -809,8 +801,8 @@ def parse_raw_logs(ping_log: RawLog, fullstats: RawLog, column_map: Mapping[str,
     from its start and runs the per-line, row and value rules; this
     process shifts the child's numbers by its own counts, joins each
     pair, and then finishes the parses in turn: the warnings, the times
-    and the sorts. An error while the halves are read sends both logs
-    back to that serial order, which raises it at its line in the whole
-    log."""
+    and the sorts. Whatever fails in the split (the temp file, the fork,
+    the child, either half or the join) sends both logs back to that
+    serial order, which raises an error at its line in the whole log."""
     return tuple(_parse(_PingParse(ping_log, meta),
                         _FullstatsParse(fullstats, column_map, stats_period_s)))

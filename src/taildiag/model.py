@@ -342,7 +342,7 @@ def consolidate_run(latency: LatencyTrace, scheduler: SchedulerTrace | None,
             below = t < 0
             dropped = int(np.count_nonzero(below))
             if dropped:
-                warn(f"sched offset {sched_offset_s:.3f}s drops {dropped} snapshots below t=0")
+                warn(f"sched_offset_s {sched_offset_s!r} drops {dropped} snapshots below t=0")
             sched = sched.replace(t_s=t)[~below]
         if not _in_time_order(sched.t_s):
             sched = sched[np.argsort(sched.t_s, kind="stable")]

@@ -330,6 +330,18 @@ def test_consolidate_offset_drops_negative_times():
     assert [s.t_s for s in run.scheduler] == [3.0]
 
 
+@pytest.mark.parametrize("offset, dropped", [(-0.0004, 1), (-1e308, 2)])
+def test_consolidate_offset_warning_names_the_offset_exactly(capsys, offset, dropped):
+    # Neither rounded to -0.000 nor spelt out in 300 digits.
+    sched = [SchedulerSnapshot(t_s=0.0, rnti=17, dl_bler=0.0),
+             SchedulerSnapshot(t_s=5.0, rnti=17, dl_bler=0.1)]
+    lat = [LatencySample(t_s=0.0, seq=0, rtt_ms=8.0)]
+    run = consolidate_run(latency_trace(lat), sched_trace(sched), meta(), sched_offset_s=offset)
+    assert len(run.scheduler) == 2 - dropped
+    assert capsys.readouterr().err == (
+        f"WARNING: sched_offset_s {offset!r} drops {dropped} snapshots below t=0\n")
+
+
 def _bits(trace):
     return [getattr(trace, name).tobytes() for name in trace.names()]
 

@@ -1,9 +1,9 @@
 """A large raw parse and a large trace write, split in two halves with
-the second in a forked child (canon.split_work), both raw logs of a run
-in one fork: the same results, warnings, errors and bytes as one
-process gives reading each whole in turn, whatever the child does, and
-no child left behind. The minimums are patched down, so the split runs
-on small inputs."""
+the second in a forked child (canon.split_work), both raw logs of a
+run in one fork: the same results, warnings, errors and bytes as one
+process gives reading each whole in turn, whatever the child, the wait
+for it or the join does, and no child left behind. The minimums are
+patched down, so the split runs on small inputs."""
 
 import csv
 import errno
@@ -16,6 +16,7 @@ import sys
 import tempfile
 import time
 from contextlib import ExitStack, contextmanager, redirect_stderr
+from itertools import islice
 from pathlib import Path
 from unittest import mock
 
@@ -63,6 +64,31 @@ def in_child(fail, real):
             os.kill(os.getpid(), signal.SIGKILL)
         return real(*args, **kwargs)
     return call
+
+
+def hangs_in_child(real):
+    """real, but in a forked child it hangs for a minute first: only a
+    child killed ends in time."""
+    def call(*args, **kwargs):
+        if os.getpid() != PARENT:
+            time.sleep(60)
+        return real(*args, **kwargs)
+    return call
+
+
+@contextmanager
+def first_wait_raises(exc):
+    """os.waitpid, each call's (pid, options) listed, but the first call
+    raises exc in this process; every later one waits as it would."""
+    real, waits = os.waitpid, []
+
+    def waitpid(pid, options):
+        waits.append((pid, options))
+        if len(waits) == 1:
+            raise exc
+        return real(pid, options)
+    with mock.patch.object(os, "waitpid", waitpid):
+        yield waits
 
 
 def in_parent(exc, real):
@@ -186,6 +212,29 @@ def test_an_error_in_the_parents_half_reaps_the_ping_child(tmp_path, exc):
     assert time.monotonic() - started < 30
     fork.assert_called_once()
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("exc", [ValueError("in the wait"), KeyboardInterrupt()],
+                         ids=["error", "interrupt"])
+def test_a_failed_wait_for_the_ping_child_kills_and_reaps_it(tmp_path, exc):
+    path = tmp_path / "ping.log"
+    path.write_bytes("".join(_ping_lines(True, "crlf", 0)).encode("utf-8"))
+    want = _ping_outcome(ingest.RawLog(path), 97)
+    with forks(True) as fork, first_wait_raises(exc) as waits, \
+            mock.patch.object(ingest, "_read_replies", hangs_in_child(ingest._read_replies)):
+        started = time.monotonic()
+        if isinstance(exc, KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt):
+                _ping_outcome(ingest.RawLog(path), 97)
+        else:                                   # read again, whole
+            assert _ping_outcome(ingest.RawLog(path), 97) == want
+    assert time.monotonic() - started < 30
+    fork.assert_called_once()
+    # The wait that failed, then the one that reaps the killed child.
+    pid = waits[0][0]
+    assert pid > 0 and waits == [(pid, 0), (pid, 0)]
+    assert_no_child_left()
+    assert [p.name for p in tmp_path.iterdir()] == ["ping.log"]
 
 
 # ------------------------------------------------- both raw logs of a run
@@ -377,14 +426,10 @@ def _ingest(tmp_path, out):
 
 
 class _FullDisk(io.FileIO):
-    """/dev/full, which refuses every write for want of space; its
-    truncate does nothing, so the write is what fails."""
+    """/dev/full, which refuses every write for want of space."""
 
     def __init__(self, *args, **kwargs):
         super().__init__("/dev/full", "w+")
-
-    def truncate(self, size=None):
-        return 0
 
 
 @pytest.mark.parametrize("temp_file", ["made", "not_made", "not_written"])
@@ -405,8 +450,9 @@ def test_ingest_of_a_large_run_forks_three_times_or_writes_the_same_bytes_withou
             elif temp_file == "not_written":
                 stack.enter_context(mock.patch.object(tempfile, "TemporaryFile", _FullDisk))
             assert _ingest(tmp_path, "split") == want
-    # One fork reads both logs, then one writes each trace; without a
-    # temp file the second halves are done here, and no child is forked.
+    # One fork reads both logs, then one writes each trace. Without a
+    # temp file no child is forked; with one the child cannot write, it
+    # fails. Either way each split fails, and its work is done here whole.
     assert fork.call_count == (0 if temp_file == "not_made" else 3)
     assert_no_child_left()
     assert len(want[0]) == 5 and want[1].count("WARNING") > 40
@@ -456,21 +502,42 @@ def test_split_trace_write_gives_the_same_bytes(tmp_path, block_rows, kind):
         "split.csv", "split.csv.cols", "whole.csv", "whole.csv.cols"]
 
 
-@pytest.mark.parametrize("fail", ["raise", "exit", "kill", "no_fork"])
+def failing_join(streams):
+    """canon._pieces, but each stream it is given (listed in streams)
+    yields its first piece and then fails to read."""
+    real = canon._pieces
+
+    def pieces(fh):
+        streams.append(fh)
+        yield from islice(real(fh), 1)
+        raise OSError(errno.EIO, "Input/output error")
+    return pieces
+
+
+@pytest.mark.parametrize("fail", ["raise", "exit", "kill", "no_fork", "join"])
 def test_a_failed_writer_child_is_recovered(tmp_path, fail):
+    # A failed join has sent the head and a piece of the child's bytes
+    # into the CSV and its digest already.
     trace = _traces()[1]
+    streams = []
     with mock.patch.object(canon, "_BLOCK_ROWS", 16):
         want = _written(tmp_path / "whole.csv", trace)
-        with forks(True) as fork:
+        with forks(True) as fork, ExitStack() as stack:
             if fail == "no_fork":
                 fork.side_effect = OSError("no fork")
-                got = _written(tmp_path / "split.csv", trace)
+            elif fail == "join":
+                stack.enter_context(mock.patch.object(canon, "_PIECE", 64))
+                stack.enter_context(mock.patch.object(canon, "_pieces", failing_join(streams)))
             else:
-                with mock.patch.object(canon, "_csv_blocks", in_child(fail, canon._csv_blocks)):
-                    got = _written(tmp_path / "split.csv", trace)
+                stack.enter_context(mock.patch.object(canon, "_csv_blocks",
+                                                      in_child(fail, canon._csv_blocks)))
+            got = _written(tmp_path / "split.csv", trace)
     assert got == want
+    assert len(streams) == (fail == "join")
     fork.assert_called_once()
     assert_no_child_left()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "split.csv", "split.csv.cols", "whole.csv", "whole.csv.cols"]
 
 
 @pytest.mark.parametrize("exc", [ValueError("in the parent"), KeyboardInterrupt()],
@@ -486,6 +553,31 @@ def test_an_error_in_the_parents_half_reaps_the_writer_child(tmp_path, exc):
     fork.assert_called_once()
     assert_no_child_left()
     assert list(tmp_path.iterdir()) == []       # no CSV, no temp file
+
+
+@pytest.mark.parametrize("exc", [ValueError("in the wait"), KeyboardInterrupt()],
+                         ids=["error", "interrupt"])
+def test_a_failed_wait_for_the_writer_child_kills_and_reaps_it(tmp_path, exc):
+    trace = _traces()[0]
+    interrupt = isinstance(exc, KeyboardInterrupt)
+    with mock.patch.object(canon, "_BLOCK_ROWS", 16):
+        want = _written(tmp_path / "whole.csv", trace)
+        with forks(True) as fork, first_wait_raises(exc) as waits, \
+                mock.patch.object(canon, "_csv_blocks", hangs_in_child(canon._csv_blocks)):
+            started = time.monotonic()
+            if interrupt:
+                with pytest.raises(KeyboardInterrupt):
+                    canon._write_trace(tmp_path / "split.csv", trace)
+            else:                               # written again, whole
+                assert _written(tmp_path / "split.csv", trace) == want
+    assert time.monotonic() - started < 30
+    fork.assert_called_once()
+    pid = waits[0][0]
+    assert pid > 0 and waits == [(pid, 0), (pid, 0)]
+    assert_no_child_left()
+    # No temp file, and no CSV where the write was interrupted.
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        *([] if interrupt else ["split.csv", "split.csv.cols"]), "whole.csv", "whole.csv.cols"]
 
 
 def test_rendered_copies_no_column_that_renders_as_it_is():
