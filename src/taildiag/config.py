@@ -113,6 +113,10 @@ class CampaignConfig:
             check_value("exceed_ms", t, "float")
             if t <= 0:
                 raise InvalidSpecError(f"exceed_ms must be > 0, got {t}")
+        thresholds = [float(t) for t in self.exceed_thresholds_ms]
+        if len(set(thresholds)) != len(thresholds):
+            dupes = sorted({t for t in thresholds if thresholds.count(t) > 1})
+            raise InvalidSpecError(f"duplicate exceed_ms thresholds: {dupes}")
         if self.outlier_ms <= 0:
             raise InvalidSpecError(f"outlier_ms must be > 0, got {self.outlier_ms}")
 

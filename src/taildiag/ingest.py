@@ -69,10 +69,6 @@ _EQ, _NL = ord("="), ord("\n")
 # A raw log of at least this many bytes is parsed in two halves, the
 # second by a forked child (canon.split_work) where canon.may_split holds.
 _SPLIT_BYTES = 1 << 22
-# Lines at the head of a chunk that must hold a strict reply for the
-# chunk to be decoded together, so a log without that shape goes to the
-# per-line rules without paying for the numpy pass too.
-_PROBE_LINES = 64
 
 
 class RawLog:
@@ -106,18 +102,16 @@ class RawLog:
         """The log's length in bytes."""
         return os.path.getsize(self.name) if self._data is None else len(self._data)
 
-    def find(self, byte: bytes, start: int = 0, stop: int | None = None) -> int:
-        """The offset of the first `byte` (one byte) from start to stop
-        (to the log's end if None); -1 if there is none. Read in blocks
-        of _FIND_BYTES, as a line end is mostly near."""
+    def find(self, byte: bytes, start: int = 0) -> int:
+        """The offset of the first `byte` (one byte) from start; -1 if
+        there is none. Read in blocks of _FIND_BYTES, as a line end is
+        mostly near."""
         with self._open() as fh:
             fh.seek(start)
-            left = math.inf if stop is None else stop - start
-            while block := fh.read(min(_FIND_BYTES, left)):
+            while block := fh.read(_FIND_BYTES):
                 if (i := block.find(byte)) >= 0:
                     return start + i
                 start += len(block)
-                left -= len(block)
         return -1
 
     def middle(self) -> int | None:
@@ -261,7 +255,7 @@ def _digit(buf: np.ndarray, pos: np.ndarray) -> np.ndarray:
     return (buf[pos] - 48) < 10
 
 
-def decode_replies(chunk: bytes, probe: bool = True) -> tuple[np.ndarray, ...]:
+def decode_replies(chunk: bytes) -> tuple[np.ndarray, ...]:
     """(start, end, ok, epoch, seq, rtt_ms): per line of chunk, a piece
     (UTF-8 text whose lines end in LF, the last may not), the line's
     bytes chunk[start:end] without its LF, whether it has the strict reply
@@ -275,18 +269,10 @@ def decode_replies(chunk: bytes, probe: bool = True) -> tuple[np.ndarray, ...]:
     accept, and if so its fields, epoch NaN when absent. Those rules
     give the same fields for every such line: a byte outside ASCII, or
     a NUL, can lie only in N, HOST and T, which they read past. Every
-    other line is left to them, as is, with `probe`, every line of a
-    chunk whose first _PROBE_LINES lines hold none."""
+    other line is left to them, as is."""
     pad = len(decimals.PAD)
     buf = np.frombuffer(b"".join((decimals.PAD, chunk, b"" if chunk[-1:] == b"\n" else b"\n",
                                   decimals.PAD)), np.uint8)
-    head = np.flatnonzero(buf[pad:pad + (1 << 14)] == _NL)
-    if (probe and len(head) > _PROBE_LINES
-            and not decode_replies(chunk[:head[_PROBE_LINES - 1] + 1])[2].any()):
-        end = np.flatnonzero(buf == _NL) - pad
-        n = len(end)
-        return (np.concatenate(([0], end[:-1] + 1)), end, np.zeros(n, dtype=bool),
-                np.full(n, math.nan), np.zeros(n), np.zeros(n))
     at = decimals.words_at(buf)
     # The three '=' of a reply (icmp_seq=, ttl=, time=), found between
     # the newlines, which end the lines.
@@ -348,12 +334,10 @@ def _read_replies(pieces: Iterable[bytes]) -> tuple:
     # the epochs, seqs and rtts of all its replies.
     parts = [(np.empty(0, np.int64),) + (np.empty(0),) * 3]
     first_no = 1
-    probe = True                    # only after a piece without a strict reply
     for piece in pieces:
-        start, end, ok, epoch, seq, rtt = decode_replies(piece, probe)
-        probe = not ok.any()
+        start, end, ok, epoch, seq, rtt = decode_replies(piece)
         odd = np.flatnonzero(~ok).tolist()
-        if probe:                   # no strict reply: all lines, at once
+        if not ok.any():            # no strict reply: all lines, at once
             odd_lines = piece.decode().split("\n")
         else:
             odd_lines = (piece[start[i]:end[i]].decode() for i in odd)
@@ -393,17 +377,13 @@ def _sort_order(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
 
 
 class _PingParse:
-    """The ping parse of one log, in the steps `_parse` takes: where the
-    log is cut in two (`cut`), what a byte range of it reads (`read`,
-    lines numbered from the range's start), two adjacent reads as one
-    (`join`), and the result of the whole log's read (`finish`), which
-    alone warns."""
+    """The ping parse of one log, in the steps `_parse` takes: what a
+    byte range of it reads (`read`, lines numbered from the range's
+    start), two adjacent reads as one (`join`), and the result of the
+    whole log's read (`finish`), which alone warns."""
 
     def __init__(self, log: RawLog, meta: RunMetadata) -> None:
         self.log, self.meta = log, meta
-
-    def cut(self) -> int | None:
-        return self.log.middle()
 
     def read(self, start: int = 0, stop: int | None = None) -> tuple:
         return _read_replies(self.log.pieces(start, stop))
@@ -609,16 +589,6 @@ class _FullstatsParse:
                        _int_cell if name in SchedulerTrace.INTEGRAL else _float_cell)
                       for name in FULLSTATS_FIELDS if name in self.column_map]
 
-    def cut(self) -> int | None:
-        # Only a head without a double quote is cut: each of its lines is
-        # then one row, and the tail's csv.reader starts outside a quote.
-        cut = self.log.middle()
-        if cut is None or self.log.find(b'"', 0, cut) >= 0:
-            return None
-        # The tail's columns, from the header, which is the first line.
-        self._header(_fullstats_blocks(self.log, 0, self.log.find(b"\n") + 1))
-        return cut
-
     def _columns(self, table: np.ndarray, t_s: np.ndarray | None) -> dict[str, np.ndarray]:
         """The trace's columns of a table of the mapped cells, NaN where
         no column is mapped, and t_s where none is mapped to it."""
@@ -632,10 +602,11 @@ class _FullstatsParse:
         """(rows, table, row_idx, keep, faults): the rows read, the
         mapped values of those the row rule reads and their row indices,
         which of them keep to the value rules, and why each other row is
-        skipped, by row index."""
+        skipped, by row index. A range past the log's start takes its
+        columns from the header, the log's first line."""
         blocks = _fullstats_blocks(self.log, start, stop)
-        if not start:
-            self._header(blocks)
+        self._header(_fullstats_blocks(self.log, 0, self.log.find(b"\n") + 1) if start
+                     else blocks)
         columns = [(i, parse is _int_cell) for _, i, parse in self.cells]
         tables = [np.empty((0, len(self.cells)))]
         kept_idx = [np.empty(0, dtype=np.int64)]
@@ -705,14 +676,17 @@ class _FullstatsParse:
 def _parse(*parses) -> list:
     """The result of each parse, the same as reading each log whole and
     finishing its parse before the next log is read gives, warnings and
-    errors included. Where canon.may_split holds and some log has a cut,
-    one fork (canon.split_work) reads the logs in halves: this process
-    reads the head of each log in turn while the child reads the tail of
-    each and pickles its reads back, and each pair is then joined. Any
-    error there, in either half, the fork or the join, sends every log
-    back to that whole read, which raises the error the serial order
-    meets first (a fault in the ping log's tail before one in the
-    fullstats log's head)."""
+    errors included. Where canon.may_split holds and some log has a cut
+    (RawLog.middle), one fork (canon.split_work) reads the logs in
+    halves: this process reads the head of each log in turn while the
+    child reads the tail of each and pickles its reads back, and each
+    pair is then joined. Any error there, in either half, the fork or
+    the join, sends every log back to that whole read, which raises the
+    error the serial order meets first (a fault in the ping log's tail
+    before one in the fullstats log's head). A cut inside a quoted
+    fullstats field is one: the head's strict csv.reader ends inside the
+    field and raises. A head whose quotes all close ends on a record
+    boundary, so its tail starts outside a quote."""
     def tails(out) -> None:
         pickle.dump([None if cut is None else parse.read(cut)
                      for parse, cut in zip(parses, cuts)], out, pickle.HIGHEST_PROTOCOL)
@@ -724,7 +698,7 @@ def _parse(*parses) -> list:
     reads = None
     if canon.may_split():
         try:
-            cuts = [parse.cut() for parse in parses]
+            cuts = [parse.log.middle() for parse in parses]
             if any(cut is not None for cut in cuts):
                 reads = canon.split_work(
                     lambda: [parse.read(0, cut) for parse, cut in zip(parses, cuts)], tails, join)
@@ -776,10 +750,9 @@ def parse_fullstats(lines: Iterable[str], column_map: Mapping[str, str],
     or NUL is read by decimals.numeric_lines, and any other rows come
     from csv.reader, which defines them. Either way the row rule
     (_row_values) reads every row numpy does not read whole, and
-    defines the result. A log of at least _SPLIT_BYTES whose first half
-    holds no double quote is read in two halves, the second by a forked
-    child, as parse_raw_logs reads it. An error about the whole input
-    names its file (`lines.name`).
+    defines the result. A log of at least _SPLIT_BYTES is read in two
+    halves, the second by a forked child, as parse_raw_logs reads it. An
+    error about the whole input names its file (`lines.name`).
     """
     log = RawLog.of(lines, getattr(lines, "name", "fullstats input"))
     return _parse(_FullstatsParse(log, column_map, stats_period_s))[0]
@@ -792,17 +765,18 @@ def parse_raw_logs(ping_log: RawLog, fullstats: RawLog, column_map: Mapping[str,
     column_map, meta, stats_period_s=stats_period_s): the same results,
     warnings (the ping log's, then the fullstats log's) and first error,
     with the two logs read side by side. Where canon.may_split holds,
-    each log of at least _SPLIT_BYTES is cut at the first LF at or after
-    its middle byte (RawLog.middle), the fullstats log only if its first
-    half holds no double quote, so that no quoted field straddles the
-    cut. This process reads the first half of each log, the ping log's
-    then the fullstats log's, while one forked child reads the second
-    half of each (canon.split_work). Each half numbers its lines and rows
-    from its start and runs the per-line, row and value rules; this
-    process shifts the child's numbers by its own counts, joins each
-    pair, and then finishes the parses in turn: the warnings, the times
-    and the sorts. Whatever fails in the split (the temp file, the fork,
-    the child, either half or the join) sends both logs back to that
-    serial order, which raises an error at its line in the whole log."""
+    each log of at least _SPLIT_BYTES is cut just past the first LF at or
+    after its middle byte (RawLog.middle). This process reads the first
+    half of each log, the ping log's then the fullstats log's, while one
+    forked child reads the second half of each (canon.split_work). Each
+    half numbers its lines and rows from its start and runs the
+    per-line, row and value rules; this process shifts the child's
+    numbers by its own counts, joins each pair, and then finishes the
+    parses in turn: the warnings, the times and the sorts. Whatever
+    fails in the split (the temp file, the fork, the child, either half
+    or the join) sends both logs back to that serial order, which raises
+    an error at its line in the whole log. A cut inside a quoted
+    fullstats field is such a failure: the first half's strict
+    csv.reader ends inside the field and raises."""
     return tuple(_parse(_PingParse(ping_log, meta),
                         _FullstatsParse(fullstats, column_map, stats_period_s)))

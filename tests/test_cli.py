@@ -834,6 +834,8 @@ BAD_INPUTS = {
     "exceed_nan": ({"thresholds": {"exceed_ms": [math.nan]}}, [], "summarize", "exceed_ms"),
     "exceed_scalar": ({"thresholds": {"exceed_ms": 100}}, [], "summarize", "exceed_ms"),
     "exceed_empty": ({"thresholds": {"exceed_ms": []}}, [], "phases", "exceed_ms"),
+    "exceed_duplicate": ({"thresholds": {"exceed_ms": [100, 100.0, 1000]}}, [], "summarize",
+                         "duplicate exceed_ms thresholds: [100.0]"),
     "width_nan": ({"window": {"width_s": math.nan}}, [], "windows", "width_s"),
     "width_flag_nan": ({}, ["--window-width-s", "nan"], "windows", "width_s"),
     "runs_object": ({"runs": {"a": 1}}, [], "summarize", "runs"),

@@ -1,6 +1,7 @@
 """The raw ping and fullstats parsers against the row-wise oracles in
 oracles.py, on messy logs, with blocks cut everywhere."""
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -16,14 +17,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from taildiag import ingest, model
-from taildiag.cli import load_run
+from taildiag import canon, decimals, ingest, model
+from taildiag.cli import load_run, main
 from taildiag.config import load_config
 from taildiag.errors import EmptyTraceError, MalformedRecordError
 from taildiag.ingest import parse_fullstats, parse_ping_log
 from taildiag.model import RunMetadata, consolidate_run
 
 from oracles import SCHED_FIELDS, parse_fullstats_ref, parse_ping_ref
+from readers import read_manifest
 
 META = RunMetadata(run_id="r1", ue_type="modem", distance_m=6.0, packet_size_b=30,
                    scenario="baseline", nominal_duration_s=1800.0, ping_interval_s=0.2)
@@ -216,12 +218,15 @@ def test_ping_block_decoder_takes_the_common_replies():
     assert np.flatnonzero(~ok).tolist() == [9]
     assert seq[ok].tolist() == [i for i in range(1, 200) if i != 10]
     assert epoch[5] == float("1700000000.000006") and rtt[5] == float("6.6")
-    # A block whose head holds no strict reply goes wholly to the line
-    # rules, and a last line cut short reads no byte past the block.
+    # Strict replies after lines of another shape are decoded all the
+    # same, and a last line cut short reads no byte past the block.
     odd = b"64 bytes from h: icmp_seq=1 ttl=64 time=5ms\n" * 200
     for block in (odd + chunk, odd + b"[\n", b"[\n", b"[1.5] 64 bytes from h: icmp_seq=1\n"):
         start, end, ok = ingest.decode_replies(block)[:3]
-        assert not ok.any()
+        if block == odd + chunk:
+            assert ok.tolist() == [False] * 200 + ingest.decode_replies(chunk)[2].tolist()
+        else:
+            assert not ok.any()
         assert [block[a:b] for a, b in zip(start, end)] == block.split(b"\n")[:-1]
 
 
@@ -531,9 +536,8 @@ def test_ingest_of_the_messy_logs_writes_the_recorded_bytes(tmp_path, chunk_byte
         "packet_size_b": 30, "ping_interval_s": 0.2, "ping_log": "ping.log",
         "fullstats": "fullstats.csv"}]}))
     # Whole, and split with the minimums down to one byte, one row and
-    # blocks of 16 rows on any host: the ping log and both traces split,
-    # and the fullstats log, whose first half holds a quoted cell, is
-    # read whole.
+    # blocks of 16 rows on any host: both logs and both traces split,
+    # the fullstats log past the quoted cell with a line break in it.
     for out, forced in (("out", ""), ("split", "ingest._SPLIT_BYTES = canon._SPLIT_ROWS = 1; "
                                        "canon._BLOCK_ROWS = 16; canon.may_split = lambda: True; ")):
         # A child process, so that stderr holds the CLI's own warning lines.
@@ -546,6 +550,63 @@ def test_ingest_of_the_messy_logs_writes_the_recorded_bytes(tmp_path, chunk_byte
         written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                    for p in (tmp_path / out).iterdir()}
         assert {**written, "stderr": hashlib.sha256(done.stderr).hexdigest()} == INGEST_DIGESTS
+
+
+def test_every_source_of_a_run_gives_the_same_outputs(tmp_path, capsys):
+    # The raw logs; the canonical files `taildiag ingest` writes from
+    # them, with a config built from the manifest; those CSVs without
+    # their column files; and those again with CRLF line ends.
+    _messy_logs(tmp_path)
+    common = {"column_map": MAPS[1],
+              "window": {"width_s": 2.0, "stride_s": 1.0, "min_latency_samples": 3}}
+
+    def config(name, run):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**common, "runs": [run]}))
+        return str(path)
+
+    def outputs(cfg, out):
+        printed = []
+        for command in ("summarize", "windows", "flags", "phases"):
+            assert main([command, "--config", cfg, "--output-dir", str(tmp_path / out),
+                         "r1"]) == 0
+            printed.append(capsys.readouterr().out)
+        return {p.name: p.read_bytes() for p in (tmp_path / out).iterdir()}, printed
+
+    raw = config("raw", {"run_id": "r1", "ue_type": "modem", "scenario": "baseline",
+                         "distance_m": 6.0, "packet_size_b": 30, "ping_interval_s": 0.2,
+                         "stats_period_s": 0.2, "ping_log": "ping.log",
+                         "fullstats": "fullstats.csv"})
+    # Blocks, pieces, checks and cuts all fall inside the inputs.
+    with mock.patch.object(ingest, "_CHUNK_BYTES", 173), \
+            mock.patch.object(ingest, "_SPLIT_BYTES", 1), \
+            mock.patch.object(canon, "_SPLIT_ROWS", 1), \
+            mock.patch.object(canon, "may_split", lambda: True), \
+            mock.patch.object(canon, "_BLOCK_ROWS", 16), \
+            mock.patch.object(canon, "_CHECK_ROWS", 7), \
+            mock.patch.object(canon, "_PIECE", 100), \
+            mock.patch.object(decimals, "_BLOCK", 64):
+        want = outputs(raw, "from_raw")
+        assert main(["ingest", "--config", raw, "--output-dir", str(tmp_path / "b")]) == 0
+        meta, files = read_manifest(tmp_path / "b" / "r1.manifest")
+        assert sorted(files) == ["latency_file", "scheduler_file"]
+        for source in ("c", "d"):
+            (tmp_path / source).mkdir()
+            for name in files.values():
+                text = Path(name).read_bytes()
+                if source == "d":
+                    text = text.replace(b"\n", b"\r\n")
+                (tmp_path / source / Path(name).name).write_bytes(text)
+        capsys.readouterr()
+        for source in ("b", "c", "d"):
+            run = {**dataclasses.asdict(meta),
+                   **{key: str(tmp_path / source / Path(name).name)
+                      for key, name in files.items()}}
+            assert outputs(config(source, run), f"from_{source}") == want
+        assert not list((tmp_path / "c").glob("*.cols"))
+    assert sorted(want[0]) == ["r1_flags.csv", "r1_phases.csv", "r1_summary.csv",
+                               "r1_windows.csv"]
+    assert "r1: 0 joined windows" not in want[1][1]
 
 
 @pytest.mark.parametrize("chunk_bytes", [1, 50, 173, 1024, 1 << 20])

@@ -344,11 +344,48 @@ def test_joint_split_parse_equals_the_serial_parse(tmp_path, odd, odd_half, quot
         assert _joint(*paths, cmap) == want
     fork.assert_called_once()
     assert_no_child_left()
-    # The head of each log, and no log whole; a fullstats head that holds a
-    # double quote is read whole, and only the ping log splits.
+    # The head of each log, and no log whole, quoted cells or not.
     (ping, start, ping_cut), (fs, fs_start, fs_cut) = reads
     assert (ping, fs, start, fs_start) == (str(paths[0]), str(paths[1]), 0, 0)
-    assert ping_cut > 0 and (fs_cut is None) == (quoted == "head")
+    assert ping_cut > 0 and fs_cut > 0
+
+
+def _quoted_across_the_middle(lines):
+    """lines, with the note cell of one row a quoted cell holding the
+    first LF at or after the middle byte of the log, and that LF's
+    offset."""
+    cell = '"' + "q" * 200 + "\n" + "q" * 200 + '"\n'
+    for i, line in enumerate(lines):
+        if line.endswith(",ok\n"):
+            got = lines[:i] + [line.removesuffix("ok\n") + cell] + lines[i + 1:]
+            text = "".join(got).encode()
+            inside = len("".join(got[:i]).encode()) + got[i].index("\n")
+            if text.find(b"\n", len(text) // 2) == inside:
+                return got, inside
+    raise AssertionError("no row holds the middle byte")
+
+
+def test_a_quoted_field_across_the_cut_sends_both_logs_back_whole(tmp_path):
+    fullstats, inside = _quoted_across_the_middle(_fullstats_lines("nonascii", 0, None))
+    paths = _write_logs(tmp_path, _ping_lines(True, "crlf", 1), fullstats)
+    want = _serial(*paths, FS_MAP)
+    assert want[-2] > 20                        # rows skipped
+    reads = []                                  # (log, start, stop) of each read here
+    with forks(True) as fork, ExitStack() as stack:
+        for kind in (ingest._PingParse, ingest._FullstatsParse):
+            def read(self, start=0, stop=None, real=kind.read):
+                reads.append((self.log.name, start, stop))
+                return real(self, start, stop)
+            stack.enter_context(mock.patch.object(kind, "read", read))
+        assert _joint(*paths, FS_MAP) == want
+    fork.assert_called_once()
+    assert_no_child_left()
+    # The heads, the fullstats head cut inside the quoted cell, then
+    # each log whole.
+    ping, fs = map(str, paths)
+    (_, _, ping_cut), fs_head, *whole = reads
+    assert ping_cut > 0 and fs_head == (fs, 0, inside + 1)
+    assert whole == [(ping, 0, None), (fs, 0, None)]
 
 
 @pytest.mark.parametrize("fault", ["nul", "not_utf8", "overlong", "ping_tail_and_head",
