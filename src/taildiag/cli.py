@@ -45,10 +45,10 @@ def load_run(cfg: CampaignConfig, rc: RunConfig) -> Run:
     """Materialize one run: canonical files win over raw logs; the
     nominal duration, when not configured, is taken from the data. An
     InvalidSpecError while reading the run (a derived time that
-    overflows, say) names the run. Only a raw source loads the raw
-    parsers (`ingest`). A run whose two layers are both raw logs has
-    them read side by side (`ingest.parse_raw_logs`), with the outcome
-    of the ping parse followed by the fullstats parse."""
+    overflows, say) names the run. The canonical latency file is read
+    first, then the raw logs of the layers without a canonical file, in
+    one call to the raw reader (`ingest.parse_raw_logs`), then the
+    canonical scheduler file; only a raw source loads `ingest`."""
     meta = rc.metadata()
     if not (rc.latency_file or rc.ping_log):
         raise InvalidSpecError(
@@ -56,24 +56,20 @@ def load_run(cfg: CampaignConfig, rc: RunConfig) -> Run:
             "(latency_file or ping_log)")
     cmap = rc.column_map or cfg.column_map or DEFAULT_COLUMN_MAP
     try:
-        snapshots = None
+        latency = snapshots = None
         if rc.latency_file:
             latency = canon.read_latency_csv(rc.latency_file)
-        elif rc.fullstats and not rc.scheduler_file:
+        raw = (None if rc.latency_file else rc.ping_log,
+               None if rc.scheduler_file else rc.fullstats)
+        if any(raw):
             from . import ingest
             ping, stats = ingest.parse_raw_logs(
-                ingest.RawLog(rc.ping_log), ingest.RawLog(rc.fullstats), cmap, meta,
+                *(ingest.RawLog(log) if log else None for log in raw), cmap, meta,
                 stats_period_s=rc.stats_period_s)
-            latency, snapshots = ping.samples, stats.snapshots
-        else:
-            from . import ingest
-            latency = ingest.parse_ping_log(ingest.RawLog(rc.ping_log), meta).samples
+            latency = ping.samples if ping else latency
+            snapshots = stats.snapshots if stats else None
         if rc.scheduler_file:
             snapshots = canon.read_scheduler_csv(rc.scheduler_file)
-        elif rc.fullstats and snapshots is None:
-            from . import ingest
-            snapshots = ingest.parse_fullstats(ingest.RawLog(rc.fullstats), cmap, meta,
-                                               stats_period_s=rc.stats_period_s).snapshots
         nominal = rc.nominal_duration_s
         if nominal is None:
             nominal = float(latency.t_s.max()) + rc.ping_interval_s

@@ -1,24 +1,24 @@
 """Raw log ingestion: ping logs and fullstats CSVs into traces.
 
-Both parsers read a RawLog, a file or the bytes str lines given from
-code join to (RawLog.of), cut into chunks of whole lines by one rule,
-so that a file is never held whole and str lines read as the file
-holding their bytes. A parser reads the log in pieces
-(`RawLog.pieces`), one per chunk, each bytes of UTF-8 lines ending in
-LF (the last line of the log may not): a chunk that is ASCII without
-CR as it is, and any other decoded with universal newlines and encoded
-again. Lines numpy can prove whole are read together, through the
-exact decimal reader (`decode_replies` the ping replies,
-`decimals.numeric_lines` the fullstats cells); every other line goes
-to its format's per-line rules, which define the result. Each parser
-runs as a parse of one log (`_PingParse`, `_FullstatsParse`) in the
-steps one reader takes (`_parse`), and `parse_raw_logs` runs both
-parses of a run through it at once: where a log is large, the second
-half of each log is read by one forked child while this process reads
-the first halves, with the outcome of reading the logs whole one after
-the other. The parsers are tolerant: lines or rows that cannot be used
-are counted and reported, never silently dropped, and never abort the
-parse. An input that yields zero usable records raises
+One reader, `parse_raw_logs`, parses the raw logs of a run, either or
+both; `parse_ping_log` and `parse_fullstats` are its one-log forms. It
+reads a RawLog, a file or the bytes str lines given from code join to
+(RawLog.of), cut into chunks of whole lines by one rule, so that a
+file is never held whole and str lines read as the file holding their
+bytes. A log is read in pieces (`RawLog.pieces`), one per chunk, each
+bytes of UTF-8 lines ending in LF (the last line of the log may not):
+a chunk that is ASCII without CR as it is, and any other decoded with
+universal newlines and encoded again. Lines numpy can prove whole are
+read together, through the exact decimal reader (`decode_replies` the
+ping replies, `decimals.numeric_lines` the fullstats cells); every
+other line goes to its format's per-line rules, which define the
+result. Each log is parsed in steps (`_PingParse`, `_FullstatsParse`):
+where a log is large, its second half is read by one forked child
+while this process reads the first halves, and the halves are joined
+and then finished, with the outcome of reading the logs whole one
+after the other. The parsers are tolerant: lines or rows that cannot
+be used are counted and reported, never silently dropped, and never
+abort the parse. An input that yields zero usable records raises
 EmptyTraceError, and a fullstats file the CSV reader cannot split, or
 a byte that is not UTF-8, raises MalformedRecordError at its line. The
 traces they give obey the value rules of the run model (`model`),
@@ -377,10 +377,10 @@ def _sort_order(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
 
 
 class _PingParse:
-    """The ping parse of one log, in the steps `_parse` takes: what a
-    byte range of it reads (`read`, lines numbered from the range's
-    start), two adjacent reads as one (`join`), and the result of the
-    whole log's read (`finish`), which alone warns."""
+    """The ping parse of one log, in the steps `parse_raw_logs` takes:
+    what a byte range of it reads (`read`, lines numbered from the
+    range's start), two adjacent reads as one (`join`), and the result
+    of the whole log's read (`finish`), which alone warns."""
 
     def __init__(self, log: RawLog, meta: RunMetadata) -> None:
         self.log, self.meta = log, meta
@@ -556,10 +556,11 @@ def _fullstats_blocks(log: RawLog, start: int = 0, stop: int | None = None) -> I
 
 
 class _FullstatsParse:
-    """The fullstats parse of one log, in the steps `_parse` takes, as
-    `_PingParse`: a read of a byte range numbers its rows from the
-    range's start, and runs the row rule (_row_values) and the value
-    rules (SchedulerTrace.faults) on them."""
+    """The fullstats parse of one log, in the steps `parse_raw_logs`
+    takes, as `_PingParse`: a read of a byte range numbers its rows from
+    the range's start and runs the row rule (_row_values) on them; the
+    value rules (SchedulerTrace.faults) run once, in `finish`, over the
+    joined rows at their real times."""
 
     def __init__(self, log: RawLog, column_map: Mapping[str, str],
                  stats_period_s: float) -> None:
@@ -589,21 +590,12 @@ class _FullstatsParse:
                        _int_cell if name in SchedulerTrace.INTEGRAL else _float_cell)
                       for name in FULLSTATS_FIELDS if name in self.column_map]
 
-    def _columns(self, table: np.ndarray, t_s: np.ndarray | None) -> dict[str, np.ndarray]:
-        """The trace's columns of a table of the mapped cells, NaN where
-        no column is mapped, and t_s where none is mapped to it."""
-        cols = {name: table[:, j] for j, (name, _, _) in enumerate(self.cells)}
-        if "t_s" not in self.column_map:
-            cols["t_s"] = t_s
-        return {name: cols[name] if name in cols else np.full(len(table), np.nan)
-                for name in FULLSTATS_FIELDS}
-
     def read(self, start: int = 0, stop: int | None = None) -> tuple:
-        """(rows, table, row_idx, keep, faults): the rows read, the
-        mapped values of those the row rule reads and their row indices,
-        which of them keep to the value rules, and why each other row is
-        skipped, by row index. A range past the log's start takes its
-        columns from the header, the log's first line."""
+        """(rows, table, row_idx, faults): the rows read, the mapped
+        values of those the row rule reads and their row indices, and why
+        each row it refuses is skipped, by row index. A range past the
+        log's start takes its columns from the header, the log's first
+        line."""
         blocks = _fullstats_blocks(self.log, start, stop)
         self._header(_fullstats_blocks(self.log, 0, self.log.find(b"\n") + 1) if start
                      else blocks)
@@ -627,34 +619,32 @@ class _FullstatsParse:
             tables.append(table)
             kept_idx.append(first + row_idx)
             first += count
-        table = np.concatenate(tables)
-        row_idx = np.concatenate(kept_idx)      # row index of each row of table
-        keep = np.ones(len(table), dtype=bool)
-        # A t_s from the row index is finite wherever finish lets it be.
-        cols = self._columns(table, np.zeros(len(table)))
-        for pos, reason in SchedulerTrace.faults(cols).items():
-            keep[pos] = False
-            faults[int(row_idx[pos])] = reason
-        return first, table, row_idx, keep, faults
+        return first, np.concatenate(tables), np.concatenate(kept_idx), faults
 
     @staticmethod
     def join(head: tuple, tail: tuple) -> tuple:
-        rows, table, row_idx, keep, faults = head
-        more, more_table, more_idx, more_keep, more_faults = tail
+        rows, table, row_idx, faults = head
+        more, more_table, more_idx, more_faults = tail
         faults.update((rows + k, reason) for k, reason in more_faults.items())
         return (rows + more, np.concatenate((table, more_table)),
-                np.concatenate((row_idx, rows + more_idx)), np.concatenate((keep, more_keep)),
-                faults)
+                np.concatenate((row_idx, rows + more_idx)), faults)
 
     def finish(self, read: tuple) -> FullstatsParseResult:
-        _, table, row_idx, keep, faults = read
-        t_s = None
+        _, table, row_idx, faults = read
+        # The trace's columns: the mapped cells, NaN where no column is
+        # mapped, and the row times where none is mapped to t_s.
+        cols = {name: table[:, j] for j, (name, _, _) in enumerate(self.cells)}
         if "t_s" not in self.column_map:
             last = int(row_idx.max(initial=0))
             _check_finite(last * self.period, "scheduler",
                           f"row index {last} times stats_period_s {self.period!r}")
-            t_s = row_idx * self.period
-        cols = self._columns(table, t_s)
+            cols["t_s"] = row_idx * self.period
+        cols = {name: cols[name] if name in cols else np.full(len(table), np.nan)
+                for name in FULLSTATS_FIELDS}
+        keep = np.ones(len(table), dtype=bool)
+        for pos, reason in SchedulerTrace.faults(cols).items():
+            keep[pos] = False
+            faults[int(row_idx[pos])] = reason
         for row in sorted(faults):
             warn(f"fullstats row {row + 1} skipped: {faults[row]}")
         if not keep.any():
@@ -673,110 +663,91 @@ class _FullstatsParse:
                                     skipped_rows=len(faults))
 
 
-def _parse(*parses) -> list:
-    """The result of each parse, the same as reading each log whole and
-    finishing its parse before the next log is read gives, warnings and
-    errors included. Where canon.may_split holds and some log has a cut
-    (RawLog.middle), one fork (canon.split_work) reads the logs in
-    halves: this process reads the head of each log in turn while the
-    child reads the tail of each and pickles its reads back, and each
-    pair is then joined. Any error there, in either half, the fork or
-    the join, sends every log back to that whole read, which raises the
-    error the serial order meets first (a fault in the ping log's tail
-    before one in the fullstats log's head). A cut inside a quoted
-    fullstats field is one: the head's strict csv.reader ends inside the
-    field and raises. A head whose quotes all close ends on a record
-    boundary, so its tail starts outside a quote."""
-    def tails(out) -> None:
-        pickle.dump([None if cut is None else parse.read(cut)
-                     for parse, cut in zip(parses, cuts)], out, pickle.HIGHEST_PROTOCOL)
-
-    def join(heads: list, out) -> list:
-        return [head if tail is None else parse.join(head, tail)
-                for parse, head, tail in zip(parses, heads, pickle.load(out))]
-
-    reads = None
-    if canon.may_split():
-        try:
-            cuts = [parse.log.middle() for parse in parses]
-            if any(cut is not None for cut in cuts):
-                reads = canon.split_work(
-                    lambda: [parse.read(0, cut) for parse, cut in zip(parses, cuts)], tails, join)
-        except Exception:           # raised again, in order, by the whole reads
-            pass
-    if reads is None:
-        return [parse.finish(parse.read()) for parse in parses]
-    return [parse.finish(read) for parse, read in zip(parses, reads)]
-
-
 def parse_ping_log(lines: Iterable[str], meta: RunMetadata) -> PingParseResult:
-    """Parse standard ping reply output into time-ordered latency samples.
-
-    Reply lines may carry a leading bracketed epoch timestamp; when they
-    do, t_s is the offset from the earliest such epoch, otherwise
-    t_s = count * meta.ping_interval_s, where count is icmp_seq with
-    its 16-bit wraps undone; a t_s float64 cannot hold raises
-    InvalidSpecError. In a log where any reply carries an epoch, a reply
-    without one is malformed. The seq column keeps the printed value.
-
-    lines is a RawLog, or str lines, read as one (RawLog.of), in
-    pieces. The lines of a piece that have the strict reply shape
-    (decode_replies) are decoded together; every other line is read by
-    the per-line rules, which define the result for every line. A log of
-    at least _SPLIT_BYTES is read in two halves, the second by a forked
-    child, as parse_raw_logs reads it. Warnings, one per malformed line,
-    come in line order. A log without a reply raises EmptyTraceError
-    naming its file (`lines.name`).
-    """
+    """parse_raw_logs of the ping log alone: lines is a RawLog, or str
+    lines, read as one (RawLog.of). A log without a reply raises
+    EmptyTraceError naming its file (`lines.name`)."""
     log = RawLog.of(lines, getattr(lines, "name", "ping log"))
-    return _parse(_PingParse(log, meta))[0]
+    return parse_raw_logs(log, None, {}, meta)[0]
 
 
 def parse_fullstats(lines: Iterable[str], column_map: Mapping[str, str],
                     meta: RunMetadata, *,
                     stats_period_s: float = 1.0) -> FullstatsParseResult:
-    """Parse a delimited fullstats table into scheduler snapshots.
-
-    column_map maps canonical field names (FULLSTATS_FIELDS) to header
-    names in the incoming file. Without a mapped t_s column, row index
-    times stats_period_s is used as the snapshot time; a mapped t_s is
-    rebased so the earliest kept snapshot lies at 0. Either time, if
-    float64 cannot hold it, raises InvalidSpecError. Rows with values
-    outside the documented domains are skipped and counted, and warned
-    of in row order. meta is not read.
-
-    lines is a RawLog, or str lines, read as one (RawLog.of), in
-    blocks of rows (_fullstats_blocks): a piece without a double quote
-    or NUL is read by decimals.numeric_lines, and any other rows come
-    from csv.reader, which defines them. Either way the row rule
-    (_row_values) reads every row numpy does not read whole, and
-    defines the result. A log of at least _SPLIT_BYTES is read in two
-    halves, the second by a forked child, as parse_raw_logs reads it. An
-    error about the whole input names its file (`lines.name`).
-    """
+    """parse_raw_logs of the fullstats log alone: lines is a RawLog, or
+    str lines, read as one (RawLog.of). An error about the whole input
+    names its file (`lines.name`). meta is not read."""
     log = RawLog.of(lines, getattr(lines, "name", "fullstats input"))
-    return _parse(_FullstatsParse(log, column_map, stats_period_s))[0]
+    return parse_raw_logs(None, log, column_map, meta, stats_period_s=stats_period_s)[1]
 
 
-def parse_raw_logs(ping_log: RawLog, fullstats: RawLog, column_map: Mapping[str, str],
-                   meta: RunMetadata, *, stats_period_s: float = 1.0
-                   ) -> tuple[PingParseResult, FullstatsParseResult]:
-    """parse_ping_log(ping_log, meta), then parse_fullstats(fullstats,
-    column_map, meta, stats_period_s=stats_period_s): the same results,
-    warnings (the ping log's, then the fullstats log's) and first error,
-    with the two logs read side by side. Where canon.may_split holds,
-    each log of at least _SPLIT_BYTES is cut just past the first LF at or
-    after its middle byte (RawLog.middle). This process reads the first
-    half of each log, the ping log's then the fullstats log's, while one
-    forked child reads the second half of each (canon.split_work). Each
+def parse_raw_logs(ping_log: RawLog | None, fullstats: RawLog | None,
+                   column_map: Mapping[str, str], meta: RunMetadata, *,
+                   stats_period_s: float = 1.0
+                   ) -> tuple[PingParseResult | None, FullstatsParseResult | None]:
+    """The ping parse of ping_log and the fullstats parse of fullstats,
+    None for a log given as None, with the outcome of reading each log
+    whole and finishing its parse before the next log is read: the same
+    results, warnings (the ping log's, then the fullstats log's) and
+    first error.
+
+    The ping parse: reply lines may carry a leading bracketed epoch;
+    when they do, t_s is the offset from the earliest such epoch,
+    otherwise t_s = count * meta.ping_interval_s, where count is
+    icmp_seq with its 16-bit wraps undone. In a log where any reply
+    carries an epoch, a reply without one is malformed. The seq column
+    keeps the printed value. Warnings, one per malformed line, come in
+    line order. A log without a reply raises EmptyTraceError.
+
+    The fullstats parse: column_map maps canonical field names
+    (FULLSTATS_FIELDS) to header names in the log. Without a mapped t_s
+    column, row index times stats_period_s is the snapshot time; a
+    mapped t_s is rebased so the earliest kept snapshot lies at 0. The
+    rows come in blocks (_fullstats_blocks); the row rule (_row_values)
+    reads every row numpy does not read whole, and the value rules
+    (SchedulerTrace.faults) then run once over the rows of the whole
+    log. Rows either refuses are skipped, counted and warned of in row
+    order. Either parse raises InvalidSpecError for a time float64
+    cannot hold.
+
+    The split: where canon.may_split holds, each log of at least
+    _SPLIT_BYTES is cut at RawLog.middle. This process reads the first
+    half of each log in turn while one forked child reads the second
+    half of each (canon.split_work) and pickles its reads back. Each
     half numbers its lines and rows from its start and runs the
-    per-line, row and value rules; this process shifts the child's
-    numbers by its own counts, joins each pair, and then finishes the
-    parses in turn: the warnings, the times and the sorts. Whatever
-    fails in the split (the temp file, the fork, the child, either half
-    or the join) sends both logs back to that serial order, which raises
-    an error at its line in the whole log. A cut inside a quoted
-    fullstats field is such a failure: the first half's strict
-    csv.reader ends inside the field and raises."""
-    return tuple(_parse(_PingParse(ping_log, meta),
-                        _FullstatsParse(fullstats, column_map, stats_period_s)))
+    per-line and row rules; this process shifts the child's numbers by
+    its own counts, joins each pair, and then finishes the parses in
+    turn. Whatever fails in the split (the temp file, the fork, the
+    child, either half or the join) sends every log back to the serial
+    order, which raises the error it meets first at its line in the
+    whole log. A cut inside a quoted fullstats field is such a failure:
+    the first half's strict csv.reader ends inside the field and
+    raises. A first half whose quotes all close ends on a record
+    boundary, so the second half starts outside a quote."""
+    parses = (None if ping_log is None else _PingParse(ping_log, meta),
+              None if fullstats is None else _FullstatsParse(fullstats, column_map,
+                                                             stats_period_s))
+    given = [parse for parse in parses if parse is not None]
+
+    def tails(out) -> None:
+        pickle.dump([None if cut is None else parse.read(cut)
+                     for parse, cut in zip(given, cuts)], out, pickle.HIGHEST_PROTOCOL)
+
+    def join(heads: list, out) -> list:
+        return [head if tail is None else parse.join(head, tail)
+                for parse, head, tail in zip(given, heads, pickle.load(out))]
+
+    reads = None
+    if canon.may_split():
+        try:
+            cuts = [parse.log.middle() for parse in given]
+            if any(cut is not None for cut in cuts):
+                reads = canon.split_work(
+                    lambda: [parse.read(0, cut) for parse, cut in zip(given, cuts)], tails, join)
+        except Exception:           # raised again, in order, by the whole reads
+            pass
+    if reads is None:
+        # Lazy, so that each parse finishes before the next log is read.
+        reads = (parse.read() for parse in given)
+    results = iter([parse.finish(read) for parse, read in zip(given, reads)])
+    return tuple(None if parse is None else next(results) for parse in parses)

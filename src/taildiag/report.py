@@ -25,7 +25,7 @@ from .model import RunMetadata, SchedulerTrace
 from .stats import KsResult, LatencySummary
 from .windows import WindowTable
 
-FLAGS_HEADER = "start_s,raised,lat_evidence,sched_evidence,lat_p95_ms,bler_mean"
+FLAGS_HEADER = ",".join(DegradationFlag._fields)
 
 
 def fmt_ms(x: float) -> str:
@@ -114,11 +114,11 @@ def windows_table(windows: WindowTable) -> str:
 
 
 def flags_table(flags: Sequence[DegradationFlag]) -> str:
-    names = FLAGS_HEADER.split(",")
+    names = DegradationFlag._fields
     # The flags' fields, in DegradationFlag order, read in one pass.
     cells = np.fromiter(chain.from_iterable(flags), float, count=len(flags) * len(names))
     return canon.csv_bytes(names, cells.reshape(-1, len(names)).T,
-                           names[1:4]).decode("utf-8")
+                           ("raised", "lat_evidence", "sched_evidence")).decode("utf-8")
 
 
 def phases_table(rows: Sequence[PhaseComparison],

@@ -63,10 +63,21 @@ def test_analysis_of_bound_canonical_files_loads_no_parser(campaign, tmp_path):
     # parser, no text reader, no synthesis, no csv module and no logging.
     assert sorted(p.name for p in campaign.glob("*.cols")) == [
         "coupled_latency.csv.cols", "coupled_sched.csv.cols"]
-    common = ["--config", _cfg(campaign), "--output-dir", str(tmp_path), "coupled"]
-    assert _loaded_after(["summarize", *common], ["flags", *common]) == "[]"
-    assert (tmp_path / "coupled_summary.csv").exists()
-    assert (tmp_path / "coupled_flags.csv").exists()
+    # The same again for a run that also names raw logs, which do not
+    # exist: the canonical files win, and no raw log is opened.
+    config = json.loads(Path(_cfg(campaign)).read_text())
+    run = config["runs"][0]
+    for key in ("latency_file", "scheduler_file", "truth_file"):
+        run[key] = str(campaign / run[key])
+    run.update(ping_log=str(tmp_path / "absent.log"), fullstats=str(tmp_path / "absent.csv"))
+    named = tmp_path / "named_raw.json"
+    named.write_text(json.dumps(config))
+    for cfg in (_cfg(campaign), str(named)):
+        out = tmp_path / Path(cfg).stem
+        common = ["--config", cfg, "--output-dir", str(out), "coupled"]
+        assert _loaded_after(["summarize", *common], ["flags", *common]) == "[]"
+        assert (out / "coupled_summary.csv").exists()
+        assert (out / "coupled_flags.csv").exists()
 
 
 def test_analysis_of_canonical_text_loads_the_decimal_reader_alone(campaign, tmp_path):

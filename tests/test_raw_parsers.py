@@ -552,10 +552,26 @@ def test_ingest_of_the_messy_logs_writes_the_recorded_bytes(tmp_path, chunk_byte
         assert {**written, "stderr": hashlib.sha256(done.stderr).hexdigest()} == INGEST_DIGESTS
 
 
+def _loose(text):
+    """A canonical CSV as a hand edit may leave it, which the text
+    reader (canon._careful) reads as the original: blank lines among
+    the rows, and blanks around the cells of every third row."""
+    header, *rows = text.removesuffix(b"\n").split(b"\n")
+    loose = [header]
+    for k, row in enumerate(rows):
+        loose.append(b" " + b" , ".join(row.split(b",")) + b"\t" if k % 3 == 0 else row)
+        if k % 5 == 1:
+            loose.append(b"  " if k % 2 else b"")
+    return b"\n".join(loose) + b"\n"
+
+
 def test_every_source_of_a_run_gives_the_same_outputs(tmp_path, capsys):
-    # The raw logs; the canonical files `taildiag ingest` writes from
-    # them, with a config built from the manifest; those CSVs without
-    # their column files; and those again with CRLF line ends.
+    # (a) the raw logs; (b) the canonical files `taildiag ingest` writes
+    # from them, with a config built from the manifest; (c) those CSVs
+    # without their column files; (d) those with CRLF line ends; (e)
+    # those with blank lines and blanks around cells; (f) the raw ping
+    # log with (c)'s scheduler CSV; (g) (c)'s latency CSV with the raw
+    # fullstats log; (h) all four files, where the canonical ones win.
     _messy_logs(tmp_path)
     common = {"column_map": MAPS[1],
               "window": {"width_s": 2.0, "stride_s": 1.0, "min_latency_samples": 3}}
@@ -567,16 +583,18 @@ def test_every_source_of_a_run_gives_the_same_outputs(tmp_path, capsys):
 
     def outputs(cfg, out):
         printed = []
-        for command in ("summarize", "windows", "flags", "phases"):
-            assert main([command, "--config", cfg, "--output-dir", str(tmp_path / out),
-                         "r1"]) == 0
+        for command in (["summarize", "r1"], ["windows", "r1"], ["flags", "r1"],
+                        ["phases", "r1"], ["compare", "r1", "r1"]):
+            assert main([command[0], "--config", cfg, "--output-dir", str(tmp_path / out),
+                         *command[1:]]) == 0
             printed.append(capsys.readouterr().out)
         return {p.name: p.read_bytes() for p in (tmp_path / out).iterdir()}, printed
 
+    raw_logs = {"ping_log": str(tmp_path / "ping.log"),
+                "fullstats": str(tmp_path / "fullstats.csv")}
     raw = config("raw", {"run_id": "r1", "ue_type": "modem", "scenario": "baseline",
                          "distance_m": 6.0, "packet_size_b": 30, "ping_interval_s": 0.2,
-                         "stats_period_s": 0.2, "ping_log": "ping.log",
-                         "fullstats": "fullstats.csv"})
+                         "stats_period_s": 0.2, **raw_logs})
     # Blocks, pieces, checks and cuts all fall inside the inputs.
     with mock.patch.object(ingest, "_CHUNK_BYTES", 173), \
             mock.patch.object(ingest, "_SPLIT_BYTES", 1), \
@@ -590,22 +608,26 @@ def test_every_source_of_a_run_gives_the_same_outputs(tmp_path, capsys):
         assert main(["ingest", "--config", raw, "--output-dir", str(tmp_path / "b")]) == 0
         meta, files = read_manifest(tmp_path / "b" / "r1.manifest")
         assert sorted(files) == ["latency_file", "scheduler_file"]
-        for source in ("c", "d"):
+        for source, edit in (("c", bytes), ("d", lambda text: text.replace(b"\n", b"\r\n")),
+                             ("e", _loose)):
             (tmp_path / source).mkdir()
             for name in files.values():
-                text = Path(name).read_bytes()
-                if source == "d":
-                    text = text.replace(b"\n", b"\r\n")
-                (tmp_path / source / Path(name).name).write_bytes(text)
+                (tmp_path / source / Path(name).name).write_bytes(edit(Path(name).read_bytes()))
         capsys.readouterr()
-        for source in ("b", "c", "d"):
-            run = {**dataclasses.asdict(meta),
-                   **{key: str(tmp_path / source / Path(name).name)
-                      for key, name in files.items()}}
-            assert outputs(config(source, run), f"from_{source}") == want
+        canonical = {source: {key: str(tmp_path / source / Path(name).name)
+                              for key, name in files.items()} for source in "bcde"}
+        runs = {source: canonical[source] for source in "bcde"}
+        runs["f"] = {"ping_log": raw_logs["ping_log"],
+                     "scheduler_file": canonical["c"]["scheduler_file"]}
+        runs["g"] = {"latency_file": canonical["c"]["latency_file"],
+                     "fullstats": raw_logs["fullstats"]}
+        runs["h"] = {**raw_logs, **canonical["c"]}
+        for source, files_of_run in runs.items():
+            run = {**dataclasses.asdict(meta), "stats_period_s": 0.2, **files_of_run}
+            assert outputs(config(source, run), f"from_{source}") == want, source
         assert not list((tmp_path / "c").glob("*.cols"))
-    assert sorted(want[0]) == ["r1_flags.csv", "r1_phases.csv", "r1_summary.csv",
-                               "r1_windows.csv"]
+    assert sorted(want[0]) == ["compare_r1_vs_r1.csv", "r1_flags.csv", "r1_phases.csv",
+                               "r1_summary.csv", "r1_windows.csv"]
     assert "r1: 0 joined windows" not in want[1][1]
 
 
