@@ -26,10 +26,10 @@ raises for a value no cell can show before any file is touched, then
 send each block to the CSV's temp file and into the column file's
 SHA-256 as it is rendered. So a writer holds the rendered columns and
 one block, never the whole text. A trace of at least _SPLIT_ROWS rows,
-where `may_split` holds, is rendered in two halves, cut at a block
-boundary near its middle row (`split_work`): a forked child renders
-the tail's blocks into an anonymous temp file while this process
-renders the head into the CSV's temp file and the SHA-256, then
+where `may_split` holds, is rendered in two halves, cut at its middle
+row (`split_work`): a forked child renders the tail's blocks into an
+anonymous temp file while this process renders the head into the
+CSV's temp file and the SHA-256, then
 streams the child's bytes into both through one _PIECE buffer. If the
 split fails at any step (no temp file or child to be had, a child that
 fails, an error streaming its bytes), this process empties the CSV's
@@ -572,11 +572,11 @@ def _write_trace(path: str | Path, trace) -> None:
                 digest.update(piece)
                 fh.write(piece)
 
-        # Split at a block boundary, so each half renders the blocks the
-        # whole would: the head here, the tail's blocks after its header
-        # in a child, whose bytes then follow through one buffer.
-        half = len(trace) // 2 // _BLOCK_ROWS * _BLOCK_ROWS
-        if len(trace) >= _SPLIT_ROWS and half and may_split():
+        # Split at the middle row, as a row's bytes do not depend on the
+        # block it falls in: the head here, the tail's blocks after its
+        # header in a child, whose bytes then follow through one buffer.
+        half = len(trace) // 2
+        if len(trace) >= _SPLIT_ROWS and may_split():
             try:
                 split_work(lambda: send(blocks(slice(half))),
                            lambda out: out.writelines(islice(blocks(slice(half, None)), 1, None)),

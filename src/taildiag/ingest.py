@@ -13,12 +13,12 @@ read together, through the exact decimal reader (`decode_replies` the
 ping replies, `decimals.numeric_lines` the fullstats cells); every
 other line goes to its format's per-line rules, which define the
 result. Each log is parsed in steps (`_PingParse`, `_FullstatsParse`):
-where a log is large, its second half is read by one forked child
-while this process reads the first halves, and the halves are joined
-and then finished, with the outcome of reading the logs whole one
-after the other. The parsers are tolerant: lines or rows that cannot
-be used are counted and reported, never silently dropped, and never
-abort the parse. An input that yields zero usable records raises
+where the ping log is large, its tail is read by one forked child
+while this process reads its head and then the whole fullstats log,
+and the two ping reads are joined; the parses are then finished, with
+the outcome of reading the logs whole one after the other. The
+parsers are tolerant: lines or rows that cannot be used are counted
+and reported, never silently dropped, and never abort the parse. An input that yields zero usable records raises
 EmptyTraceError, and a fullstats file the CSV reader cannot split, or
 a byte that is not UTF-8, raises MalformedRecordError at its line. The
 traces they give obey the value rules of the run model (`model`),
@@ -62,12 +62,12 @@ from .model import (
 )
 
 # Bytes of a raw log read at a time, so a log is never held whole, and
-# read at a time in a search for one byte (RawLog.find).
+# read at a time in a search for a line end (RawLog.line_start).
 _CHUNK_BYTES = 1 << 20
 _FIND_BYTES = 1 << 16
 _EQ, _NL = ord("="), ord("\n")
-# A raw log of at least this many bytes is parsed in two halves, the
-# second by a forked child (canon.split_work) where canon.may_split holds.
+# A ping log of at least this many bytes is cut in two, its tail read by
+# a forked child (canon.split_work) where canon.may_split holds.
 _SPLIT_BYTES = 1 << 22
 
 
@@ -102,27 +102,20 @@ class RawLog:
         """The log's length in bytes."""
         return os.path.getsize(self.name) if self._data is None else len(self._data)
 
-    def find(self, byte: bytes, start: int = 0) -> int:
-        """The offset of the first `byte` (one byte) from start; -1 if
-        there is none. Read in blocks of _FIND_BYTES, as a line end is
-        mostly near."""
+    def line_start(self, offset: int) -> int:
+        """The first line start at or after byte offset (at most the log's
+        size): the log's start for an offset below 1, its size if no line
+        starts there. Read in blocks of _FIND_BYTES, as a line
+        end is mostly near."""
+        if offset < 1:
+            return 0
         with self._open() as fh:
-            fh.seek(start)
+            fh.seek(offset - 1)         # a line starts at offset if an LF ends here
             while block := fh.read(_FIND_BYTES):
-                if (i := block.find(byte)) >= 0:
-                    return start + i
-                start += len(block)
-        return -1
-
-    def middle(self) -> int | None:
-        """Where a log of at least _SPLIT_BYTES is cut in two halves: just
-        past the first LF at or after its middle byte. None for a smaller
-        log, and where no line begins after that LF."""
-        size = self.size()
-        if size < _SPLIT_BYTES:
-            return None
-        cut = self.find(b"\n", size // 2) + 1
-        return cut if 0 < cut < size else None
+                if (i := block.find(b"\n")) >= 0:
+                    return offset + i
+                offset += len(block)
+        return offset - 1
 
     def pieces(self, start: int = 0, stop: int | None = None) -> Iterator[bytes]:
         """The log's bytes from start to stop (to its end if None), both
@@ -493,32 +486,28 @@ def _row_values(cells: list[tuple[str, int, object]], faults: dict[int, str], fi
         return None
 
 
-def _fullstats_blocks(log: RawLog, start: int = 0, stop: int | None = None) -> Iterator:
-    """The rows of a fullstats log from byte start to stop (to its end
-    if None), both at the start of a record: from the log's start, its
-    header row first (None if it has no line; a leading UTF-8 byte-order
-    mark, as spreadsheet exports write, dropped), then a (piece, rows)
-    block per piece. A piece of lines ending in LF without a double
-    quote or NUL, whose lines csv.reader would therefore split on commas
-    alone, is read by numpy: (piece, None), each line a row. Every other
-    line goes to one strict csv.reader (whose rules define the rows, and
-    what a NUL is), whose rows up to the end of a piece are a (None,
-    rows) block, so a quoted field may run on into the next piece (which
-    it then reads too). A record csv.reader cannot split (an
-    unterminated quote, text after a closing quote, a field past
-    csv.field_size_limit()) raises MalformedRecordError naming the line
-    it starts on, lines numbered from start: after the lines of the
-    numpy blocks, the line after the reader.line_num lines csv.reader
-    had read before it."""
-    source = log.pieces(start, stop)
+def _fullstats_blocks(log: RawLog) -> Iterator:
+    """The rows of a fullstats log: its header row first (None if it has
+    no line; a leading UTF-8 byte-order mark, as spreadsheet exports
+    write, dropped), then a (piece, rows) block per piece. A piece of
+    lines ending in LF without a double quote or NUL, whose lines
+    csv.reader would therefore split on commas alone, is read by numpy:
+    (piece, None), each line a row. Every other line goes to one strict
+    csv.reader (whose rules define the rows, and what a NUL is), whose
+    rows up to the end of a piece are a (None, rows) block, so a quoted
+    field may run on into the next piece (which it then reads too). A
+    record csv.reader cannot split (an unterminated quote, text after a
+    closing quote, a field past csv.field_size_limit()) raises MalformedRecordError naming the line
+    it starts on: after the lines of the numpy blocks, the line after
+    the reader.line_num lines csv.reader had read before it."""
+    source = log.pieces()
     pending: deque[str] = deque()
-    if not start:
-        head = next(source, b"")
-        cut = head.find(b"\n") + 1 or len(head)   # the header line goes to csv.reader
-        if cut < len(head):
-            source = chain([head[cut:]], source)
-        if head:
-            pending.append(head[:cut].decode().removeprefix("\ufeff"))
+    head = next(source, b"")
+    cut = head.find(b"\n") + 1 or len(head)       # the header line goes to csv.reader
+    if cut < len(head):
+        source = chain([head[cut:]], source)
+    if head:
+        pending.append(head[:cut].decode().removeprefix("\ufeff"))
     in_blocks = 0                   # lines yielded in numpy blocks
 
     def feed():
@@ -533,8 +522,7 @@ def _fullstats_blocks(log: RawLog, start: int = 0, stop: int | None = None) -> I
     reader = csv.reader(feed(), strict=True)
     before = 0                      # lines csv.reader read before its record
     try:
-        if not start:
-            yield next(reader, None)
+        yield next(reader, None)
         while pending or (piece := next(source, None)) is not None:
             if not pending:
                 if piece.endswith(b"\n") and b'"' not in piece and b"\0" not in piece:
@@ -557,10 +545,11 @@ def _fullstats_blocks(log: RawLog, start: int = 0, stop: int | None = None) -> I
 
 class _FullstatsParse:
     """The fullstats parse of one log, in the steps `parse_raw_logs`
-    takes, as `_PingParse`: a read of a byte range numbers its rows from
-    the range's start and runs the row rule (_row_values) on them; the
-    value rules (SchedulerTrace.faults) run once, in `finish`, over the
-    joined rows at their real times."""
+    takes: a read of the whole log (`read`), which finds the mapped
+    columns in its header and runs the row rule (_row_values) on its
+    rows, and `finish`, which runs the value rules
+    (SchedulerTrace.faults) once over the rows at their times and alone
+    warns."""
 
     def __init__(self, log: RawLog, column_map: Mapping[str, str],
                  stats_period_s: float) -> None:
@@ -590,15 +579,12 @@ class _FullstatsParse:
                        _int_cell if name in SchedulerTrace.INTEGRAL else _float_cell)
                       for name in FULLSTATS_FIELDS if name in self.column_map]
 
-    def read(self, start: int = 0, stop: int | None = None) -> tuple:
+    def read(self) -> tuple:
         """(rows, table, row_idx, faults): the rows read, the mapped
         values of those the row rule reads and their row indices, and why
-        each row it refuses is skipped, by row index. A range past the
-        log's start takes its columns from the header, the log's first
-        line."""
-        blocks = _fullstats_blocks(self.log, start, stop)
-        self._header(_fullstats_blocks(self.log, 0, self.log.find(b"\n") + 1) if start
-                     else blocks)
+        each row it refuses is skipped, by row index."""
+        blocks = _fullstats_blocks(self.log)
+        self._header(blocks)
         columns = [(i, parse is _int_cell) for _, i, parse in self.cells]
         tables = [np.empty((0, len(self.cells)))]
         kept_idx = [np.empty(0, dtype=np.int64)]
@@ -620,14 +606,6 @@ class _FullstatsParse:
             kept_idx.append(first + row_idx)
             first += count
         return first, np.concatenate(tables), np.concatenate(kept_idx), faults
-
-    @staticmethod
-    def join(head: tuple, tail: tuple) -> tuple:
-        rows, table, row_idx, faults = head
-        more, more_table, more_idx, more_faults = tail
-        faults.update((rows + k, reason) for k, reason in more_faults.items())
-        return (rows + more, np.concatenate((table, more_table)),
-                np.concatenate((row_idx, rows + more_idx)), faults)
 
     def finish(self, read: tuple) -> FullstatsParseResult:
         _, table, row_idx, faults = read
@@ -710,44 +688,36 @@ def parse_raw_logs(ping_log: RawLog | None, fullstats: RawLog | None,
     order. Either parse raises InvalidSpecError for a time float64
     cannot hold.
 
-    The split: where canon.may_split holds, each log of at least
-    _SPLIT_BYTES is cut at RawLog.middle. This process reads the first
-    half of each log in turn while one forked child reads the second
-    half of each (canon.split_work) and pickles its reads back. Each
-    half numbers its lines and rows from its start and runs the
-    per-line and row rules; this process shifts the child's numbers by
-    its own counts, joins each pair, and then finishes the parses in
-    turn. Whatever fails in the split (the temp file, the fork, the
-    child, either half or the join) sends every log back to the serial
-    order, which raises the error it meets first at its line in the
-    whole log. A cut inside a quoted fullstats field is such a failure:
-    the first half's strict csv.reader ends inside the field and
-    raises. A first half whose quotes all close ends on a record
-    boundary, so the second half starts outside a quote."""
-    parses = (None if ping_log is None else _PingParse(ping_log, meta),
-              None if fullstats is None else _FullstatsParse(fullstats, column_map,
-                                                             stats_period_s))
-    given = [parse for parse in parses if parse is not None]
-
-    def tails(out) -> None:
-        pickle.dump([None if cut is None else parse.read(cut)
-                     for parse, cut in zip(given, cuts)], out, pickle.HIGHEST_PROTOCOL)
-
-    def join(heads: list, out) -> list:
-        return [head if tail is None else parse.join(head, tail)
-                for parse, head, tail in zip(given, heads, pickle.load(out))]
-
+    The split: where canon.may_split holds and the ping log has at least
+    _SPLIT_BYTES, the ping log alone is cut, at the first line start at
+    or after half the bytes by which it is larger than the fullstats log
+    (RawLog.line_start), so that each process reads about half the bytes
+    of both. One forked child reads the ping log's tail
+    (canon.split_work) and pickles its read back, while this process
+    reads the ping log's head and then the whole fullstats log. Each
+    ping read numbers its lines from its start and runs the per-line
+    rules; this process shifts the child's numbers by its own counts,
+    joins the two, and then finishes the parses in turn. Whatever fails
+    in the split (the temp file, the fork, the child, any read or the
+    join) sends both logs back to the serial order, which raises the
+    error it meets first at its line in the whole log."""
+    ping = None if ping_log is None else _PingParse(ping_log, meta)
+    stats = None if fullstats is None else _FullstatsParse(fullstats, column_map, stats_period_s)
+    given = [parse for parse in (ping, stats) if parse is not None]
     reads = None
-    if canon.may_split():
+    if ping is not None and canon.may_split():
         try:
-            cuts = [parse.log.middle() for parse in given]
-            if any(cut is not None for cut in cuts):
+            size = ping_log.size()
+            if size >= _SPLIT_BYTES:
+                cut = ping_log.line_start((size - (stats.log.size() if stats else 0)) // 2)
                 reads = canon.split_work(
-                    lambda: [parse.read(0, cut) for parse, cut in zip(given, cuts)], tails, join)
+                    lambda: [ping.read(0, cut), *(parse.read() for parse in given[1:])],
+                    lambda out: pickle.dump(ping.read(cut), out, pickle.HIGHEST_PROTOCOL),
+                    lambda heads, out: [ping.join(heads[0], pickle.load(out)), *heads[1:]])
         except Exception:           # raised again, in order, by the whole reads
             pass
     if reads is None:
         # Lazy, so that each parse finishes before the next log is read.
         reads = (parse.read() for parse in given)
     results = iter([parse.finish(read) for parse, read in zip(given, reads)])
-    return tuple(None if parse is None else next(results) for parse in parses)
+    return tuple(None if log is None else next(results) for log in (ping_log, fullstats))

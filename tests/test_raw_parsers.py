@@ -536,8 +536,8 @@ def test_ingest_of_the_messy_logs_writes_the_recorded_bytes(tmp_path, chunk_byte
         "packet_size_b": 30, "ping_interval_s": 0.2, "ping_log": "ping.log",
         "fullstats": "fullstats.csv"}]}))
     # Whole, and split with the minimums down to one byte, one row and
-    # blocks of 16 rows on any host: both logs and both traces split,
-    # the fullstats log past the quoted cell with a line break in it.
+    # blocks of 16 rows on any host: the ping log and both traces split,
+    # the fullstats log, a quoted cell with a line break in it, read whole.
     for out, forced in (("out", ""), ("split", "ingest._SPLIT_BYTES = canon._SPLIT_ROWS = 1; "
                                        "canon._BLOCK_ROWS = 16; canon.may_split = lambda: True; ")):
         # A child process, so that stderr holds the CLI's own warning lines.

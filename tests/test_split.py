@@ -1,9 +1,11 @@
-"""A large raw parse and a large trace write, split in two halves with
-the second in a forked child (canon.split_work), both raw logs of a
-run in one fork: the same results, warnings, errors and bytes as one
-process gives reading each whole in turn, whatever the child, the wait
-for it or the join does, and no child left behind. The minimums are
-patched down, so the split runs on small inputs."""
+"""A large ping log's parse, its tail read in a forked child
+(canon.split_work) while this process reads its head and then the
+whole fullstats log of the run, and a large trace write, split in two
+halves with the second in a forked child: the same results, warnings,
+errors and bytes as one process gives reading each whole in turn,
+whatever the child, the wait for it or the join does, and no child
+left behind. The minimums are patched down, so the split runs on small
+inputs."""
 
 import csv
 import errno
@@ -52,11 +54,19 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def in_child(fail, real):
-    """real, but in a forked child it fails by `fail`: raising, exiting
-    non-zero, or killed by a signal."""
+@pytest.fixture
+def mark(tmp_path_factory):
+    """The file a fault helper below makes when it acts, so a test can
+    tell its fault fired: outside tmp_path, whose listing tests check."""
+    return tmp_path_factory.mktemp("mark") / "fault"
+
+
+def in_child(fail, real, mark):
+    """real, but in a forked child it makes the file mark, then fails by
+    `fail`: raising, exiting non-zero, or killed by a signal."""
     def call(*args, **kwargs):
         if os.getpid() != PARENT:
+            mark.touch()
             if fail == "raise":
                 raise MemoryError("in the child")
             if fail == "exit":
@@ -66,36 +76,43 @@ def in_child(fail, real):
     return call
 
 
-def hangs_in_child(real):
-    """real, but in a forked child it hangs for a minute first: only a
-    child killed ends in time."""
+def hangs_in_child(real, mark):
+    """real, but in a forked child it makes the file mark and hangs for
+    a minute first: only a child killed ends in time."""
     def call(*args, **kwargs):
         if os.getpid() != PARENT:
+            mark.touch()
             time.sleep(60)
         return real(*args, **kwargs)
     return call
 
 
 @contextmanager
-def first_wait_raises(exc):
+def first_wait_raises(exc, mark):
     """os.waitpid, each call's (pid, options) listed, but the first call
-    raises exc in this process; every later one waits as it would."""
+    raises exc in this process, once the file mark is made or 20 s have
+    passed; every later one waits as it would."""
     real, waits = os.waitpid, []
 
     def waitpid(pid, options):
         waits.append((pid, options))
         if len(waits) == 1:
+            deadline = time.monotonic() + 20
+            while not mark.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
             raise exc
         return real(pid, options)
     with mock.patch.object(os, "waitpid", waitpid):
         yield waits
 
 
-def in_parent(exc, real):
-    """real, but it raises exc in this process, and in a forked child
-    hangs for a minute first: only a child killed ends in time."""
+def in_parent(exc, real, mark):
+    """real, but in this process it makes the file mark and raises exc,
+    and in a forked child it hangs for a minute first: only a child
+    killed ends in time."""
     def call(*args, **kwargs):
         if os.getpid() == PARENT:
+            mark.touch()
             raise exc
         time.sleep(60)
         return real(*args, **kwargs)
@@ -141,6 +158,13 @@ def _ping_outcome(source, chunk_bytes):
     return columns, got.skipped_lines, got.malformed, messages
 
 
+def test_the_cut_is_the_first_line_start_at_or_after_its_offset():
+    log = ingest.RawLog("log", b"ab\ncd\n\nef")       # lines start at 0, 3, 6 and 7
+    with mock.patch.object(ingest, "_FIND_BYTES", 2):
+        assert [log.line_start(offset) for offset in range(-1, 10)] == [
+            0, 0, 3, 3, 3, 6, 6, 6, 7, 9, 9]
+
+
 @pytest.mark.parametrize("chunk_bytes", [97, 1 << 20])
 @pytest.mark.parametrize("odd_half", [0, 1])
 @pytest.mark.parametrize("odd", ["crlf", "nonascii"])
@@ -182,7 +206,7 @@ def test_split_ping_parse_names_a_byte_that_is_not_utf8_at_its_line(tmp_path, ha
 
 
 @pytest.mark.parametrize("fail", ["raise", "exit", "kill", "no_fork"])
-def test_a_failed_ping_child_is_recovered(tmp_path, fail):
+def test_a_failed_ping_child_is_recovered(tmp_path, mark, fail):
     path = tmp_path / "ping.log"
     path.write_bytes("".join(_ping_lines(True, "nonascii", 1)).encode("utf-8"))
     want = _ping_outcome(ingest.RawLog(path), 97)
@@ -192,36 +216,40 @@ def test_a_failed_ping_child_is_recovered(tmp_path, fail):
             got = _ping_outcome(ingest.RawLog(path), 97)
         else:
             with mock.patch.object(ingest, "_read_replies",
-                                   in_child(fail, ingest._read_replies)):
+                                   in_child(fail, ingest._read_replies, mark)):
                 got = _ping_outcome(ingest.RawLog(path), 97)
     assert got == want
+    assert mark.exists() == (fail != "no_fork")
     fork.assert_called_once()
     assert_no_child_left()
 
 
 @pytest.mark.parametrize("exc", [ValueError("in the parent"), KeyboardInterrupt()],
                          ids=["error", "interrupt"])
-def test_an_error_in_the_parents_half_reaps_the_ping_child(tmp_path, exc):
+def test_an_error_in_the_parents_half_reaps_the_ping_child(tmp_path, mark, exc):
     path = tmp_path / "ping.log"
     path.write_bytes("".join(_ping_lines(False, "crlf", 1)).encode("utf-8"))
     with forks(True) as fork, \
-            mock.patch.object(ingest, "_read_replies", in_parent(exc, ingest._read_replies)), \
+            mock.patch.object(ingest, "_read_replies",
+                              in_parent(exc, ingest._read_replies, mark)), \
             pytest.raises(type(exc)):
         started = time.monotonic()
         parse_ping_log(ingest.RawLog(path), META)
     assert time.monotonic() - started < 30
+    assert mark.exists()
     fork.assert_called_once()
     assert_no_child_left()
 
 
 @pytest.mark.parametrize("exc", [ValueError("in the wait"), KeyboardInterrupt()],
                          ids=["error", "interrupt"])
-def test_a_failed_wait_for_the_ping_child_kills_and_reaps_it(tmp_path, exc):
+def test_a_failed_wait_for_the_ping_child_kills_and_reaps_it(tmp_path, mark, exc):
     path = tmp_path / "ping.log"
     path.write_bytes("".join(_ping_lines(True, "crlf", 0)).encode("utf-8"))
     want = _ping_outcome(ingest.RawLog(path), 97)
-    with forks(True) as fork, first_wait_raises(exc) as waits, \
-            mock.patch.object(ingest, "_read_replies", hangs_in_child(ingest._read_replies)):
+    with forks(True) as fork, first_wait_raises(exc, mark) as waits, \
+            mock.patch.object(ingest, "_read_replies",
+                              hangs_in_child(ingest._read_replies, mark)):
         started = time.monotonic()
         if isinstance(exc, KeyboardInterrupt):
             with pytest.raises(KeyboardInterrupt):
@@ -229,6 +257,7 @@ def test_a_failed_wait_for_the_ping_child_kills_and_reaps_it(tmp_path, exc):
         else:                                   # read again, whole
             assert _ping_outcome(ingest.RawLog(path), 97) == want
     assert time.monotonic() - started < 30
+    assert mark.exists()
     fork.assert_called_once()
     # The wait that failed, then the one that reaps the killed child.
     pid = waits[0][0]
@@ -322,6 +351,41 @@ def _joint(ping_path, fs_path, cmap):
         ingest.RawLog(ping_path), ingest.RawLog(fs_path), cmap, META, stats_period_s=0.5))
 
 
+@contextmanager
+def listed_reads(tmp_path):
+    """The reads of the ping and fullstats parses in the block, each
+    (process, log file name, byte range) in the order its process made
+    them, the process "here" or "child": yields their list, filled after
+    the block from a file in tmp_path that a forked child appends to
+    too."""
+    listing, reads = tmp_path / "reads.jsonl", []
+    with ExitStack() as stack:
+        for kind in (ingest._PingParse, ingest._FullstatsParse):
+            def read(self, *span, real=kind.read):
+                with open(listing, "a") as fh:
+                    fh.write(json.dumps(["here" if os.getpid() == PARENT else "child",
+                                         Path(self.log.name).name, span]) + "\n")
+                return real(self, *span)
+            stack.enter_context(mock.patch.object(kind, "read", read))
+        yield reads
+    reads += [(who, name, tuple(span)) for who, name, span in map(
+        json.loads, listing.read_text().splitlines())]
+
+
+def assert_read_once(reads, ping_path, fs_path):
+    """That reads are those of the one split: the ping log's head and
+    then the whole fullstats log here, the ping log's tail in the child,
+    the ping log cut at the first line start at or after half the bytes
+    by which it is larger than the fullstats log."""
+    ping = ping_path.read_bytes()
+    at = (len(ping) - fs_path.stat().st_size) // 2
+    cut = next(i for i in range(at, len(ping)) if ping[i - 1:i] == b"\n")
+    assert 0 < at <= cut
+    assert [r for r in reads if r[0] == "here"] == [
+        ("here", "ping.log", (0, cut)), ("here", "fullstats.csv", ())]
+    assert [r for r in reads if r[0] != "here"] == [("child", "ping.log", (cut,))]
+
+
 @pytest.mark.parametrize("cmap", [FS_MAP, TIMED_MAP], ids=["row_times", "t_s_column"])
 @pytest.mark.parametrize("quoted", ["tail", "head", None])
 @pytest.mark.parametrize("odd_half", [0, 1])
@@ -331,29 +395,19 @@ def test_joint_split_parse_equals_the_serial_parse(tmp_path, odd, odd_half, quot
                         _fullstats_lines(odd, odd_half, quoted))
     want = _serial(*paths, cmap)
     *_, skipped_rows, messages = want
-    # Rows skipped on both sides of the middle.
+    # Rows skipped all through the fullstats log.
     rows = [int(m.split()[2]) for m in messages if m.startswith("fullstats row")]
     assert skipped_rows == len(rows) > 20 and min(rows) < 150 < max(rows)
-    reads = []                                  # (log, start, stop) of each read here
-    with forks(True) as fork, ExitStack() as stack:
-        for kind in (ingest._PingParse, ingest._FullstatsParse):
-            def read(self, start=0, stop=None, real=kind.read):
-                reads.append((self.log.name, start, stop))
-                return real(self, start, stop)
-            stack.enter_context(mock.patch.object(kind, "read", read))
+    with forks(True) as fork, listed_reads(tmp_path) as reads:
         assert _joint(*paths, cmap) == want
     fork.assert_called_once()
     assert_no_child_left()
-    # The head of each log, and no log whole, quoted cells or not.
-    (ping, start, ping_cut), (fs, fs_start, fs_cut) = reads
-    assert (ping, fs, start, fs_start) == (str(paths[0]), str(paths[1]), 0, 0)
-    assert ping_cut > 0 and fs_cut > 0
+    assert_read_once(reads, *paths)
 
 
 def _quoted_across_the_middle(lines):
     """lines, with the note cell of one row a quoted cell holding the
-    first LF at or after the middle byte of the log, and that LF's
-    offset."""
+    first LF at or after the middle byte of the log."""
     cell = '"' + "q" * 200 + "\n" + "q" * 200 + '"\n'
     for i, line in enumerate(lines):
         if line.endswith(",ok\n"):
@@ -361,38 +415,47 @@ def _quoted_across_the_middle(lines):
             text = "".join(got).encode()
             inside = len("".join(got[:i]).encode()) + got[i].index("\n")
             if text.find(b"\n", len(text) // 2) == inside:
-                return got, inside
+                return got
     raise AssertionError("no row holds the middle byte")
 
 
-def test_a_quoted_field_across_the_cut_sends_both_logs_back_whole(tmp_path):
-    fullstats, inside = _quoted_across_the_middle(_fullstats_lines("nonascii", 0, None))
+def test_a_quoted_field_across_the_fullstats_middle_is_read_in_the_one_split(tmp_path):
+    fullstats = _quoted_across_the_middle(_fullstats_lines("nonascii", 0, None))
     paths = _write_logs(tmp_path, _ping_lines(True, "crlf", 1), fullstats)
     want = _serial(*paths, FS_MAP)
     assert want[-2] > 20                        # rows skipped
-    reads = []                                  # (log, start, stop) of each read here
-    with forks(True) as fork, ExitStack() as stack:
-        for kind in (ingest._PingParse, ingest._FullstatsParse):
-            def read(self, start=0, stop=None, real=kind.read):
-                reads.append((self.log.name, start, stop))
-                return real(self, start, stop)
-            stack.enter_context(mock.patch.object(kind, "read", read))
+    with forks(True) as fork, listed_reads(tmp_path) as reads:
         assert _joint(*paths, FS_MAP) == want
     fork.assert_called_once()
     assert_no_child_left()
-    # The heads, the fullstats head cut inside the quoted cell, then
-    # each log whole.
-    ping, fs = map(str, paths)
-    (_, _, ping_cut), fs_head, *whole = reads
-    assert ping_cut > 0 and fs_head == (fs, 0, inside + 1)
-    assert whole == [(ping, 0, None), (fs, 0, None)]
+    assert_read_once(reads, *paths)             # and no log read again
+
+
+def test_a_run_without_a_large_ping_log_is_read_without_a_fork(tmp_path):
+    # The ping log under the minimum, the fullstats log at it; then the
+    # fullstats log with no ping log.
+    paths = _write_logs(tmp_path, _ping_lines(True, "crlf", 1, n=40),
+                        _fullstats_lines("nonascii", 0, "tail"))
+    ping_bytes, fs_bytes = (path.stat().st_size for path in paths)
+    assert ping_bytes < fs_bytes
+    want = _serial(*paths, FS_MAP)
+
+    def fullstats_alone():
+        return parse_ping_log(ingest.RawLog(paths[0]), META), ingest.parse_raw_logs(
+            None, ingest.RawLog(paths[1]), FS_MAP, META, stats_period_s=0.5)[1]
+    with forks(True) as fork, mock.patch.object(ingest, "_SPLIT_BYTES", fs_bytes), \
+            listed_reads(tmp_path) as reads:
+        assert _joint(*paths, FS_MAP) == want
+        assert _joint_outcome(fullstats_alone) == want
+    fork.assert_not_called()
+    assert reads == [("here", "ping.log", ()), ("here", "fullstats.csv", ())] * 2
 
 
 @pytest.mark.parametrize("fault", ["nul", "not_utf8", "overlong", "ping_tail_and_head",
                                    "no_usable_row", "no_reply"])
 def test_joint_split_parse_meets_a_fault_as_the_serial_parse(tmp_path, fault):
     ping, fullstats = _ping_lines(True, "crlf", 0), _fullstats_lines("nonascii", 0, None)
-    row = 251                                   # in the tail, on line 253
+    row = 251                                   # on line 253
     if fault == "nul":
         fullstats[row + 1] = fullstats[row + 1].replace(",0.05,", ",0.05\0,")
     elif fault == "not_utf8":
@@ -432,7 +495,7 @@ def test_joint_split_parse_meets_a_fault_as_the_serial_parse(tmp_path, fault):
 
 
 @pytest.mark.parametrize("fail", ["raise", "exit", "kill", "no_fork"])
-def test_a_failed_joint_child_is_recovered(tmp_path, fail):
+def test_a_failed_joint_child_is_recovered(tmp_path, mark, fail):
     paths = _write_logs(tmp_path, _ping_lines(True, "nonascii", 1),
                         _fullstats_lines("crlf", 1, "tail"))
     want = _serial(*paths, FS_MAP)
@@ -441,10 +504,12 @@ def test_a_failed_joint_child_is_recovered(tmp_path, fail):
             fork.side_effect = OSError("no fork")
             got = _joint(*paths, FS_MAP)
         else:
-            read = ingest._FullstatsParse.read
-            with mock.patch.object(ingest._FullstatsParse, "read", in_child(fail, read)):
+            # The child reads the ping log's tail.
+            read = ingest._PingParse.read
+            with mock.patch.object(ingest._PingParse, "read", in_child(fail, read, mark)):
                 got = _joint(*paths, FS_MAP)
     assert got == want
+    assert mark.exists() == (fail != "no_fork")
     fork.assert_called_once()
     assert_no_child_left()
 
@@ -487,7 +552,7 @@ def test_ingest_of_a_large_run_forks_three_times_or_writes_the_same_bytes_withou
             elif temp_file == "not_written":
                 stack.enter_context(mock.patch.object(tempfile, "TemporaryFile", _FullDisk))
             assert _ingest(tmp_path, "split") == want
-    # One fork reads both logs, then one writes each trace. Without a
+    # One fork reads the ping log's tail, then one writes each trace. Without a
     # temp file no child is forked; with one the child cannot write, it
     # fails. Either way each split fails, and its work is done here whole.
     assert fork.call_count == (0 if temp_file == "not_made" else 3)
@@ -532,8 +597,8 @@ def test_split_trace_write_gives_the_same_bytes(tmp_path, block_rows, kind):
         fork.assert_not_called()
         with forks(True) as fork:
             assert _written(tmp_path / "split.csv", trace) == want
-    # A trace of fewer than two blocks is written whole.
-    assert fork.call_count == (len(trace) >= 2 * block_rows)
+    # Split at its middle row, whatever the blocks.
+    fork.assert_called_once()
     assert_no_child_left()
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "split.csv", "split.csv.cols", "whole.csv", "whole.csv.cols"]
@@ -552,7 +617,7 @@ def failing_join(streams):
 
 
 @pytest.mark.parametrize("fail", ["raise", "exit", "kill", "no_fork", "join"])
-def test_a_failed_writer_child_is_recovered(tmp_path, fail):
+def test_a_failed_writer_child_is_recovered(tmp_path, mark, fail):
     # A failed join has sent the head and a piece of the child's bytes
     # into the CSV and its digest already.
     trace = _traces()[1]
@@ -567,9 +632,10 @@ def test_a_failed_writer_child_is_recovered(tmp_path, fail):
                 stack.enter_context(mock.patch.object(canon, "_pieces", failing_join(streams)))
             else:
                 stack.enter_context(mock.patch.object(canon, "_csv_blocks",
-                                                      in_child(fail, canon._csv_blocks)))
+                                                      in_child(fail, canon._csv_blocks, mark)))
             got = _written(tmp_path / "split.csv", trace)
     assert got == want
+    assert mark.exists() == (fail in ("raise", "exit", "kill"))
     assert len(streams) == (fail == "join")
     fork.assert_called_once()
     assert_no_child_left()
@@ -579,14 +645,15 @@ def test_a_failed_writer_child_is_recovered(tmp_path, fail):
 
 @pytest.mark.parametrize("exc", [ValueError("in the parent"), KeyboardInterrupt()],
                          ids=["error", "interrupt"])
-def test_an_error_in_the_parents_half_reaps_the_writer_child(tmp_path, exc):
+def test_an_error_in_the_parents_half_reaps_the_writer_child(tmp_path, mark, exc):
     trace = _traces()[0]
     with mock.patch.object(canon, "_BLOCK_ROWS", 16), forks(True) as fork, \
-            mock.patch.object(canon, "_csv_blocks", in_parent(exc, canon._csv_blocks)), \
+            mock.patch.object(canon, "_csv_blocks", in_parent(exc, canon._csv_blocks, mark)), \
             pytest.raises(type(exc)):
         started = time.monotonic()
         canon._write_trace(tmp_path / "lat.csv", trace)
     assert time.monotonic() - started < 30
+    assert mark.exists()
     fork.assert_called_once()
     assert_no_child_left()
     assert list(tmp_path.iterdir()) == []       # no CSV, no temp file
@@ -594,13 +661,13 @@ def test_an_error_in_the_parents_half_reaps_the_writer_child(tmp_path, exc):
 
 @pytest.mark.parametrize("exc", [ValueError("in the wait"), KeyboardInterrupt()],
                          ids=["error", "interrupt"])
-def test_a_failed_wait_for_the_writer_child_kills_and_reaps_it(tmp_path, exc):
+def test_a_failed_wait_for_the_writer_child_kills_and_reaps_it(tmp_path, mark, exc):
     trace = _traces()[0]
     interrupt = isinstance(exc, KeyboardInterrupt)
     with mock.patch.object(canon, "_BLOCK_ROWS", 16):
         want = _written(tmp_path / "whole.csv", trace)
-        with forks(True) as fork, first_wait_raises(exc) as waits, \
-                mock.patch.object(canon, "_csv_blocks", hangs_in_child(canon._csv_blocks)):
+        with forks(True) as fork, first_wait_raises(exc, mark) as waits, \
+                mock.patch.object(canon, "_csv_blocks", hangs_in_child(canon._csv_blocks, mark)):
             started = time.monotonic()
             if interrupt:
                 with pytest.raises(KeyboardInterrupt):
@@ -608,6 +675,7 @@ def test_a_failed_wait_for_the_writer_child_kills_and_reaps_it(tmp_path, exc):
             else:                               # written again, whole
                 assert _written(tmp_path / "split.csv", trace) == want
     assert time.monotonic() - started < 30
+    assert mark.exists()
     fork.assert_called_once()
     pid = waits[0][0]
     assert pid > 0 and waits == [(pid, 0), (pid, 0)]
