@@ -1,5 +1,3 @@
-import sys
+from .cli import program
 
-from .cli import main
-
-sys.exit(main())
+program()

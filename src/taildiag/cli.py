@@ -12,16 +12,21 @@ stdout carries short human-readable summaries, and stderr carries
 line or skipped fullstats row, uncapped) and, for a failing command,
 one `error: <message>` line. No command imports the standard
 library's log package. Exit status is 0 exactly when every requested
-output file was written.
+output file was written and, run as a program (`program`), its
+summary reached stdout: a stdout whose reader has gone is one
+`error:` line and exit status 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import os
 import sys
 from collections.abc import Callable
 from dataclasses import replace
 from pathlib import Path
+from typing import NoReturn
 
 from . import canon, report, stats
 from .config import (
@@ -289,5 +294,33 @@ def main(argv: list[str] | None = None) -> int:
     return guarded(_dispatch, build_parser().parse_args(argv))
 
 
+def program() -> NoReturn:
+    """Run `main` on sys.argv and end the process with its status (or
+    argparse's): the entry of `python -m taildiag` and of the console
+    script. stdout is flushed first; if its reader has gone, a command
+    that has not failed already prints one `error:` line and exits 1."""
+    try:
+        status = main()
+    except SystemExit as exc:
+        status = exc.code
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        # What is left in the buffer goes to os.devnull, so that the
+        # interpreter's own flush at exit fails no second time (Python's
+        # signal docs, "Note on SIGPIPE").
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not status:
+            print(f"error: {exc}", file=sys.stderr)
+            status = 1
+    # Finalization runs full collections over every object still alive,
+    # ~22k after numpy and taildiag load: 26-39 ms of each 24 h command,
+    # from the last atexit handler to the launcher's wait4. Frozen, they
+    # are not scanned, and that teardown takes 7-12 ms; atexit handlers,
+    # the flush of stdout and stderr and module teardown still run.
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    program()

@@ -1,6 +1,7 @@
 """Formatting, config loading, and end-to-end CLI coverage."""
 
 import csv
+import gc
 import json
 import math
 import os
@@ -939,9 +940,97 @@ def test_a_name_no_file_can_take_exits_1_writing_nothing(
     assert [p.name for p in tmp_path.rglob("*")] == ["c.json"]
 
 
+# ------------------------------------------------------- CLI: the program
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# `python -m taildiag ARGS...` as perfbench/tracechild.py runs it, with
+# an atexit hook, registered first so that it runs last, that writes the
+# collector's freeze count to the file named by the first argument.
+PROGRAM = ("import atexit, gc, runpy, sys\n"
+           "path = sys.argv.pop(1)\n"
+           "atexit.register(lambda: open(path, 'w').write(str(gc.get_freeze_count())))\n"
+           "runpy.run_module('taildiag', run_name='__main__', alter_sys=True)\n")
+
+
+def _program(tmp_path, argv, stdout=subprocess.PIPE, unbuffered=False):
+    """The exit status, stdout and stderr bytes, and freeze count at exit
+    of `python -m taildiag argv` in a fresh interpreter."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=str(ROOT / "src"), **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+    count = tmp_path / "freeze_count"
+    done = subprocess.run([sys.executable, "-c", PROGRAM, str(count), *argv],
+                          stdout=stdout, stderr=subprocess.PIPE, env=env)
+    return done.returncode, done.stdout, done.stderr, int(count.read_text())
+
+
+def _status(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("args, status", [
+    (["summarize", "coupled"], 0), (["summarize", "nope"], 1), ([], 2),
+], ids=["written", "toolkit_error", "usage_error"])
+def test_program_prints_and_exits_as_main_does_then_freezes(
+        campaign, tmp_path, capsys, args, status):
+    argv = [*args[:1], "--config", _cfg(campaign), "--output-dir", str(tmp_path / "out"),
+            *args[1:]] if args else []
+    frozen = gc.get_freeze_count()
+    assert _status(argv) == status
+    assert gc.get_freeze_count() == frozen
+    printed = capsys.readouterr()
+    *ran, count = _program(tmp_path, argv)
+    assert ran == [status, printed.out.encode(), printed.err.encode()]
+    assert count > 0
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_program_with_stdout_closed_exits_1_with_one_error_line(campaign, tmp_path, unbuffered):
+    # Left to the interpreter's flush at exit, a buffered stdout whose
+    # reader has gone ends in exit status 120 and a two-line "Exception
+    # ignored" text, where an unbuffered one fails inside the command.
+    out = tmp_path / "out"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        status, _, err, count = _program(
+            tmp_path, ["summarize", "--config", _cfg(campaign), "--output-dir", str(out),
+                       "coupled"], stdout=write, unbuffered=unbuffered)
+    finally:
+        os.close(write)
+    assert (status, err) == (1, b"error: [Errno 32] Broken pipe\n")
+    assert count > 0
+    assert (out / "coupled_summary.csv").exists()
+
+
+def test_console_script_is_the_function_python_m_taildiag_calls():
+    script = re.search(r'^\[project\.scripts\]\ntaildiag = "taildiag\.(\w+):(\w+)"$',
+                       (ROOT / "pyproject.toml").read_text(), re.M)
+    entry = (ROOT / "src" / "taildiag" / "__main__.py").read_text()
+    assert re.fullmatch(r"from \.(\w+) import (\w+)\n\n\2\(\)\n", entry).groups() == (
+        script.groups())
+
+
+def test_traced_program_records_a_cli_main_span(campaign, tmp_path):
+    # perfbench's tracer rebinds `cli.main` by name, so the program entry
+    # must look `main` up when it is called.
+    spans = tmp_path / "spans.json"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracechild.py"), str(spans),
+         "-m", "taildiag", "summarize", "--config", _cfg(campaign),
+         "--output-dir", str(tmp_path / "out"), "coupled"],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert done.returncode == 0, done.stderr
+    names = [span[2] for span in json.loads(spans.read_text())["spans"]]
+    assert names.count("cli.main") == 1
+
+
 # ------------------------------------------------------------ paperlike demo
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_paperlike.py"
+SCRIPT = ROOT / "scripts" / "run_paperlike.py"
 
 
 def test_paperlike_demo_prints_what_each_cli_step_prints(tmp_path, monkeypatch, capsys):
